@@ -21,6 +21,7 @@ from repro.core.collection import collect_traces
 from repro.core.config import generate_config
 from repro.harness.experiment import ExperimentSpec
 from repro.harness.report import TableBuilder
+from repro.noise import TraceReplaySource
 
 from conftest import once
 
@@ -41,7 +42,9 @@ def _tp_vs_rm(settings, platform):
     for strategy in ("Rm", "TP"):
         s = spec.with_(strategy=strategy, anomaly_prob=0.0, seed=spec.seed + 17)
         base = settings.cache.get_or_run(s)
-        inj = settings.cache.get_or_run(s.with_(seed=s.seed + 1_000_003), noise_config=config)
+        inj = settings.cache.get_or_run(
+            s.with_(seed=s.seed + 1_000_003), noise=TraceReplaySource(config)
+        )
         deltas[strategy] = (inj.mean / base.mean - 1.0) * 100.0
     return deltas
 

@@ -9,9 +9,9 @@ the delta-refined replay tracks it closely.
 from repro.core.accuracy import replication_accuracy
 from repro.core.collection import collect_traces
 from repro.core.config import generate_config
-from repro.extensions import cpu_occupy
 from repro.harness.experiment import ExperimentSpec
 from repro.harness.report import TableBuilder
+from repro.noise import HpasCpuOccupySource, TraceReplaySource
 
 from conftest import once
 
@@ -33,12 +33,12 @@ def test_extension_synthetic_vs_replay(benchmark, settings, publish):
         )
         replay_cfg = generate_config(coll.worst_trace, coll.profile)
         budget = replay_cfg.total_busy_time()
-        synth_cfg = cpu_occupy(start=0.05, duration=budget / 2.0, cpus=(0, 1))
+        synthetic = HpasCpuOccupySource(start=0.05, duration=budget / 2.0, cpus=(0, 1))
         out = {"worst": coll.worst_exec_time, "budget": budget}
-        for name, cfg in (("replay", replay_cfg), ("synthetic", synth_cfg)):
+        for name, noise in (("replay", TraceReplaySource(replay_cfg)), ("synthetic", synthetic)):
             inj = settings.cache.get_or_run(
                 spec.with_(reps=0, anomaly_prob=None, seed=spec.seed + 1_000_003),
-                noise_config=cfg,
+                noise=noise,
             )
             out[name] = inj.mean
         return out

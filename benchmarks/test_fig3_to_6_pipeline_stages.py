@@ -13,6 +13,7 @@ from repro.core.config import generate_config
 from repro.core.events import EventType
 from repro.core.refine import refine_worst_case
 from repro.harness.experiment import ExperimentSpec
+from repro.noise import TraceReplaySource
 
 from conftest import once
 
@@ -101,7 +102,8 @@ def test_fig6_injection_overview(benchmark, settings, publish):
         seed=settings.spec_seed("fig6-inj"),
         reps=8,
     )
-    injected = once(benchmark, lambda: run_experiment(spec, noise_config=config))
+    noise = TraceReplaySource(config)
+    injected = once(benchmark, lambda: run_experiment(spec, noise=noise))
     text = (
         "Figure 6: injector processing overview\n"
         f"  injector processes : {config.n_cpus}\n"

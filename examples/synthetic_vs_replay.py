@@ -14,8 +14,8 @@ Run:  python examples/synthetic_vs_replay.py
 
 from repro import ExperimentSpec, NoiseInjectionPipeline, run_experiment
 from repro.core.accuracy import replication_accuracy
-from repro.extensions import cpu_occupy
 from repro.harness.report import TableBuilder
+from repro.noise import HpasCpuOccupySource, TraceReplaySource
 
 spec = ExperimentSpec(
     platform="intel-9700kf",
@@ -39,15 +39,16 @@ print(
 # --- synthetic: same busy-time budget as one uniform HPAS hog ----------
 # Spread the identical budget evenly over the run on two CPUs.
 duration = budget / 2.0
-synthetic_config = cpu_occupy(start=0.05, duration=duration, cpus=(0, 1))
+synthetic = HpasCpuOccupySource(start=0.05, duration=duration, cpus=(0, 1))
 
 # --- compare ------------------------------------------------------------
 baseline = run_experiment(spec.with_(reps=10, anomaly_prob=0.0, seed=77))
 table = TableBuilder(["injector", "injected (s)", "delta vs baseline", "vs anomaly"])
-for name, config in (("trace replay", replay_config), ("HPAS-style synthetic", synthetic_config)):
+for name, noise in (("trace replay", TraceReplaySource(replay_config)),
+                    ("HPAS-style synthetic", synthetic)):
     injected = run_experiment(
         spec.with_(reps=10, anomaly_prob=0.0, seed=spec.seed + 1_000_003),
-        noise_config=config,
+        noise=noise,
     )
     delta = (injected.mean / baseline.mean - 1.0) * 100.0
     acc = replication_accuracy(injected.mean, coll.worst_exec_time)

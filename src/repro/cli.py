@@ -807,6 +807,7 @@ def _demo_figure(number: int, seed: int) -> None:
     from repro.core.config import generate_config
     from repro.core.refine import refine_worst_case
     from repro.harness.experiment import ExperimentSpec, run_experiment
+    from repro.noise import TraceReplaySource
 
     spec = ExperimentSpec(platform="intel-9700kf", workload="nbody", seed=seed, reps=10)
     coll = collect_traces(spec, reps=10, min_degradation=0.0, max_batches=1)
@@ -831,7 +832,9 @@ def _demo_figure(number: int, seed: int) -> None:
         return
     if number == 6:
         print("Figure 6: injector processing overview")
-        injected = run_experiment(spec.with_(seed=seed + 1_000_003, reps=5), noise=config)
+        injected = run_experiment(
+            spec.with_(seed=seed + 1_000_003, reps=5), noise=TraceReplaySource(config)
+        )
         print(
             f"  spawned {config.n_cpus} injector processes, "
             f"{config.n_events} events, {config.total_busy_time() * 1e3:.1f}ms busy"

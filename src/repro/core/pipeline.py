@@ -27,6 +27,7 @@ from repro.core.config import NoiseConfig, generate_config
 from repro.core.merge import MergeStrategy
 from repro.harness.experiment import ExperimentSpec, ResultSet, run_experiment
 from repro.noise.base import NoiseSource, NoiseStack
+from repro.noise.sources import TraceReplaySource
 
 if TYPE_CHECKING:  # pragma: no cover
     from typing import Sequence
@@ -175,7 +176,7 @@ class NoiseInjectionPipeline:
         # Different seed stream than collection, so injection runs see
         # fresh inherent noise (the paper's uncontrollable residual).
         spec = spec.with_(seed=spec.seed + 1_000_003)
-        stack = NoiseStack([*(NoiseStack.coerce(config) or ()), *self.extra_noise])
+        stack = NoiseStack([TraceReplaySource(config), *self.extra_noise])
         with _telemetry.span("inject", spec=spec.label()):
             return run_experiment(
                 spec, noise=stack, executor=self.executor, policy=self.fault_policy

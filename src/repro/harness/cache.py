@@ -9,11 +9,10 @@ Cache keys are versioned (``_KEY_VERSION``) and source-agnostic: the
 noise part of the key is the canonical serialized
 :class:`~repro.noise.base.NoiseStack`, so any registered source — or
 composition of sources — keys identically whether it arrived via
-``spec.noise``, the ``noise=`` parameter, or the deprecated
-``noise_config`` alias.  Entries written before the current key version
-miss cleanly (the version is hashed into the key **and** stored in the
-entry): stale files found under a current key are evicted and counted
-in :meth:`ResultCache.stats`.
+``spec.noise`` or the ``noise=`` parameter.  Entries written before the
+current key version miss cleanly (the version is hashed into the key
+**and** stored in the entry): stale files found under a current key are
+evicted and counted in :meth:`ResultCache.stats`.
 
 The cache lives in ``$REPRO_CACHE_DIR`` (default ``.repro_cache/`` in
 the working directory); delete the directory to invalidate, or set
@@ -222,8 +221,7 @@ class ResultCache:
         return self.enabled and self._path(key).exists()
 
     def resolve_cell(
-        self, spec: ExperimentSpec, noise: "NoiseLike" = None,
-        noise_config: "NoiseLike" = None,
+        self, spec: ExperimentSpec, noise: "NoiseLike" = None
     ) -> tuple[ExperimentSpec, Optional[NoiseStack], str]:
         """Normalise a cell to ``(spec, stack, key)`` — the cache identity.
 
@@ -234,7 +232,7 @@ class ResultCache:
         service calls this at submit time so a queued job's key equals
         the key the executing worker (or any in-process run) computes.
         """
-        stack = NoiseStack.coerce(noise if noise is not None else noise_config)
+        stack = NoiseStack.coerce(noise)
         if stack is None:
             stack = spec.noise
         injecting = stack is not None and bool(stack)
@@ -359,18 +357,16 @@ class ResultCache:
     def get_or_run(
         self,
         spec: ExperimentSpec,
-        noise_config: "NoiseLike" = None,
+        noise: "NoiseLike" = None,
         executor: Optional["Executor"] = None,
         on_run: Optional[Callable[[int, "RunResult"], None]] = None,
-        noise: "NoiseLike" = None,
         policy: Optional["FaultPolicy"] = None,
     ) -> ResultSet:
         """Return cached results or run the experiment and store them.
 
         ``noise`` accepts any registered source, a
-        :class:`~repro.noise.base.NoiseStack`, or a legacy config type
-        (``noise_config`` is the pre-registry alias); it defaults to
-        ``spec.noise``.
+        :class:`~repro.noise.base.NoiseStack`, or a sequence of sources;
+        it defaults to ``spec.noise``.
 
         ``on_run`` consumers are incompatible with caching: a cache hit
         replays no runs, so the consumer would be silently skipped.
@@ -398,7 +394,7 @@ class ResultCache:
                 "observe nothing. Call run_experiment() directly (trace "
                 "collection does), or disable the cache with REPRO_NO_CACHE=1."
             )
-        spec, stack, key = self.resolve_cell(spec, noise, noise_config)
+        spec, stack, key = self.resolve_cell(spec, noise)
         t0 = time.perf_counter()
         rs = self.load_entry(key, spec)
         if rs is not None:
@@ -458,9 +454,8 @@ _default_cache: Optional[ResultCache] = None
 
 def cached_experiment(
     spec: ExperimentSpec,
-    noise_config: "NoiseLike" = None,
-    executor: Optional["Executor"] = None,
     noise: "NoiseLike" = None,
+    executor: Optional["Executor"] = None,
 ) -> ResultSet:
     """Module-level convenience using a process-wide cache.
 
@@ -474,4 +469,4 @@ def cached_experiment(
     global _default_cache
     if _default_cache is None:
         _default_cache = ResultCache()
-    return _default_cache.get_or_run(spec, noise_config, executor=executor, noise=noise)
+    return _default_cache.get_or_run(spec, noise, executor=executor)

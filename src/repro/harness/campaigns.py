@@ -44,6 +44,7 @@ from repro.harness import paper_reference as paper
 from repro.harness.report import InjectionRow, TableBuilder, render_injection_table, render_series_figure
 from repro.harness.stats import summarize
 from repro.mitigation.strategies import STRATEGY_NAMES
+from repro.noise.sources import TraceReplaySource
 
 __all__ = [
     "CampaignSettings",
@@ -222,8 +223,6 @@ class CampaignSettings:
         if self.service is None:
             return self.cache.get_or_run(spec, **kwargs)
         noise = kwargs.pop("noise", None)
-        if noise is None:
-            noise = kwargs.pop("noise_config", None)
         kwargs.pop("executor", None)
         kwargs.pop("policy", None)
         if kwargs:
@@ -558,7 +557,7 @@ def injection_table(
                 )
                 base = settings.submit_or_run(spec)
                 inj = settings.submit_or_run(
-                    spec.with_(seed=seed + 1_000_003), noise=_cfg
+                    spec.with_(seed=seed + 1_000_003), noise=TraceReplaySource(_cfg)
                 )
                 return strat, base, inj
 
@@ -711,7 +710,7 @@ def table7(
             use_smt=use_smt,
             seed=seed,
         )
-        inj = settings.submit_or_run(spec, noise=info.config)
+        inj = settings.submit_or_run(spec, noise=TraceReplaySource(info.config))
         err = signed_replication_error(inj.mean, info.worst_exec_time) * 100.0
         rows.append((workload, label, err, paper.TABLE7[(workload, label)]))
     return Table7Result(rows)
@@ -883,7 +882,7 @@ def merge_ablation(
         )
         seed = settings.spec_seed("ablate", platform, workload, merge.value)
         inj_spec = spec.with_(seed=seed, anomaly_prob=None)
-        inj = settings.submit_or_run(inj_spec, noise=config)
+        inj = settings.submit_or_run(inj_spec, noise=TraceReplaySource(config))
         accuracies[merge] = abs(signed_replication_error(inj.mean, coll.worst_exec_time))
         fifo[merge] = _fifo_busy(config)
     return MergeAblationResult(

@@ -121,15 +121,8 @@ from repro import telemetry as _telemetry
 from repro.harness.chaos import mark_worker
 
 # The per-rep/per-chunk execution core lives in chunkrunner (shared
-# with the campaign service's remote workers); this module keeps its
-# historical names re-exported so existing imports stay valid.
-from repro.harness.chunkrunner import (  # noqa: F401 - re-exports
-    DEFAULT_RUNNER,
-    ChunkRunner,
-    RepResult,
-    rep_seed,
-)
-from repro.harness.chunkrunner import _execute_rep  # noqa: F401 - re-export
+# with the campaign service's remote workers).
+from repro.harness.chunkrunner import DEFAULT_RUNNER, RepResult
 from repro.harness.chunkrunner import resolved_context as _resolved_context
 from repro.harness.chunkrunner import run_one_rep as _run_one_rep
 from repro.harness.faults import (
@@ -144,8 +137,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.noise.base import NoiseStack
 
 __all__ = [
-    "RepResult",
-    "ChunkRunner",
     "Executor",
     "SerialExecutor",
     "ParallelExecutor",
@@ -153,7 +144,6 @@ __all__ = [
     "resolve_chunk_size",
     "resolve_transport",
     "get_executor",
-    "rep_seed",
     "chunk_indices",
     "chunk_range",
 ]

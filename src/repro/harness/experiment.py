@@ -6,9 +6,8 @@ mitigation strategy, SMT use, repetition count, and a seed.  The same
 spec with ``noise`` set (a :class:`~repro.noise.base.NoiseStack` —
 trace replay, I/O interference, memory hogs, synthetic background, or
 any composition of them) becomes an injection experiment (stage 3 of
-the pipeline).  The pre-refactor ``noise_config`` argument is kept as a
-deprecated alias that wraps a bare
-:class:`~repro.core.config.NoiseConfig` into a single-source stack.
+the pipeline).  A paper noise configuration enters as
+``TraceReplaySource(config)``, like every other kind.
 
 Repetition counts default to the environment variables
 ``REPRO_BASELINE_REPS`` / ``REPRO_INJECT_REPS`` so the full-paper
@@ -18,9 +17,8 @@ counts (1000 / 200) can be restored without code changes.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -36,12 +34,11 @@ from repro.sim.platform import PlatformSpec, get_platform
 from repro.workloads.base import Workload, get_workload
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.config import NoiseConfig
     from repro.harness.executor import Executor
     from repro.harness.faults import FailureRecord, FaultPolicy
     from repro.noise.base import NoiseSource
 
-    NoiseLike = Union[NoiseStack, NoiseSource, "NoiseConfig", None]
+    NoiseLike = Union[NoiseStack, NoiseSource, Sequence[NoiseSource], None]
 
 __all__ = [
     "ExperimentSpec",
@@ -86,21 +83,7 @@ def default_inject_reps() -> int:
     return env_int("REPRO_INJECT_REPS", 30)
 
 
-def _coerce_noise(noise, noise_config, owner: str) -> Optional[NoiseStack]:
-    """Shared ``noise`` / deprecated ``noise_config`` resolution."""
-    if noise_config is not None:
-        warnings.warn(
-            f"{owner}(noise_config=...) is deprecated; pass noise= (any NoiseSource, "
-            "NoiseStack, or legacy config — see repro.noise)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if noise is None:
-            noise = noise_config
-    return NoiseStack.coerce(noise)
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment configuration (a table cell)."""
 
@@ -126,47 +109,11 @@ class ExperimentSpec:
     #: accepts an AdaptivePolicy or its dict serialization
     adaptive: Optional[AdaptivePolicy] = None
 
-    def __init__(
-        self,
-        platform: str,
-        workload: str,
-        model: str = "omp",
-        strategy: str = "Rm",
-        use_smt: bool = True,
-        reps: int = 0,
-        seed: int = 2025,
-        tracing: bool = True,
-        runlevel3: bool = False,
-        rt_throttle: bool = True,
-        anomaly_prob: Optional[float] = None,
-        n_threads: Optional[int] = None,
-        workload_params: Optional[dict] = None,
-        noise: "NoiseLike" = None,
-        noise_config: Optional["NoiseConfig"] = None,
-        adaptive: Optional[AdaptivePolicy] = None,
-    ):
-        """``noise_config`` is the deprecated pre-registry alias for
-        ``noise``; it accepts a bare :class:`NoiseConfig` and wraps it
-        into a single-source :class:`NoiseStack`."""
-        object.__setattr__(self, "platform", platform)
-        object.__setattr__(self, "workload", workload)
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "strategy", strategy)
-        object.__setattr__(self, "use_smt", use_smt)
-        object.__setattr__(self, "reps", reps)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "tracing", tracing)
-        object.__setattr__(self, "runlevel3", runlevel3)
-        object.__setattr__(self, "rt_throttle", rt_throttle)
-        object.__setattr__(self, "anomaly_prob", anomaly_prob)
-        object.__setattr__(self, "n_threads", n_threads)
-        object.__setattr__(
-            self, "workload_params", workload_params if workload_params is not None else {}
-        )
-        object.__setattr__(
-            self, "noise", _coerce_noise(noise, noise_config, "ExperimentSpec")
-        )
-        object.__setattr__(self, "adaptive", AdaptivePolicy.coerce(adaptive))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "noise", NoiseStack.coerce(self.noise))
+        object.__setattr__(self, "adaptive", AdaptivePolicy.coerce(self.adaptive))
+        if self.workload_params is None:
+            object.__setattr__(self, "workload_params", {})
 
     def label(self) -> str:
         """Human-readable configuration label (paper row style)."""
@@ -424,16 +371,15 @@ def run_once(
     tracing: bool = True,
     rt_throttle: bool = True,
     noise: "NoiseLike" = None,
-    noise_config: Optional["NoiseConfig"] = None,
     meta: Optional[dict] = None,
 ) -> RunResult:
     """Execute a single simulated run and return its result.
 
-    ``noise`` accepts any :class:`~repro.noise.base.NoiseSource`,
-    a :class:`~repro.noise.base.NoiseStack`, or a legacy config type;
+    ``noise`` accepts any :class:`~repro.noise.base.NoiseSource`, a
+    :class:`~repro.noise.base.NoiseStack`, or a sequence of sources;
     each member source draws from an independent child of ``rng``.
     """
-    stack = _coerce_noise(noise, noise_config, "run_once")
+    stack = NoiseStack.coerce(noise)
     machine = Machine(
         platform,
         rng,
@@ -457,7 +403,6 @@ def run_experiment(
     noise: "NoiseLike" = None,
     on_run: Optional[Callable[[int, RunResult], None]] = None,
     executor: Optional["Executor"] = None,
-    noise_config: Optional["NoiseConfig"] = None,
     policy: Optional["FaultPolicy"] = None,
 ) -> ResultSet:
     """Run a full experiment (``reps`` independent machines).
@@ -466,11 +411,10 @@ def run_experiment(
     ----------
     noise:
         When given (any registered :class:`~repro.noise.base.NoiseSource`,
-        a :class:`~repro.noise.base.NoiseStack`, or a legacy config
-        type), every run drives the composed sources alongside the
+        a :class:`~repro.noise.base.NoiseStack`, or a sequence of
+        sources), every run drives the composed sources alongside the
         workload (with RT throttling disabled when any source requires
         it, as in the paper).  Defaults to ``spec.noise``.
-        ``noise_config`` is the deprecated alias for this parameter.
     on_run:
         Optional consumer called per run — e.g. the trace collector.
         Traces are not retained by the ResultSet (a thousand desktop
@@ -497,7 +441,7 @@ def run_experiment(
 
     if executor is None:
         executor = get_executor()
-    stack = _coerce_noise(noise, noise_config, "run_experiment")
+    stack = NoiseStack.coerce(noise)
     if stack is None:
         stack = spec.noise
     injecting = stack is not None and bool(stack)

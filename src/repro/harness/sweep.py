@@ -71,10 +71,9 @@ class SweepResult:
 
 def sweep(
     base: ExperimentSpec,
-    noise_config: "NoiseLike" = None,
+    noise: "NoiseLike" = None,
     cache: Optional[ResultCache] = None,
     executor: Optional["Executor"] = None,
-    noise: "NoiseLike" = None,
     policy: Optional["FaultPolicy"] = None,
     adaptive: Optional["AdaptivePolicy"] = None,
     service=None,
@@ -84,8 +83,8 @@ def sweep(
     """Run the cartesian grid of ``axes`` values over ``base``.
 
     Every grid point replays the same ``noise`` (any registered
-    source, a :class:`~repro.noise.base.NoiseStack`, or a legacy
-    config; ``noise_config`` is the pre-registry alias).
+    source, a :class:`~repro.noise.base.NoiseStack`, or a sequence of
+    sources).
 
     ``executor`` selects the execution backend for cache misses
     (default: ``REPRO_JOBS``); grid points themselves run in order so
@@ -123,8 +122,6 @@ def sweep(
         raise ValueError(f"cannot sweep over: {sorted(unknown)} (allowed: {sorted(_SWEEPABLE)})")
     if adaptive is not None and base.adaptive is None:
         base = base.with_(adaptive=adaptive)
-    if noise is None:
-        noise = noise_config
     if service is not None:
         return service.run_sweep(base, noise=noise, shard=shard, **axes)
     cache = cache if cache is not None else ResultCache()

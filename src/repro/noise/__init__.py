@@ -2,9 +2,10 @@
 
 Every noise mechanism in the repo — the paper's trace-replay injector,
 synthetic background OS activity, I/O interference, memory-bandwidth
-hogs, and the HPAS-style generators — implements the
-:class:`NoiseSource` protocol and registers under a string ``kind``.
-A :class:`NoiseStack` composes any of them into a single run:
+hogs, and the HPAS-style generators — is one :class:`NoiseSource`
+class that holds its own parameters, arms its own events, and
+registers under a string ``kind``.  A :class:`NoiseStack` composes any
+of them into a single run:
 
     from repro.noise import NoiseStack, parse_noise_spec
     stack = NoiseStack([
@@ -37,6 +38,8 @@ from repro.noise.background import (
 )
 from repro.noise.sources import (
     HpasCacheThrashSource,
+    IoBurst,
+    MemoryNoiseEvent,
     HpasCpuOccupySource,
     HpasMemoryBandwidthSource,
     IoNoiseSource,
@@ -61,6 +64,8 @@ __all__ = [
     "HpasCpuOccupySource",
     "HpasMemoryBandwidthSource",
     "HpasCacheThrashSource",
+    "IoBurst",
+    "MemoryNoiseEvent",
     "BackgroundNoiseSource",
     "environment_from_dict",
     "environment_to_dict",

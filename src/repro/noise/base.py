@@ -247,47 +247,26 @@ class NoiseStack(NoiseSource):
                 flat.append(src)
             else:
                 raise TypeError(
-                    f"NoiseStack takes NoiseSource instances, got {type(src).__name__} "
-                    "(wrap legacy configs with NoiseStack.coerce)"
+                    f"NoiseStack takes NoiseSource instances, got {type(src).__name__}"
                 )
         self.sources: tuple[NoiseSource, ...] = tuple(flat)
 
     # -------------------------------------------------- coercion
     @classmethod
     def coerce(cls, obj) -> Optional["NoiseStack"]:
-        """Normalise anything noise-shaped into a stack (or ``None``).
+        """Normalise ``None``, a stack, a source, or a sequence of
+        sources into a stack (``None`` stays ``None``).
 
-        Accepts ``None``, a :class:`NoiseStack`, any :class:`NoiseSource`,
-        a sequence of sources, or the legacy config types
-        (:class:`~repro.core.config.NoiseConfig`,
-        :class:`~repro.extensions.ionoise.IoNoiseConfig`,
-        :class:`~repro.extensions.memnoise.MemoryNoiseConfig`) — the
-        deprecated ``noise_config=`` seam funnels through here.
+        Anything else is a ``TypeError``: a bare configuration must be
+        wrapped in its source first, e.g.
+        ``TraceReplaySource(config)``.
         """
-        if obj is None:
-            return None
-        if isinstance(obj, NoiseStack):
+        if obj is None or isinstance(obj, NoiseStack):
             return obj
         if isinstance(obj, NoiseSource):
             return cls([obj])
         if isinstance(obj, (list, tuple)):
-            return cls([s for o in obj for s in (cls.coerce(o) or cls()).sources])
-        from repro.core.config import NoiseConfig
-        from repro.extensions.ionoise import IoNoiseConfig
-        from repro.extensions.memnoise import MemoryNoiseConfig
-        from repro.noise.sources import IoNoiseSource, MemoryNoiseSource, TraceReplaySource
-        from repro.sim.noise import NoiseEnvironment
-
-        if isinstance(obj, NoiseConfig):
-            return cls([TraceReplaySource(obj)])
-        if isinstance(obj, IoNoiseConfig):
-            return cls([IoNoiseSource(obj)])
-        if isinstance(obj, MemoryNoiseConfig):
-            return cls([MemoryNoiseSource(obj)])
-        if isinstance(obj, NoiseEnvironment):
-            from repro.noise.background import BackgroundNoiseSource
-
-            return cls([BackgroundNoiseSource(obj)])
+            return cls(obj)
         raise TypeError(f"cannot interpret {type(obj).__name__} as a noise source")
 
     # -------------------------------------------------- protocol

@@ -1,18 +1,21 @@
 """Registered :class:`NoiseSource` implementations.
 
-Adapters binding every pre-existing noise mechanism to the unified
-protocol:
+One class per kind; each holds its own parameters and arms its own
+events when the run starts:
 
 * ``trace-replay`` — the paper's per-CPU worst-case replay
   (:class:`~repro.core.config.NoiseConfig` through
-  :class:`~repro.core.injector.NoiseInjector`);
+  :class:`~repro.core.injector.NoiseInjector`, Listing 1);
 * ``io`` — completion-interrupt storms + writeback flusher bursts
-  (:mod:`repro.extensions.ionoise`);
-* ``memory`` — DRAM-bandwidth hogs (:mod:`repro.extensions.memnoise`);
+  (:class:`IoBurst`), the paper's named I/O future-work direction;
+* ``memory`` — DRAM-bandwidth hogs (:class:`MemoryNoiseEvent`), its
+  named memory future-work direction;
 * ``hpas.cpu_occupy`` / ``hpas.membw`` / ``hpas.cache_thrash`` — the
-  HPAS-style synthetic generators (:mod:`repro.extensions.hpas`),
-  stored by their generator parameters so specs stay small and
-  human-readable;
+  HPAS-style synthetic generators (Ates et al., ICPP'19) the paper
+  contrasts trace replay against, stored by their generator
+  parameters so specs stay small and human-readable.  The CPU hog
+  replays through the paper's injector; the other two submit memory
+  hogs like ``memory``;
 * ``background`` lives in :mod:`repro.noise.background` (it wraps the
   synthetic OS-activity model, which needs environment serialization).
 
@@ -24,19 +27,22 @@ can describe any composition of heterogeneous noise.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, ClassVar
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Optional
 
 import numpy as np
 
-from repro.core.config import NoiseConfig
-from repro.extensions.ionoise import IoBurst, IoNoiseConfig, IoNoiseInjector
-from repro.extensions.memnoise import MemoryNoiseConfig, MemoryNoiseEvent, MemoryNoiseInjector
+from repro.core.config import ConfigEvent, NoiseConfig
+from repro.core.events import EventType
 from repro.noise.base import AttachedSource, NoiseSource, register_source
+from repro.sim.task import SchedPolicy, Task, TaskKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.machine import Machine
 
 __all__ = [
+    "IoBurst",
+    "MemoryNoiseEvent",
     "TraceReplaySource",
     "IoNoiseSource",
     "MemoryNoiseSource",
@@ -45,16 +51,27 @@ __all__ = [
     "HpasCacheThrashSource",
 ]
 
+#: coalescing quantum for I/O completion interrupts
+_IRQ_SLICE = 1e-3
 
-class _LaunchOnStart(AttachedSource):
-    """Adapter for single-use injectors armed by ``launch(machine)``."""
 
-    def __init__(self, machine: "Machine", injector):
-        self.machine = machine
-        self.injector = injector
+class _OnStart(AttachedSource):
+    """Calls ``arm(*args)`` at the start barrier; pending events are
+    simply abandoned when the workload finishes."""
+
+    def __init__(self, arm: Callable[..., None], *args):
+        self.arm = arm
+        self.args = args
 
     def start(self, expected_duration: float) -> None:
-        self.injector.launch(self.machine)
+        self.arm(*self.args)
+
+
+def _replay(machine: "Machine", config: NoiseConfig) -> AttachedSource:
+    """Replay ``config`` through the paper's injector (Listing 1)."""
+    from repro.core.injector import NoiseInjector
+
+    return _OnStart(NoiseInjector(config).launch, machine)
 
 
 def _parse_float(key: str, value: str) -> float:
@@ -94,9 +111,7 @@ class TraceReplaySource(NoiseSource):
         self.config = config
 
     def attach(self, machine: "Machine", rng: np.random.Generator) -> AttachedSource:
-        from repro.core.injector import NoiseInjector
-
-        return _LaunchOnStart(machine, NoiseInjector(self.config))
+        return _replay(machine, self.config)
 
     def params(self) -> dict:
         return {"config": json.loads(self.config.to_json())}
@@ -120,26 +135,124 @@ class TraceReplaySource(NoiseSource):
 # ----------------------------------------------------------------------
 # I/O interference
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class IoBurst:
+    """One I/O episode (e.g. a checkpoint write or log flush).
+
+    Parameters
+    ----------
+    start, duration:
+        The episode's window in seconds.
+    irq_rate:
+        Completion interrupts per second during the window.
+    irq_duration:
+        CPU time per completion interrupt (µs-scale).
+    irq_cpus:
+        CPUs receiving the completions (the submitting cores; block
+        IRQs are steered, so they stay put like the paper's irq noise).
+    flush_cpu_time:
+        Total kworker/flusher CPU-seconds spread over the window.
+    flush_segments:
+        Number of flusher wakeups the CPU time is split into.
+    """
+
+    start: float
+    duration: float
+    irq_rate: float = 2000.0
+    irq_duration: float = 8e-6
+    irq_cpus: tuple[int, ...] = (0,)
+    flush_cpu_time: float = 0.05
+    flush_segments: int = 20
+
+    def __post_init__(self) -> None:
+        if self.start < 0 or self.duration <= 0:
+            raise ValueError("burst needs start >= 0 and duration > 0")
+        if self.irq_rate < 0 or self.irq_duration < 0:
+            raise ValueError("irq parameters must be non-negative")
+        if self.flush_cpu_time < 0 or self.flush_segments <= 0:
+            raise ValueError("flush parameters invalid")
+        if not self.irq_cpus and self.irq_rate > 0:
+            raise ValueError("irq_rate > 0 needs target cpus")
+
+
+def _submit_irq_slice(machine: "Machine", cpu: int, busy: float) -> None:
+    task = Task(
+        "inject:nvme-completion",
+        policy=SchedPolicy.FIFO,
+        rt_priority=90,
+        kind=TaskKind.IRQ_NOISE,
+        work=busy,
+    )
+    machine.scheduler.submit(task, hint=cpu)
+
+
+def _submit_flush(machine: "Machine", duration: float) -> None:
+    task = Task(
+        "inject:kworker-flush",
+        policy=SchedPolicy.OTHER,
+        kind=TaskKind.THREAD_NOISE,
+        work=duration,
+    )
+    machine.scheduler.submit(task)
+
+
 @register_source
 class IoNoiseSource(NoiseSource):
-    """I/O interference: completion IRQ storms + flusher kworkers."""
+    """I/O interference: completion IRQ storms + flusher kworkers.
+
+    Completion interrupts (irq-class: they preempt everything) are
+    coalesced into millisecond-scale slices per target CPU whose total
+    busy time matches the configured rate — per-completion events at
+    2 kHz would swamp the event loop, the same trade the simulator
+    makes for timer ticks.  Flusher kworkers (thread-class, unbound)
+    timeshare, so idle housekeeping cores absorb them.  The flusher
+    segmentation is the only draw from the run's RNG.  ``meta`` is
+    free-form provenance carried in the serialized payload.
+    """
 
     kind: ClassVar[str] = "io"
 
-    def __init__(self, config: IoNoiseConfig):
-        if not isinstance(config, IoNoiseConfig):
-            raise TypeError(f"IoNoiseSource needs an IoNoiseConfig, got {type(config).__name__}")
-        self.config = config
+    def __init__(self, bursts: Iterable[IoBurst], meta: Optional[dict] = None):
+        self.bursts = tuple(sorted(bursts, key=lambda b: b.start))
+        if not self.bursts:
+            raise ValueError("refusing to inject an empty I/O-noise configuration")
+        self.meta = dict(meta) if meta else {}
 
     def attach(self, machine: "Machine", rng: np.random.Generator) -> AttachedSource:
-        return _LaunchOnStart(machine, IoNoiseInjector(self.config, rng=rng))
+        return _OnStart(self._arm, machine, rng)
+
+    def _arm(self, machine: "Machine", rng: np.random.Generator) -> None:
+        now = machine.engine.now
+        for burst in self.bursts:
+            # irq-class completion slices, one stream per submitting CPU
+            if burst.irq_rate > 0 and burst.irq_duration > 0:
+                busy_per_slice = burst.irq_rate * _IRQ_SLICE * burst.irq_duration
+                n_slices = max(1, int(round(burst.duration / _IRQ_SLICE)))
+                for cpu in burst.irq_cpus:
+                    for i in range(n_slices):
+                        t = max(now, burst.start + i * _IRQ_SLICE)
+                        machine.engine.schedule(t, _submit_irq_slice, machine, cpu, busy_per_slice)
+            # thread-class flusher segments, unbound (kworkers roam)
+            if burst.flush_cpu_time > 0:
+                parts = rng.exponential(1.0, size=burst.flush_segments)
+                parts = parts / parts.sum() * burst.flush_cpu_time
+                offsets = np.sort(rng.uniform(0.0, burst.duration, size=burst.flush_segments))
+                for dur, off in zip(parts, offsets):
+                    machine.engine.schedule(
+                        max(now, burst.start + float(off)), _submit_flush, machine, float(dur)
+                    )
 
     def params(self) -> dict:
-        return {"config": json.loads(self.config.to_json())}
+        bursts = [{**asdict(b), "irq_cpus": list(b.irq_cpus)} for b in self.bursts]
+        return {"config": {"meta": dict(self.meta), "bursts": bursts}}
 
     @classmethod
     def from_params(cls, params: dict) -> "IoNoiseSource":
-        return cls(IoNoiseConfig.from_json(json.dumps(params["config"])))
+        config = params["config"]
+        return cls(
+            [IoBurst(**{**d, "irq_cpus": tuple(d["irq_cpus"])}) for d in config["bursts"]],
+            config.get("meta"),
+        )
 
     @classmethod
     def cli_params(cls) -> dict[str, str]:
@@ -166,34 +279,96 @@ class IoNoiseSource(NoiseSource):
             flush_cpu_time=_parse_float("flush_cpu_time", raw.get("flush_cpu_time", "0.05")),
             flush_segments=_parse_int("flush_segments", raw.get("flush_segments", "20")),
         )
-        return cls(IoNoiseConfig([burst]))
+        return cls([burst])
 
 
 # ----------------------------------------------------------------------
 # memory bandwidth
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class MemoryNoiseEvent:
+    """One memory-hog burst."""
+
+    start: float
+    duration: float          # CPU-seconds the hog runs
+    bandwidth_gbs: float     # DRAM bandwidth it pulls at full speed
+    source: str = "membw-hog"
+
+    def __post_init__(self) -> None:
+        if self.start < 0 or self.duration <= 0:
+            raise ValueError("event needs start >= 0 and duration > 0")
+        if self.bandwidth_gbs <= 0:
+            raise ValueError("bandwidth_gbs must be positive")
+
+    def to_dict(self) -> dict:
+        """JSON-serialisable form."""
+        return {
+            "start_time": self.start,
+            "duration": self.duration,
+            "bandwidth_gbs": self.bandwidth_gbs,
+            "source": self.source,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "MemoryNoiseEvent":
+        """Inverse of :meth:`to_dict`."""
+        return cls(
+            start=d["start_time"],
+            duration=d["duration"],
+            bandwidth_gbs=d["bandwidth_gbs"],
+            source=d.get("source", "membw-hog"),
+        )
+
+
+def _arm_memory_hogs(machine: "Machine", events: tuple[MemoryNoiseEvent, ...]) -> None:
+    for event in events:
+        machine.engine.schedule(
+            max(event.start, machine.engine.now), _submit_memory_hog, machine, event
+        )
+
+
+def _submit_memory_hog(machine: "Machine", event: MemoryNoiseEvent) -> None:
+    task = Task(
+        f"inject:{event.source}",
+        policy=SchedPolicy.OTHER,
+        kind=TaskKind.THREAD_NOISE,
+        work=event.duration,
+        mem_demand=event.bandwidth_gbs,
+    )
+    machine.scheduler.submit(task)
+
+
 @register_source
 class MemoryNoiseSource(NoiseSource):
-    """Memory-bandwidth hogs pressuring the saturating DRAM model."""
+    """Memory-bandwidth hogs pressuring the saturating DRAM model.
+
+    Hogs run under ``SCHED_OTHER`` without affinity (like the paper's
+    injector processes) but carry a memory demand: on an otherwise idle
+    CPU they are invisible to compute-bound work yet throttle
+    bandwidth-bound threads machine-wide — the asymmetry the paper's
+    discussion predicts for its memory-bound benchmarks.  ``meta`` is
+    free-form provenance carried in the serialized payload.
+    """
 
     kind: ClassVar[str] = "memory"
 
-    def __init__(self, config: MemoryNoiseConfig):
-        if not isinstance(config, MemoryNoiseConfig):
-            raise TypeError(
-                f"MemoryNoiseSource needs a MemoryNoiseConfig, got {type(config).__name__}"
-            )
-        self.config = config
+    def __init__(self, events: Iterable[MemoryNoiseEvent], meta: Optional[dict] = None):
+        self.events = tuple(sorted(events, key=lambda e: e.start))
+        if not self.events:
+            raise ValueError("refusing to inject an empty memory-noise configuration")
+        self.meta = dict(meta) if meta else {}
 
     def attach(self, machine: "Machine", rng: np.random.Generator) -> AttachedSource:
-        return _LaunchOnStart(machine, MemoryNoiseInjector(self.config))
+        return _OnStart(_arm_memory_hogs, machine, self.events)
 
     def params(self) -> dict:
-        return {"config": json.loads(self.config.to_json())}
+        events = [e.to_dict() for e in self.events]
+        return {"config": {"meta": dict(self.meta), "events": events}}
 
     @classmethod
     def from_params(cls, params: dict) -> "MemoryNoiseSource":
-        return cls(MemoryNoiseConfig.from_json(json.dumps(params["config"])))
+        config = params["config"]
+        return cls([MemoryNoiseEvent.from_dict(d) for d in config["events"]], config.get("meta"))
 
     @classmethod
     def cli_params(cls) -> dict[str, str]:
@@ -215,7 +390,7 @@ class MemoryNoiseSource(NoiseSource):
             bandwidth_gbs=_parse_float("bandwidth_gbs", raw["bandwidth_gbs"]),
             source=raw.get("source", "membw-hog"),
         )
-        return cls(MemoryNoiseConfig([event]))
+        return cls([event])
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +398,14 @@ class MemoryNoiseSource(NoiseSource):
 # ----------------------------------------------------------------------
 @register_source
 class HpasCpuOccupySource(NoiseSource):
-    """HPAS ``cpuoccupy``: synthetic (optionally square-wave) CPU hogs."""
+    """HPAS ``cpuoccupy``: synthetic (optionally square-wave) CPU hogs.
+
+    ``utilization`` < 1 produces a square-wave hog (busy for
+    ``utilization * period`` out of every ``period``), which is how the
+    HPAS tool implements partial occupation.  Events replay through the
+    paper's injector as ``SCHED_OTHER`` thread noise — HPAS runs as an
+    ordinary process.
+    """
 
     kind: ClassVar[str] = "hpas.cpu_occupy"
 
@@ -240,23 +422,35 @@ class HpasCpuOccupySource(NoiseSource):
         self.cpus = tuple(int(c) for c in cpus)
         self.utilization = float(utilization)
         self.period = float(period)
-        self._build()  # validate eagerly
-
-    def _build(self) -> NoiseConfig:
-        from repro.extensions.hpas import cpu_occupy
-
-        return cpu_occupy(
-            start=self.start,
-            duration=self.duration,
-            cpus=self.cpus,
-            utilization=self.utilization,
-            period=self.period,
-        )
+        if not 0.0 < self.utilization <= 1.0:
+            raise ValueError(f"utilization must be in (0, 1]: {self.utilization!r}")
+        if self.duration <= 0 or self.period <= 0:
+            raise ValueError("duration and period must be positive")
+        if not self.cpus:
+            raise ValueError("need at least one target cpu")
+        if self.utilization >= 1.0:
+            windows = [(self.start, self.duration)]
+        else:
+            busy = self.utilization * self.period
+            n_periods = max(1, round(self.duration / self.period))
+            starts = (self.start + i * self.period for i in range(n_periods))
+            windows = [(t, min(busy, self.start + self.duration - t)) for t in starts]
+        events = [
+            ConfigEvent(
+                start=t,
+                duration=d,
+                policy="SCHED_OTHER",
+                rt_priority=0,
+                weight=1.0,
+                etype=EventType.THREAD,
+                source="hpas-cpuoccupy",
+            )
+            for t, d in windows
+        ]
+        self.config = NoiseConfig({cpu: events for cpu in self.cpus})
 
     def attach(self, machine: "Machine", rng: np.random.Generator) -> AttachedSource:
-        from repro.core.injector import NoiseInjector
-
-        return _LaunchOnStart(machine, NoiseInjector(self._build()))
+        return _replay(machine, self.config)
 
     def params(self) -> dict:
         return {
@@ -303,7 +497,7 @@ class HpasCpuOccupySource(NoiseSource):
 
 @register_source
 class HpasMemoryBandwidthSource(NoiseSource):
-    """HPAS ``membw``: streaming hogs saturating DRAM."""
+    """HPAS ``membw``: ``streams`` hogs splitting a DRAM bandwidth draw."""
 
     kind: ClassVar[str] = "hpas.membw"
 
@@ -312,20 +506,20 @@ class HpasMemoryBandwidthSource(NoiseSource):
         self.duration = float(duration)
         self.bandwidth_gbs = float(bandwidth_gbs)
         self.streams = int(streams)
-        self._build()
-
-    def _build(self) -> MemoryNoiseConfig:
-        from repro.extensions.hpas import memory_bandwidth
-
-        return memory_bandwidth(
-            start=self.start,
-            duration=self.duration,
-            bandwidth_gbs=self.bandwidth_gbs,
-            streams=self.streams,
+        if self.streams <= 0:
+            raise ValueError("streams must be positive")
+        self.events = tuple(
+            MemoryNoiseEvent(
+                start=self.start,
+                duration=self.duration,
+                bandwidth_gbs=self.bandwidth_gbs / self.streams,
+                source=f"hpas-membw-{i}",
+            )
+            for i in range(self.streams)
         )
 
     def attach(self, machine: "Machine", rng: np.random.Generator) -> AttachedSource:
-        return _LaunchOnStart(machine, MemoryNoiseInjector(self._build()))
+        return _OnStart(_arm_memory_hogs, machine, self.events)
 
     def params(self) -> dict:
         return {
@@ -368,7 +562,11 @@ class HpasMemoryBandwidthSource(NoiseSource):
 
 @register_source
 class HpasCacheThrashSource(NoiseSource):
-    """HPAS ``cachecopy``: per-CPU copy loops evicting shared cache."""
+    """HPAS ``cachecopy``: per-CPU copy loops evicting shared cache.
+
+    In this substrate cache pollution manifests as extra memory traffic
+    from the victims: one ``bandwidth_gbs`` hog per listed CPU.
+    """
 
     kind: ClassVar[str] = "hpas.cache_thrash"
 
@@ -377,20 +575,20 @@ class HpasCacheThrashSource(NoiseSource):
         self.duration = float(duration)
         self.cpus = tuple(int(c) for c in cpus)
         self.bandwidth_gbs = float(bandwidth_gbs)
-        self._build()
-
-    def _build(self) -> MemoryNoiseConfig:
-        from repro.extensions.hpas import cache_thrash
-
-        return cache_thrash(
-            start=self.start,
-            duration=self.duration,
-            cpus=self.cpus,
-            bandwidth_gbs=self.bandwidth_gbs,
+        if not self.cpus:
+            raise ValueError("need at least one target cpu")
+        self.events = tuple(
+            MemoryNoiseEvent(
+                start=self.start,
+                duration=self.duration,
+                bandwidth_gbs=self.bandwidth_gbs,
+                source=f"hpas-cachecopy-{cpu}",
+            )
+            for cpu in self.cpus
         )
 
     def attach(self, machine: "Machine", rng: np.random.Generator) -> AttachedSource:
-        return _LaunchOnStart(machine, MemoryNoiseInjector(self._build()))
+        return _OnStart(_arm_memory_hogs, machine, self.events)
 
     def params(self) -> dict:
         return {

@@ -74,18 +74,15 @@ def _noise(kind: Optional[str]):
 
         return NoiseStack([TraceReplaySource(_replay_config())])
     if kind == "io":
-        from repro.extensions.ionoise import IoBurst, IoNoiseConfig
-        from repro.noise.sources import IoNoiseSource
+        from repro.noise.sources import IoBurst, IoNoiseSource
 
         return NoiseStack(
             [
                 IoNoiseSource(
-                    IoNoiseConfig(
-                        [
-                            IoBurst(start=0.004, duration=0.05, irq_cpus=(0, 1)),
-                            IoBurst(start=0.08, duration=0.04, irq_cpus=(2,)),
-                        ]
-                    )
+                    [
+                        IoBurst(start=0.004, duration=0.05, irq_cpus=(0, 1)),
+                        IoBurst(start=0.08, duration=0.04, irq_cpus=(2,)),
+                    ]
                 )
             ]
         )
@@ -96,15 +93,12 @@ def _noise(kind: Optional[str]):
             [HpasCpuOccupySource(start=0.003, duration=0.1, cpus=(0, 2), utilization=0.8)]
         )
     if kind == "composite":
-        from repro.extensions.ionoise import IoBurst, IoNoiseConfig
-        from repro.noise.sources import IoNoiseSource, TraceReplaySource
+        from repro.noise.sources import IoBurst, IoNoiseSource, TraceReplaySource
 
         return NoiseStack(
             [
                 TraceReplaySource(_replay_config(n_cpus=2, n_events=12)),
-                IoNoiseSource(
-                    IoNoiseConfig([IoBurst(start=0.01, duration=0.05, irq_cpus=(0,))])
-                ),
+                IoNoiseSource([IoBurst(start=0.01, duration=0.05, irq_cpus=(0,))]),
             ]
         )
     raise ValueError(f"unknown golden noise kind {kind!r}")

@@ -92,7 +92,7 @@ class TestPolicy:
     def test_ci_rng_disjoint_from_rep_streams(self):
         """The decision stream must not collide with per-rep streams
         (``spawn_key=(i,)``) — tapping it cannot perturb rep results."""
-        from repro.harness.executor import rep_seed
+        from repro.harness.chunkrunner import rep_seed
 
         decision = ci_rng(42, 8).random(4)
         rep = np.random.default_rng(rep_seed(42, 8)).random(4)

@@ -9,6 +9,7 @@ from repro.core.config import ConfigEvent, NoiseConfig
 from repro.core.events import EventType
 from repro.harness.cache import ResultCache
 from repro.harness.experiment import ExperimentSpec
+from repro.noise import TraceReplaySource
 
 
 def spec(**kw):
@@ -61,13 +62,13 @@ class TestCache:
     def test_noise_config_part_of_key(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.get_or_run(spec())
-        cache.get_or_run(spec(), noise_config=tiny_config())
+        cache.get_or_run(spec(), noise=TraceReplaySource(tiny_config()))
         assert cache.misses == 2
 
     def test_injected_flag_persisted(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.get_or_run(spec(), noise_config=tiny_config())
-        rs = cache.get_or_run(spec(), noise_config=tiny_config())
+        cache.get_or_run(spec(), noise=TraceReplaySource(tiny_config()))
+        rs = cache.get_or_run(spec(), noise=TraceReplaySource(tiny_config()))
         assert cache.hits == 1
         assert rs.injected
 
@@ -99,7 +100,7 @@ class TestCache:
         from repro.harness.cache import _KEY_VERSION
 
         cache = ResultCache(tmp_path)
-        cache.get_or_run(spec(), noise_config=tiny_config())
+        cache.get_or_run(spec(), noise=TraceReplaySource(tiny_config()))
         (entry,) = tmp_path.glob("*.json")
         data = json.loads(entry.read_text())
         assert data["key_version"] == _KEY_VERSION
@@ -135,13 +136,13 @@ class TestCache:
         assert cache.stats()["stale"] == 1
 
     def test_noise_param_and_spec_noise_key_identically(self, tmp_path):
-        from repro.noise import NoiseStack, TraceReplaySource
+        from repro.noise import NoiseStack
 
         cache = ResultCache(tmp_path)
         stack = NoiseStack([TraceReplaySource(tiny_config())])
         cache.get_or_run(spec(), noise=stack)
         cache.get_or_run(spec(noise=stack))          # via the spec field
-        cache.get_or_run(spec(), noise_config=tiny_config())  # legacy alias
+        cache.get_or_run(spec(), noise=TraceReplaySource(tiny_config()))  # bare source
         assert cache.stats() == {"hits": 2, "misses": 1, "corrupt": 0, "stale": 0, "partial": 0, "integrity_quarantined": 0}
 
     def test_stats_dict(self, tmp_path):

@@ -13,18 +13,18 @@ import pytest
 
 from repro.core.config import ConfigEvent, NoiseConfig
 from repro.core.events import EventType
+from repro.harness.chunkrunner import RepResult, rep_seed
 from repro.harness.executor import (
     ParallelExecutor,
-    RepResult,
     SerialExecutor,
     chunk_indices,
     chunk_range,
     get_executor,
-    rep_seed,
     resolve_chunk_size,
     resolve_jobs,
 )
 from repro.harness.experiment import ExperimentSpec, run_experiment
+from repro.noise import TraceReplaySource
 
 
 def spec(**kw):
@@ -199,9 +199,9 @@ class TestEquivalence:
 
     def test_injected_parallel_bitwise_equal(self, pool4):
         s = spec(workload="babelstream", reps=6, seed=7)
-        config = tiny_config()
-        serial = run_experiment(s, noise_config=config, executor=SerialExecutor())
-        parallel = run_experiment(s, noise_config=config, executor=pool4)
+        noise = TraceReplaySource(tiny_config())
+        serial = run_experiment(s, noise=noise, executor=SerialExecutor())
+        parallel = run_experiment(s, noise=noise, executor=pool4)
         np.testing.assert_array_equal(serial.times, parallel.times)
         assert serial.anomalies == parallel.anomalies
         assert parallel.injected
@@ -210,19 +210,18 @@ class TestEquivalence:
         """A heterogeneous NoiseStack (replay + I/O + memory + ambient)
         stays bit-identical across backends and worker counts: each
         source draws from a per-rep, per-source child RNG."""
-        from repro.extensions.ionoise import IoBurst, IoNoiseConfig
         from repro.noise import (
             BackgroundNoiseSource,
             HpasMemoryBandwidthSource,
+            IoBurst,
             IoNoiseSource,
             NoiseStack,
-            TraceReplaySource,
         )
 
         stack = NoiseStack(
             [
                 TraceReplaySource(tiny_config()),
-                IoNoiseSource(IoNoiseConfig([IoBurst(start=0.01, duration=0.1, irq_cpus=(0, 1))])),
+                IoNoiseSource([IoBurst(start=0.01, duration=0.1, irq_cpus=(0, 1))]),
                 HpasMemoryBandwidthSource(start=0.0, duration=0.15, bandwidth_gbs=12.0),
                 BackgroundNoiseSource.preset("desktop-nogui", intensity=0.5),
             ]

@@ -83,7 +83,7 @@ class TestFaultPolicy:
     def test_backoff_independent_of_rep_stream(self):
         """Jitter draws come from a dedicated spawn branch, never the
         rep's own ``(index,)`` stream."""
-        from repro.harness.executor import rep_seed
+        from repro.harness.chunkrunner import rep_seed
 
         p = FaultPolicy(on_failure="retry", backoff_base=0.01)
         before = np.random.default_rng(rep_seed(42, 3)).random(8)

@@ -216,9 +216,9 @@ class TestStatsShapes:
         ex = SerialExecutor()
         policy = FaultPolicy(on_failure="retry", max_retries=2, backoff_base=0.0)
 
-        import repro.harness.chunkrunner as executor_mod
+        import repro.harness.chunkrunner as chunkrunner
 
-        original = executor_mod._execute_rep
+        original = chunkrunner._execute_rep
 
         def flaky(context, sp, noise, index):
             if index == 1 and failures["count"] == 0:
@@ -226,11 +226,11 @@ class TestStatsShapes:
                 raise Flaky("first attempt of rep 1 fails")
             return original(context, sp, noise, index)
 
-        executor_mod._execute_rep = flaky
+        chunkrunner._execute_rep = flaky
         try:
             list(ex.run_reps(spec(), None, 3, policy=policy))
         finally:
-            executor_mod._execute_rep = original
+            chunkrunner._execute_rep = original
         assert ex.stats()["rep_retries"] == 1
         assert telemetry.counters_snapshot()["executor"]["rep_retries"] == 1
 

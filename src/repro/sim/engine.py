@@ -4,7 +4,8 @@ The engine is deliberately minimal: a binary heap of timestamped
 callbacks with stable FIFO ordering for ties and O(1) lazy
 cancellation.  All higher-level semantics (CPU rates, scheduling,
 noise) live in other modules and interact with the engine only through
-:meth:`Engine.schedule` / :meth:`Engine.cancel`.
+:meth:`Engine.schedule` / :meth:`Engine.reschedule` /
+:meth:`Engine.cancel`.
 
 Determinism contract
 --------------------
@@ -16,10 +17,15 @@ Performance notes
 -----------------
 Heap entries are ``(time, seq, handle)`` tuples, so every sift
 comparison is a C-level tuple compare (``seq`` is unique — the handle
-itself is never compared).  The scheduler cancels and reschedules
-completion events on every rate change, which at paper scale means
-millions of comparisons per run; keeping them out of Python-level
-``__lt__`` is one of the largest single wins on the simulator hot path.
+itself is never compared).  The scheduler re-times completion events on
+every rate change, which at paper scale means millions of comparisons
+per run; keeping them out of Python-level ``__lt__`` is one of the
+largest single wins on the simulator hot path.
+
+An entry is live only while its ``seq`` equals its handle's ``seq``.
+Cancelling sets the handle's ``seq`` to -1 and re-timing gives it a new
+one, so either way the old entry is dead and is dropped when popped or
+compacted.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 __all__ = ["Engine", "EventHandle", "SimulationError"]
+
+_INF = math.inf
 
 
 class SimulationError(RuntimeError):
@@ -69,6 +77,8 @@ class EventHandle:
         if self.cancelled:
             return
         self.cancelled = True
+        # No heap entry has seq -1: the pending one is now dead.
+        self.seq = -1
         # The engine nulls our back-reference once we leave the heap,
         # so a late cancel (after the callback ran) cannot skew the
         # dead-entry count.
@@ -110,7 +120,7 @@ class Engine:
         self._running = False
         self._stopped = False
         self._time_epsilon = float(time_epsilon)
-        #: dead (cancelled but not yet popped) entries in the heap
+        #: dead (cancelled or re-timed, not yet popped) entries in the heap
         self._n_cancelled = 0
         #: heap size below which compaction is suppressed; doubled after
         #: every compaction so repeated reschedule bursts hovering near
@@ -130,19 +140,51 @@ class Engine:
 
         Returns a handle that may be cancelled until the callback runs.
         """
+        return self._enqueue(EventHandle(time, -1, fn, args, engine=self), time)
+
+    def reschedule(self, handle: EventHandle, time: float) -> EventHandle:
+        """Move a pending event to absolute virtual ``time``.
+
+        Same effect as cancelling ``handle`` and scheduling its callback
+        again: the event takes the next ``seq``, so the ``(time, seq)``
+        pop order is exactly that of cancel + schedule.  But the handle
+        is reused and only one entry is pushed.  The old entry dies by
+        its ``seq`` mismatch and counts as cancelled until it is popped
+        or compacted away.  A handle that already ran or was cancelled
+        raises :class:`SimulationError`.
+        """
+        if handle._engine is not self:
+            raise SimulationError(f"cannot reschedule a finished event: {handle!r}")
+        return self._enqueue(handle, time)
+
+    def _enqueue(self, handle: EventHandle, time: float) -> EventHandle:
+        """Give ``handle`` the next ``seq`` and push its one live entry."""
+        if not self.now <= time < _INF:
+            time = self._checked(time)
+        if handle.seq >= 0:
+            # re-timing: the entry under the old seq is now dead
+            self._n_cancelled += 1
+        seq = self._seq
+        self._seq = seq + 1
+        handle.time = time
+        handle.seq = seq
+        heap = self._heap
+        heappush(heap, (time, seq, handle))
+        if self._n_cancelled > 64 and self._n_cancelled * 2 > len(heap) >= self._compact_floor:
+            self._compact()
+        return handle
+
+    def _checked(self, time: float) -> float:
+        """Validate an event time that is not in ``[now, inf)``: reject
+        NaN, infinities and the past, but clamp round-off to now."""
         if not math.isfinite(time):
             raise SimulationError(f"non-finite event time: {time!r}")
         now = self.now
-        if time < now:
-            if now - time > self._time_epsilon + 1e-9 * abs(now):
-                raise SimulationError(
-                    f"cannot schedule event at t={time!r} before now={self.now!r}"
-                )
-            time = now
-        seq = self._seq
-        self._seq = seq + 1
-        handle = EventHandle(time, seq, fn, args, engine=self)
-        heappush(self._heap, (time, seq, handle))
+        if now - time > self._time_epsilon + 1e-9 * abs(now):
+            raise SimulationError(f"cannot schedule event at t={time!r} before now={now!r}")
+        return now
+
+    def _compact(self) -> None:
         # Heavy cancellation (rate-change rescheduling) would otherwise
         # grow the heap without bound: once dead entries dominate,
         # compact in place.  In place, because the run loop holds a
@@ -150,13 +192,12 @@ class Engine:
         # after a rebuild the heap must double before the next one, so
         # churn sitting just past the dead-entry threshold stays
         # amortized O(1) per schedule instead of O(n).
-        if self._n_cancelled > 64 and self._n_cancelled * 2 > len(self._heap) >= self._compact_floor:
-            self._heap[:] = [e for e in self._heap if not e[2].cancelled]
-            heapq.heapify(self._heap)
-            self._n_cancelled = 0
-            self.compactions += 1
-            self._compact_floor = 2 * len(self._heap) + 128
-        return handle
+        heap = self._heap
+        heap[:] = [e for e in heap if e[1] == e[2].seq]
+        heapq.heapify(heap)
+        self._n_cancelled = 0
+        self.compactions += 1
+        self._compact_floor = 2 * len(heap) + 128
 
     def schedule_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` after ``delay`` seconds of virtual time."""
@@ -199,8 +240,8 @@ class Engine:
         try:
             heap = self._heap
             while heap and not self._stopped:
-                t, _, handle = heap[0]
-                if handle.cancelled:
+                t, seq, handle = heap[0]
+                if seq != handle.seq:
                     heappop(heap)
                     self._n_cancelled -= 1
                     continue
@@ -228,8 +269,8 @@ class Engine:
                 # cluster many events on one instant.  Pop order is
                 # still (time, seq), so semantics are unchanged.
                 while heap and heap[0][0] == t and not self._stopped:
-                    _, _, handle = heappop(heap)
-                    if handle.cancelled:
+                    _, seq, handle = heappop(heap)
+                    if seq != handle.seq:
                         self._n_cancelled -= 1
                         continue
                     fn, args = handle.fn, handle.args
@@ -260,13 +301,13 @@ class Engine:
     def next_event_time(self) -> Optional[float]:
         """Time of the earliest live event, or ``None`` if queue is empty.
 
-        Single lazy pass: cancelled heads are popped (and never
+        Single lazy pass: dead heads are popped (and never
         revisited) until a live event surfaces — the same discipline
         the run loop uses, so repeated introspection cannot re-scan or
         retain dead entries.
         """
         heap = self._heap
-        while heap and heap[0][2].cancelled:
+        while heap and heap[0][1] != heap[0][2].seq:
             heappop(heap)
             self._n_cancelled -= 1
         return heap[0][0] if heap else None

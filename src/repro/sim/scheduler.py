@@ -25,6 +25,7 @@ Semantics modelled (each is load-bearing for the paper's findings):
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Optional
 
 from repro.sim.cpu import Topology
@@ -35,10 +36,11 @@ from repro.sim.task import SchedPolicy, Task, WorkPool
 __all__ = ["Scheduler", "SchedParams"]
 
 _DONE_EPS = 1e-12
+#: how far the running-total drift estimate must sit from every
+#: threshold it is compared with before it may decide on its own
+_DRIFT_MARGIN = 1e-6
 
-
-def _by_tid(t: "Task") -> int:
-    return t.tid
+_by_tid = attrgetter("tid")
 
 
 class SchedParams:
@@ -148,6 +150,9 @@ class Scheduler:
         #: written by the current `_update` (replacing a per-call dict)
         self._epoch = 0
         self._mem_running: dict[int, Task] = {}  # tid -> task with demand & share > 0
+        #: running sum of the tasks' ``_mem_contrib`` over ``_mem_running``
+        #: (an estimate: it only picks a branch, see `_update` phase 3)
+        self._mem_total = 0.0
         self._mem_scale = 1.0
         self._mem_rescale_pending = False
         self._starvation_pending: set[int] = set()
@@ -205,7 +210,7 @@ class Scheduler:
         # Off-CPU tasks stop pulling bandwidth; dropping them here (the
         # only sleep/exit path) keeps the rescale loop free of dead
         # entries without a straggler scan per update.
-        self._mem_running.pop(task.tid, None)
+        self._drop_streamer(task)
         self._cancel_completion(task)
         self._update({cpu})
 
@@ -242,9 +247,7 @@ class Scheduler:
 
     def detach_pool(self, pool: WorkPool) -> None:
         """Drop all members from a drained pool back to spinning."""
-        if pool._completion_event is not None:
-            pool._completion_event.cancel()
-            pool._completion_event = None
+        self._cancel_completion(pool)
         members = list(pool.members)
         pool.members.clear()
         cpus = set()
@@ -367,8 +370,10 @@ class Scheduler:
         loops: shares live in task slots validated by an epoch counter
         instead of a per-call dict, :meth:`Task.advance` is inlined,
         and topology/param lookups are hoisted.  Every float expression
-        matches the reference implementation operation-for-operation;
-        the golden-equivalence suite holds this bit-exact.
+        that reaches a rate, a scale or an event time matches the
+        reference implementation operation-for-operation (the running
+        demand total of phase 3 only picks a branch); the
+        golden-equivalence suite holds this bit-exact.
         """
         now = self.engine.now
         cpu_states = self._cpus
@@ -432,7 +437,8 @@ class Scheduler:
                                 t.work_remaining = 0.0
                     t._last_update = now
                 append(t)
-            # raw shares (mirrors _compute_shares, writing task slots)
+            # raw shares: FIFO head takes the (throttled) CPU, OTHER
+            # tasks split the rest by weight
             speed = 1.0 - state.steal
             sib = sibling[c]
             if sib is not None and (fifo or other):
@@ -485,43 +491,83 @@ class Scheduler:
                     need_mem = True
                     break
         if need_mem:
+            # Keep the running total in step with membership changes.
+            total = self._mem_total
             for t in touched:
                 if t.mem_demand > 0.0 and t._new_share > 0.0:
-                    mem_running[t.tid] = t
-                else:
-                    mem_running.pop(t.tid, None)
-            total_demand = 0.0
-            for t in mem_running.values():
-                total_demand += t.mem_demand * (
-                    t._new_share if t._share_epoch == epoch else t.cpu_share
-                )
-            new_scale = self.memory.scale_for(total_demand)
+                    contrib = t.mem_demand * t._new_share
+                    if t.tid in mem_running:
+                        total += contrib - t._mem_contrib
+                    else:
+                        mem_running[t.tid] = t
+                        total += contrib
+                    t._mem_contrib = contrib
+                elif mem_running.pop(t.tid, None) is not None:
+                    total -= t._mem_contrib
             # Propagating a rescale costs O(all streaming tasks).  Large
             # jumps (a region starting or draining) apply immediately; the
             # small per-completion cascade at a region's tail is coalesced
             # into one deferred rescale so it stays O(n log n) per region.
-            drift = abs(new_scale - self._mem_scale) / self._mem_scale
-            scale_changed = drift > 0.25 or (drift > 1e-12 and len(mem_running) <= 4)
-            if drift > params.mem_rescale_tolerance and not scale_changed:
-                self._arm_mem_rescale()
-            if scale_changed:
-                # Advance mem tasks outside the affected set at their old
-                # rates before applying the new scale.
-                for t in sorted(mem_running.values(), key=_by_tid):
-                    if t._share_epoch != epoch:
-                        t.advance(now)
-                        append(t)
-                        t._new_share = t.cpu_share
-                        t._share_epoch = epoch
-                self._mem_scale = new_scale
+            # With more than 4 streamers and the running total's drift
+            # clear of both thresholds, the estimate can only choose
+            # between "nothing" and "arm the deferred rescale", so it
+            # decides alone; everywhere else the exact insertion-order
+            # sum decides and resyncs the total.
+            tol = params.mem_rescale_tolerance
+            estimated = False
+            if len(mem_running) > 4:
+                drift = abs(self.memory.scale_for(total) - self._mem_scale) / self._mem_scale
+                estimated = drift <= 0.25 - _DRIFT_MARGIN and abs(drift - tol) >= _DRIFT_MARGIN
+            if estimated:
+                self._mem_total = total
+                if drift > tol:
+                    self._arm_mem_rescale()
+            else:
+                total_demand = 0.0
+                for t in mem_running.values():
+                    contrib = t.mem_demand * (
+                        t._new_share if t._share_epoch == epoch else t.cpu_share
+                    )
+                    t._mem_contrib = contrib
+                    total_demand += contrib
+                self._mem_total = total_demand
+                new_scale = self.memory.scale_for(total_demand)
+                drift = abs(new_scale - self._mem_scale) / self._mem_scale
+                scale_changed = drift > 0.25 or (drift > 1e-12 and len(mem_running) <= 4)
+                if drift > tol and not scale_changed:
+                    self._arm_mem_rescale()
+                if scale_changed:
+                    # Advance mem tasks outside the affected set at their
+                    # old rates before applying the new scale.
+                    for t in sorted(mem_running.values(), key=_by_tid):
+                        if t._share_epoch != epoch:
+                            # inlined Task.advance(now)
+                            dt = now - t._last_update
+                            if dt >= 0:
+                                if dt and t.rate > 0.0:
+                                    consumed = t.rate * dt
+                                    t.total_cpu_time += consumed
+                                    if t.pool is not None:
+                                        t.pool.consume(consumed)
+                                    elif t.work_remaining is not None:
+                                        t.work_remaining -= consumed
+                                        if t.work_remaining < 0.0:
+                                            t.work_remaining = 0.0
+                                t._last_update = now
+                            append(t)
+                            t._new_share = t.cpu_share
+                            t._share_epoch = epoch
+                    self._mem_scale = new_scale
 
-        # Phase 4: assign effective rates and reschedule completions.
+        # Phase 4: assign effective rates and re-time completions.
         # A completion event stays valid while the rate is unchanged
         # (it was computed from the same constant-rate trajectory), so
         # only genuinely re-rated tasks pay the heap churn.
         mem_scale = self._mem_scale
         engine = self.engine
         schedule = engine.schedule
+        reschedule = engine.reschedule
+        task_done = self._task_done
         pools: dict[int, WorkPool] = {}
         for t in touched:
             share = t._new_share
@@ -543,12 +589,15 @@ class Scheduler:
                 # inlined _reschedule_task (engine.now == now throughout
                 # _update, so schedule_after(wr / eff) == schedule(now + wr / eff))
                 ev = t._completion_event
-                if ev is not None:
-                    ev.cancel()
-                    t._completion_event = None
                 wr = t.work_remaining
                 if wr is not None and eff > 0.0:
-                    t._completion_event = schedule(now + wr / eff, self._task_done, t)
+                    if ev is not None:
+                        reschedule(ev, now + wr / eff)
+                    else:
+                        t._completion_event = schedule(now + wr / eff, task_done, t)
+                elif ev is not None:
+                    ev.cancel()
+                    t._completion_event = None
             if (
                 eff == 0.0
                 and t.cpu is not None
@@ -578,7 +627,7 @@ class Scheduler:
         now = self.engine.now
         live = [
             t
-            for t in sorted(self._mem_running.values(), key=lambda t: t.tid)
+            for t in sorted(self._mem_running.values(), key=_by_tid)
             if t.alive and t.cpu is not None
         ]
         total = sum(t.mem_demand * t.cpu_share for t in live)
@@ -597,54 +646,32 @@ class Scheduler:
         for pool in pools.values():
             self._reschedule_pool(pool)
 
-    def _raw_share(self, task: Task) -> float:
-        cpu = task.cpu
-        if cpu is None:
-            return 0.0
-        shares: dict[int, float] = {}
-        self._compute_shares(cpu, shares)
-        return shares.get(task.tid, 0.0)
-
-    def _cpu_speed(self, cpu: int) -> float:
-        state = self._cpus[cpu]
-        speed = 1.0 - state.steal
-        sib = self._sibling[cpu]
-        if sib is not None and self._cpus[sib].busy() and state.busy():
-            speed *= self.params.smt_factor
-        return speed
-
-    def _compute_shares(self, cpu: int, out: dict[int, float]) -> None:
-        state = self._cpus[cpu]
-        speed = self._cpu_speed(cpu)
-        if state.fifo:
-            head = state.fifo[0]
-            fifo_share = self.params.rt_throttle_share if self.rt_throttle else 1.0
-            out[head.tid] = speed * fifo_share
-            for t in state.fifo[1:]:
-                out[t.tid] = 0.0
-            leftover = speed * (1.0 - fifo_share)
-            total_w = sum(t.weight for t in state.other)
-            for t in state.other:
-                out[t.tid] = leftover * t.weight / total_w if total_w > 0 else 0.0
-        else:
-            total_w = sum(t.weight for t in state.other)
-            for t in state.other:
-                out[t.tid] = speed * t.weight / total_w if total_w > 0 else 0.0
+    def _drop_streamer(self, task: Task) -> None:
+        if self._mem_running.pop(task.tid, None) is not None:
+            self._mem_total -= task._mem_contrib
 
     # ------------------------------------------------------------------
     # completion events
     # ------------------------------------------------------------------
-    def _cancel_completion(self, task: Task) -> None:
-        if task._completion_event is not None:
-            task._completion_event.cancel()
-            task._completion_event = None
+    def _cancel_completion(self, owner: Task | WorkPool) -> None:
+        if owner._completion_event is not None:
+            owner._completion_event.cancel()
+            owner._completion_event = None
 
     def _reschedule_task(self, task: Task) -> None:
-        self._cancel_completion(task)
         ttc = task.time_to_completion()
-        if ttc is None:
-            return
-        task._completion_event = self.engine.schedule_after(ttc, self._task_done, task)
+        self._retime(task, None if ttc is None else self.engine.now + ttc, self._task_done)
+
+    def _retime(self, owner: Task | WorkPool, time: Optional[float], fn: Callable) -> None:
+        """Point ``owner``'s completion event at ``time`` (``fn(owner)``),
+        or drop it for ``None``; a pending event is moved in place."""
+        ev = owner._completion_event
+        if time is None:
+            self._cancel_completion(owner)
+        elif ev is not None:
+            self.engine.reschedule(ev, time)
+        else:
+            owner._completion_event = self.engine.schedule(time, fn, owner)
 
     def _task_done(self, task: Task) -> None:
         task._completion_event = None
@@ -668,9 +695,6 @@ class Scheduler:
             task.on_complete(task)
 
     def _reschedule_pool(self, pool: WorkPool) -> None:
-        if pool._completion_event is not None:
-            pool._completion_event.cancel()
-            pool._completion_event = None
         # Bring the pool's consumed-work accounting up to date: members
         # on unchanged CPUs have run at constant rates since their last
         # integration, so advancing them here is exact.
@@ -679,13 +703,12 @@ class Scheduler:
             t.advance(now)
         if pool.work_remaining <= _DONE_EPS and pool.members:
             pool.work_remaining = 0.0
+            self._cancel_completion(pool)
             if pool.on_drained is not None:
                 self.engine.schedule(now, self._pool_done, pool)
             return
         ttd = pool.time_to_drain()
-        if ttd is None:
-            return
-        pool._completion_event = self.engine.schedule_after(ttd, self._pool_done, pool)
+        self._retime(pool, None if ttd is None else now + ttd, self._pool_done)
 
     def _pool_done(self, pool: WorkPool) -> None:
         pool._completion_event = None
@@ -790,8 +813,8 @@ class Scheduler:
         task.cpu = None
         task.rate = 0.0
         # Mid-flight tasks are off-CPU: no bandwidth demand until
-        # re-placement (mirrors the pop in remove()).
-        self._mem_running.pop(task.tid, None)
+        # re-placement (mirrors remove()).
+        self._drop_streamer(task)
         self._cancel_completion(task)
         self._update({src})
         # The migration cost is paid as off-CPU latency (cache refill,

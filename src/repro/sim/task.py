@@ -91,6 +91,7 @@ class Task:
         "cpu_share",
         "_new_share",
         "_share_epoch",
+        "_mem_contrib",
         "speed_penalty",
         "_last_update",
         "_completion_event",
@@ -146,6 +147,9 @@ class Task:
         #: valid while ``_share_epoch`` matches the scheduler's epoch
         self._new_share: float = 0.0
         self._share_epoch: int = 0
+        #: share-weighted memory demand this task last counted into the
+        #: scheduler's running total (valid while it streams)
+        self._mem_contrib: float = 0.0
         #: locality factor after a migration (cold caches / remote
         #: memory); resets when the task picks up new work
         self.speed_penalty: float = 1.0

@@ -237,3 +237,107 @@ class TestLazyHeapMaintenance:
         engine.run()
         expected = [i for _, i in sorted(keep, key=lambda p: (p[0], p[1]))]
         assert order == expected
+
+
+class TestReschedule:
+    @staticmethod
+    def _moves(engine, move):
+        """Four tied events, two of them moved: one within its tie, one
+        onto a later tie."""
+        order = []
+        handles = {tag: engine.schedule(1.0, order.append, tag) for tag in "abcd"}
+        engine.schedule(2.0, order.append, "e")
+        move(engine, handles, "b", 1.0, order)
+        move(engine, handles, "a", 2.0, order)
+        engine.run()
+        return order
+
+    def test_tie_pop_order_matches_cancel_and_schedule(self):
+        def cancel_and_schedule(engine, handles, tag, time, order):
+            handles[tag].cancel()
+            handles[tag] = engine.schedule(time, order.append, tag)
+
+        def reschedule(engine, handles, tag, time, order):
+            assert engine.reschedule(handles[tag], time) is handles[tag]
+
+        old, new = Engine(), Engine()
+        expected = self._moves(old, cancel_and_schedule)
+        assert expected == ["c", "d", "b", "e", "a"]
+        assert self._moves(new, reschedule) == expected
+        assert new._seq == old._seq
+
+    def test_pending_count_exact_over_repeated_reschedules(self, engine):
+        handles = [engine.schedule(float(t + 1), lambda: None) for t in range(3)]
+        for i in range(200):
+            engine.reschedule(handles[i % 3], 5.0 + i * 1e-3)
+            assert engine.pending_count() == 3
+        engine.run()
+        assert engine.events_executed == 3
+        assert engine.pending_count() == 0
+
+    def test_compaction_drops_stale_entries(self, engine):
+        seen = []
+        h = engine.schedule(1.0, seen.append, "x")
+        for i in range(5000):
+            engine.reschedule(h, 1.0 + i * 1e-6)
+        assert engine.compactions > 0
+        assert len(engine._heap) < 1024
+        assert engine.pending_count() == 1
+        engine.run()
+        assert seen == ["x"]
+        assert engine.now == 1.0 + 4999 * 1e-6
+
+    def test_compaction_bounded_by_hysteresis_under_reschedule(self, engine):
+        # the cancel-only churn bound of TestLazyHeapMaintenance holds
+        # when the dead entries come from re-timing instead
+        churn = 20_000
+        h = engine.schedule(1.0, lambda: None)
+        for i in range(churn):
+            engine.reschedule(h, 1.0 + i * 1e-7)
+        assert 0 < engine.compactions <= churn // 128 + 2
+        assert len(engine._heap) < 1024
+
+    def test_cancel_after_reschedule(self, engine):
+        seen = []
+        h = engine.schedule(1.0, seen.append, "x")
+        engine.reschedule(h, 2.0)
+        engine.reschedule(h, 3.0)
+        h.cancel()
+        assert engine.pending_count() == 0
+        assert engine.next_event_time() is None
+        engine.run()
+        assert seen == []
+
+    def test_reschedule_finished_handle_raises(self, engine):
+        ran = engine.schedule(1.0, lambda: None)
+        engine.run()
+        with pytest.raises(SimulationError):
+            engine.reschedule(ran, 2.0)
+        cancelled = engine.schedule(3.0, lambda: None)
+        cancelled.cancel()
+        with pytest.raises(SimulationError):
+            engine.reschedule(cancelled, 4.0)
+        assert engine.pending_count() == 0
+
+    def test_reschedule_validates_time(self, engine):
+        engine.schedule(1.0, lambda: None)
+        engine.run(until=1.5)
+        h2 = engine.schedule(3.0, lambda: None)
+        with pytest.raises(SimulationError):
+            engine.reschedule(h2, 0.5)
+        with pytest.raises(SimulationError):
+            engine.reschedule(h2, float("nan"))
+        assert engine.pending_count() == 1 and h2.time == 3.0  # rejected: untouched
+        assert engine.reschedule(h2, 1.5 - 1e-15).time == 1.5  # round-off clamps
+        assert engine.pending_count() == 1
+
+    def test_next_event_time_skips_stale_heads(self, engine):
+        h = engine.schedule(1.0, lambda: None)
+        engine.schedule(3.0, lambda: None)
+        engine.reschedule(h, 2.0)
+        assert engine.next_event_time() == 2.0
+        engine.reschedule(h, 5.0)
+        assert engine.next_event_time() == 3.0
+        # both dead heads popped, never rescanned
+        assert len(engine._heap) == 2
+        assert engine.pending_count() == 2

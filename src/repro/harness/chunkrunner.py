@@ -19,7 +19,7 @@ What lives here:
 * :class:`ChunkRunner` — the chunk-level entry point: resolve once,
   run each index through the attempt loop, return results in index
   order.  It knows nothing about how its inputs arrived or how its
-  outputs travel home — the executor's shm/pickle marshalling and the
+  outputs travel home — the executor's pickled chunk results and the
   service's result store are layered on top.
 
 Determinism contract: rep ``i`` always draws from
@@ -275,8 +275,8 @@ class ChunkRunner:
 
     This is the seam between *what* runs (the contained per-rep attempt
     loop over a shared resolved context) and *how* inputs and outputs
-    travel (process-pool pickles, shared-memory blocks, or the campaign
-    service's job leases).  Both the in-process pool worker entry point
+    travel (process-pool pickles or the campaign service's job
+    leases).  Both the in-process pool worker entry point
     and the service :class:`~repro.service.worker.Worker` consume the
     same instance, so a cell re-leased after a worker death replays
     byte-for-byte the code path an uninterrupted pool dispatch runs.

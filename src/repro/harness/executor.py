@@ -34,37 +34,13 @@ Cache activity is counted in the shared ``context`` telemetry group
 
 Result transport
 ----------------
-The parallel backend has two ways to get bulk per-rep outputs home:
-
-* **pickle** — workers return ``RepResult`` lists through the pool's
-  result queue (the serial/fallback path);
-* **shm** — the parent allocates one ``multiprocessing.shared_memory``
-  block per dispatch (float64 exec times, int16 attempt counts, int16
-  anomaly codes) and workers write their chunk's slice in place;
-  only a tiny marker (plus rare out-of-table anomaly names and
-  failure records) is pickled back.  Exec times cross as raw 64-bit
-  floats, so bit-identity is preserved exactly.
-
-When full ``RunResult`` payloads are requested (``need_runs``, the
-``on_run``/trace-collection path), the bulk *trace columns* also ride
-shared memory: each chunk's worker concatenates its traces' arrays
-(starts/durations float64, cpus/source_ids int32, etypes int8) into a
-per-chunk segment whose name the **parent** chose and registered up
-front, so the parent can unlink it on every exit path even if the
-worker died mid-write.  Small per-rep remainders (source name tables,
-metadata, migration counts) ride the pickled marker.  Rebuilt traces
-are bit-identical: the columns cross as raw dtypes and the stable
-``(start, cpu)`` re-sort in ``Trace.__init__`` is order-preserving on
-already-sorted input.
-
-``REPRO_SHM=0`` (or ``transport="pickle"``) forces the pickle path;
-the default ``auto`` uses shared memory whenever it is available.  The
-parent owns every segment — the scalar block it created and the trace
-segments it named — and unlinks them in a ``finally`` that covers
-chunk failure, pool rebuild, hung-chunk kills, and abandoned iterators
-— workers only ever attach/create-by-given-name and close.
-``stats()`` counts ``shm_chunks`` / ``pickle_chunks`` /
-``shm_trace_chunks``.
+Pool workers send each chunk's ``RepResult`` list home through the
+pool's own pickle channel, as ``(results, telemetry_blob_or_None)``.
+An exec time is one 8-byte float per rep, so pickling it is exact and
+cheap.  Full ``RunResult`` payloads (``need_runs``, the
+``on_run``/trace-collection path) travel the same way, traces
+included.  ``stats()`` counts every returned chunk as
+``pickle_chunks``; ``shm_chunks`` stays in the shape and is always 0.
 
 Worker-invariant determinism contract
 -------------------------------------
@@ -105,7 +81,6 @@ worker per CPU).  Chunk sizing follows ``--chunk-size`` /
 from __future__ import annotations
 
 import atexit
-import itertools
 import logging
 import multiprocessing
 import os
@@ -113,9 +88,8 @@ import threading
 from abc import ABC, abstractmethod
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Iterator, Optional
-
-import numpy as np
 
 from repro import telemetry as _telemetry
 from repro.harness.chaos import mark_worker
@@ -133,7 +107,7 @@ from repro.harness.faults import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.harness.experiment import ExperimentSpec, ResolvedContext
+    from repro.harness.experiment import ExperimentSpec
     from repro.noise.base import NoiseStack
 
 __all__ = [
@@ -142,9 +116,7 @@ __all__ = [
     "ParallelExecutor",
     "resolve_jobs",
     "resolve_chunk_size",
-    "resolve_transport",
     "get_executor",
-    "chunk_indices",
     "chunk_range",
 ]
 
@@ -204,340 +176,7 @@ def chunk_range(
     return [indices[lo : lo + chunk_size] for lo in range(0, n, chunk_size)]
 
 
-def chunk_indices(reps: int, jobs: int, chunk_size: Optional[int] = None) -> list[range]:
-    """Partition ``range(reps)`` into contiguous dispatch chunks.
-
-    Thin wrapper over :func:`chunk_range`; ``reps == 0`` yields no
-    chunks, negative ``reps`` raises.
-    """
-    if reps < 0:
-        raise ValueError(f"reps must be >= 0, got {reps}")
-    return chunk_range(range(reps), jobs, chunk_size)
-
-
-# ----------------------------------------------------------------------
-# shared-memory result transport
-# ----------------------------------------------------------------------
-_shm_seq = itertools.count()
-
-
-def _shm_available() -> bool:
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except Exception:  # pragma: no cover - platform without posix shm
-        return False
-    return True
-
-
-def resolve_transport(transport: Optional[str] = None) -> str:
-    """Transport mode from an explicit value or ``REPRO_SHM``.
-
-    ``auto`` (default) writes bulk outputs through shared memory when
-    available and falls back to pickling; ``pickle`` (or
-    ``REPRO_SHM=0``) forces the classic path; ``shm`` behaves like
-    ``auto`` but documents intent.
-    """
-    if transport is None:
-        raw = os.environ.get("REPRO_SHM", "").strip().lower()
-        if raw in ("0", "off", "pickle"):
-            return "pickle"
-        if raw in ("", "1", "on", "auto", "shm"):
-            return "auto"
-        raise ValueError(
-            f"REPRO_SHM must be one of 0/1/on/off/auto/shm/pickle, got {raw!r}"
-        )
-    if transport not in ("auto", "shm", "pickle"):
-        raise ValueError(f"transport must be auto, shm, or pickle, got {transport!r}")
-    return transport
-
-
-def _anomaly_code_table(context: "ResolvedContext") -> tuple:
-    """Stable small-int coding of the platform's anomaly names.
-
-    Code ``k > 0`` in a shm block means ``table[k - 1]``; names outside
-    the table (custom noise models) travel in the chunk's pickled
-    extras under code ``-1``.
-    """
-    try:
-        candidates = context.platform.noise.anomalies.candidates
-    except AttributeError:  # pragma: no cover - exotic platform stub
-        return ()
-    return tuple(dict.fromkeys(c.name for c in candidates))
-
-
-class _ShmResultBlock:
-    """Parent-owned shared-memory arrays for one dispatch's bulk outputs.
-
-    Layout for ``n`` reps (one block spans the whole dispatched index
-    range; chunks write disjoint slices):
-
-    ========  =======  ==========================================
-    offset    dtype    content
-    ========  =======  ==========================================
-    ``0``     f8[n]    exec times (NaN until written / on failure)
-    ``8n``    i2[n]    attempts consumed
-    ``10n``   i2[n]    anomaly codes (0 none, k>0 table, -1 extras)
-    ========  =======  ==========================================
-
-    The parent creates, names, and **unlinks** the segment; workers
-    attach by name and close.  ``close()`` is idempotent and reached
-    from ``run_rep_range``'s ``finally`` on every exit path — normal
-    completion, chunk failure, pool rebuild, hung-chunk kill, or an
-    abandoned result iterator — so no segment can outlive its dispatch.
-    """
-
-    __slots__ = ("base", "n", "codes", "name", "_seg", "_times", "_attempts", "_codes")
-
-    def __init__(self, indices: range, codes: tuple):
-        from multiprocessing import shared_memory
-
-        n = len(indices)
-        self.base = indices.start
-        self.n = n
-        self.codes = tuple(codes)
-        self.name = f"repro_shm_{os.getpid()}_{next(_shm_seq)}"
-        self._seg = shared_memory.SharedMemory(
-            name=self.name, create=True, size=max(1, n * 12)
-        )
-        self._times = np.ndarray(n, dtype=np.float64, buffer=self._seg.buf, offset=0)
-        self._attempts = np.ndarray(n, dtype=np.int16, buffer=self._seg.buf, offset=8 * n)
-        self._codes = np.ndarray(n, dtype=np.int16, buffer=self._seg.buf, offset=10 * n)
-        self._times.fill(float("nan"))
-        self._attempts.fill(0)
-        self._codes.fill(0)
-
-    def descriptor(self) -> dict:
-        """The picklable attachment recipe shipped in chunk payloads."""
-        return {"name": self.name, "n": self.n, "base": self.base, "codes": self.codes}
-
-    def extract(self, chunk: range, marker: dict) -> list[RepResult]:
-        """Rebuild a chunk's :class:`RepResult` list from the arrays."""
-        failures = marker.get("failures") or {}
-        anomalies = marker.get("anomalies") or {}
-        out = []
-        for i in chunk:
-            off = i - self.base
-            code = int(self._codes[off])
-            if code > 0:
-                anomaly = self.codes[code - 1]
-            elif code < 0:
-                anomaly = anomalies.get(i)
-            else:
-                anomaly = None
-            out.append(
-                RepResult(
-                    index=i,
-                    exec_time=float(self._times[off]),
-                    anomaly=anomaly,
-                    error=failures.get(i),
-                    attempts=int(self._attempts[off]) or 1,
-                )
-            )
-        return out
-
-    def close(self) -> None:
-        """Release the views, close, and unlink (idempotent, no-raise)."""
-        seg, self._seg = self._seg, None
-        if seg is None:
-            return
-        # numpy views must drop their buffer exports before close()
-        self._times = self._attempts = self._codes = None
-        try:
-            seg.close()
-        except Exception:  # pragma: no cover - best-effort teardown
-            pass
-        try:
-            seg.unlink()
-        except FileNotFoundError:
-            pass
-        except Exception:  # pragma: no cover - best-effort teardown
-            pass
-
-
-def _write_chunk_to_shm(desc: dict, reps: list[RepResult]) -> dict:
-    """Worker side: write a chunk's results into the parent's block.
-
-    Returns the marker dict that rides back through the pool (pickled):
-    shm flag, terminal failure records, and anomaly names missing from
-    the code table.  The worker only attaches and closes — the parent
-    owns the segment's lifetime.
-    """
-    from multiprocessing import shared_memory
-
-    seg = shared_memory.SharedMemory(name=desc["name"], create=False)
-    try:
-        n = desc["n"]
-        base = desc["base"]
-        times = np.ndarray(n, dtype=np.float64, buffer=seg.buf, offset=0)
-        attempts = np.ndarray(n, dtype=np.int16, buffer=seg.buf, offset=8 * n)
-        codes = np.ndarray(n, dtype=np.int16, buffer=seg.buf, offset=10 * n)
-        code_of = {name: k + 1 for k, name in enumerate(desc["codes"])}
-        failures: dict[int, FailureRecord] = {}
-        anomalies: dict[int, str] = {}
-        try:
-            for rep in reps:
-                off = rep.index - base
-                times[off] = rep.exec_time
-                attempts[off] = min(rep.attempts, 32767)
-                if rep.error is not None:
-                    failures[rep.index] = rep.error
-                if rep.anomaly is None:
-                    codes[off] = 0
-                else:
-                    code = code_of.get(rep.anomaly, -1)
-                    codes[off] = code
-                    if code < 0:
-                        anomalies[rep.index] = rep.anomaly
-        finally:
-            del times, attempts, codes
-        return {"shm": True, "failures": failures, "anomalies": anomalies}
-    finally:
-        seg.close()
-
-
-# Trace-segment layout for E concatenated events: starts f8[E] at 0,
-# durations f8[E] at 8E, cpus i32[E] at 16E, source_ids i32[E] at 20E,
-# etypes i8[E] at 24E — 25 bytes/event total.
-def _trace_views(buf, total: int) -> tuple:
-    starts = np.ndarray(total, dtype=np.float64, buffer=buf, offset=0)
-    durations = np.ndarray(total, dtype=np.float64, buffer=buf, offset=8 * total)
-    cpus = np.ndarray(total, dtype=np.int32, buffer=buf, offset=16 * total)
-    source_ids = np.ndarray(total, dtype=np.int32, buffer=buf, offset=20 * total)
-    etypes = np.ndarray(total, dtype=np.int8, buffer=buf, offset=24 * total)
-    return starts, durations, cpus, source_ids, etypes
-
-
-def _write_runs_to_shm(name: str, reps: list[RepResult]) -> dict:
-    """Worker side: ship a chunk's ``RunResult`` payloads via shm.
-
-    The bulk trace columns of every rep are concatenated into one
-    segment created under the parent-chosen ``name`` (the parent
-    registered it before dispatch, so it can unlink the segment even if
-    this worker dies mid-write).  Everything small — source name
-    tables, metadata, migration/preemption counts — rides the returned
-    marker entry, pickled.  Failed reps (no run) contribute a ``None``
-    entry and zero events.
-    """
-    from multiprocessing import shared_memory
-
-    entries: list = []
-    traces = []
-    total = 0
-    for rep in reps:
-        run = rep.run
-        if run is None:
-            entries.append(None)
-            continue
-        entry = {
-            "index": rep.index,
-            "migrations": run.migrations,
-            "preemptions": run.preemptions,
-            "meta": run.meta,
-            "trace": None,
-        }
-        trace = run.trace
-        if trace is not None:
-            entry["trace"] = {
-                "sources": trace.sources,
-                "exec_time": trace.exec_time,
-                "meta": trace.meta,
-                "events": trace.n_events,
-            }
-            traces.append(trace)
-            total += trace.n_events
-        entries.append(entry)
-    seg = shared_memory.SharedMemory(name=name, create=True, size=max(1, 25 * total))
-    try:
-        starts, durations, cpus, source_ids, etypes = _trace_views(seg.buf, total)
-        try:
-            lo = 0
-            for trace in traces:
-                hi = lo + trace.n_events
-                starts[lo:hi] = trace.starts
-                durations[lo:hi] = trace.durations
-                cpus[lo:hi] = trace.cpus
-                source_ids[lo:hi] = trace.source_ids
-                etypes[lo:hi] = trace.etypes
-                lo = hi
-        finally:
-            del starts, durations, cpus, source_ids, etypes
-    finally:
-        seg.close()
-    return {"name": name, "events": total, "entries": entries}
-
-
-def _attach_runs_from_shm(runs: dict, reps: list[RepResult]) -> None:
-    """Parent side: rebuild each rep's ``RunResult`` from a trace segment.
-
-    Mutates the scalar-extracted ``reps`` in place.  Exec times and
-    anomalies come from the scalar block (already exact); the trace
-    columns are sliced out of the segment per rep — ``Trace.__init__``
-    re-materialises them (stable re-sort of already-sorted input), so
-    nothing keeps a reference into the segment after it is closed.
-    """
-    from multiprocessing import shared_memory
-
-    from repro.core.trace import Trace
-    from repro.sim.machine import RunResult
-
-    seg = shared_memory.SharedMemory(name=runs["name"], create=False)
-    try:
-        starts, durations, cpus, source_ids, etypes = _trace_views(seg.buf, runs["events"])
-        try:
-            lo = 0
-            for rep, entry in zip(reps, runs["entries"]):
-                if entry is None:
-                    continue
-                trace = None
-                tinfo = entry["trace"]
-                if tinfo is not None:
-                    hi = lo + tinfo["events"]
-                    trace = Trace(
-                        cpus[lo:hi],
-                        etypes[lo:hi],
-                        source_ids[lo:hi],
-                        starts[lo:hi],
-                        durations[lo:hi],
-                        tinfo["sources"],
-                        tinfo["exec_time"],
-                        tinfo["meta"],
-                    )
-                    lo = hi
-                rep.run = RunResult(
-                    exec_time=rep.exec_time,
-                    trace=trace,
-                    anomaly=rep.anomaly,
-                    migrations=entry["migrations"],
-                    preemptions=entry["preemptions"],
-                    meta=entry["meta"],
-                )
-        finally:
-            del starts, durations, cpus, source_ids, etypes
-    finally:
-        seg.close()
-
-
-def _unlink_shm(name: str) -> None:
-    """Best-effort owner-side unlink of a named segment (idempotent)."""
-    from multiprocessing import shared_memory
-
-    try:
-        seg = shared_memory.SharedMemory(name=name, create=False)
-    except FileNotFoundError:
-        return
-    except Exception:  # pragma: no cover - best-effort teardown
-        return
-    try:
-        seg.close()
-    except Exception:  # pragma: no cover - best-effort teardown
-        pass
-    try:
-        seg.unlink()
-    except Exception:  # pragma: no cover - best-effort teardown
-        pass
-
-
-def _run_rep_chunk(payload: tuple):
+def _run_rep_chunk(payload: tuple) -> tuple:
     """Worker entry point: simulate one chunk of rep indices.
 
     Receives only picklable data and resolves the simulation context
@@ -548,21 +187,13 @@ def _run_rep_chunk(payload: tuple):
     naming the spec, the chunk's rep indices, and the worker pid, so
     pool failures are attributable.
 
-    The optional 7th payload element is the telemetry context
-    ``{"parent": span_id}``: when present, the worker buffers its spans
-    and counter deltas during the chunk and flushes them back through
-    the return channel as ``(results, blob)`` instead of a bare result
-    list (pre-telemetry 6-tuples still work — tests build them).  The
-    optional 8th element is a shm block descriptor: bulk outputs are
-    then written in place and only a small marker dict is returned.
-    The optional 9th element is a parent-chosen trace-segment name:
-    full ``RunResult`` payloads (``need_runs``) then ride shared
-    memory too, as ``runs`` in the marker.
+    ``payload`` is ``(spec, noise, indices, need_runs, policy,
+    base_attempt, telem)``.  ``telem`` is the telemetry context
+    ``{"parent": span_id}`` or ``None``: when set, the worker buffers
+    its spans and counter deltas during the chunk and flushes them
+    back as the blob.  Returns ``(results, blob_or_None)``.
     """
-    spec, noise, indices, need_runs, policy, base_attempt = payload[:6]
-    telem = payload[6] if len(payload) > 6 else None
-    shm_desc = payload[7] if len(payload) > 7 else None
-    trace_name = payload[8] if len(payload) > 8 else None
+    spec, noise, indices, need_runs, policy, base_attempt, telem = payload
     mark_worker(True)
     token = None
     if telem is not None:
@@ -573,25 +204,16 @@ def _run_rep_chunk(payload: tuple):
         token = _telemetry.worker_capture_begin(telem.get("parent"))
     try:
         with _telemetry.span(
-            "chunk",
-            spec=spec.label(),
-            reps=len(indices),
-            transport="shm" if shm_desc is not None else "pickle",
-        ) if (token is not None) else _nullcontext():
+            "chunk", spec=spec.label(), reps=len(indices)
+        ) if (token is not None) else nullcontext():
             results = DEFAULT_RUNNER.run(
                 spec, noise, indices, need_runs, policy, base_attempt
             )
-        if shm_desc is not None and (trace_name is not None or not need_runs):
-            out = _write_chunk_to_shm(shm_desc, results)
-            if trace_name is not None and need_runs:
-                out["runs"] = _write_runs_to_shm(trace_name, results)
-        else:
-            out = results
+        blob = None
         if token is not None:
             blob = _telemetry.worker_capture_end(token)
             token = None
-            return out, blob
-        return out
+        return results, blob
     except RepExecutionError as exc:
         raise RepExecutionError(
             f"{exc.args[0]} (chunk reps {list(indices)})", exc.record
@@ -611,35 +233,6 @@ def _run_rep_chunk(payload: tuple):
             # cross back, so discard the partial capture (and restore
             # the worker's base parent for the next chunk).
             _telemetry.worker_capture_end(token)
-
-
-class _nullcontext:
-    """Minimal inline ``contextlib.nullcontext`` (kwarg-free, reusable)."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-def _split_chunk_result(chunk_result) -> tuple:
-    """Normalize a worker return: ``(results_or_marker, blob_or_None)``.
-
-    The first element is a ``RepResult`` list (pickle transport) or a
-    shm marker dict (``{"shm": True, ...}``) whose bulk data lives in
-    the dispatch's shared-memory block.
-    """
-    if (
-        isinstance(chunk_result, tuple)
-        and len(chunk_result) == 2
-        and isinstance(chunk_result[0], (list, dict))
-        and isinstance(chunk_result[1], dict)
-    ):
-        return chunk_result
-    return chunk_result, None
 
 
 # ----------------------------------------------------------------------
@@ -761,10 +354,6 @@ class ParallelExecutor(Executor):
     so ``on_run`` consumers degrade to *ordered post-hoc delivery*
     rather than live streaming.
 
-    Bulk results travel over shared memory by default (see the module
-    docstring); ``transport="pickle"`` or ``REPRO_SHM=0`` restores the
-    classic pickled lists.
-
     Failure containment: chunks are dispatched as individual futures.
     A broken pool (worker death) is rebuilt and only unfinished chunks
     are re-dispatched; a chunk that exceeds its policy deadline has its
@@ -777,17 +366,11 @@ class ParallelExecutor(Executor):
     #: consecutive pool breakages tolerated before degrading to serial
     max_pool_breaks: int = 3
 
-    def __init__(
-        self,
-        jobs: int,
-        chunk_size: Optional[int] = None,
-        transport: Optional[str] = None,
-    ):
+    def __init__(self, jobs: int, chunk_size: Optional[int] = None):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = int(jobs)
         self.chunk_size = resolve_chunk_size(chunk_size)
-        self.transport = resolve_transport(transport)
         self._pool = None
         self._lock = threading.Lock()
         self._shared = False
@@ -797,8 +380,9 @@ class ParallelExecutor(Executor):
         #: the registry entry ``stats()`` is a thin view over)
         self._counters = _telemetry.new_group("executor")
 
-    #: the keys stats() has always exposed, in their historical order,
-    #: plus the transport counters added with the shm path
+    #: the keys stats() has always exposed, in their historical order;
+    #: ``shm_chunks`` is never incremented and stays for readers of the
+    #: shape (every chunk returns by pickle)
     _STAT_KEYS = (
         "pool_rebuilds",
         "chunk_timeouts",
@@ -807,7 +391,6 @@ class ParallelExecutor(Executor):
         "rep_failures",
         "shm_chunks",
         "pickle_chunks",
-        "shm_trace_chunks",
     )
 
     def stats(self) -> dict:
@@ -815,7 +398,7 @@ class ParallelExecutor(Executor):
 
         The counts live in the telemetry counter registry; this view
         preserves the pre-telemetry return shape (extended by the
-        ``shm_chunks`` / ``pickle_chunks`` transport counters).
+        ``shm_chunks`` / ``pickle_chunks`` chunk counters).
         """
         counts = self._counters.as_dict()
         out = {key: int(counts.get(key, 0)) for key in self._STAT_KEYS}
@@ -919,21 +502,6 @@ class ParallelExecutor(Executor):
             )
         return out
 
-    def _make_block(self, spec, indices: range) -> Optional[_ShmResultBlock]:
-        """Allocate the dispatch's shm block (None → pickle transport)."""
-        if self.transport == "pickle" or not _shm_available():
-            return None
-        try:
-            return _ShmResultBlock(indices, _anomaly_code_table(_resolved_context(spec)))
-        except Exception as exc:  # pragma: no cover - e.g. /dev/shm full
-            _log.warning(
-                "shared-memory allocation failed (%s: %s); falling back to "
-                "pickle transport",
-                type(exc).__name__,
-                exc,
-            )
-            return None
-
     # ------------------------------------------------------------------
     def run_rep_range(self, spec, noise, indices, need_runs=False, policy=None):
         policy = policy if policy is not None else DEFAULT_POLICY
@@ -943,26 +511,6 @@ class ParallelExecutor(Executor):
             yield from self._serial_remainder(spec, noise, indices, need_runs, policy)
             return
         chunks = chunk_range(indices, self.jobs, self.chunk_size)
-        block = self._make_block(spec, indices)
-        trace_segments: set[str] = set()
-        try:
-            yield from self._run_chunks(
-                spec, noise, chunks, need_runs, policy, block, trace_segments
-            )
-        finally:
-            # The single owner-side unlink: reached on normal completion,
-            # chunk failure, pool rebuild, hung-chunk kill, and caller
-            # abandonment (generator close) alike.  Trace segments were
-            # *named* by the parent before dispatch, so segments whose
-            # worker died mid-write (or whose chunk was re-dispatched)
-            # are unlinked here too.
-            if block is not None:
-                block.close()
-            for name in trace_segments:
-                _unlink_shm(name)
-
-    def _run_chunks(self, spec, noise, chunks, need_runs, policy, block, trace_segments):
-        shm_desc = block.descriptor() if block is not None else None
         dispatches = {cid: 0 for cid in range(len(chunks))}
         done: set[int] = set()
         while len(done) < len(chunks):
@@ -983,29 +531,13 @@ class ParallelExecutor(Executor):
             telem = (
                 {"parent": _telemetry.current_span_id()} if _telemetry.enabled() else None
             )
-            def _payload(cid):
-                trace_name = None
-                if block is not None and need_runs:
-                    # Parent-chosen, dispatch-unique name: a re-dispatch
-                    # gets a fresh segment, and every name ever handed
-                    # out is registered for the owner-side unlink.
-                    trace_name = f"{block.name}t{cid}d{dispatches[cid]}"
-                    trace_segments.add(trace_name)
-                return (
-                    spec,
-                    noise,
-                    chunks[cid],
-                    need_runs,
-                    policy,
-                    dispatches[cid],
-                    telem,
-                    shm_desc,
-                    trace_name,
-                )
-
             try:
                 futures = {
-                    cid: pool.submit(_run_rep_chunk, _payload(cid)) for cid in pending
+                    cid: pool.submit(
+                        _run_rep_chunk,
+                        (spec, noise, chunks[cid], need_runs, policy, dispatches[cid], telem),
+                    )
+                    for cid in pending
                 }
             except (BrokenProcessPool, RuntimeError):
                 self._note_pool_break(pool)
@@ -1020,7 +552,7 @@ class ParallelExecutor(Executor):
             for cid in pending:
                 deadline = policy.chunk_deadline(len(chunks[cid]))
                 try:
-                    chunk_result = futures[cid].result(timeout=deadline)
+                    reps_list, blob = futures[cid].result(timeout=deadline)
                 except BrokenProcessPool:
                     _log.warning(
                         "process pool broke while running chunk reps %s of %s; "
@@ -1051,22 +583,8 @@ class ParallelExecutor(Executor):
                     broke = True
                     break
                 else:
-                    payload, blob = _split_chunk_result(chunk_result)
                     _telemetry.absorb_worker(blob)
-                    if isinstance(payload, dict):
-                        reps_list = block.extract(chunks[cid], payload)
-                        self._counters.inc("shm_chunks")
-                        runs = payload.get("runs")
-                        if runs is not None:
-                            _attach_runs_from_shm(runs, reps_list)
-                            self._counters.inc("shm_trace_chunks")
-                            # Segment fully consumed — release it now
-                            # rather than at end-of-dispatch.
-                            _unlink_shm(runs["name"])
-                            trace_segments.discard(runs["name"])
-                    else:
-                        reps_list = payload
-                        self._counters.inc("pickle_chunks")
+                    self._counters.inc("pickle_chunks")
                     for rep in reps_list:
                         self._account(rep)
                         yield rep

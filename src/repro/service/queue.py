@@ -61,8 +61,8 @@ disagree with the jobs table.  Each event carries the worker id, a
 wall-clock stamp and a ``time.perf_counter()`` monotonic stamp (the
 clock telemetry spans use, system-wide on Linux), which is what lets
 ``repro-noise telemetry stitch`` attribute a job's wall time to
-queue-wait / run / merge / retry phases alongside worker spans.  Set
-``REPRO_SERVICE_EVENTS=0`` to disable recording entirely.
+queue-wait / run / merge / retry phases alongside worker spans.
+Recording is always on.
 
 Durability follows the journal's conventions: WAL mode, a generous
 busy timeout, and every state change committed before the call
@@ -332,10 +332,6 @@ class JobQueue:
         self.busy_retries = busy_retries
         self._lock = threading.Lock()
         self._counters = _telemetry.get_group("service_queue")
-        #: lifecycle-event recording; ``REPRO_SERVICE_EVENTS=0`` turns
-        #: the append-only events table off entirely (the monitor then
-        #: shows live state but no per-job timeline)
-        self.events_enabled = os.environ.get("REPRO_SERVICE_EVENTS", "1") != "0"
         # Deterministic per-instance backoff jitter: seeded from the
         # queue path and pid so two workers of one stampede desynchronise
         # the same way on every run.
@@ -457,8 +453,6 @@ class JobQueue:
         adds no extra transactions.  ``mono`` is ``time.perf_counter()``
         (system-wide monotonic), the clock telemetry spans use, so
         stitched traces align events with worker spans across pids."""
-        if not self.events_enabled:
-            return
         conn.execute(
             "INSERT INTO events (key, event, worker, at, mono, detail)"
             " VALUES (?, ?, ?, ?, ?, ?)",

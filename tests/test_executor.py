@@ -3,7 +3,9 @@
 The load-bearing property is **worker-invariant determinism**:
 ``times[i]`` / ``anomalies[i]`` must be bit-identical for jobs=1,
 jobs=4, and any chunk size — seeds derive from per-rep spawn keys and
-results are written back by rep index.
+results are written back by rep index.  Pool workers return every
+result, traces included, through the pool's pickle channel, so the
+pool results are checked against serial bit for bit, fault paths too.
 """
 
 import pickle
@@ -17,13 +19,13 @@ from repro.harness.chunkrunner import RepResult, rep_seed
 from repro.harness.executor import (
     ParallelExecutor,
     SerialExecutor,
-    chunk_indices,
     chunk_range,
     get_executor,
     resolve_chunk_size,
     resolve_jobs,
 )
 from repro.harness.experiment import ExperimentSpec, run_experiment
+from repro.harness.faults import FaultPolicy
 from repro.noise import TraceReplaySource
 
 
@@ -72,12 +74,12 @@ class TestPrimitives:
 
     @pytest.mark.parametrize("reps,jobs,chunk_size", [(10, 4, None), (10, 4, 1), (10, 4, 3), (1, 4, None), (5, 8, None), (7, 2, 100)])
     def test_chunks_partition_exactly(self, reps, jobs, chunk_size):
-        chunks = chunk_indices(reps, jobs, chunk_size)
+        chunks = chunk_range(range(reps), jobs, chunk_size)
         flat = [i for chunk in chunks for i in chunk]
         assert flat == list(range(reps))
 
     def test_zero_reps_no_chunks(self):
-        assert chunk_indices(0, 4) == []
+        assert chunk_range(range(0), 4) == []
 
     def test_chunks_partition_property(self):
         """Property sweep: for every (reps, jobs, chunk_size) combination
@@ -87,7 +89,7 @@ class TestPrimitives:
         for reps in (0, 1, 2, 3, 7, 16, 33, 100):
             for jobs in (1, 2, 3, 8, 64):
                 for chunk_size in (None, 1, 2, 5, 7, 1000):
-                    chunks = chunk_indices(reps, jobs, chunk_size)
+                    chunks = chunk_range(range(reps), jobs, chunk_size)
                     assert all(len(c) > 0 for c in chunks)
                     assert all(c.step == 1 for c in chunks)
                     flat = [i for c in chunks for i in c]
@@ -100,20 +102,18 @@ class TestPrimitives:
 
     def test_chunk_degenerate_inputs_fail_loudly(self):
         with pytest.raises(ValueError):
-            chunk_indices(4, 0)
+            chunk_range(range(4), 0)
         with pytest.raises(ValueError):
-            chunk_indices(4, -1)
+            chunk_range(range(4), -1)
         with pytest.raises(ValueError):
-            chunk_indices(-1, 2)
+            chunk_range(range(4), 2, chunk_size=0)
         with pytest.raises(ValueError):
-            chunk_indices(4, 2, chunk_size=0)
-        with pytest.raises(ValueError):
-            chunk_indices(4, 2, chunk_size=-3)
+            chunk_range(range(4), 2, chunk_size=-3)
         with pytest.raises(ValueError):
             chunk_range(range(0, 8, 2), 2)  # non-unit step
 
     def test_oversized_chunk_is_single_chunk(self):
-        assert chunk_indices(5, 4, chunk_size=100) == [range(0, 5)]
+        assert chunk_range(range(5), 4, chunk_size=100) == [range(0, 5)]
 
     def test_resolve_chunk_size_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHUNK_SIZE", "3")
@@ -135,7 +135,7 @@ class TestPrimitives:
 
     def test_env_chunk_size_drives_dispatch(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHUNK_SIZE", "2")
-        assert chunk_indices(6, 4) == [range(0, 2), range(2, 4), range(4, 6)]
+        assert chunk_range(range(6), 4) == [range(0, 2), range(2, 4), range(4, 6)]
 
     def test_resolve_jobs_default_is_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
@@ -285,6 +285,147 @@ class TestEdgeCases:
         seen = []
         run_experiment(s, on_run=lambda i, r: seen.append(r.trace), executor=pool4)
         assert seen == [None, None, None]
+
+
+# ----------------------------------------------------------------------
+# results crossing the pool (one pickled path, checked against serial)
+# ----------------------------------------------------------------------
+def run_pool(s, **kw):
+    """``s`` through a private 2-worker pool, plus its stats."""
+    ex = ParallelExecutor(2)
+    try:
+        return run_experiment(s, executor=ex, **kw), ex.stats()
+    finally:
+        ex.close()
+
+
+def collect_runs(s, executor, **kw):
+    runs = {}
+    result = run_experiment(
+        s, executor=executor, on_run=lambda i, r: runs.__setitem__(i, r), **kw
+    )
+    return result, runs
+
+
+def assert_runs_bitwise_equal(got: dict, ref: dict) -> None:
+    assert got.keys() == ref.keys()
+    for i, want in ref.items():
+        run = got[i]
+        assert run.exec_time.hex() == want.exec_time.hex()
+        assert run.anomaly == want.anomaly
+        assert run.migrations == want.migrations
+        assert run.preemptions == want.preemptions
+        assert run.meta == want.meta
+        if want.trace is None:
+            assert run.trace is None
+            continue
+        for col in ("starts", "durations", "cpus", "source_ids", "etypes"):
+            np.testing.assert_array_equal(getattr(run.trace, col), getattr(want.trace, col))
+        assert run.trace.sources == want.trace.sources
+        assert run.trace.exec_time.hex() == want.trace.exec_time.hex()
+        assert run.trace.meta == want.trace.meta
+
+
+def failure_keys(rs) -> list:
+    return sorted((f.index, f.phase, f.error, f.attempts) for f in rs.failures)
+
+
+class TestPoolResults:
+    @pytest.fixture(autouse=True)
+    def _no_chaos(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
+
+    @pytest.mark.parametrize("workload,seed", [("nbody", 42), ("babelstream", 7)])
+    def test_exec_times_float_hex_identical(self, workload, seed):
+        s = spec(workload=workload, reps=8, seed=seed)
+        serial = run_experiment(s, executor=SerialExecutor())
+        pooled, stats = run_pool(s)
+        assert stats["pickle_chunks"] > 1 and stats["shm_chunks"] == 0
+        assert [t.hex() for t in pooled.times] == [t.hex() for t in serial.times]
+        assert pooled.anomalies == serial.anomalies
+
+    def test_anomaly_labels_match_serial(self):
+        s = spec(workload="schedbench", reps=10, seed=11, anomaly_prob=0.9)
+        serial = run_experiment(s, executor=SerialExecutor())
+        assert any(a is not None for a in serial.anomalies)
+        pooled, _ = run_pool(s)
+        assert pooled.anomalies == serial.anomalies
+        np.testing.assert_array_equal(pooled.times, serial.times)
+
+    def test_custom_anomaly_labels_cross_the_pool(self, monkeypatch):
+        """Labels are plain strings on the wire: names no platform
+        preset knows arrive intact (the fork-started pool inherits the
+        patched registry)."""
+        from dataclasses import replace
+
+        from repro.sim import platform as platforms
+
+        base = platforms._REGISTRY["intel-9700kf"]
+
+        def custom():
+            p = base()
+            anomalies = p.noise.anomalies
+            renamed = tuple(replace(c, name=f"custom-{c.name}") for c in anomalies.candidates)
+            return p.with_noise(replace(p.noise, anomalies=replace(anomalies, candidates=renamed)))
+
+        monkeypatch.setitem(platforms._REGISTRY, "custom-anomalies", custom)
+        s = spec(
+            platform="custom-anomalies", workload="schedbench", reps=6, seed=11, anomaly_prob=1.0
+        )
+        serial = run_experiment(s, executor=SerialExecutor())
+        assert all(a is not None and a.startswith("custom-") for a in serial.anomalies)
+        pooled, _ = run_pool(s)
+        assert pooled.anomalies == serial.anomalies
+        np.testing.assert_array_equal(pooled.times, serial.times)
+
+    def test_on_run_returns_by_pickle(self):
+        seen = []
+        rs, stats = run_pool(spec(reps=4), on_run=lambda i, r: seen.append(i))
+        assert seen == [0, 1, 2, 3]
+        assert stats["pickle_chunks"] > 1 and stats["shm_chunks"] == 0
+        assert len(rs.times) == 4
+
+    def test_traces_bitwise_identical_to_serial(self):
+        """Traced ``on_run`` runs equal serial ones down to the last bit
+        of every trace column."""
+        s = spec(workload="schedbench", reps=4, seed=5, tracing=True)
+        _, serial_runs = collect_runs(s, SerialExecutor())
+        ex = ParallelExecutor(2)
+        try:
+            _, pooled_runs = collect_runs(s, ex)
+        finally:
+            ex.close()
+        assert any(r.trace is not None for r in serial_runs.values())
+        assert_runs_bitwise_equal(pooled_runs, serial_runs)
+
+    def test_skip_policy_failures_cross_the_pool(self, monkeypatch):
+        """Contained failures (NaN time + FailureRecord) arrive from the
+        pool as they do in-process."""
+        monkeypatch.setenv("REPRO_CHAOS", "raise!:11:0.5")
+        policy = FaultPolicy(on_failure="skip", max_retries=0, backoff_base=0.0)
+        s = spec(reps=8, seed=3)
+        serial = run_experiment(s, executor=SerialExecutor(), policy=policy)
+        pooled, _ = run_pool(s, policy=policy)
+        assert 0 < pooled.failure_count() == serial.failure_count() < 8
+        np.testing.assert_array_equal(pooled.times, serial.times)
+        assert failure_keys(pooled) == failure_keys(serial)
+
+    def test_traced_skip_policy_failures_match_serial(self, monkeypatch):
+        """A traced dispatch with contained failures: the pool delivers
+        the same failure records and the same traced runs as serial."""
+        monkeypatch.setenv("REPRO_CHAOS", "raise!:11:0.5")
+        policy = FaultPolicy(on_failure="skip", max_retries=0, backoff_base=0.0)
+        s = spec(reps=8, seed=3, tracing=True)
+        serial, serial_runs = collect_runs(s, SerialExecutor(), policy=policy)
+        ex = ParallelExecutor(2)
+        try:
+            pooled, pooled_runs = collect_runs(s, ex, policy=policy)
+        finally:
+            ex.close()
+        assert 0 < pooled.failure_count() == serial.failure_count() < 8
+        assert failure_keys(pooled) == failure_keys(serial)
+        assert serial_runs
+        assert_runs_bitwise_equal(pooled_runs, serial_runs)
 
 
 # ----------------------------------------------------------------------

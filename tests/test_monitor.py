@@ -3,9 +3,7 @@
 The guarantees under test:
 
 * every queue transition leaves exactly one append-only event, in
-  commit order (``submit < lease <= renew* < complete`` per job), and
-  turning events off (``REPRO_SERVICE_EVENTS=0``) leaves the table
-  empty — the zero-overhead-off story;
+  commit order (``submit < lease <= renew* < complete`` per job);
 * the HTTP monitor is read-only, answers while a campaign is being
   drained under concurrent scrapes, and its ``/healthz`` flips red
   exactly when the last live worker goes away;
@@ -138,15 +136,6 @@ class TestLifecycleEvents:
         # chunk keys carry the rep span, parent records the fan-out
         assert "chunk [0:3)" in chunk_events[0]["detail"]
         assert "2 chunk" in q.events("a")[0]["detail"]
-
-    def test_events_disabled_records_nothing(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_EVENTS", "0")
-        q = JobQueue(tmp_path / "q.sqlite")
-        submit(q, "a")
-        q.lease("w1")
-        q.complete("a", "w1")
-        assert q.events() == []
-        assert q.event_counts() == {}
 
     def test_prune_drops_the_job_events_too(self, tmp_path):
         q = JobQueue(tmp_path / "q.sqlite")

@@ -185,7 +185,6 @@ class TestStatsShapes:
             "rep_retries": 0,
             "rep_failures": 0,
             "shm_chunks": 0,
-            "shm_trace_chunks": 0,
             "pickle_chunks": 0,
             "degraded": False,
         }

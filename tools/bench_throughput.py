@@ -28,8 +28,8 @@ Scenarios::
                                         paper-scale hot path)
     batched    a64fx/minife           — the sim-bound cell through the
                                         batched parallel path (resolved
-                                        per-spec contexts + shared-memory
-                                        result transport); gains scale
+                                        per-spec contexts + pickled
+                                        chunk results); gains scale
                                         with available cores
     adaptive   a64fx/minife           — the sim-bound cell under a ±5 %
                                         adaptive-CI stop rule; reports
@@ -107,8 +107,8 @@ SCENARIOS = {
         "reps": 12,
     },
     # The sim-bound cell dispatched through the batched parallel path:
-    # per-spec contexts resolved once per worker, bulk results returned
-    # via shared memory.  Measured against its own committed baseline
+    # per-spec contexts resolved once per worker, chunk results returned
+    # by pickle.  Measured against its own committed baseline
     # (benchmarks/out/bench_batched.json) as a regression gate; the
     # speedup over serial scales with the host's core count.
     "batched": {
@@ -579,11 +579,9 @@ def main(argv=None) -> int:
         for jobs in scenario.get("probe_jobs", [pool_jobs]):
             with ParallelExecutor(jobs) as ex:
                 rps, times = bench(spec, ex, args.repeats)
-                stats = ex.stats()
-            width_transport = "shm" if stats["shm_chunks"] > 0 else "pickle"
             identical = bool((times == reference).all())
             tb.add_row(
-                f"batched jobs={jobs} ({width_transport})",
+                f"batched jobs={jobs}",
                 f"{rps:.1f}", f"{rps / serial_rps:.2f}x", str(identical),
             )
             if not identical:
@@ -592,7 +590,7 @@ def main(argv=None) -> int:
             points.append({"jobs": jobs, "reps_per_sec": round(rps, 4)})
             if jobs == pool_jobs:
                 measured_rps = rps
-                transport = width_transport
+                transport = "pickle"
     latency = None
     shard_probe = None
     monitor_probe = None

@@ -219,18 +219,24 @@ class TeamRuntime(abc.ABC):
     # ------------------------------------------------------------------
     def _exec_static_partition(self, region: Region, shares: list[float]) -> None:
         """Give each thread a fixed share; barrier when all finish."""
-        scheduler = self.machine.scheduler
-        self._pending = 0
+        machine = self.machine
+        now = machine.engine.now
+        mem_demand = region.mem_demand
+        done = self._static_thread_done
+        pending = 0
         for t, w in zip(self.team, shares):
             if w <= 0.0:
                 continue
-            self._pending += 1
-            t.on_complete = self._static_thread_done
-            scheduler.assign_work(t, w, mem_demand=region.mem_demand)
-        if self._pending == 0:
-            self.machine.engine.schedule_after(self.barrier_cost(len(self.team)), self._after_region)
+            pending += 1
+            t.on_complete = done
+            # inlined Scheduler.assign_work: settle the spin gap first
+            t.advance(now)
+            t.assign_work(w, mem_demand)
+        self._pending = pending
+        if pending == 0:
+            machine.engine.schedule_after(self.barrier_cost(len(self.team)), self._after_region)
             return
-        scheduler.refresh_many(self.team)
+        machine.scheduler.refresh_many(self.team)
 
     def _static_thread_done(self, task: Task) -> None:
         task.on_complete = None

@@ -25,7 +25,10 @@ largest single wins on the simulator hot path.
 An entry is live only while its ``seq`` equals its handle's ``seq``.
 Cancelling sets the handle's ``seq`` to -1 and re-timing gives it a new
 one, so either way the old entry is dead and is dropped when popped or
-compacted.
+compacted.  :meth:`Engine.schedule` and :meth:`Engine.reschedule` each
+push their one entry themselves, so an enqueue costs one Python frame;
+a pending handle always has ``seq >= 0``, so ``reschedule`` counts the
+entry it supersedes as dead without testing for it.
 """
 
 from __future__ import annotations
@@ -140,7 +143,16 @@ class Engine:
 
         Returns a handle that may be cancelled until the callback runs.
         """
-        return self._enqueue(EventHandle(time, -1, fn, args, engine=self), time)
+        if not self.now <= time < _INF:
+            time = self._checked(time)
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(time, seq, fn, args, self)
+        heap = self._heap
+        heappush(heap, (time, seq, handle))
+        if self._n_cancelled > 64 and self._n_cancelled * 2 > len(heap) >= self._compact_floor:
+            self._compact()
+        return handle
 
     def reschedule(self, handle: EventHandle, time: float) -> EventHandle:
         """Move a pending event to absolute virtual ``time``.
@@ -155,22 +167,19 @@ class Engine:
         """
         if handle._engine is not self:
             raise SimulationError(f"cannot reschedule a finished event: {handle!r}")
-        return self._enqueue(handle, time)
-
-    def _enqueue(self, handle: EventHandle, time: float) -> EventHandle:
-        """Give ``handle`` the next ``seq`` and push its one live entry."""
         if not self.now <= time < _INF:
             time = self._checked(time)
-        if handle.seq >= 0:
-            # re-timing: the entry under the old seq is now dead
-            self._n_cancelled += 1
+        # A pending handle's seq is >= 0, so the entry under it is live
+        # until now: it becomes one more dead entry.
+        n_cancelled = self._n_cancelled + 1
+        self._n_cancelled = n_cancelled
         seq = self._seq
         self._seq = seq + 1
         handle.time = time
         handle.seq = seq
         heap = self._heap
         heappush(heap, (time, seq, handle))
-        if self._n_cancelled > 64 and self._n_cancelled * 2 > len(heap) >= self._compact_floor:
+        if n_cancelled > 64 and n_cancelled * 2 > len(heap) >= self._compact_floor:
             self._compact()
         return handle
 
@@ -240,14 +249,15 @@ class Engine:
         try:
             heap = self._heap
             while heap and not self._stopped:
-                t, seq, handle = heap[0]
+                t, seq, handle = heappop(heap)
                 if seq != handle.seq:
-                    heappop(heap)
                     self._n_cancelled -= 1
                     continue
                 if until is not None and t > until:
+                    # keys are unique, so pushing the entry back restores
+                    # the same pop order
+                    heappush(heap, (t, seq, handle))
                     break
-                heappop(heap)
                 if t > self.now:
                     self.now = t
                 fn, args = handle.fn, handle.args

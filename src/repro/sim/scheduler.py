@@ -26,7 +26,7 @@ Semantics modelled (each is load-bearing for the paper's findings):
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, Optional
+from typing import Callable, Collection, Optional
 
 from repro.sim.cpu import Topology
 from repro.sim.engine import Engine
@@ -105,12 +105,15 @@ class SchedParams:
 
 
 class _CpuState:
-    __slots__ = ("fifo", "other", "steal")
+    __slots__ = ("fifo", "other", "steal", "stale")
 
     def __init__(self) -> None:
         self.fifo: list[Task] = []   # sorted: highest rt_priority first, FIFO arrival within
         self.other: list[Task] = []  # arrival order; shares by weight
         self.steal: float = 0.0      # fraction of capacity lost to micro-noise
+        #: queue membership, steal or the sibling's busy-ness changed
+        #: since this CPU's shares were last computed
+        self.stale: bool = True
 
     def busy(self) -> bool:
         return bool(self.fifo or self.other)
@@ -143,12 +146,11 @@ class Scheduler:
         # Topology lookups are pure functions of the CPU id; resolving
         # them once keeps range checks out of every rate recompute.
         self._sibling: tuple[Optional[int], ...] = tuple(topology.sibling(c) for c in range(n))
+        #: without SMT no CPU's speed depends on another's busy-ness,
+        #: so `_update` skips the sibling bookkeeping outright
+        self._smt = any(sib is not None for sib in self._sibling)
         self._numa: tuple[int, ...] = tuple(topology.numa_node(c) for c in range(n))
         self._all_cpu_list = list(range(n))
-        #: monotonically increasing rate-recompute generation; a task's
-        #: ``_share_epoch`` marks whether its ``_new_share`` slot was
-        #: written by the current `_update` (replacing a per-call dict)
-        self._epoch = 0
         self._mem_running: dict[int, Task] = {}  # tid -> task with demand & share > 0
         #: running sum of the tasks' ``_mem_contrib`` over ``_mem_running``
         #: (an estimate: it only picks a branch, see `_update` phase 3)
@@ -182,6 +184,7 @@ class Scheduler:
         elif task.affinity is not None and cpu not in task.affinity:
             raise ValueError(f"cpu {cpu} not in affinity of {task!r}")
         state = self._cpus[cpu]
+        state.stale = True
         task.cpu = cpu
         task._last_update = self.engine.now
         if task.policy is SchedPolicy.FIFO:
@@ -190,7 +193,7 @@ class Scheduler:
                 self.preemptions += 1
         else:
             state.other.append(task)
-        self._update({cpu})
+        self._update((cpu,))
         return cpu
 
     def remove(self, task: Task) -> None:
@@ -201,6 +204,7 @@ class Scheduler:
         task.advance(self.engine.now)
         self._emit_noise_interval(task)
         state = self._cpus[cpu]
+        state.stale = True
         if task.policy is SchedPolicy.FIFO:
             state.fifo.remove(task)
         else:
@@ -212,13 +216,13 @@ class Scheduler:
         # entries without a straggler scan per update.
         self._drop_streamer(task)
         self._cancel_completion(task)
-        self._update({cpu})
+        self._update((cpu,))
 
     def refresh(self, task: Task) -> None:
         """Re-evaluate a task after its work / memory demand changed."""
         if task.cpu is None:
             raise ValueError(f"task not placed: {task!r}")
-        self._update({task.cpu})
+        self._update((task.cpu,))
 
     def assign_work(self, task: Task, work: float, mem_demand: float = 0.0) -> None:
         """Give a team thread new work, settling its clock first.
@@ -262,8 +266,10 @@ class Scheduler:
         """Set the micro-noise steal fraction of a CPU (0 ≤ f < 1)."""
         if not 0.0 <= fraction < 1.0:
             raise ValueError(f"steal fraction out of range: {fraction!r}")
-        self._cpus[cpu].steal = fraction
-        self._update({cpu})
+        state = self._cpus[cpu]
+        state.steal = fraction
+        state.stale = True
+        self._update((cpu,))
 
     def set_steal_many(self, fractions: dict[int, float]) -> None:
         """Set steal fractions for several CPUs in one rate recompute.
@@ -277,7 +283,9 @@ class Scheduler:
             if not 0.0 <= fraction < 1.0:
                 raise ValueError(f"steal fraction out of range: {fraction!r}")
         for cpu, fraction in fractions.items():
-            self._cpus[cpu].steal = fraction
+            state = self._cpus[cpu]
+            state.steal = fraction
+            state.stale = True
         if fractions:
             self._update(set(fractions))
 
@@ -361,15 +369,16 @@ class Scheduler:
     # ------------------------------------------------------------------
     # rate computation
     # ------------------------------------------------------------------
-    def _update(self, cpus: set[int]) -> None:
+    def _update(self, cpus: Collection[int]) -> None:
         """Advance + recompute rates for ``cpus`` (and coupled CPUs).
 
-        This is *the* simulator hot path — it runs once per scheduler
-        event (hundreds of thousands of times per rep at paper scale),
-        so it trades a little readability for allocation-free inner
-        loops: shares live in task slots validated by an epoch counter
-        instead of a per-call dict, :meth:`Task.advance` is inlined,
-        and topology/param lookups are hoisted.  Every float expression
+        This is *the* simulator hot path — it runs about once per
+        scheduler event (about 12k times per rep of the sim-bound
+        a64fx/minife cell), so it trades a little readability for
+        allocation-free inner loops: shares are recomputed only on
+        stale CPUs and written straight into the tasks,
+        :meth:`Task.advance` is inlined, and topology lookups are
+        hoisted.  Single-CPU callers pass a 1-tuple.  Every float expression
         that reaches a rate, a scale or an event time matches the
         reference implementation operation-for-operation (the running
         demand total of phase 3 only picks a branch); the
@@ -378,37 +387,40 @@ class Scheduler:
         now = self.engine.now
         cpu_states = self._cpus
         sibling = self._sibling
-        last_busy = self._last_busy
-        # Sibling speeds depend only on our busy-ness: pull a sibling
-        # into the recompute set only when that flipped.
-        affected = set()
-        for c in cpus:
-            affected.add(c)
-            sib = sibling[c]
-            if sib is not None:
-                s = cpu_states[c]
-                busy = bool(s.fifo or s.other)
-                if busy != last_busy[c]:
-                    last_busy[c] = busy
-                    affected.add(sib)
-        order = sorted(affected) if len(affected) > 1 else tuple(affected)
-
-        self._epoch = epoch = self._epoch + 1
-        params = self.params
-        smt_factor = params.smt_factor
-        fifo_share = params.rt_throttle_share if self.rt_throttle else 1.0
+        if self._smt:
+            # Sibling speeds depend only on our busy-ness: pull a sibling
+            # into the recompute set only when that flipped.
+            last_busy = self._last_busy
+            affected = set()
+            for c in cpus:
+                affected.add(c)
+                sib = sibling[c]
+                if sib is not None:
+                    s = cpu_states[c]
+                    busy = bool(s.fifo or s.other)
+                    if busy != last_busy[c]:
+                        last_busy[c] = busy
+                        affected.add(sib)
+                        cpu_states[sib].stale = True
+            order = sorted(affected) if len(affected) > 1 else tuple(affected)
+        else:
+            order = sorted(cpus) if len(cpus) > 1 else tuple(cpus)
 
         # Phases 1+2 fused per CPU: integrate progress at the old rates,
-        # then stamp each task's new raw share (shares depend only on
-        # queue membership / weights / steal, never on the integration,
-        # so fusing preserves the reference evaluation order exactly).
+        # then write each task's new raw share straight into
+        # ``cpu_share`` (nothing reads a touched task's old share after
+        # this).  Shares depend only on the CPU's queues, weights and
+        # steal and on its sibling's busy-ness, never on the integration,
+        # so fusing preserves the reference evaluation order exactly, and
+        # a CPU none of those changed on (a spin transition, new work at
+        # a region start) is not stale and keeps its shares.
         touched: list[Task] = []
         append = touched.append
         for c in order:
             state = cpu_states[c]
             fifo = state.fifo
             other = state.other
-            for t in fifo:
+            for t in fifo + other if fifo else other:
                 # inlined Task.advance(now)
                 dt = now - t._last_update
                 if dt >= 0:
@@ -423,20 +435,9 @@ class Scheduler:
                                 t.work_remaining = 0.0
                     t._last_update = now
                 append(t)
-            for t in other:
-                dt = now - t._last_update
-                if dt >= 0:
-                    if dt and t.rate > 0.0:
-                        consumed = t.rate * dt
-                        t.total_cpu_time += consumed
-                        if t.pool is not None:
-                            t.pool.consume(consumed)
-                        elif t.work_remaining is not None:
-                            t.work_remaining -= consumed
-                            if t.work_remaining < 0.0:
-                                t.work_remaining = 0.0
-                    t._last_update = now
-                append(t)
+            if not state.stale:
+                continue
+            state.stale = False
             # raw shares: FIFO head takes the (throttled) CPU, OTHER
             # tasks split the rest by weight
             speed = 1.0 - state.steal
@@ -444,38 +445,22 @@ class Scheduler:
             if sib is not None and (fifo or other):
                 sstate = cpu_states[sib]
                 if sstate.fifo or sstate.other:
-                    speed *= smt_factor
+                    speed *= self.params.smt_factor
             if fifo:
-                head = fifo[0]
-                head._new_share = speed * fifo_share
-                head._share_epoch = epoch
+                fifo_share = self.params.rt_throttle_share if self.rt_throttle else 1.0
+                fifo[0].cpu_share = speed * fifo_share
                 for t in fifo[1:]:
-                    t._new_share = 0.0
-                    t._share_epoch = epoch
-                leftover = speed * (1.0 - fifo_share)
-                total_w = 0.0
+                    t.cpu_share = 0.0
+                speed *= 1.0 - fifo_share
+            total_w = 0.0
+            for t in other:
+                total_w += t.weight
+            if total_w > 0:
                 for t in other:
-                    total_w += t.weight
-                if total_w > 0:
-                    for t in other:
-                        t._new_share = leftover * t.weight / total_w
-                        t._share_epoch = epoch
-                else:
-                    for t in other:
-                        t._new_share = 0.0
-                        t._share_epoch = epoch
-            elif other:
-                total_w = 0.0
+                    t.cpu_share = speed * t.weight / total_w
+            else:
                 for t in other:
-                    total_w += t.weight
-                if total_w > 0:
-                    for t in other:
-                        t._new_share = speed * t.weight / total_w
-                        t._share_epoch = epoch
-                else:
-                    for t in other:
-                        t._new_share = 0.0
-                        t._share_epoch = epoch
+                    t.cpu_share = 0.0
 
         # Phase 3: memory bandwidth rescale.  Demand is weighted by CPU
         # share: a task holding 65% of an SMT sibling (or starved by
@@ -484,7 +469,7 @@ class Scheduler:
         # Compute-only updates (no streaming task anywhere, scale at
         # 1.0) skip the phase outright.
         mem_running = self._mem_running
-        need_mem = bool(mem_running) or self._mem_scale != 1.0
+        need_mem = mem_running or self._mem_scale != 1.0
         if not need_mem:
             for t in touched:
                 if t.mem_demand > 0.0:
@@ -494,8 +479,8 @@ class Scheduler:
             # Keep the running total in step with membership changes.
             total = self._mem_total
             for t in touched:
-                if t.mem_demand > 0.0 and t._new_share > 0.0:
-                    contrib = t.mem_demand * t._new_share
+                if t.mem_demand > 0.0 and t.cpu_share > 0.0:
+                    contrib = t.mem_demand * t.cpu_share
                     if t.tid in mem_running:
                         total += contrib - t._mem_contrib
                     else:
@@ -513,50 +498,49 @@ class Scheduler:
             # between "nothing" and "arm the deferred rescale", so it
             # decides alone; everywhere else the exact insertion-order
             # sum decides and resyncs the total.
-            tol = params.mem_rescale_tolerance
+            tol = self.params.mem_rescale_tolerance
             estimated = False
             if len(mem_running) > 4:
                 drift = abs(self.memory.scale_for(total) - self._mem_scale) / self._mem_scale
                 estimated = drift <= 0.25 - _DRIFT_MARGIN and abs(drift - tol) >= _DRIFT_MARGIN
             if estimated:
                 self._mem_total = total
-                if drift > tol:
+                if drift > tol and not self._mem_rescale_pending:
                     self._arm_mem_rescale()
             else:
                 total_demand = 0.0
                 for t in mem_running.values():
-                    contrib = t.mem_demand * (
-                        t._new_share if t._share_epoch == epoch else t.cpu_share
-                    )
+                    contrib = t.mem_demand * t.cpu_share
                     t._mem_contrib = contrib
                     total_demand += contrib
                 self._mem_total = total_demand
                 new_scale = self.memory.scale_for(total_demand)
                 drift = abs(new_scale - self._mem_scale) / self._mem_scale
                 scale_changed = drift > 0.25 or (drift > 1e-12 and len(mem_running) <= 4)
-                if drift > tol and not scale_changed:
+                if drift > tol and not scale_changed and not self._mem_rescale_pending:
                     self._arm_mem_rescale()
                 if scale_changed:
                     # Advance mem tasks outside the affected set at their
-                    # old rates before applying the new scale.
-                    for t in sorted(mem_running.values(), key=_by_tid):
-                        if t._share_epoch != epoch:
-                            # inlined Task.advance(now)
-                            dt = now - t._last_update
-                            if dt >= 0:
-                                if dt and t.rate > 0.0:
-                                    consumed = t.rate * dt
-                                    t.total_cpu_time += consumed
-                                    if t.pool is not None:
-                                        t.pool.consume(consumed)
-                                    elif t.work_remaining is not None:
-                                        t.work_remaining -= consumed
-                                        if t.work_remaining < 0.0:
-                                            t.work_remaining = 0.0
-                                t._last_update = now
-                            append(t)
-                            t._new_share = t.cpu_share
-                            t._share_epoch = epoch
+                    # old rates before applying the new scale, in tid
+                    # order.  Every task on an affected CPU was touched.
+                    cpus_in = set(order) if len(order) > 1 else order
+                    outside = [t for t in mem_running.values() if t.cpu not in cpus_in]
+                    outside.sort(key=_by_tid)
+                    for t in outside:
+                        # inlined Task.advance(now)
+                        dt = now - t._last_update
+                        if dt >= 0:
+                            if dt and t.rate > 0.0:
+                                consumed = t.rate * dt
+                                t.total_cpu_time += consumed
+                                if t.pool is not None:
+                                    t.pool.consume(consumed)
+                                elif t.work_remaining is not None:
+                                    t.work_remaining -= consumed
+                                    if t.work_remaining < 0.0:
+                                        t.work_remaining = 0.0
+                            t._last_update = now
+                        append(t)
                     self._mem_scale = new_scale
 
         # Phase 4: assign effective rates and re-time completions.
@@ -565,25 +549,22 @@ class Scheduler:
         # only genuinely re-rated tasks pay the heap churn.
         mem_scale = self._mem_scale
         engine = self.engine
-        schedule = engine.schedule
-        reschedule = engine.reschedule
-        task_done = self._task_done
-        pools: dict[int, WorkPool] = {}
+        pools: Optional[dict[int, WorkPool]] = None
         for t in touched:
-            share = t._new_share
             # share * 1.0 is bit-exact, so the no-demand branch skips
             # the multiply without changing results.
-            eff = share * mem_scale if t.mem_demand > 0.0 else share
+            eff = t.cpu_share * mem_scale if t.mem_demand > 0.0 else t.cpu_share
             if t.speed_penalty != 1.0:
                 eff *= t.speed_penalty
             rate_changed = eff != t.rate
-            t.cpu_share = share
             t.rate = eff
             if t._run_started is None and eff > 0.0:
                 t._run_started = now
             pool = t.pool
             if pool is not None:
                 if rate_changed:
+                    if pools is None:
+                        pools = {}
                     pools[id(pool)] = pool
             elif rate_changed or (t._completion_event is None and t.work_remaining is not None):
                 # inlined _reschedule_task (engine.now == now throughout
@@ -592,9 +573,9 @@ class Scheduler:
                 wr = t.work_remaining
                 if wr is not None and eff > 0.0:
                     if ev is not None:
-                        reschedule(ev, now + wr / eff)
+                        engine.reschedule(ev, now + wr / eff)
                     else:
-                        t._completion_event = schedule(now + wr / eff, task_done, t)
+                        t._completion_event = engine.schedule(now + wr / eff, self._task_done, t)
                 elif ev is not None:
                     ev.cancel()
                     t._completion_event = None
@@ -607,8 +588,9 @@ class Scheduler:
                 and cpu_states[t.cpu].fifo
             ):
                 self._arm_starvation_check(t)
-        for pool in pools.values():
-            self._reschedule_pool(pool)
+        if pools is not None:
+            for pool in pools.values():
+                self._reschedule_pool(pool)
 
         # Phase 5: idle CPUs may pull starved/shared work.
         for c in order:
@@ -617,8 +599,8 @@ class Scheduler:
                 self._try_pull(c)
 
     def _arm_mem_rescale(self) -> None:
-        if self._mem_rescale_pending:
-            return
+        # callers check `_mem_rescale_pending` first (it is set ~95% of
+        # the time on streaming workloads)
         self._mem_rescale_pending = True
         self.engine.schedule_after(self.params.mem_rescale_delay, self._apply_mem_rescale)
 
@@ -638,7 +620,11 @@ class Scheduler:
         pools: dict[int, WorkPool] = {}
         for t in live:
             t.advance(now)
-            t.rate = t.cpu_share * new_scale
+            # the same effective rate phase 4 of `_update` assigns
+            rate = t.cpu_share * new_scale
+            if t.speed_penalty != 1.0:
+                rate *= t.speed_penalty
+            t.rate = rate
             if t.pool is not None:
                 pools[id(t.pool)] = t.pool
             else:
@@ -685,7 +671,7 @@ class Scheduler:
             # Team threads stay on their CPU, busy-waiting at the
             # barrier (OMP_WAIT_POLICY=active behaviour).
             task.to_spin()
-            self._update({task.cpu})
+            self._update((task.cpu,))
             if task.on_complete is not None:
                 task.on_complete(task)
             return
@@ -806,6 +792,7 @@ class Scheduler:
         assert src is not None
         task.advance(now)
         state = self._cpus[src]
+        state.stale = True
         if task.policy is SchedPolicy.FIFO:
             state.fifo.remove(task)
         else:
@@ -816,7 +803,7 @@ class Scheduler:
         # re-placement (mirrors remove()).
         self._drop_streamer(task)
         self._cancel_completion(task)
-        self._update({src})
+        self._update((src,))
         # The migration cost is paid as off-CPU latency (cache refill,
         # runqueue hop); crossing NUMA nodes costs far more.
         cost = (

@@ -89,8 +89,6 @@ class Task:
         "cpu",
         "rate",
         "cpu_share",
-        "_new_share",
-        "_share_epoch",
         "_mem_contrib",
         "speed_penalty",
         "_last_update",
@@ -143,10 +141,6 @@ class Task:
         self.rate: float = 0.0
         #: raw CPU-time share before memory throttling (scheduler-set)
         self.cpu_share: float = 0.0
-        #: scratch share staged by the scheduler's rate recompute; only
-        #: valid while ``_share_epoch`` matches the scheduler's epoch
-        self._new_share: float = 0.0
-        self._share_epoch: int = 0
         #: share-weighted memory demand this task last counted into the
         #: scheduler's running total (valid while it streams)
         self._mem_contrib: float = 0.0

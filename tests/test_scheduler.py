@@ -3,10 +3,13 @@ findings rest on."""
 
 import pytest
 
+from repro.harness.executor import SerialExecutor
+from repro.harness.experiment import ExperimentSpec, run_experiment
 from repro.sim.cpu import Topology
 from repro.sim.memory import MemorySystem
 from repro.sim.scheduler import SchedParams, Scheduler
 from repro.sim.task import SchedPolicy, Task, TaskKind, WorkPool
+from tests.golden_cases import _noise, build_cases
 
 
 def run_tasks(sched, *tasks, cpus=None):
@@ -135,6 +138,55 @@ class TestSMT:
         assert done["b"] == pytest.approx(0.5)
         assert done["a"] == pytest.approx(1.25)
 
+    # Every single-CPU entry point passes `_update` a 1-tuple; each must
+    # still re-rate the sibling when its CPU flips between busy and idle,
+    # and keep the SMT factor when it restamps a CPU whose sibling is busy.
+    # Each case acts on ``b`` (cpu 4, the sibling of cpu 0) and returns
+    # the rates ``a`` (pinned on cpu 0) and ``b`` must have afterwards.
+    @staticmethod
+    def _submit(sched, a, b):
+        sched.submit(b, cpu=4)
+        return 0.5, 0.5
+
+    @staticmethod
+    def _remove(sched, a, b):
+        sched.submit(b, cpu=4)
+        sched.remove(b)
+        return 1.0, 0.0
+
+    @staticmethod
+    def _task_done_exit(sched, a, b):
+        sched.submit(b, cpu=4)
+        sched.engine.run(until=0.5)  # b's 0.1 of work ends at t=0.2
+        assert not b.alive
+        return 1.0, 0.0
+
+    @staticmethod
+    def _set_steal(sched, a, b):
+        sched.submit(b, cpu=4)
+        sched.set_steal(0, 0.2)
+        sched.set_steal(4, 0.5)
+        return 0.8 * 0.5, 0.5 * 0.5
+
+    @staticmethod
+    def _migrate(sched, a, b):
+        sched.submit(b, cpu=4)
+        sched._migrate(b, 1)  # b is off-CPU for the migration cost
+        return 1.0, 0.0
+
+    @pytest.mark.parametrize(
+        "action", ["_submit", "_remove", "_task_done_exit", "_set_steal", "_migrate"]
+    )
+    def test_single_cpu_entry_points_rerate_the_sibling(self, engine, topo_smt, action):
+        sched = Scheduler(engine, topo_smt, params=SchedParams(smt_factor=0.5))
+        a = Task("a", work=10.0, affinity=frozenset({0}), pinned=True)
+        b = Task("b", work=0.1, affinity=frozenset({1, 4}))
+        sched.submit(a, cpu=0)
+        assert a.rate == 1.0
+        rate_a, rate_b = getattr(self, action)(sched, a, b)
+        assert a.rate == rate_a
+        assert b.rate == rate_b
+
 
 class TestMemory:
     def test_saturation_scales_rates(self, engine, topo4):
@@ -160,6 +212,28 @@ class TestMemory:
         done = run_tasks(sched, mem, cpu)
         assert done["c"] == pytest.approx(1.0)
         assert done["m"] == pytest.approx(3.0, rel=0.05)
+
+    def test_deferred_rescale_keeps_migration_penalty(self, engine):
+        # A migrated streamer keeps its post-migration slowdown when a
+        # small drift is applied later by the deferred rescale.
+        sched = Scheduler(engine, Topology(n_physical=8, smt=1), memory=MemorySystem(100.0))
+        tasks = [
+            Task(f"s{i}", work=1.0, mem_demand=20.0, affinity=frozenset({i}), pinned=True)
+            for i in range(7)
+        ]
+        tasks[0].speed_penalty = 0.97  # as after a same-node hop
+        for i, t in enumerate(tasks):
+            sched.submit(t, cpu=i)
+        assert tasks[0].rate == pytest.approx(0.97 * 100.0 / 140.0)
+        # 140 -> 145 GB/s of demand: a drift of about 3.4%, deferred
+        sched.assign_work(tasks[6], 1.0, mem_demand=25.0)
+        sched.refresh(tasks[6])
+        assert sched._mem_rescale_pending
+        engine.run(until=1e-3)
+        assert sched._mem_scale == 100.0 / 145.0
+        assert tasks[0].rate == pytest.approx(0.6690, abs=1e-4)
+        assert tasks[0].rate == 0.97 * (100.0 / 145.0)
+        assert tasks[1].rate == 100.0 / 145.0
 
     def test_share_weighted_demand(self, engine, topo4):
         # Two streaming tasks timesharing ONE cpu only pull one task's
@@ -446,3 +520,69 @@ class TestNoiseHook:
         sched.submit(noise, cpu=0)
         engine.run()
         assert records == [pytest.approx(0.5)]
+
+
+class TestKeptShares:
+    """`_update` recomputes shares only on CPUs whose queues, steal or
+    sibling busy-ness changed; every other CPU keeps its tasks' shares.
+    After each update, every placed task's share must equal the one a
+    fresh computation gives, bit for bit."""
+
+    @staticmethod
+    def _fresh_shares(sched, cpu):
+        state = sched._cpus[cpu]
+        speed = 1.0 - state.steal
+        sib = sched._sibling[cpu]
+        if sib is not None and state.busy() and sched._cpus[sib].busy():
+            speed *= sched.params.smt_factor
+        shares = []
+        if state.fifo:
+            fifo_share = sched.params.rt_throttle_share if sched.rt_throttle else 1.0
+            shares.append((state.fifo[0], speed * fifo_share))
+            shares += [(t, 0.0) for t in state.fifo[1:]]
+            speed *= 1.0 - fifo_share
+        total_w = 0.0
+        for t in state.other:
+            total_w += t.weight
+        shares += [(t, speed * t.weight / total_w) for t in state.other]
+        return shares
+
+    def test_migration_rerates_the_tasks_left_behind(self, engine, topo4):
+        sched = Scheduler(engine, topo4)  # FIFO throttled to 95%
+        sched.submit(fifo_noise(1.0, cpu=0), cpu=0)
+        a = Task("a", work=1.0, affinity=frozenset({0}), pinned=True)
+        b = Task("b", work=1.0)
+        sched.submit(a, cpu=0)
+        sched.submit(b, cpu=0)
+        assert a.cpu_share == b.cpu_share == (1.0 - 0.95) / 2
+        sched._migrate(b, 1)
+        assert a.cpu_share == 1.0 - 0.95
+
+    def test_steal_many_restamps_every_cpu(self, sched):
+        tasks = [Task(f"t{i}", work=1.0, affinity=frozenset({i}), pinned=True) for i in range(4)]
+        for i, t in enumerate(tasks):
+            sched.submit(t, cpu=i)
+        sched.set_steal_many({1: 0.25, 3: 0.5})
+        assert [t.rate for t in tasks] == [1.0, 0.75, 1.0, 0.5]
+
+    @pytest.mark.parametrize(
+        "case", build_cases(), ids=[c["name"] for c in build_cases()]
+    )
+    def test_kept_shares_equal_fresh_ones(self, monkeypatch, case):
+        update = Scheduler._update
+        checked = [0]
+
+        def checked_update(self, cpus):
+            update(self, cpus)
+            for cpu in range(len(self._cpus)):
+                for t, share in TestKeptShares._fresh_shares(self, cpu):
+                    assert t.cpu_share == share, (self.engine.now, cpu, t)
+            checked[0] += 1
+
+        monkeypatch.setattr(Scheduler, "_update", checked_update)
+        kwargs = {k: v for k, v in case.items() if k not in ("name", "noise")}
+        run_experiment(
+            ExperimentSpec(reps=1, **kwargs), noise=_noise(case.get("noise")),
+            executor=SerialExecutor(),
+        )
+        assert checked[0] > 0

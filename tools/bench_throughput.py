@@ -17,8 +17,9 @@ a one-off microbenchmark:
   committed baseline lives at ``benchmarks/out/bench_sim.json``;
 * ``--check-against BASELINE`` — exit non-zero when normalized
   throughput regressed more than ``--max-regression`` (default 20%)
-  vs. a previous ``--json`` record.  CI runs this as the perf smoke
-  gate (see ``.github/workflows/ci.yml``).
+  vs. a previous ``--json`` record, or when one run's engine event
+  count differs from the record's at all.  CI runs this as the perf
+  smoke gate (see ``.github/workflows/ci.yml``).
 
 Scenarios::
 
@@ -508,6 +509,7 @@ def check_against(baseline_path: Path, record: dict, max_regression: float) -> i
         f"({change:+.1%}; raw {record['reps_per_sec']:.2f} reps/s, "
         f"calibration {record['calibration_mops']:.2f} Mops/s)"
     )
+    status = 0
     if change < -max_regression:
         print(
             f"FAIL: normalized throughput regressed {-change:.1%} "
@@ -516,8 +518,22 @@ def check_against(baseline_path: Path, record: dict, max_regression: float) -> i
             "or apply the skip-perf label (see README).",
             file=sys.stderr,
         )
-        return 1
-    return 0
+        status = 1
+    # The event count is a pure function of the scenario and its seed:
+    # an optimisation that leaves the results bit-identical cannot move it.
+    base_events = baseline.get("telemetry", {}).get("engine", {}).get("events_executed")
+    if base_events is not None:
+        events = record["telemetry"].get("engine", {}).get("events_executed")
+        print(f"event gate [{record['scenario']}]: engine events executed {base_events} -> {events}")
+        if events != base_events:
+            print(
+                f"FAIL: the simulator executed {events} events where the baseline "
+                f"executed {base_events}. Only a deliberate model change may move "
+                "this count; then refresh the baseline.",
+                file=sys.stderr,
+            )
+            status = 1
+    return status
 
 
 def main(argv=None) -> int:

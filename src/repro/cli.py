@@ -10,8 +10,9 @@ Subcommands mirror the paper's workflow:
 * ``pipeline``  — all three stages end to end;
 * ``table``     — regenerate a paper table (1–7) or ablation;
 * ``figure``    — regenerate a paper figure (1–2);
-* ``campaign``  — run whole artefact campaigns with a checkpoint
-  journal and ``--resume``;
+* ``campaign``  — run whole artefact campaigns with fault containment;
+  the result cache is the checkpoint, so re-running an interrupted
+  campaign simulates only its missing cells;
 * ``service``   — the campaign service: ``start`` a lease-based worker
   (or a supervised fleet with ``--workers N --supervise``), ``submit``
   cells or whole sweeps to its durable queue (``--shard`` splits big
@@ -51,6 +52,23 @@ from typing import Optional, Sequence
 from repro._version import __version__
 
 __all__ = ["main", "build_parser"]
+
+#: ``campaign TARGET`` name -> ``repro.harness.campaigns`` function
+#: (imported lazily).  ``table N`` runs ``tableN`` (``ablation`` and
+#: ``runlevel3`` by name); ``figure 1|2`` runs ``figure1|2``.
+_ARTEFACTS = {
+    "table1": "table1",
+    "table2": "table2",
+    "table3": "table3",
+    "table4": "table4",
+    "table5": "table5",
+    "table6": "table6",
+    "table7": "table7",
+    "ablation": "merge_ablation",
+    "runlevel3": "runlevel3_study",
+    "figure1": "figure1",
+    "figure2": "figure2",
+}
 
 
 def _add_spec_args(p: argparse.ArgumentParser) -> None:
@@ -291,7 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("noise", help="list registered noise sources")
 
     p = sub.add_parser("table", help="regenerate a paper table")
-    p.add_argument("number", choices=["1", "2", "3", "4", "5", "6", "7", "ablation", "runlevel3"])
+    p.add_argument(
+        "number",
+        choices=[n.removeprefix("table") for n in _ARTEFACTS if not n.startswith("figure")],
+    )
     p.add_argument("--seed", type=int, default=2025)
     _add_exec_args(p)
 
@@ -301,34 +322,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exec_args(p)
 
     p = sub.add_parser(
-        "campaign", help="run artefact campaigns with checkpoint/resume"
+        "campaign",
+        help="run artefact campaigns (re-run to resume: finished cells hit the cache)",
     )
     p.add_argument(
-        "target",
-        choices=[
-            "table1", "table2", "table3", "table4", "table5", "table6",
-            "table7", "ablation", "runlevel3", "figure1", "figure2", "all",
-        ],
-        help="which artefact campaign to run",
+        "target", choices=[*_ARTEFACTS, "all"], help="which artefact campaign to run"
     )
     p.add_argument("--seed", type=int, default=2025)
     _add_exec_args(p)
     _add_fault_args(p)
-    p.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help="JSONL checkpoint journal of completed cells (written as the "
-        "campaign progresses; enables a later --resume)",
-    )
-    p.add_argument(
-        "--resume",
-        default=None,
-        metavar="PATH",
-        help="resume an interrupted campaign from its journal: completed "
-        "cells are skipped, only the missing ones run (results stay "
-        "bit-identical to an uninterrupted campaign)",
-    )
 
     p = sub.add_parser(
         "service",
@@ -758,44 +760,34 @@ def _cmd_noise(args) -> int:
     return 0
 
 
-def _cmd_table(args) -> int:
+def _artefact_settings(args, **extra):
+    """Campaign settings shared by ``table``, ``figure`` and ``campaign``."""
     from repro.harness import campaigns
 
-    settings = campaigns.default_settings(
+    return campaigns.default_settings(
         seed=args.seed,
         jobs=args.jobs,
         chunk_size=args.chunk_size,
         adaptive=_adaptive_from(args),
+        **extra,
     )
-    dispatch = {
-        "1": campaigns.table1,
-        "2": campaigns.table2,
-        "3": campaigns.table3,
-        "4": campaigns.table4,
-        "5": campaigns.table5,
-        "6": campaigns.table6,
-        "7": campaigns.table7,
-        "ablation": campaigns.merge_ablation,
-        "runlevel3": campaigns.runlevel3_study,
-    }
-    result = dispatch[args.number](settings)
-    print(result.render())
+
+
+def _render_artefact(name: str, settings) -> str:
+    from repro.harness import campaigns
+
+    return getattr(campaigns, _ARTEFACTS[name])(settings).render()
+
+
+def _cmd_table(args) -> int:
+    name = args.number if args.number in _ARTEFACTS else f"table{args.number}"
+    print(_render_artefact(name, _artefact_settings(args)))
     return 0
 
 
 def _cmd_figure(args) -> int:
-    from repro.harness import campaigns
-
-    settings = campaigns.default_settings(
-        seed=args.seed,
-        jobs=args.jobs,
-        chunk_size=args.chunk_size,
-        adaptive=_adaptive_from(args),
-    )
-    if args.number == "1":
-        print(campaigns.figure1(settings).render())
-    elif args.number == "2":
-        print(campaigns.figure2(settings).render())
+    if f"figure{args.number}" in _ARTEFACTS:
+        print(_render_artefact(f"figure{args.number}", _artefact_settings(args)))
     else:
         _demo_figure(int(args.number), args.seed)
     return 0
@@ -843,48 +835,10 @@ def _demo_figure(number: int, seed: int) -> None:
 
 
 def _cmd_campaign(args) -> int:
-    from pathlib import Path
-
-    from repro.harness import campaigns
-    from repro.harness.cache import ResultCache
-    from repro.harness.faults import CampaignJournal
-
-    journal_path = args.resume if args.resume is not None else args.journal
-    cache = ResultCache()
-    journal = None
-    if journal_path is not None:
-        journal = CampaignJournal(Path(journal_path))
-        if args.resume is not None:
-            present, missing = journal.verify_against_cache(cache)
-            print(
-                f"resuming from {journal.path}: {len(journal.completed)} cells "
-                f"journaled ({present} cached, {missing} re-run)"
-            )
-    settings = campaigns.default_settings(
-        seed=args.seed,
-        jobs=args.jobs,
-        chunk_size=args.chunk_size,
-        cache=cache,
-        fault_policy=_policy_from(args),
-        journal=journal,
-        adaptive=_adaptive_from(args),
-    )
-    targets = {
-        "table1": campaigns.table1,
-        "table2": campaigns.table2,
-        "table3": campaigns.table3,
-        "table4": campaigns.table4,
-        "table5": campaigns.table5,
-        "table6": campaigns.table6,
-        "table7": campaigns.table7,
-        "ablation": campaigns.merge_ablation,
-        "runlevel3": campaigns.runlevel3_study,
-        "figure1": campaigns.figure1,
-        "figure2": campaigns.figure2,
-    }
-    names = list(targets) if args.target == "all" else [args.target]
+    settings = _artefact_settings(args, fault_policy=_policy_from(args))
+    names = list(_ARTEFACTS) if args.target == "all" else [args.target]
     for name in names:
-        print(targets[name](settings).render())
+        print(_render_artefact(name, settings))
         print()
     stats = settings.cache.stats()
     print(
@@ -894,8 +848,6 @@ def _cmd_campaign(args) -> int:
     ex_stats = settings.executor.stats()
     if ex_stats:
         print(f"executor: {ex_stats}")
-    if journal is not None:
-        print(f"journal: {len(journal.completed)} completed cells -> {journal.path}")
     return 0
 
 

@@ -9,7 +9,6 @@ from repro.harness.executor import (
 )
 from repro.harness.experiment import ExperimentSpec, ResultSet, run_experiment, run_once
 from repro.harness.faults import (
-    CampaignJournal,
     FailureRecord,
     FaultPolicy,
     RepExecutionError,
@@ -33,5 +32,4 @@ __all__ = [
     "FailureRecord",
     "RepExecutionError",
     "RepTimeoutError",
-    "CampaignJournal",
 ]

@@ -3,7 +3,9 @@
 Every run is a deterministic function of its spec (seeds included) and
 the attached noise stack, so results can be cached and shared across
 table campaigns — Table 6 aggregates the same cells Tables 3–5 report,
-and re-simulating them would double the benchmark wall-clock.
+and re-simulating them would double the benchmark wall-clock.  The
+cache is also the campaign checkpoint: re-running an interrupted
+campaign hits every finished cell and simulates only the missing ones.
 
 Cache keys are versioned (``_KEY_VERSION``) and source-agnostic: the
 noise part of the key is the canonical serialized
@@ -36,7 +38,6 @@ import hashlib
 import json
 import logging
 import os
-import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -51,7 +52,7 @@ from repro.noise.base import NoiseStack
 if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.executor import Executor
     from repro.harness.experiment import NoiseLike
-    from repro.harness.faults import CampaignJournal, FaultPolicy
+    from repro.harness.faults import FaultPolicy
     from repro.sim.machine import RunResult
 
 __all__ = ["ResultCache", "cached_experiment"]
@@ -89,7 +90,6 @@ class ResultCache:
         root: Optional[Path] = None,
         executor: Optional["Executor"] = None,
         policy: Optional["FaultPolicy"] = None,
-        journal: Optional["CampaignJournal"] = None,
         adaptive: Optional["AdaptivePolicy"] = None,
     ):
         if root is None:
@@ -103,9 +103,6 @@ class ResultCache:
         #: unlike ``policy`` it *does* enter the cache key (sample sizes
         #: differ), under the distinct adaptive key block
         self.adaptive = adaptive
-        #: optional campaign checkpoint journal; completed cells are
-        #: recorded by key, completed failures by record
-        self.journal = journal
         #: the telemetry registry entry backing the counters; the
         #: hits/misses/... attributes and stats() are thin views over it
         self._counters = _telemetry.new_group("cache")
@@ -298,12 +295,12 @@ class ResultCache:
 
     def store_entry(
         self, key: str, spec: ExperimentSpec, stack: Optional[NoiseStack], rs: ResultSet
-    ) -> bool:
+    ) -> None:
         """Write a computed result under ``key`` (atomic).
 
         Partial results (a ``skip`` policy left failed reps) are
-        quarantined to ``<key>.partial.json`` instead and ``False`` is
-        returned — the primary keyspace only ever holds complete cells.
+        quarantined to ``<key>.partial.json`` instead — the primary
+        keyspace only ever holds complete cells.
         JSON float round-trip is exact (``repr`` shortest-round-trip),
         so a later hit is bit-identical to this result.
         """
@@ -323,10 +320,9 @@ class ResultCache:
             self._count("partial")
             if self.enabled:
                 atomic_write_text(self.root / f"{key}.partial.json", envelope)
-            return False
+            return
         if self.enabled:
             atomic_write_text(self._path(key), envelope)
-        return True
 
     def stats(self) -> dict:
         """Counters: ``hits``, ``misses``, ``corrupt``, ``stale``,
@@ -395,27 +391,15 @@ class ResultCache:
                 "collection does), or disable the cache with REPRO_NO_CACHE=1."
             )
         spec, stack, key = self.resolve_cell(spec, noise)
-        t0 = time.perf_counter()
         rs = self.load_entry(key, spec)
         if rs is not None:
             self._count("hits")
-            if self.journal is not None:
-                # attempt 0 marks a cache hit: no simulation ran
-                self.journal.record_done(
-                    key,
-                    label=spec.label(),
-                    duration_s=time.perf_counter() - t0,
-                    attempt=0,
-                )
             return rs
         self._count("misses")
-        rs = self._run_and_store(spec, stack, key, executor, on_run, policy, t0)
-        return rs
+        return self._run_and_store(spec, stack, key, executor, on_run, policy)
 
-    def _run_and_store(
-        self, spec, stack, key, executor, on_run, policy, t0
-    ) -> ResultSet:
-        """The miss path: simulate, persist, journal.
+    def _run_and_store(self, spec, stack, key, executor, on_run, policy) -> ResultSet:
+        """The miss path: simulate, then persist.
 
         Split out so the concurrently-safe shared store can serialise
         exactly this section under a per-key lock (and re-check for an
@@ -428,24 +412,7 @@ class ResultCache:
             executor=executor if executor is not None else self.executor,
             policy=policy if policy is not None else self.policy,
         )
-        if not self.store_entry(key, spec, stack, rs):
-            # Partial results never enter the primary keyspace: the
-            # quarantine envelope keeps the failure records for
-            # post-mortems while the cell stays re-runnable.
-            if self.journal is not None:
-                duration = time.perf_counter() - t0
-                for record in rs.failures:
-                    self.journal.record_failure(
-                        key, record, label=spec.label(), duration_s=duration
-                    )
-            return rs
-        if self.journal is not None:
-            self.journal.record_done(
-                key,
-                label=spec.label(),
-                duration_s=time.perf_counter() - t0,
-                attempt=1,
-            )
+        self.store_entry(key, spec, stack, rs)
         return rs
 
 

@@ -34,12 +34,7 @@ from repro.core.merge import MergeStrategy
 from repro.harness.adaptive import AdaptivePolicy
 from repro.harness.cache import ResultCache
 from repro.harness.experiment import ExperimentSpec
-from repro.harness.faults import (
-    CampaignJournal,
-    FailureRecord,
-    FaultPolicy,
-    atomic_write_text,
-)
+from repro.harness.faults import FaultPolicy, atomic_write_text
 from repro.harness import paper_reference as paper
 from repro.harness.report import InjectionRow, TableBuilder, render_injection_table, render_series_figure
 from repro.harness.stats import summarize
@@ -103,11 +98,9 @@ class CampaignSettings:
 
     ``fault_policy`` contains per-rep failures (timeouts, retries with
     deterministic backoff, ``skip`` partial results) for every cell the
-    campaign runs; ``journal`` checkpoints completed cells to a JSONL
-    file so an interrupted campaign can be resumed with
-    ``repro-noise campaign --resume`` (completed cells are skipped via
-    the cache; the journal records exactly which those are, plus every
-    contained failure).
+    campaign runs.  The ``cache`` is the campaign's checkpoint: an
+    interrupted campaign resumes by re-running it, and every completed
+    cell hits.
     """
 
     seed: int = 2025
@@ -119,7 +112,6 @@ class CampaignSettings:
     chunk_size: Optional[int] = None
     cache: ResultCache = field(default_factory=ResultCache)
     fault_policy: Optional["FaultPolicy"] = None
-    journal: Optional["CampaignJournal"] = None
     #: CI-driven early stopping applied to every cell the campaign runs
     #: (threaded through the cache, so adaptive cells key — and cache —
     #: separately from fixed-rep ones); None keeps classic fixed reps
@@ -148,8 +140,6 @@ class CampaignSettings:
             self.cache.executor = self.executor
         if self.fault_policy is not None and self.cache.policy is None:
             self.cache.policy = self.fault_policy
-        if self.journal is not None and self.cache.journal is None:
-            self.cache.journal = self.journal
         if self.adaptive is not None and self.cache.adaptive is None:
             self.cache.adaptive = self.adaptive
 
@@ -169,14 +159,12 @@ class CampaignSettings:
         themselves run in the shared worker processes).  Output order
         always matches ``items`` order.
 
-        A cell that raises still aborts the campaign (partial *tables*
-        would be silently wrong), but when a ``journal`` is attached the
-        failure is checkpointed first — a resumed campaign re-runs only
-        the missing cells because every completed one hit the journal
-        via the cache.
+        A cell that raises aborts the campaign (partial *tables* would
+        be silently wrong); under telemetry its ``cell`` span records
+        the error.  Cells completed before the abort are already cached,
+        so re-running the campaign simulates only the missing ones.
         """
         items = list(items)
-        fn = self._journaled(fn)
         if _telemetry.enabled():
             fn = _traced_cell(fn)
         if self.executor.jobs <= 1 or len(items) <= 1:
@@ -185,24 +173,6 @@ class CampaignSettings:
 
         with ThreadPoolExecutor(max_workers=min(self.executor.jobs, len(items))) as tp:
             return list(tp.map(fn, items))
-
-    def _journaled(self, fn):
-        """Wrap a cell function to checkpoint failures before re-raising."""
-        if self.journal is None:
-            return fn
-
-        def wrapped(item):
-            try:
-                return fn(item)
-            except Exception as exc:
-                self.journal.record_failure(
-                    f"cell:{item!r}",
-                    FailureRecord.from_exception(-1, "cell", exc, attempts=1, wall_time=0.0),
-                    item=repr(item),
-                )
-                raise
-
-        return wrapped
 
     def spec_seed(self, *parts) -> int:
         """Stable per-cell seed derived from the campaign seed."""

@@ -19,9 +19,6 @@ the harness shares:
 * :class:`RepExecutionError` — the picklable exception that crosses the
   worker boundary naming the spec, the rep indices of the chunk, and
   the worker pid instead of a bare traceback.
-* :class:`CampaignJournal` — an append-only JSONL checkpoint of
-  completed campaign cells (keyed by the result cache's spec/noise
-  hashes) enabling ``repro-noise campaign --resume``.
 
 Determinism contract: a retried repetition re-runs from its original
 per-rep ``SeedSequence`` spawn key (the rep RNG is rebuilt from scratch
@@ -34,15 +31,12 @@ touches the rep's own stream.
 from __future__ import annotations
 
 import hashlib
-import json
-import logging
 import os
 import signal
 import threading
-import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -55,11 +49,8 @@ __all__ = [
     "RepExecutionError",
     "RepTimeoutError",
     "rep_deadline",
-    "CampaignJournal",
     "atomic_write_text",
 ]
-
-_log = logging.getLogger(__name__)
 
 #: terminal actions a policy may take when a repetition keeps failing
 FAILURE_ACTIONS = ("raise", "skip", "retry")
@@ -79,10 +70,9 @@ class FailureRecord:
 
     ``phase`` names where the failure occurred (``rep`` for a single
     repetition, ``chunk`` for a whole dispatch chunk lost to a broken
-    pool, ``cell`` for a campaign cell).  ``traceback_digest`` is a
-    short sha256 of the formatted traceback — enough to correlate
-    identical failures across reps without shipping kilobytes of text
-    through result envelopes.
+    pool).  ``traceback_digest`` is a short sha256 of the formatted
+    traceback — enough to correlate identical failures across reps
+    without shipping kilobytes of text through result envelopes.
     """
 
     index: int
@@ -232,17 +222,6 @@ class FaultPolicy:
         per_rep = self.timeout * (1 + self.retries) + self.backoff_max * self.retries
         return per_rep * max(1, chunk_len) + 5.0
 
-    def to_dict(self) -> dict:
-        """JSON-serialisable form (diagnostics / journal header)."""
-        return {
-            "timeout": self.timeout,
-            "max_retries": self.max_retries,
-            "on_failure": self.on_failure,
-            "backoff_base": self.backoff_base,
-            "backoff_factor": self.backoff_factor,
-            "backoff_max": self.backoff_max,
-        }
-
 
 #: the default policy: identical behaviour to the pre-fault-tolerance
 #: harness (fail fast, no timeout)
@@ -283,7 +262,7 @@ def rep_deadline(timeout: Optional[float]):
 
 
 # ----------------------------------------------------------------------
-# atomic file writes (shared by cache, config store, and the journal)
+# atomic file writes (result cache, shared store and cached configs)
 # ----------------------------------------------------------------------
 def atomic_write_text(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` without ever exposing a torn file.
@@ -308,185 +287,3 @@ def atomic_write_text(path: Path, text: str) -> None:
     chaos = get_chaos()
     if chaos is not None:
         chaos.maybe_corrupt_file(path)
-
-
-# ----------------------------------------------------------------------
-# campaign checkpoint journal
-# ----------------------------------------------------------------------
-@dataclass
-class CampaignJournal:
-    """Append-only JSONL checkpoint of completed campaign cells.
-
-    One line per completed cell, keyed by the result cache's existing
-    spec/noise hash, so ``repro-noise campaign --resume JOURNAL`` can
-    tell exactly which cells an interrupted campaign already finished.
-    Lines are written with a single buffered ``write`` + flush + fsync
-    (an appended line either lands whole or, at worst, leaves one torn
-    *last* line, which :meth:`load` drops), and failures are journaled
-    too, so a post-mortem has the campaign's full fault history.
-    """
-
-    path: Path
-    completed: set = field(default_factory=set)
-
-    def __post_init__(self) -> None:
-        self.path = Path(self.path)
-        self._lock = threading.Lock()
-        if self.path.exists():
-            self.load()
-
-    # ------------------------------------------------------------------
-    def load(self) -> int:
-        """(Re)read the journal; returns the number of completed cells.
-
-        Tolerates a torn final line (the one failure mode an append-only
-        journal admits) by dropping anything that does not parse.
-        """
-        done = set()
-        try:
-            lines = self.path.read_text().splitlines()
-        except OSError:
-            lines = []
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                _log.warning("dropping torn journal line in %s", self.path)
-                continue
-            if entry.get("status") == "done" and isinstance(entry.get("key"), str):
-                done.add(entry["key"])
-        self.completed = done
-        return len(done)
-
-    def _append(self, entry: dict) -> None:
-        line = json.dumps(entry, sort_keys=True) + "\n"
-        with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a") as fh:
-                fh.write(line)
-                fh.flush()
-                os.fsync(fh.fileno())
-
-    # ------------------------------------------------------------------
-    def record_done(
-        self,
-        key: str,
-        duration_s: Optional[float] = None,
-        attempt: Optional[int] = None,
-        **meta,
-    ) -> None:
-        """Checkpoint one completed cell (idempotent per key).
-
-        ``duration_s`` is the cell's wall time; ``attempt`` is how the
-        result was obtained (``0`` = cache hit, ``1`` = fresh run).
-        Both are optional so pre-telemetry callers — and old journals —
-        stay valid.
-        """
-        if key in self.completed:
-            return
-        self.completed.add(key)
-        entry = {"status": "done", "key": key, **meta}
-        if duration_s is not None:
-            entry["duration_s"] = round(float(duration_s), 6)
-        if attempt is not None:
-            entry["attempt"] = int(attempt)
-        self._append(entry)
-
-    def record_failure(
-        self,
-        key: str,
-        record: FailureRecord,
-        duration_s: Optional[float] = None,
-        **meta,
-    ) -> None:
-        """Journal a contained failure (the cell stays incomplete)."""
-        entry = {
-            "status": "failed",
-            "key": key,
-            "failure": record.to_dict(),
-            "attempt": record.attempts,
-            **meta,
-        }
-        if duration_s is not None:
-            entry["duration_s"] = round(float(duration_s), 6)
-        self._append(entry)
-
-    def is_done(self, key: str) -> bool:
-        """Whether ``key`` was checkpointed as completed."""
-        return key in self.completed
-
-    def overhead(self) -> dict:
-        """Cumulative time/retry accounting across the journal's history.
-
-        Resumed campaigns append to the same file, so this scan reports
-        the *total* cost of getting the campaign to its current state:
-        wall time journaled for completed cells (split into cache hits
-        vs fresh runs via the ``attempt`` field), time burned on
-        journaled failures, and retry attempts recorded by failure
-        lines.  Lines written by pre-telemetry versions lack
-        ``duration_s``/``attempt`` and are counted as cells but
-        contribute no time — the reader is deliberately tolerant.
-        """
-        out = {
-            "cells_done": 0,
-            "cells_failed": 0,
-            "done_s": 0.0,
-            "hit_s": 0.0,
-            "run_s": 0.0,
-            "failed_s": 0.0,
-            "retry_attempts": 0,
-        }
-        try:
-            lines = self.path.read_text().splitlines()
-        except OSError:
-            return out
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(entry, dict):
-                continue
-            status = entry.get("status")
-            try:
-                duration = float(entry.get("duration_s", 0.0) or 0.0)
-            except (TypeError, ValueError):
-                duration = 0.0
-            if status == "done":
-                out["cells_done"] += 1
-                out["done_s"] += duration
-                if entry.get("attempt") == 0:
-                    out["hit_s"] += duration
-                else:
-                    out["run_s"] += duration
-            elif status == "failed":
-                out["cells_failed"] += 1
-                out["failed_s"] += duration
-                attempts = entry.get("attempt")
-                if attempts is None:
-                    attempts = (entry.get("failure") or {}).get("attempts")
-                try:
-                    out["retry_attempts"] += max(0, int(attempts) - 1)
-                except (TypeError, ValueError):
-                    pass
-        return out
-
-    def verify_against_cache(self, cache) -> tuple[int, int]:
-        """Count journaled cells whose cache entry is (present, missing).
-
-        A missing entry is not an error — the cell simply re-runs — but
-        the count tells a resuming user how much work actually remains.
-        """
-        present = missing = 0
-        for key in self.completed:
-            if cache.has_entry(key):
-                present += 1
-            else:
-                missing += 1
-        return present, missing

@@ -64,13 +64,13 @@ clock telemetry spans use, system-wide on Linux), which is what lets
 queue-wait / run / merge / retry phases alongside worker spans.
 Recording is always on.
 
-Durability follows the journal's conventions: WAL mode, a generous
-busy timeout, and every state change committed before the call
-returns.  On top of SQLite's own busy timeout, every write transaction
-retries a bounded number of times with seeded jittered backoff when the
-database is locked (counted as ``busy_retries`` in telemetry), so a
-fleet of workers hammering one queue file degrades to waiting, never to
-erroring.  The queue file can be inspected with any sqlite3 client.
+Durability: WAL mode, a generous busy timeout, and every state change
+committed before the call returns.  On top of SQLite's own busy
+timeout, every write transaction retries a bounded number of times with
+seeded jittered backoff when the database is locked (counted as
+``busy_retries`` in telemetry), so a fleet of workers hammering one
+queue file degrades to waiting, never to erroring.  The queue file can
+be inspected with any sqlite3 client.
 
 State changes broadcast on two :class:`~repro.service.notify.NotifyChannel`\ s
 (``<queue>.notify/submit`` wakes idle workers, ``<queue>.notify/complete``

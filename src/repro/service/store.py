@@ -49,7 +49,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import time
 from contextlib import contextmanager
 from typing import Optional, Sequence
 
@@ -118,7 +117,7 @@ class SharedResultStore(ResultCache):
         finally:
             os.close(fd)
 
-    def _run_and_store(self, spec, stack, key, executor, on_run, policy, t0):
+    def _run_and_store(self, spec, stack, key, executor, on_run, policy):
         with self._key_lock(key):
             # Unconditional double-check: even an uncontended acquire can
             # follow another process's complete run-release (it published
@@ -127,15 +126,8 @@ class SharedResultStore(ResultCache):
             rs = self.load_entry(key, spec)
             if rs is not None:
                 self._count("shared_hits")
-                if self.journal is not None:
-                    self.journal.record_done(
-                        key,
-                        label=spec.label(),
-                        duration_s=time.perf_counter() - t0,
-                        attempt=0,
-                    )
                 return rs
-            return super()._run_and_store(spec, stack, key, executor, on_run, policy, t0)
+            return super()._run_and_store(spec, stack, key, executor, on_run, policy)
 
     def load_for(self, spec, noise=None) -> Optional[ResultSet]:
         """Lock-free read of a cell's entry (``None`` when absent)."""

@@ -30,6 +30,16 @@ class TestParser:
         assert args.platform == "intel-9700kf"
         assert args.model == "omp"
 
+    @pytest.mark.parametrize("flag", ["journal", "resume"])
+    def test_removed_checkpoint_flags_rejected(self, flag, capsys):
+        # Resuming is re-running the same command; the cache decides
+        # what runs, so the old checkpoint flags are plain unknowns.
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "table1", f"--{flag}", "x.jsonl"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and f"--{flag}" in err
+
 
 class TestCommands:
     def test_platforms(self, capsys):
@@ -135,6 +145,14 @@ class TestCommands:
         assert main(["table", "1"]) == 0
         out = capsys.readouterr().out
         assert "Table 1" in out and "paper" in out
+
+    def test_table_and_campaign_render_the_same_table(self, capsys):
+        assert main(["table", "1"]) == 0
+        table = capsys.readouterr().out
+        assert main(["campaign", "table1"]) == 0
+        campaign = capsys.readouterr().out
+        assert campaign.startswith(table + "\n")
+        assert "cache: 6 hits, 0 misses" in campaign
 
     def test_figure3_demo(self, capsys):
         assert main(["figure", "3", "--seed", "3"]) == 0

@@ -1,9 +1,9 @@
 """Fault-containment tests: policy semantics, retry determinism,
-partial results, the campaign journal, and checkpoint/resume.
+partial results, and cache-driven campaign resume.
 
 The load-bearing property mirrors the executor's determinism contract:
-a rep recovered through retries (or a campaign resumed from a journal)
-must be **bit-identical** to an undisturbed run.
+a rep recovered through retries (or a campaign resumed by re-running it
+over its result cache) must be **bit-identical** to an undisturbed run.
 """
 
 import json
@@ -12,12 +12,12 @@ import pickle
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.harness import campaigns
 from repro.harness.cache import ResultCache
-from repro.harness.executor import ParallelExecutor, SerialExecutor
+from repro.harness.executor import SerialExecutor
 from repro.harness.experiment import ExperimentSpec, run_experiment
 from repro.harness.faults import (
-    CampaignJournal,
     FailureRecord,
     FaultPolicy,
     RepExecutionError,
@@ -95,10 +95,6 @@ class TestFaultPolicy:
         p = FaultPolicy(timeout=1.0, on_failure="retry", max_retries=2, backoff_max=0.5)
         assert p.chunk_deadline(4) == pytest.approx(1.0 * 3 * 4 + 0.5 * 2 * 4 + 5.0)
         assert FaultPolicy().chunk_deadline(4) is None
-
-    def test_to_dict_round_trips_fields(self):
-        p = FaultPolicy(timeout=2.0, on_failure="skip", max_retries=1)
-        assert FaultPolicy(**p.to_dict()) == p
 
 
 class TestFailureRecord:
@@ -217,7 +213,7 @@ class TestContainment:
 
 
 # ----------------------------------------------------------------------
-# atomic writes and the journal
+# atomic writes
 # ----------------------------------------------------------------------
 class TestAtomicWrite:
     def test_writes_and_leaves_no_temp(self, tmp_path):
@@ -236,56 +232,6 @@ class TestAtomicWrite:
         target = tmp_path / "a" / "b" / "out.json"
         atomic_write_text(target, "x")
         assert target.read_text() == "x"
-
-
-class TestCampaignJournal:
-    def test_record_done_idempotent(self, tmp_path):
-        j = CampaignJournal(tmp_path / "j.jsonl")
-        j.record_done("k1", label="cell-a")
-        j.record_done("k1")
-        j.record_done("k2")
-        assert j.completed == {"k1", "k2"}
-        lines = (tmp_path / "j.jsonl").read_text().splitlines()
-        assert len(lines) == 2  # the duplicate wrote nothing
-
-    def test_reload_from_disk(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        j = CampaignJournal(path)
-        j.record_done("k1")
-        j.record_failure("k2", FailureRecord(0, "rep", "E", "m", "d", 1, 0.0))
-        j2 = CampaignJournal(path)
-        assert j2.completed == {"k1"}  # failures never mark cells done
-        assert j2.is_done("k1") and not j2.is_done("k2")
-
-    def test_torn_last_line_dropped(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        j = CampaignJournal(path)
-        j.record_done("k1")
-        j.record_done("k2")
-        raw = path.read_text()
-        path.write_text(raw[: len(raw) - 8])  # tear the final line
-        j2 = CampaignJournal(path)
-        assert j2.completed == {"k1"}
-
-    def test_verify_against_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BASELINE_REPS", "2")
-        cache = ResultCache(tmp_path / "cache")
-        j = CampaignJournal(tmp_path / "j.jsonl")
-        cache.journal = j
-        cache.get_or_run(spec())
-        assert len(j.completed) == 1
-        assert j.verify_against_cache(cache) == (1, 0)
-        for f in (tmp_path / "cache").glob("*.json"):
-            f.unlink()
-        assert j.verify_against_cache(cache) == (0, 1)
-
-    def test_cache_hit_also_journals(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cache.get_or_run(spec(reps=2))
-        j = CampaignJournal(tmp_path / "j.jsonl")
-        cache.journal = j
-        cache.get_or_run(spec(reps=2))  # hit — still checkpointed
-        assert len(j.completed) == 1
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +275,7 @@ class TestPartialQuarantine:
 
 
 # ----------------------------------------------------------------------
-# campaign checkpoint/resume
+# campaign resume: the result cache is the checkpoint
 # ----------------------------------------------------------------------
 class TestCampaignResume:
     @pytest.fixture
@@ -339,24 +285,19 @@ class TestCampaignResume:
 
     def _settings(self, tmp_path):
         return campaigns.default_settings(
-            seed=2025,
-            cache=ResultCache(tmp_path / "cache"),
-            journal=CampaignJournal(tmp_path / "journal.jsonl"),
+            seed=2025, cache=ResultCache(tmp_path / "cache")
         )
 
     def test_interrupted_campaign_resumes_bit_identical(self, tmp_path, small_reps):
         settings = self._settings(tmp_path)
         reference = campaigns.table1(settings).render()
-        assert len(settings.journal.completed) == 6  # 3 workloads x off/on
+        entries = sorted((tmp_path / "cache").glob("*.json"))
+        assert len(entries) == 6  # 3 workloads x off/on
 
         # Simulate an interruption that lost some completed cells.
-        entries = sorted((tmp_path / "cache").glob("*.json"))
         for f in entries[:2]:
             f.unlink()
         resumed = self._settings(tmp_path)
-        present, missing = resumed.journal.verify_against_cache(resumed.cache)
-        assert (present, missing) == (4, 2)
-
         result = campaigns.table1(resumed).render()
         assert result == reference  # bit-identical to the uninterrupted run
         stats = resumed.cache.stats()
@@ -366,34 +307,33 @@ class TestCampaignResume:
         settings = self._settings(tmp_path)
         reference = campaigns.table1(settings).render()
         resumed = self._settings(tmp_path)
-        assert resumed.journal.verify_against_cache(resumed.cache)[1] == 0
         assert campaigns.table1(resumed).render() == reference
         assert resumed.cache.stats()["misses"] == 0
 
-    def test_cell_failure_journaled_before_raising(self, tmp_path, small_reps):
+    def test_cell_failure_reraises_with_errored_span(self, tmp_path, small_reps):
         settings = self._settings(tmp_path)
 
         def exploding(_item):
             raise RuntimeError("cell blew up")
 
-        with pytest.raises(RuntimeError, match="cell blew up"):
-            settings.map_cells(exploding, ["only-cell", "other"])
-        raw = (tmp_path / "journal.jsonl").read_text()
-        entry = json.loads(raw.splitlines()[0])
-        assert entry["status"] == "failed"
-        assert entry["failure"]["phase"] == "cell"
-        assert entry["failure"]["error"] == "RuntimeError"
+        telemetry.configure(enabled=True)
+        telemetry.reset()
+        try:
+            with pytest.raises(RuntimeError, match="cell blew up"):
+                settings.map_cells(exploding, ["only-cell", "other"])
+            cells = [e for e in telemetry.events_snapshot() if e["name"] == "cell"]
+        finally:
+            telemetry.configure(enabled=False)
+            telemetry.reset()
+        assert cells and all(e["error"] == "RuntimeError" for e in cells)
+        assert "'only-cell'" in [e["args"]["item"] for e in cells]
 
-    def test_settings_thread_policy_and_journal_into_cache(self, tmp_path):
+    def test_settings_thread_policy_into_cache(self, tmp_path):
         policy = FaultPolicy(on_failure="skip")
-        journal = CampaignJournal(tmp_path / "j.jsonl")
         settings = campaigns.default_settings(
-            cache=ResultCache(tmp_path / "cache"),
-            fault_policy=policy,
-            journal=journal,
+            cache=ResultCache(tmp_path / "cache"), fault_policy=policy
         )
         assert settings.cache.policy is policy
-        assert settings.cache.journal is journal
 
 
 # ----------------------------------------------------------------------
@@ -420,7 +360,5 @@ class TestCliPolicy:
     def test_campaign_subcommand_parses(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["campaign", "table1", "--resume", "j.jsonl", "--retries", "1"]
-        )
-        assert args.target == "table1" and args.resume == "j.jsonl"
+        args = build_parser().parse_args(["campaign", "table1", "--retries", "1"])
+        assert args.target == "table1" and args.retries == 1

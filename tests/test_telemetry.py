@@ -22,7 +22,7 @@ from repro import telemetry
 from repro.harness.cache import ResultCache
 from repro.harness.executor import ParallelExecutor, SerialExecutor
 from repro.harness.experiment import ExperimentSpec, run_experiment
-from repro.harness.faults import CampaignJournal, FailureRecord, FaultPolicy
+from repro.harness.faults import FaultPolicy
 from tests.golden_cases import FIXTURE_PATH, build_cases, run_case
 
 _FIXTURES = Path(__file__).resolve().parent.parent / FIXTURE_PATH
@@ -388,61 +388,6 @@ class TestExporters:
     def test_export_all_without_directory_raises(self):
         with pytest.raises(ValueError):
             telemetry.export_all()
-
-
-# ----------------------------------------------------------------------
-# journal duration/attempt fields
-# ----------------------------------------------------------------------
-class TestJournalFields:
-    def test_record_done_carries_duration_and_attempt(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "j.jsonl")
-        journal.record_done("k1", duration_s=1.25, attempt=1, label="cell")
-        journal.record_done("k2", duration_s=0.002, attempt=0)
-        lines = [json.loads(x) for x in journal.path.read_text().splitlines()]
-        assert lines[0]["duration_s"] == 1.25 and lines[0]["attempt"] == 1
-        assert lines[1]["attempt"] == 0
-
-    def test_record_failure_carries_attempts(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "j.jsonl")
-        record = FailureRecord(
-            index=3, phase="rep", error="Boom", message="m",
-            traceback_digest="-", attempts=3, wall_time=0.5,
-        )
-        journal.record_failure("k1", record, duration_s=0.7)
-        (line,) = [json.loads(x) for x in journal.path.read_text().splitlines()]
-        assert line["attempt"] == 3 and line["duration_s"] == 0.7
-
-    def test_overhead_tolerates_old_journal_lines(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        old_done = json.dumps({"status": "done", "key": "old", "label": "x"})
-        old_fail = json.dumps(
-            {"status": "failed", "key": "old2", "failure": {"attempts": 2}}
-        )
-        path.write_text(old_done + "\n" + old_fail + "\n")
-        journal = CampaignJournal(path)
-        journal.record_done("new", duration_s=2.0, attempt=1)
-        journal.record_done("hit", duration_s=0.5, attempt=0)
-        with open(path, "a") as fh:
-            fh.write('{"torn')  # crashed mid-append
-        overhead = journal.overhead()
-        assert overhead["cells_done"] == 3
-        assert overhead["cells_failed"] == 1
-        assert overhead["run_s"] == pytest.approx(2.0)
-        assert overhead["hit_s"] == pytest.approx(0.5)
-        assert overhead["retry_attempts"] == 1  # from the old failure's attempts=2
-
-    def test_cache_journals_duration_and_attempt(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        journal = CampaignJournal(tmp_path / "j.jsonl")
-        cache = ResultCache(root=tmp_path / "c", journal=journal)
-        cache.get_or_run(spec(), executor=SerialExecutor())
-        journal.completed.clear()  # allow the hit to journal under the same key
-        cache.get_or_run(spec(), executor=SerialExecutor())
-        lines = [json.loads(x) for x in journal.path.read_text().splitlines()]
-        assert lines[0]["attempt"] == 1 and lines[0]["duration_s"] > 0
-        assert lines[1]["attempt"] == 0
-        overhead = journal.overhead()
-        assert overhead["run_s"] > 0 and overhead["hit_s"] >= 0
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,8 @@ The engine is deliberately minimal: a binary heap of timestamped
 callbacks with stable FIFO ordering for ties and O(1) lazy
 cancellation.  All higher-level semantics (CPU rates, scheduling,
 noise) live in other modules and interact with the engine only through
-:meth:`Engine.schedule` / :meth:`Engine.reschedule` /
-:meth:`Engine.cancel`.
+:meth:`Engine.schedule` / :meth:`Engine.reschedule` (or their staged
+forms) / :meth:`Engine.cancel`.
 
 Determinism contract
 --------------------
@@ -29,6 +29,18 @@ compacted.  :meth:`Engine.schedule` and :meth:`Engine.reschedule` each
 push their one entry themselves, so an enqueue costs one Python frame;
 a pending handle always has ``seq >= 0``, so ``reschedule`` counts the
 entry it supersedes as dead without testing for it.
+
+The scheduler mostly enqueues a whole team at once: 48 new completions
+at each region start and about 25 re-timed ones at each memory-scale
+change, about 34k entries per rep of the sim-bound a64fx/minife cell.
+:meth:`Engine.stage` and :meth:`Engine.restage` are the batch forms of
+``schedule`` and ``reschedule``: they hand out ``seq`` at the call,
+exactly as the plain forms would, and only defer the push to one
+:meth:`Engine.flush`.  A batch at least a quarter the size of the heap
+rebuilds it once and drops every dead entry, so the run loop pops
+about 1k dead entries per rep instead of about 22.6k; a smaller batch
+is pushed entry by entry.  Keys are unique ``(time, seq)`` pairs
+either way, so the pop order is that of the one-at-a-time calls.
 """
 
 from __future__ import annotations
@@ -134,6 +146,9 @@ class Engine:
         self.compactions: int = 0
         #: number of callbacks actually executed (cancelled ones excluded)
         self.events_executed: int = 0
+        #: entries of `stage`/`restage` awaiting `flush`; dead ones among
+        #: them count in ``_n_cancelled`` like dead heap entries
+        self._staged: list[tuple[float, int, EventHandle]] = []
 
     # ------------------------------------------------------------------
     # scheduling primitives
@@ -183,6 +198,61 @@ class Engine:
             self._compact()
         return handle
 
+    def stage(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
+        """:meth:`schedule` whose heap push waits for :meth:`flush`.
+
+        The event takes its ``seq`` now, so a plain ``schedule`` between
+        two staged calls keeps its place in the pop order.  The caller
+        must flush before control returns to the run loop.
+        """
+        if not self.now <= time < _INF:
+            time = self._checked(time)
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(time, seq, fn, args, self)
+        self._staged.append((time, seq, handle))
+        return handle
+
+    def restage(self, handle: EventHandle, time: float) -> EventHandle:
+        """:meth:`reschedule` whose heap push waits for :meth:`flush`."""
+        if handle._engine is not self:
+            raise SimulationError(f"cannot reschedule a finished event: {handle!r}")
+        if not self.now <= time < _INF:
+            time = self._checked(time)
+        self._n_cancelled += 1
+        seq = self._seq
+        self._seq = seq + 1
+        handle.time = time
+        handle.seq = seq
+        self._staged.append((time, seq, handle))
+        return handle
+
+    def flush(self) -> None:
+        """Push every staged entry into the heap.
+
+        A batch of at least 8 entries and a quarter of the heap rebuilds
+        it with one ``heapify``, dropping the dead entries of both
+        (counted in ``_n_cancelled``, so the count is then exactly 0);
+        a smaller one is pushed entry by entry.
+        """
+        staged = self._staged
+        if not staged:
+            return
+        heap = self._heap
+        n = len(staged)
+        if n >= 8 and 4 * n >= len(heap):
+            heap[:] = [e for e in heap if e[1] == e[2].seq]
+            heap += [e for e in staged if e[1] == e[2].seq]
+            heapq.heapify(heap)
+            self._n_cancelled = 0
+        else:
+            for entry in staged:
+                heappush(heap, entry)
+            n_cancelled = self._n_cancelled
+            if n_cancelled > 64 and n_cancelled * 2 > len(heap) >= self._compact_floor:
+                self._compact()
+        staged.clear()
+
     def _checked(self, time: float) -> float:
         """Validate an event time that is not in ``[now, inf)``: reject
         NaN, infinities and the past, but clamp round-off to now."""
@@ -201,9 +271,13 @@ class Engine:
         # after a rebuild the heap must double before the next one, so
         # churn sitting just past the dead-entry threshold stays
         # amortized O(1) per schedule instead of O(n).
+        # Staged entries are filtered too: their dead ones are counted.
         heap = self._heap
         heap[:] = [e for e in heap if e[1] == e[2].seq]
         heapq.heapify(heap)
+        staged = self._staged
+        if staged:
+            staged[:] = [e for e in staged if e[1] == e[2].seq]
         self._n_cancelled = 0
         self.compactions += 1
         self._compact_floor = 2 * len(heap) + 128
@@ -304,9 +378,9 @@ class Engine:
     # introspection
     # ------------------------------------------------------------------
     def pending_count(self) -> int:
-        """Number of live (non-cancelled) events still queued.  O(1):
-        the engine tracks dead heap entries exactly."""
-        return len(self._heap) - self._n_cancelled
+        """Number of live (non-cancelled) events still queued, staged
+        ones included.  O(1): the engine tracks dead entries exactly."""
+        return len(self._heap) + len(self._staged) - self._n_cancelled
 
     def next_event_time(self) -> Optional[float]:
         """Time of the earliest live event, or ``None`` if queue is empty.

@@ -372,13 +372,16 @@ class Scheduler:
     def _update(self, cpus: Collection[int]) -> None:
         """Advance + recompute rates for ``cpus`` (and coupled CPUs).
 
-        This is *the* simulator hot path — it runs about once per
-        scheduler event (about 12k times per rep of the sim-bound
-        a64fx/minife cell), so it trades a little readability for
+        This is *the* simulator hot path.  Barrier arrivals mostly
+        settle in :meth:`_task_done` without it, so on the sim-bound
+        a64fx/minife cell it runs about 2.4k times per rep (of 12.2k
+        events), nearly all for many tasks at once: region starts,
+        scale changes and noise.  It trades a little readability for
         allocation-free inner loops: shares are recomputed only on
         stale CPUs and written straight into the tasks,
-        :meth:`Task.advance` is inlined, and topology lookups are
-        hoisted.  Single-CPU callers pass a 1-tuple.  Every float expression
+        :meth:`Task.advance` is inlined, topology lookups are hoisted,
+        and phase 4 stages its re-timings so they enter the heap in one
+        :meth:`Engine.flush`.  Single-CPU callers pass a 1-tuple.  Every float expression
         that reaches a rate, a scale or an event time matches the
         reference implementation operation-for-operation (the running
         demand total of phase 3 only picks a branch); the
@@ -494,20 +497,10 @@ class Scheduler:
             # small per-completion cascade at a region's tail is coalesced
             # into one deferred rescale so it stays O(n log n) per region.
             # With more than 4 streamers and the running total's drift
-            # clear of both thresholds, the estimate can only choose
-            # between "nothing" and "arm the deferred rescale", so it
-            # decides alone; everywhere else the exact insertion-order
-            # sum decides and resyncs the total.
-            tol = self.params.mem_rescale_tolerance
-            estimated = False
-            if len(mem_running) > 4:
-                drift = abs(self.memory.scale_for(total) - self._mem_scale) / self._mem_scale
-                estimated = drift <= 0.25 - _DRIFT_MARGIN and abs(drift - tol) >= _DRIFT_MARGIN
-            if estimated:
-                self._mem_total = total
-                if drift > tol and not self._mem_rescale_pending:
-                    self._arm_mem_rescale()
-            else:
+            # clear of both thresholds, the estimate decides alone
+            # (`_estimate_decides`); everywhere else the exact
+            # insertion-order sum decides and resyncs the total.
+            if not (len(mem_running) > 4 and self._estimate_decides(total)):
                 total_demand = 0.0
                 for t in mem_running.values():
                     contrib = t.mem_demand * t.cpu_share
@@ -517,7 +510,11 @@ class Scheduler:
                 new_scale = self.memory.scale_for(total_demand)
                 drift = abs(new_scale - self._mem_scale) / self._mem_scale
                 scale_changed = drift > 0.25 or (drift > 1e-12 and len(mem_running) <= 4)
-                if drift > tol and not scale_changed and not self._mem_rescale_pending:
+                if (
+                    drift > self.params.mem_rescale_tolerance
+                    and not scale_changed
+                    and not self._mem_rescale_pending
+                ):
                     self._arm_mem_rescale()
                 if scale_changed:
                     # Advance mem tasks outside the affected set at their
@@ -568,14 +565,15 @@ class Scheduler:
                     pools[id(pool)] = pool
             elif rate_changed or (t._completion_event is None and t.work_remaining is not None):
                 # inlined _reschedule_task (engine.now == now throughout
-                # _update, so schedule_after(wr / eff) == schedule(now + wr / eff))
+                # _update, so schedule_after(wr / eff) == schedule(now + wr / eff)),
+                # staged: the whole loop's re-timings enter the heap at once
                 ev = t._completion_event
                 wr = t.work_remaining
                 if wr is not None and eff > 0.0:
                     if ev is not None:
-                        engine.reschedule(ev, now + wr / eff)
+                        engine.restage(ev, now + wr / eff)
                     else:
-                        t._completion_event = engine.schedule(now + wr / eff, self._task_done, t)
+                        t._completion_event = engine.stage(now + wr / eff, self._task_done, t)
                 elif ev is not None:
                     ev.cancel()
                     t._completion_event = None
@@ -588,6 +586,7 @@ class Scheduler:
                 and cpu_states[t.cpu].fifo
             ):
                 self._arm_starvation_check(t)
+        engine.flush()
         if pools is not None:
             for pool in pools.values():
                 self._reschedule_pool(pool)
@@ -597,6 +596,24 @@ class Scheduler:
             state = cpu_states[c]
             if not (state.fifo or state.other):
                 self._try_pull(c)
+
+    def _estimate_decides(self, total: float) -> bool:
+        """Let the running total ``total`` decide phase 3 on its own
+        when its drift sits at least ``_DRIFT_MARGIN`` clear of both 0.25
+        and the tolerance: then it can only choose between "nothing" and
+        "arm the deferred rescale", and the exact sum would choose the
+        same.  Stores ``total`` and returns True if it decided; returns
+        False, changing nothing, when the exact sum must decide.
+        Callers check that more than 4 streamers remain."""
+        scale = self._mem_scale
+        drift = abs(self.memory.scale_for(total) - scale) / scale
+        tol = self.params.mem_rescale_tolerance
+        if not (drift <= 0.25 - _DRIFT_MARGIN and abs(drift - tol) >= _DRIFT_MARGIN):
+            return False
+        self._mem_total = total
+        if drift > tol and not self._mem_rescale_pending:
+            self._arm_mem_rescale()
+        return True
 
     def _arm_mem_rescale(self) -> None:
         # callers check `_mem_rescale_pending` first (it is set ~95% of
@@ -617,6 +634,7 @@ class Scheduler:
         if abs(new_scale - self._mem_scale) / self._mem_scale <= 1e-12:
             return
         self._mem_scale = new_scale
+        engine = self.engine
         pools: dict[int, WorkPool] = {}
         for t in live:
             t.advance(now)
@@ -627,8 +645,17 @@ class Scheduler:
             t.rate = rate
             if t.pool is not None:
                 pools[id(t.pool)] = t.pool
+                continue
+            # _reschedule_task, staged like phase 4's re-timings
+            ev = t._completion_event
+            ttc = t.time_to_completion()
+            if ttc is None:
+                self._cancel_completion(t)
+            elif ev is not None:
+                engine.restage(ev, now + ttc)
             else:
-                self._reschedule_task(t)
+                t._completion_event = engine.stage(now + ttc, self._task_done, t)
+        engine.flush()
         for pool in pools.values():
             self._reschedule_pool(pool)
 
@@ -660,6 +687,13 @@ class Scheduler:
             owner._completion_event = self.engine.schedule(time, fn, owner)
 
     def _task_done(self, task: Task) -> None:
+        """Completion event of a task's current work.
+
+        On the sim-bound a64fx/minife cell this fires about 11.7k times
+        per rep, nearly all of them team threads reaching a barrier;
+        about 9.7k of those settle inline (the fast path below) and the
+        rest go through :meth:`_update`.
+        """
         task._completion_event = None
         if not task.alive or task.cpu is None:
             return
@@ -671,7 +705,30 @@ class Scheduler:
             # Team threads stay on their CPU, busy-waiting at the
             # barrier (OMP_WAIT_POLICY=active behaviour).
             task.to_spin()
-            self._update((task.cpu,))
+            # Barrier-arrival fast path: alone on a CPU whose shares are
+            # current, the thread's spin rate is its share, and with more
+            # than 4 streamers left the running total decides phase 3
+            # alone when clear of both thresholds.  That is all `_update`
+            # would do for it, float for float.
+            state = self._cpus[task.cpu]
+            mem_running = self._mem_running
+            if (
+                not state.stale
+                and not state.fifo
+                and len(state.other) == 1
+                and len(mem_running) > 5
+                and task.tid in mem_running
+                and self._estimate_decides(self._mem_total - task._mem_contrib)
+            ):
+                del mem_running[task.tid]
+                rate = task.cpu_share
+                if task.speed_penalty != 1.0:
+                    rate *= task.speed_penalty
+                task.rate = rate
+                if task._run_started is None and rate > 0.0:
+                    task._run_started = self.engine.now
+            else:
+                self._update((task.cpu,))
             if task.on_complete is not None:
                 task.on_complete(task)
             return

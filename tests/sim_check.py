@@ -1,0 +1,105 @@
+"""Whole-run invariant checker for the simulator (test side only).
+
+:class:`CheckedScheduler` is a :class:`Scheduler` that checks the
+model's invariants after every ``_update`` and after every
+``_task_done``, which covers the barrier arrivals that settle without
+an ``_update``.  :func:`install` makes every :class:`Machine` built
+afterwards use it, by monkeypatching ``repro.sim.machine.Scheduler``;
+the production class has no branch for it and pays nothing.
+
+The invariants, each after every checked call:
+
+* per-CPU capacity: the shares on a CPU sum to at most ``1 - steal``,
+  times the SMT factor while the sibling is busy;
+* FIFO preempts OTHER: a FIFO head leaves the OTHER tasks at most
+  ``1 - rt_throttle_share`` of that capacity (nothing without
+  throttling), and queued FIFO tasks behind it get no share;
+* every task sits on the CPU it names, inside its affinity;
+* no busy CPU is left stale, and (with SMT) each CPU's recorded
+  busy-ness is its real one;
+* the clock never goes back;
+* the running memory-demand total ``_mem_total`` is within 1e-9
+  (relative) of the exact sum over the streaming tasks;
+* every placed task's rate is ``cpu_share`` times ``_mem_scale`` (if it
+  streams) times ``speed_penalty``, bit for bit;
+* no staged engine entry is left unflushed.
+"""
+
+from __future__ import annotations
+
+from repro.sim import machine as machine_mod
+from repro.sim.scheduler import Scheduler
+
+__all__ = ["CheckedScheduler", "install"]
+
+_SHARE_EPS = 1e-12
+
+
+class CheckedScheduler(Scheduler):
+    """A :class:`Scheduler` that asserts its invariants as it runs."""
+
+    #: checks passed, over all instances (reset by :func:`install`)
+    checks = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._checked_now = self.engine.now
+
+    def _update(self, cpus) -> None:
+        super()._update(cpus)
+        self.check()
+
+    def _task_done(self, task) -> None:
+        super()._task_done(task)
+        self.check()
+
+    def check(self) -> None:
+        engine = self.engine
+        now = engine.now
+        assert now >= self._checked_now, f"clock went back: {self._checked_now!r} -> {now!r}"
+        self._checked_now = now
+        assert not engine._staged, f"t={now!r}: {len(engine._staged)} staged entries not flushed"
+        params = self.params
+        mem_scale = self._mem_scale
+        for c, state in enumerate(self._cpus):
+            where = f"t={now!r} cpu {c}"
+            busy = bool(state.fifo or state.other)
+            assert not (busy and state.stale), f"{where}: busy but left stale"
+            sib = self._sibling[c]
+            if sib is not None:
+                assert self._last_busy[c] == busy, f"{where}: busy-ness record out of date"
+            speed = 1.0 - state.steal
+            if sib is not None and busy and self._cpus[sib].busy():
+                speed *= params.smt_factor
+            total = 0.0
+            for t in state.fifo + state.other:
+                assert t.cpu == c, f"{where}: queues {t!r}"
+                assert t.affinity is None or c in t.affinity, f"{where}: outside affinity {t!r}"
+                total += t.cpu_share
+                rate = t.cpu_share * mem_scale if t.mem_demand > 0.0 else t.cpu_share
+                if t.speed_penalty != 1.0:
+                    rate *= t.speed_penalty
+                assert t.rate == rate, f"{where}: {t!r} rate {t.rate!r}, expected {rate!r}"
+            assert total <= speed + _SHARE_EPS, f"{where}: shares {total!r} > capacity {speed!r}"
+            if state.fifo:
+                fifo_share = params.rt_throttle_share if self.rt_throttle else 1.0
+                for t in state.fifo[1:]:
+                    assert t.cpu_share == 0.0, f"{where}: queued FIFO task runs: {t!r}"
+                other = sum(t.cpu_share for t in state.other)
+                assert other <= speed * (1.0 - fifo_share) + _SHARE_EPS, (
+                    f"{where}: OTHER tasks hold {other!r} beside a FIFO head"
+                )
+        exact = 0.0
+        for t in self._mem_running.values():
+            exact += t.mem_demand * t.cpu_share
+        assert abs(self._mem_total - exact) <= 1e-9 * max(1.0, exact), (
+            f"t={now!r}: running total {self._mem_total!r}, exact sum {exact!r}"
+        )
+        CheckedScheduler.checks += 1
+
+
+def install(monkeypatch) -> type[CheckedScheduler]:
+    """Make every Machine built from now on use :class:`CheckedScheduler`."""
+    CheckedScheduler.checks = 0
+    monkeypatch.setattr(machine_mod, "Scheduler", CheckedScheduler)
+    return CheckedScheduler

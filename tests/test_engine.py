@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import Engine, SimulationError
 
@@ -341,3 +343,158 @@ class TestReschedule:
         # both dead heads popped, never rescanned
         assert len(engine._heap) == 2
         assert engine.pending_count() == 2
+
+
+class TestStaged:
+    """`stage`/`restage` hand out seqs at the call and push at `flush`."""
+
+    def test_plain_schedule_between_staged_retimings_keeps_its_seq(self, engine):
+        order = []
+        a = engine.schedule(1.0, order.append, "a")
+        b = engine.schedule(1.0, order.append, "b")
+        engine.restage(a, 2.0)
+        c = engine.schedule(2.0, order.append, "c")
+        engine.restage(b, 2.0)
+        assert (a.seq, c.seq, b.seq) == (2, 3, 4)
+        assert engine.pending_count() == 3
+        engine.flush()
+        engine.run()
+        assert order == ["a", "c", "b"]
+
+    def test_compaction_while_staged_keeps_staged_entries(self, engine):
+        order = []
+        doomed = [engine.schedule(5.0 + i * 1e-3, lambda: None) for i in range(140)]
+        x = engine.stage(1.0, order.append, "x")
+        y = engine.stage(1.5, order.append, "y")
+        engine.restage(y, 0.5)  # its first staged entry is dead now
+        z = engine.stage(2.0, order.append, "z")
+        engine.restage(z, 3.0)
+        for h in doomed[:80]:
+            h.cancel()
+        assert engine.compactions == 0
+        engine.schedule(4.0, order.append, "w")  # crosses the dead-entry threshold
+        assert engine.compactions == 1
+        assert engine._n_cancelled == 0
+        assert sorted(e[1] for e in engine._staged) == sorted([x.seq, y.seq, z.seq])
+        assert engine.pending_count() == 60 + 4
+        engine.flush()
+        assert engine.pending_count() == 64
+        engine.run(until=4.5)
+        assert order == ["y", "x", "z", "w"]
+
+    @staticmethod
+    def _loaded(engine, n_live, n_dead):
+        live = [engine.schedule(10.0 + i, lambda: None) for i in range(n_live)]
+        for i in range(n_dead):
+            engine.schedule(20.0 + i, lambda: None).cancel()
+        return live
+
+    def test_large_batch_rebuilds_without_dead_entries(self, engine):
+        live = self._loaded(engine, 24, 8)
+        for h in live[:8]:
+            engine.restage(h, 1.0 + h.time)  # 8 entries, 1/4 of a heap of 32
+        engine.flush()
+        assert engine._n_cancelled == 0
+        assert len(engine._heap) == engine.pending_count() == 24
+        assert engine.compactions == 0  # a rebuild is not a compaction
+        engine.run()
+        assert engine.events_executed == 24
+
+    @pytest.mark.parametrize("n_batch,n_live", [(7, 8), (8, 33)], ids=["few", "small-share"])
+    def test_small_batch_is_pushed(self, engine, n_batch, n_live):
+        live = self._loaded(engine, n_live, 1)
+        for h in live[:n_batch]:
+            engine.restage(h, 1.0 + h.time)
+        heap_before = len(engine._heap)
+        engine.flush()
+        assert len(engine._heap) == heap_before + n_batch
+        assert engine._n_cancelled == n_batch + 1
+        assert engine.pending_count() == n_live
+        engine.run()
+        assert engine.events_executed == n_live
+        assert engine.pending_count() == 0
+
+    def test_restage_rejects_finished_handles_and_bad_times(self, engine):
+        ran = engine.schedule(1.0, lambda: None)
+        engine.run()
+        with pytest.raises(SimulationError):
+            engine.restage(ran, 2.0)
+        h = engine.schedule(3.0, lambda: None)
+        with pytest.raises(SimulationError):
+            engine.restage(h, 0.5)
+        with pytest.raises(SimulationError):
+            engine.stage(float("inf"), lambda: None)
+        assert engine.restage(h, 1.0 - 1e-15).time == 1.0  # round-off clamps
+        engine.flush()
+        assert engine.pending_count() == 1
+
+
+_OPS = st.lists(
+    st.one_of(
+        # (kind, events, delay step, first pending handle)
+        st.tuples(st.sampled_from(["schedule", "stage"]), st.integers(1, 40), st.integers(0, 3),
+                  st.just(0)),
+        st.tuples(st.sampled_from(["reschedule", "restage", "cancel"]), st.integers(1, 40),
+                  st.integers(0, 3), st.integers(0, 1000)),
+        st.tuples(st.sampled_from(["flush", "run"]), st.just(0), st.integers(0, 3), st.just(0)),
+    ),
+    max_size=60,
+)
+
+
+def _replay(ops, staged):
+    """Drive one engine through ``ops``; without ``staged`` the staged
+    calls become their one-at-a-time forms.  Returns the pops as
+    ``(time, seq, tag)``, the live count at each flush and the final
+    pending count."""
+    engine = Engine()
+    pops, counts, pending = [], [], []
+    handles = {}
+
+    def fire(tag):
+        pops.append((engine.now, handles[tag].seq, tag))
+        pending.remove(tag)
+
+    def flush():
+        if staged:
+            engine.flush()
+        assert engine.pending_count() == len(pending)
+        counts.append(len(pending))
+
+    for kind, n, step, first in ops:
+        # quarter steps from now: plenty of ties, all exact in binary
+        times = [engine.now + step * 0.5 + (i % 4) * 0.25 for i in range(n)]
+        if kind in ("schedule", "stage"):
+            add = engine.stage if kind == "stage" and staged else engine.schedule
+            for time in times:
+                tag = len(handles)
+                handles[tag] = add(time, fire, tag)
+                pending.append(tag)
+        elif kind in ("reschedule", "restage", "cancel"):
+            move = engine.restage if kind == "restage" and staged else engine.reschedule
+            for time in times:
+                if not pending:
+                    break
+                tag = pending[first % len(pending)]
+                first += 7
+                if kind == "cancel":
+                    handles[tag].cancel()
+                    pending.remove(tag)
+                else:
+                    move(handles[tag], time)
+        else:
+            flush()
+            if kind == "run":
+                engine.run(until=engine.now + step * 0.5)
+    flush()
+    engine.run()
+    return pops, counts, engine.pending_count()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_OPS)
+def test_staged_engine_pops_like_one_at_a_time_calls(ops):
+    staged = _replay(ops, staged=True)
+    plain = _replay(ops, staged=False)
+    assert staged == plain
+    assert staged[2] == 0

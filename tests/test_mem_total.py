@@ -6,7 +6,9 @@ streamers and its drift at least ``_DRIFT_MARGIN`` away from both
 thresholds it picks between "nothing" and "arm the deferred rescale";
 everywhere else the exact insertion-order sum decides.  Setting the
 margin to infinity forces the exact sum on every update, which is the
-oracle these tests compare against.
+oracle these tests compare against.  It also turns off the barrier-
+arrival fast path of `Scheduler._task_done`, which lets the same guard
+settle a spinning thread without an `_update`.
 """
 
 from __future__ import annotations
@@ -67,15 +69,19 @@ def _runs():
 
 
 def _observe(monkeypatch, spec, noise, exact_only):
-    """Run ``spec`` recording the decision state after every `_update`;
-    also check the running total against the exact sum each time."""
+    """Run ``spec`` recording the decision state after every `_task_done`
+    and every top-level `_update`; also check the running total against
+    the exact sum each time.  An `_update` nested in another or in a
+    `_task_done` is not logged: the estimate run settles most barrier
+    arrivals without one, so only the outermost calls line up."""
     if exact_only:
         monkeypatch.setattr(scheduler_mod, "_DRIFT_MARGIN", math.inf)
-    update = Scheduler._update
+    update, task_done = Scheduler._update, Scheduler._task_done
     log = []
+    depth = [0]
+    updates = [0]
 
-    def checked_update(self, cpus):
-        update(self, cpus)
+    def record(self):
         exact = 0.0
         for t in self._mem_running.values():
             exact += t.mem_demand * t.cpu_share
@@ -84,7 +90,21 @@ def _observe(monkeypatch, spec, noise, exact_only):
             (self.engine.now, self._mem_scale, self._mem_rescale_pending, self.engine._seq)
         )
 
-    monkeypatch.setattr(Scheduler, "_update", checked_update)
+    def observed(method, count):
+        def wrapper(self, arg):
+            count[0] += 1
+            depth[0] += 1
+            try:
+                method(self, arg)
+            finally:
+                depth[0] -= 1
+            if depth[0] == 0:
+                record(self)
+
+        return wrapper
+
+    monkeypatch.setattr(Scheduler, "_update", observed(update, updates))
+    monkeypatch.setattr(Scheduler, "_task_done", observed(task_done, [0]))
     calls = [0]
     scale_for = MemorySystem.scale_for
 
@@ -95,14 +115,16 @@ def _observe(monkeypatch, spec, noise, exact_only):
     monkeypatch.setattr(MemorySystem, "scale_for", counted_scale_for)
     rs = run_experiment(spec, noise=noise, executor=SerialExecutor())
     monkeypatch.undo()
-    return [float(t).hex() for t in rs.times], log, calls[0]
+    return [float(t).hex() for t in rs.times], log, calls[0], updates[0]
 
 
 @pytest.mark.parametrize("name,spec,noise", list(_runs()), ids=[r[0] for r in _runs()])
 def test_running_total_tracks_exact_sum(monkeypatch, name, spec, noise):
-    times, log, estimated_calls = _observe(monkeypatch, spec, noise(), exact_only=False)
-    exact_times, exact_log, exact_calls = _observe(monkeypatch, spec, noise(), exact_only=True)
-    # Every update leaves the same scale, pending flag and event count
+    times, log, estimated_calls, updates = _observe(monkeypatch, spec, noise(), exact_only=False)
+    exact_times, exact_log, exact_calls, exact_updates = _observe(
+        monkeypatch, spec, noise(), exact_only=True
+    )
+    # Every event leaves the same scale, pending flag and event count
     # as the exact path: each estimate-made decision was the exact one.
     assert log and log == exact_log
     assert times == exact_times
@@ -111,6 +133,12 @@ def test_running_total_tracks_exact_sum(monkeypatch, name, spec, noise):
     assert exact_calls >= estimated_calls
     if spec.workload in ("babelstream", "minife"):
         assert exact_calls > estimated_calls
+    # Each barrier arrival the fast path settled is one `_update` the
+    # exact run made and this one did not; the 48 streaming threads of
+    # a64fx/minife take it.
+    assert exact_updates >= updates
+    if spec.platform.startswith("a64fx"):
+        assert exact_updates > updates
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,9 @@ import pytest
 
 from repro.harness.executor import SerialExecutor
 from repro.harness.experiment import ExperimentSpec, run_experiment
+from repro.sim import scheduler as scheduler_mod
 from repro.sim.cpu import Topology
+from repro.sim.engine import Engine
 from repro.sim.memory import MemorySystem
 from repro.sim.scheduler import SchedParams, Scheduler
 from repro.sim.task import SchedPolicy, Task, TaskKind, WorkPool
@@ -411,6 +413,138 @@ class TestPersistentTasks:
         engine.schedule(5.0, lambda: (sched.assign_work(t, 1.0), sched.refresh(t)))
         engine.run()
         assert done[-1] == pytest.approx(6.0)
+
+
+class _Counting(Scheduler):
+    """Counts `_update` calls, so an arrival can tell whether it took one."""
+
+    def __init__(self, *args, stale_on_arrival=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.updates = 0
+        self.updates_at_arrival = 0
+        self.stale_on_arrival = stale_on_arrival
+
+    def _update(self, cpus):
+        self.updates += 1
+        super()._update(cpus)
+
+    def _task_done(self, task):
+        self.updates_at_arrival = self.updates
+        if task.name == self.stale_on_arrival:
+            self._cpus[task.cpu].stale = True
+        super()._task_done(task)
+
+
+class _Reference(_Counting):
+    """Every barrier arrival through `_update`: the body of `_task_done`
+    before the fast path, as the oracle."""
+
+    def _task_done(self, task):
+        if not task.persistent:
+            return super()._task_done(task)
+        if task.name == self.stale_on_arrival:
+            self._cpus[task.cpu].stale = True
+        task._completion_event = None
+        task.advance(self.engine.now)
+        assert task.work_remaining <= scheduler_mod._DONE_EPS
+        task.to_spin()
+        self._update((task.cpu,))
+        task.on_complete(task)
+
+
+class TestBarrierFastPath:
+    """A team thread alone on its CPU reaching a barrier settles in
+    `_task_done` without an `_update`, bit for bit as `_update` would."""
+
+    BANDWIDTH = 10.0
+
+    def _region(self, cls, demands, noise_cpu=None, stale_on_arrival=None, penalty=1.0):
+        """One static region of streaming pinned team threads, thread i
+        on CPU i with ``demands[i]`` and the i-th smallest share of
+        work (w0 running at ``penalty``, as after a migration); returns
+        per arrival ``(name, settled inline, state)``."""
+        engine = Engine()
+        sched = cls(
+            engine, Topology(n_physical=8, smt=1), memory=MemorySystem(self.BANDWIDTH),
+            stale_on_arrival=stale_on_arrival,
+        )
+        team = [
+            Task(f"w{i}", affinity=frozenset({i}), pinned=True, persistent=True)
+            for i in range(len(demands))
+        ]
+        for i, t in enumerate(team):
+            sched.submit(t, cpu=i)
+        if noise_cpu is not None:
+            sched.submit(
+                Task("kworker", work=1.0, kind=TaskKind.THREAD_NOISE,
+                     affinity=frozenset({noise_cpu})),
+                cpu=noise_cpu,
+            )
+        arrivals = []
+
+        def arrived(t):
+            heap = [(e[0], e[1]) for e in engine._heap]
+            state = (
+                t.rate, t._mem_contrib, sched._mem_total, sched._mem_scale,
+                sched._mem_rescale_pending, engine._seq, heap,
+            )
+            arrivals.append((t.name, sched.updates == sched.updates_at_arrival, state))
+
+        for i, (t, d) in enumerate(zip(team, demands)):
+            t.on_complete = arrived
+            sched.assign_work(t, 1e-3 * (1 + i), mem_demand=d)
+        team[0].speed_penalty = penalty
+        sched.refresh_many(team)
+        engine.run()
+        return arrivals, sched
+
+    def _both(self, demands, **kwargs):
+        fast, sched = self._region(_Counting, demands, **kwargs)
+        reference, _ = self._region(_Reference, demands, **kwargs)
+        assert [(n, s) for n, _, s in fast] == [(n, s) for n, _, s in reference]
+        return {name: inline for name, inline, _ in fast}, sched
+
+    @staticmethod
+    def _first_drift(sched, demands):
+        """The drift the first arrival (w0) puts on the running total."""
+        scale = sched.memory.scale_for(sum(demands))
+        return abs(sched.memory.scale_for(sum(demands[1:])) - scale) / scale
+
+    @pytest.mark.parametrize("penalty", [1.0, 0.97])
+    def test_arrival_matches_update_bit_for_bit(self, penalty):
+        demands = [20.0 + i for i in range(8)]
+        inline, sched = self._both(demands, penalty=penalty)
+        # w0..w2 leave 7, 6 and 5 streamers: settled inline; the rest
+        # leave 4 or fewer and go through `_update`
+        assert [inline[f"w{i}"] for i in range(8)] == [True] * 3 + [False] * 5
+
+    def test_not_with_noise_on_the_cpu(self):
+        inline, _ = self._both([20.0 + i for i in range(8)], noise_cpu=0)
+        assert not inline["w0"] and inline["w1"]
+
+    def test_not_on_a_stale_cpu(self):
+        inline, _ = self._both([20.0 + i for i in range(8)], stale_on_arrival="w0")
+        assert not inline["w0"] and inline["w1"]
+
+    def test_not_with_four_streamers_left(self):
+        inline, _ = self._both([20.0 + i for i in range(5)])
+        assert not any(inline.values())
+
+    @pytest.mark.parametrize("edge", ["0.25", "tol"])
+    def test_not_with_drift_within_margin(self, edge):
+        # w0's demand x over the others' sum S sets the drift at x / S
+        rest = [20.0 + i for i in range(1, 8)]
+        tol = SchedParams().mem_rescale_tolerance
+        target = 0.25 if edge == "0.25" else tol
+        demands = [sum(rest) * (target - scheduler_mod._DRIFT_MARGIN / 2)] + rest
+        inline, sched = self._both(demands)
+        drift = self._first_drift(sched, demands)
+        assert abs(drift - target) < scheduler_mod._DRIFT_MARGIN
+        assert not inline["w0"]
+        # outside the margin the same arrival settles inline
+        demands[0] = sum(rest) * (target - 2 * scheduler_mod._DRIFT_MARGIN)
+        inline, _ = self._both(demands)
+        assert inline["w0"]
 
 
 class TestWorkPools:

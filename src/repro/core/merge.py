@@ -67,8 +67,11 @@ def _merge_run(run: list[RawEvent], pessimistic_policy: bool) -> RawEvent:
         duration = end - start
         etype = min((e.etype for e in run), key=int)  # IRQ < SOFTIRQ < THREAD
     else:
-        # Same-class merge: busy time adds up, no envelope padding.
-        duration = sum(e.duration for e in run)
+        # Same-class merge: busy time adds up, no envelope padding,
+        # left to right (`sum` compensates rounding on Python >= 3.12).
+        duration = 0.0
+        for e in run:
+            duration += e.duration
         etype = run[0].etype
     sources = sorted({e.source for e in run})
     source = sources[0] if len(sources) == 1 else "+".join(sources)

@@ -221,7 +221,7 @@ class TeamRuntime(abc.ABC):
         """Give each thread a fixed share; barrier when all finish."""
         machine = self.machine
         now = machine.engine.now
-        mem_demand = region.mem_demand
+        mem_demand = float(region.mem_demand)
         done = self._static_thread_done
         pending = 0
         for t, w in zip(self.team, shares):
@@ -230,8 +230,25 @@ class TeamRuntime(abc.ABC):
             pending += 1
             t.on_complete = done
             # inlined Scheduler.assign_work: settle the spin gap first
-            t.advance(now)
-            t.assign_work(w, mem_demand)
+            # (inlined Task.advance(now)), then attach the work (inlined
+            # Task.assign_work; w > 0 here)
+            dt = now - t._last_update
+            if dt >= 0:
+                if dt and t.rate > 0.0:
+                    consumed = t.rate * dt
+                    t.total_cpu_time += consumed
+                    if t.pool is not None:
+                        t.pool.consume(consumed)
+                    elif t.work_remaining is not None:
+                        t.work_remaining -= consumed
+                        if t.work_remaining < 0.0:
+                            t.work_remaining = 0.0
+                t._last_update = now
+            t.work_remaining = w
+            t.mem_demand = mem_demand
+            t.spin = False
+            t.pool = None
+            t.speed_penalty = 1.0
         self._pending = pending
         if pending == 0:
             machine.engine.schedule_after(self.barrier_cost(len(self.team)), self._after_region)

@@ -92,14 +92,17 @@ class EventHandle:
         if self.cancelled:
             return
         self.cancelled = True
-        # No heap entry has seq -1: the pending one is now dead.
-        self.seq = -1
         # The engine nulls our back-reference once we leave the heap,
         # so a late cancel (after the callback ran) cannot skew the
         # dead-entry count.
-        if self._engine is not None:
-            self._engine._n_cancelled += 1
+        engine = self._engine
+        if engine is not None:
+            engine._n_cancelled += 1
+            if self.seq >= engine._stage_mark:
+                engine._staged_dead += 1
             self._engine = None
+        # No heap entry has seq -1: the pending one is now dead.
+        self.seq = -1
         # Drop references eagerly so cancelled handles do not keep big
         # object graphs (tasks, pools) alive inside the heap.
         self.fn = None  # type: ignore[assignment]
@@ -149,6 +152,11 @@ class Engine:
         #: entries of `stage`/`restage` awaiting `flush`; dead ones among
         #: them count in ``_n_cancelled`` like dead heap entries
         self._staged: list[tuple[float, int, EventHandle]] = []
+        #: ``_seq`` at the last flush: every staged entry's seq is at least this
+        self._stage_mark = 0
+        #: re-timings and cancels of handles stamped since the last
+        #: flush, so at least the dead staged entries; 0 means none
+        self._staged_dead = 0
 
     # ------------------------------------------------------------------
     # scheduling primitives
@@ -188,6 +196,8 @@ class Engine:
         # until now: it becomes one more dead entry.
         n_cancelled = self._n_cancelled + 1
         self._n_cancelled = n_cancelled
+        if handle.seq >= self._stage_mark:
+            self._staged_dead += 1
         seq = self._seq
         self._seq = seq + 1
         handle.time = time
@@ -220,6 +230,8 @@ class Engine:
         if not self.now <= time < _INF:
             time = self._checked(time)
         self._n_cancelled += 1
+        if handle.seq >= self._stage_mark:
+            self._staged_dead += 1
         seq = self._seq
         self._seq = seq + 1
         handle.time = time
@@ -233,7 +245,9 @@ class Engine:
         A batch of at least 8 entries and a quarter of the heap rebuilds
         it with one ``heapify``, dropping the dead entries of both
         (counted in ``_n_cancelled``, so the count is then exactly 0);
-        a smaller one is pushed entry by entry.
+        a smaller one is pushed entry by entry.  The batch is filtered
+        only when a handle stamped since the last flush was re-timed or
+        cancelled, as nearly no batch is.
         """
         staged = self._staged
         if not staged:
@@ -242,7 +256,7 @@ class Engine:
         n = len(staged)
         if n >= 8 and 4 * n >= len(heap):
             heap[:] = [e for e in heap if e[1] == e[2].seq]
-            heap += [e for e in staged if e[1] == e[2].seq]
+            heap += [e for e in staged if e[1] == e[2].seq] if self._staged_dead else staged
             heapq.heapify(heap)
             self._n_cancelled = 0
         else:
@@ -252,6 +266,8 @@ class Engine:
             if n_cancelled > 64 and n_cancelled * 2 > len(heap) >= self._compact_floor:
                 self._compact()
         staged.clear()
+        self._staged_dead = 0
+        self._stage_mark = self._seq
 
     def _checked(self, time: float) -> float:
         """Validate an event time that is not in ``[now, inf)``: reject
@@ -278,6 +294,7 @@ class Engine:
         staged = self._staged
         if staged:
             staged[:] = [e for e in staged if e[1] == e[2].seq]
+        self._staged_dead = 0
         self._n_cancelled = 0
         self.compactions += 1
         self._compact_floor = 2 * len(heap) + 128

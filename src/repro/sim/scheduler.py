@@ -351,7 +351,10 @@ class Scheduler:
 
         def other_key(c: int) -> tuple:
             s = self._cpus[c]
-            return (bool(s.fifo), sum(t.weight for t in s.other), c != hint, stamp[c], c)
+            total_w = 0.0
+            for t in s.other:
+                total_w += t.weight
+            return (bool(s.fifo), total_w, c != hint, stamp[c], c)
 
         return min(allowed, key=other_key)
 
@@ -380,7 +383,9 @@ class Scheduler:
         allocation-free inner loops: shares are recomputed only on
         stale CPUs and written straight into the tasks,
         :meth:`Task.advance` is inlined, topology lookups are hoisted,
-        and phase 4 stages its re-timings so they enter the heap in one
+        a scale change re-times the streamers outside the update in one
+        :meth:`_retime_streamers` pass after phase 4's loop, and both
+        stage their re-timings so they enter the heap in one
         :meth:`Engine.flush`.  Single-CPU callers pass a 1-tuple.  Every float expression
         that reaches a rate, a scale or an event time matches the
         reference implementation operation-for-operation (the running
@@ -478,11 +483,18 @@ class Scheduler:
                 if t.mem_demand > 0.0:
                     need_mem = True
                     break
+        outside: Optional[list[Task]] = None
         if need_mem:
-            # Keep the running total in step with membership changes.
+            # Keep the running total in step with membership changes,
+            # counting the touched streamers.  Every streamer's
+            # ``_mem_contrib`` is then its current contribution: an
+            # untouched one's demand and share are those it was counted
+            # with.
             total = self._mem_total
+            n_touched = 0
             for t in touched:
                 if t.mem_demand > 0.0 and t.cpu_share > 0.0:
+                    n_touched += 1
                     contrib = t.mem_demand * t.cpu_share
                     if t.tid in mem_running:
                         total += contrib - t._mem_contrib
@@ -503,9 +515,7 @@ class Scheduler:
             if not (len(mem_running) > 4 and self._estimate_decides(total)):
                 total_demand = 0.0
                 for t in mem_running.values():
-                    contrib = t.mem_demand * t.cpu_share
-                    t._mem_contrib = contrib
-                    total_demand += contrib
+                    total_demand += t._mem_contrib
                 self._mem_total = total_demand
                 new_scale = self.memory.scale_for(total_demand)
                 drift = abs(new_scale - self._mem_scale) / self._mem_scale
@@ -517,28 +527,18 @@ class Scheduler:
                 ):
                     self._arm_mem_rescale()
                 if scale_changed:
-                    # Advance mem tasks outside the affected set at their
-                    # old rates before applying the new scale, in tid
-                    # order.  Every task on an affected CPU was touched.
-                    cpus_in = set(order) if len(order) > 1 else order
-                    outside = [t for t in mem_running.values() if t.cpu not in cpus_in]
-                    outside.sort(key=_by_tid)
-                    for t in outside:
-                        # inlined Task.advance(now)
-                        dt = now - t._last_update
-                        if dt >= 0:
-                            if dt and t.rate > 0.0:
-                                consumed = t.rate * dt
-                                t.total_cpu_time += consumed
-                                if t.pool is not None:
-                                    t.pool.consume(consumed)
-                                elif t.work_remaining is not None:
-                                    t.work_remaining -= consumed
-                                    if t.work_remaining < 0.0:
-                                        t.work_remaining = 0.0
-                            t._last_update = now
-                        append(t)
                     self._mem_scale = new_scale
+                    # The streamers outside the affected set are re-timed
+                    # after phase 4, in tid order.  Every task on an
+                    # affected CPU was touched, so there are none when
+                    # every streamer was (a region start), and all are
+                    # outside when none was (a barrier arrival).
+                    if n_touched == 0:
+                        outside = sorted(mem_running.values(), key=_by_tid)
+                    elif n_touched < len(mem_running):
+                        cpus_in = set(order) if len(order) > 1 else order
+                        outside = [t for t in mem_running.values() if t.cpu not in cpus_in]
+                        outside.sort(key=_by_tid)
 
         # Phase 4: assign effective rates and re-time completions.
         # A completion event stays valid while the rate is unchanged
@@ -586,6 +586,8 @@ class Scheduler:
                 and cpu_states[t.cpu].fifo
             ):
                 self._arm_starvation_check(t)
+        if outside is not None:
+            pools = self._retime_streamers(outside, pools)
         engine.flush()
         if pools is not None:
             for pool in pools.values():
@@ -623,41 +625,76 @@ class Scheduler:
 
     def _apply_mem_rescale(self) -> None:
         self._mem_rescale_pending = False
-        now = self.engine.now
-        live = [
-            t
-            for t in sorted(self._mem_running.values(), key=_by_tid)
-            if t.alive and t.cpu is not None
-        ]
-        total = sum(t.mem_demand * t.cpu_share for t in live)
+        # Streamers are all alive and placed: `remove` and `_migrate`
+        # drop them.
+        streamers = sorted(self._mem_running.values(), key=_by_tid)
+        total = 0.0
+        for t in streamers:
+            total += t._mem_contrib
         new_scale = self.memory.scale_for(total)
         if abs(new_scale - self._mem_scale) / self._mem_scale <= 1e-12:
             return
         self._mem_scale = new_scale
+        pools = self._retime_streamers(streamers, None)
+        self.engine.flush()
+        if pools is not None:
+            for pool in pools.values():
+                self._reschedule_pool(pool)
+
+    def _retime_streamers(
+        self, streamers: list[Task], pools: Optional[dict[int, WorkPool]]
+    ) -> Optional[dict[int, WorkPool]]:
+        """Advance, re-rate and stage ``streamers`` (tid order) after a
+        change of ``_mem_scale``; returns ``pools`` with the pools of
+        pool members added (created if needed).  The caller flushes.
+
+        Each rate is phase 4's for a streamer, float for float.  Phase 4
+        would also find it changed: the old rate is ``cpu_share`` times
+        the old scale (times ``speed_penalty``), and the scales differ
+        by more than 1e-12 relative, far above rounding.  A streamer has
+        already run at a positive rate, so ``_run_started`` is set.
+        """
         engine = self.engine
-        pools: dict[int, WorkPool] = {}
-        for t in live:
-            t.advance(now)
-            # the same effective rate phase 4 of `_update` assigns
-            rate = t.cpu_share * new_scale
+        restage = engine.restage
+        now = engine.now
+        scale = self._mem_scale
+        for t in streamers:
+            pool = t.pool
+            wr = t.work_remaining
+            # inlined Task.advance(now)
+            dt = now - t._last_update
+            if dt >= 0:
+                rate = t.rate
+                if dt and rate > 0.0:
+                    consumed = rate * dt
+                    t.total_cpu_time += consumed
+                    if pool is not None:
+                        pool.consume(consumed)
+                    elif wr is not None:
+                        wr -= consumed
+                        if wr < 0.0:
+                            wr = 0.0
+                        t.work_remaining = wr
+                t._last_update = now
+            rate = t.cpu_share * scale
             if t.speed_penalty != 1.0:
                 rate *= t.speed_penalty
             t.rate = rate
-            if t.pool is not None:
-                pools[id(t.pool)] = t.pool
+            if pool is not None:
+                if pools is None:
+                    pools = {}
+                pools[id(pool)] = pool
                 continue
-            # _reschedule_task, staged like phase 4's re-timings
             ev = t._completion_event
-            ttc = t.time_to_completion()
-            if ttc is None:
-                self._cancel_completion(t)
+            if wr is not None and rate > 0.0:
+                if ev is not None:
+                    restage(ev, now + wr / rate)
+                else:
+                    t._completion_event = engine.stage(now + wr / rate, self._task_done, t)
             elif ev is not None:
-                engine.restage(ev, now + ttc)
-            else:
-                t._completion_event = engine.stage(now + ttc, self._task_done, t)
-        engine.flush()
-        for pool in pools.values():
-            self._reschedule_pool(pool)
+                ev.cancel()
+                t._completion_event = None
+        return pools
 
     def _drop_streamer(self, task: Task) -> None:
         if self._mem_running.pop(task.tid, None) is not None:
@@ -697,14 +734,31 @@ class Scheduler:
         task._completion_event = None
         if not task.alive or task.cpu is None:
             return
-        task.advance(self.engine.now)
+        now = self.engine.now
+        # inlined Task.advance(now)
+        dt = now - task._last_update
+        if dt >= 0:
+            if dt and task.rate > 0.0:
+                consumed = task.rate * dt
+                task.total_cpu_time += consumed
+                if task.pool is not None:
+                    task.pool.consume(consumed)
+                elif task.work_remaining is not None:
+                    task.work_remaining -= consumed
+                    if task.work_remaining < 0.0:
+                        task.work_remaining = 0.0
+            task._last_update = now
         if task.work_remaining is not None and task.work_remaining > _DONE_EPS:
             self._reschedule_task(task)
             return
         if task.persistent:
             # Team threads stay on their CPU, busy-waiting at the
-            # barrier (OMP_WAIT_POLICY=active behaviour).
-            task.to_spin()
+            # barrier (OMP_WAIT_POLICY=active behaviour): inlined
+            # Task.to_spin().
+            task.work_remaining = None
+            task.mem_demand = 0.0
+            task.pool = None
+            task.spin = True
             # Barrier-arrival fast path: alone on a CPU whose shares are
             # current, the thread's spin rate is its share, and with more
             # than 4 streamers left the running total decides phase 3
@@ -726,7 +780,7 @@ class Scheduler:
                     rate *= task.speed_penalty
                 task.rate = rate
                 if task._run_started is None and rate > 0.0:
-                    task._run_started = self.engine.now
+                    task._run_started = now
             else:
                 self._update((task.cpu,))
             if task.on_complete is not None:
@@ -821,7 +875,10 @@ class Scheduler:
             if state.fifo:
                 continue
             speed = self._cpu_speed_if_joined(c)
-            total_w = sum(t.weight for t in state.other) + task.weight
+            total_w = 0.0
+            for t in state.other:
+                total_w += t.weight
+            total_w += task.weight
             share = speed * task.weight / total_w
             # Prefer staying in the home NUMA node unless a remote CPU
             # offers a substantially better share (CFS's NUMA-aware

@@ -254,7 +254,11 @@ class WorkPool:
 
     def total_rate(self) -> float:
         """Combined progress rate of all members."""
-        return sum(t.rate for t in self.members)
+        # Left to right: `sum` compensates float rounding on Python >= 3.12.
+        rate = 0.0
+        for t in self.members:
+            rate += t.rate
+        return rate
 
     def time_to_drain(self) -> Optional[float]:
         """Seconds until the pool empties at current rates, or ``None``."""

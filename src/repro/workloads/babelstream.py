@@ -99,14 +99,19 @@ class Babelstream(Workload):
                 )
 
     def total_work(self, platform: PlatformSpec) -> float:
-        return self.iters * sum(self._kernel_work(k, platform) for k in self.kernels)
+        # Left to right: `sum` compensates float rounding on Python >= 3.12.
+        work = 0.0
+        for k in self.kernels:
+            work += self._kernel_work(k, platform)
+        return self.iters * work
 
     def estimate_duration(self, platform: PlatformSpec, n_threads: int) -> float:
         # Bandwidth-limited: per-thread rate is capped by the memory
         # system, so the naive work/threads estimate is far too low.
-        per_kernel_gb = {
-            k: _KERNEL_ARRAYS[k] * self.array_mb / 1024.0 for k in self.kernels
-        }
-        total_gb = self.iters * sum(per_kernel_gb.values())
+        # each distinct kernel once, left to right
+        total_gb = 0.0
+        for k in dict.fromkeys(self.kernels):
+            total_gb += _KERNEL_ARRAYS[k] * self.array_mb / 1024.0
+        total_gb *= self.iters
         agg_bw = min(platform.bandwidth_gbs, n_threads * platform.core_stream_gbs)
         return total_gb / agg_bw

@@ -1,9 +1,11 @@
 """Whole-run invariant checker for the simulator (test side only).
 
 :class:`CheckedScheduler` is a :class:`Scheduler` that checks the
-model's invariants after every ``_update`` and after every
+model's invariants after every ``_update``, after every
 ``_task_done``, which covers the barrier arrivals that settle without
-an ``_update``.  :func:`install` makes every :class:`Machine` built
+an ``_update``, and after every deferred rescale
+(``_apply_mem_rescale``), which re-rates the streamers as an event of
+its own.  :func:`install` makes every :class:`Machine` built
 afterwards use it, by monkeypatching ``repro.sim.machine.Scheduler``;
 the production class has no branch for it and pays nothing.
 
@@ -18,11 +20,16 @@ The invariants, each after every checked call:
 * no busy CPU is left stale, and (with SMT) each CPU's recorded
   busy-ness is its real one;
 * the clock never goes back;
+* every streaming task is alive and placed, with a positive demand
+  and share, and the contribution it was last counted with
+  (``_mem_contrib``) is its demand times its share, bit for bit;
 * the running memory-demand total ``_mem_total`` is within 1e-9
   (relative) of the exact sum over the streaming tasks;
 * every placed task's rate is ``cpu_share`` times ``_mem_scale`` (if it
   streams) times ``speed_penalty``, bit for bit;
-* no staged engine entry is left unflushed.
+* no staged engine entry is left unflushed, and the engine's dead
+  entry count ``_n_cancelled`` is the number of dead entries in its
+  heap.
 """
 
 from __future__ import annotations
@@ -53,12 +60,20 @@ class CheckedScheduler(Scheduler):
         super()._task_done(task)
         self.check()
 
+    def _apply_mem_rescale(self) -> None:
+        super()._apply_mem_rescale()
+        self.check()
+
     def check(self) -> None:
         engine = self.engine
         now = engine.now
         assert now >= self._checked_now, f"clock went back: {self._checked_now!r} -> {now!r}"
         self._checked_now = now
         assert not engine._staged, f"t={now!r}: {len(engine._staged)} staged entries not flushed"
+        dead = sum(e[1] != e[2].seq for e in engine._heap)
+        assert engine._n_cancelled == dead, (
+            f"t={now!r}: engine counts {engine._n_cancelled} dead entries, holds {dead}"
+        )
         params = self.params
         mem_scale = self._mem_scale
         for c, state in enumerate(self._cpus):
@@ -91,7 +106,13 @@ class CheckedScheduler(Scheduler):
                 )
         exact = 0.0
         for t in self._mem_running.values():
-            exact += t.mem_demand * t.cpu_share
+            assert t.alive and t.cpu is not None, f"t={now!r}: streamer {t!r} left its CPU"
+            assert t.mem_demand > 0.0 and t.cpu_share > 0.0, f"t={now!r}: streamer {t!r} idle"
+            contrib = t.mem_demand * t.cpu_share
+            assert t._mem_contrib == contrib, (
+                f"t={now!r}: streamer {t!r} counted {t._mem_contrib!r}, contributes {contrib!r}"
+            )
+            exact += contrib
         assert abs(self._mem_total - exact) <= 1e-9 * max(1.0, exact), (
             f"t={now!r}: running total {self._mem_total!r}, exact sum {exact!r}"
         )

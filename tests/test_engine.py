@@ -414,6 +414,56 @@ class TestStaged:
         assert engine.events_executed == n_live
         assert engine.pending_count() == 0
 
+    @pytest.mark.parametrize("kill", ["restage-twice", "reschedule", "cancel"])
+    def test_rebuild_drops_dead_staged_entries(self, engine, kill):
+        # A batch only holds a dead entry when a handle staged in it is
+        # re-timed or cancelled before the flush; each way counts it.
+        order = []
+        heaped = engine.schedule(0.75, order.append, "heaped")
+        engine.stage(9.5, order.append, "first")
+        engine.flush()  # "heaped" now predates the batch below
+        batch = [engine.stage(1.0 + i, order.append, i) for i in range(9)]
+        h = batch[4]
+        if kill == "restage-twice":
+            engine.restage(h, 0.5)
+            engine.restage(h, 0.25)
+            # the second re-timing of an already staged handle: its
+            # first two staged entries are dead
+            engine.restage(heaped, 0.1)  # its dead entry is in the heap
+            expected_dead = 2
+        elif kill == "reschedule":
+            engine.reschedule(h, 0.5)  # pushed at once; the staged entry dies
+            expected_dead = 1
+        else:
+            h.cancel()
+            expected_dead = 1
+        dead = sum(e[1] != e[2].seq for e in engine._staged)
+        assert engine._staged_dead == dead == expected_dead
+        engine.flush()
+        assert engine._n_cancelled == 0
+        assert all(e[1] == e[2].seq for e in engine._heap)
+        assert engine.pending_count() == len(engine._heap)
+        engine.run()
+        expected = [0, 1, 2, 3, 5, 6, 7, 8, "first"]
+        if kill == "restage-twice":
+            expected = ["heaped", 4] + expected
+        elif kill == "reschedule":
+            expected = [4, "heaped"] + expected
+        else:
+            expected = ["heaped"] + expected
+        assert order == expected
+
+    def test_live_batch_is_not_counted_dead(self, engine):
+        old = [engine.stage(5.0 + i, lambda: None) for i in range(8)]
+        engine.flush()
+        for h in old:
+            engine.restage(h, 1.0 + h.time)  # dead entries are in the heap
+        engine.stage(2.0, lambda: None)
+        assert engine._staged_dead == 0
+        engine.flush()
+        assert engine._n_cancelled == 0
+        assert len(engine._heap) == engine.pending_count() == 9
+
     def test_restage_rejects_finished_handles_and_bad_times(self, engine):
         ran = engine.schedule(1.0, lambda: None)
         engine.run()

@@ -547,6 +547,198 @@ class TestBarrierFastPath:
         assert inline["w0"]
 
 
+class _TwoLoop(Scheduler):
+    """Streamers re-timed in two passes, as the oracle: a scale change
+    advances every outside streamer, then runs each through phase 4's
+    per-task body; the deferred rescale advances, re-rates and re-times
+    through `Task.advance` and `Task.time_to_completion`."""
+
+    def _retime_streamers(self, streamers, pools):
+        engine = self.engine
+        now = engine.now
+        for t in streamers:
+            t.advance(now)
+        mem_scale = self._mem_scale
+        for t in streamers:
+            eff = t.cpu_share * mem_scale if t.mem_demand > 0.0 else t.cpu_share
+            if t.speed_penalty != 1.0:
+                eff *= t.speed_penalty
+            rate_changed = eff != t.rate
+            t.rate = eff
+            if t._run_started is None and eff > 0.0:
+                t._run_started = now
+            if t.pool is not None:
+                if rate_changed:
+                    pools = {} if pools is None else pools
+                    pools[id(t.pool)] = t.pool
+            elif rate_changed or (t._completion_event is None and t.work_remaining is not None):
+                ev = t._completion_event
+                wr = t.work_remaining
+                if wr is not None and eff > 0.0:
+                    if ev is not None:
+                        engine.restage(ev, now + wr / eff)
+                    else:
+                        t._completion_event = engine.stage(now + wr / eff, self._task_done, t)
+                elif ev is not None:
+                    ev.cancel()
+                    t._completion_event = None
+        return pools
+
+    def _apply_mem_rescale(self):
+        self._mem_rescale_pending = False
+        engine = self.engine
+        now = engine.now
+        live = [
+            t
+            for t in sorted(self._mem_running.values(), key=lambda t: t.tid)
+            if t.alive and t.cpu is not None
+        ]
+        total = 0.0
+        for t in live:
+            total += t.mem_demand * t.cpu_share
+        new_scale = self.memory.scale_for(total)
+        if abs(new_scale - self._mem_scale) / self._mem_scale <= 1e-12:
+            return
+        self._mem_scale = new_scale
+        pools = {}
+        for t in live:
+            t.advance(now)
+            rate = t.cpu_share * new_scale
+            if t.speed_penalty != 1.0:
+                rate *= t.speed_penalty
+            t.rate = rate
+            if t.pool is not None:
+                pools[id(t.pool)] = t.pool
+                continue
+            ev = t._completion_event
+            ttc = t.time_to_completion()
+            if ttc is None:
+                self._cancel_completion(t)
+            elif ev is not None:
+                engine.restage(ev, now + ttc)
+            else:
+                t._completion_event = engine.stage(now + ttc, self._task_done, t)
+        engine.flush()
+        for pool in pools.values():
+            self._reschedule_pool(pool)
+
+
+class _Fused(Scheduler):
+    """Records the streamers each fused re-timing pass takes."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.passes = []
+
+    def _retime_streamers(self, streamers, pools):
+        self.passes.append([t.name for t in streamers])
+        return super()._retime_streamers(streamers, pools)
+
+
+class TestFusedRetiming:
+    """A memory-scale change re-times the streamers it did not touch in
+    one fused pass, and the deferred rescale goes through the same pass;
+    both leave the state of the two-pass oracle, bit for bit."""
+
+    def _run(self, cls, demand):
+        """Six pinned streamers (s1 at a 0.97 speed penalty) and a
+        two-member pool, all at 20 GB/s on 100 GB/s; at t=0.1, s0's
+        demand becomes ``demand``.  Returns the state after that
+        change, after its deferred rescale, and the completion times."""
+        engine = Engine()
+        sched = cls(engine, Topology(n_physical=8, smt=1), memory=MemorySystem(100.0))
+        done = {}
+
+        def finish(owner):
+            done.setdefault(owner.name, engine.now)
+
+        pool = WorkPool("pool", 1.5, on_drained=finish)
+        tasks = []
+        for i in range(6):
+            t = Task(f"s{i}", work=1.0 + 0.125 * i, mem_demand=20.0,
+                     affinity=frozenset({i}), pinned=True, on_complete=finish)
+            if i == 1:
+                t.speed_penalty = 0.97
+            tasks.append(t)
+        for j in range(2):
+            t = Task(f"p{j}", affinity=frozenset({6 + j}), pinned=True)
+            t.join_pool(pool, mem_demand=20.0)
+            tasks.append(t)
+        for i, t in enumerate(tasks):
+            sched.submit(t, cpu=i)
+        sched.register_pool(pool)
+
+        def snapshot():
+            heap = sorted((e[0], e[1]) for e in engine._heap)
+            per_task = [
+                (t.rate, t.work_remaining, t.total_cpu_time, t._last_update) for t in tasks
+            ]
+            return per_task, pool.work_remaining, sched._mem_scale, engine._seq, heap
+
+        engine.run(until=0.1)
+        sched.passes_before = len(getattr(sched, "passes", ()))
+        sched.assign_work(tasks[0], 1.0, mem_demand=demand)
+        sched.refresh(tasks[0])
+        sched.seqs_at_change = [t._completion_event.seq for t in tasks[:6]]
+        after_change = snapshot()
+        pending = sched._mem_rescale_pending
+        engine.run(until=0.1 + 2 * sched.params.mem_rescale_delay)
+        after_rescale = snapshot()
+        engine.run()
+        return (after_change, pending, after_rescale, done), sched
+
+    def test_scale_change_matches_two_passes(self):
+        # 20 -> 200 GB/s: a drift of about 0.53, applied at once
+        fused, sched = self._run(_Fused, 200.0)
+        reference, _ = self._run(_TwoLoop, 200.0)
+        assert fused == reference
+        assert not fused[1]
+        # s0 was touched; the others are re-timed in tid order, after it
+        assert sched.passes[sched.passes_before] == ["s1", "s2", "s3", "s4", "s5", "p0", "p1"]
+        assert sched.seqs_at_change == sorted(sched.seqs_at_change)
+
+    def test_deferred_rescale_matches_two_passes(self):
+        # 20 -> 24 GB/s: a drift of about 2.4%, deferred
+        fused, sched = self._run(_Fused, 24.0)
+        reference, _ = self._run(_TwoLoop, 24.0)
+        assert fused == reference
+        assert fused[1]  # the change armed the deferred rescale
+        assert fused[0][2] != fused[2][2]  # which changed the scale
+        assert sched.passes[sched.passes_before] == ["s0", "s1", "s2", "s3", "s4", "s5", "p0", "p1"]
+
+    def test_arrival_retimes_the_whole_pool_in_tid_order(self):
+        # Thread w_i sits on CPU 7 - i, so the pool's insertion (CPU)
+        # order is the reverse of tid order.  w0 and w1 finish together:
+        # w0 leaves 7 streamers, a drift of 1/7 settled inline; w1
+        # leaves 6, a drift of 1/3 from the scale still in force.
+        engine = Engine()
+        sched = _Fused(engine, Topology(n_physical=8, smt=1), memory=MemorySystem(100.0))
+        team = [Task(f"w{i}", affinity=frozenset({7 - i}), pinned=True, persistent=True)
+                for i in range(8)]
+        for i, t in enumerate(team):
+            sched.submit(t, cpu=7 - i)
+        for i, t in enumerate(team):
+            sched.assign_work(t, 1.0 if i < 2 else 2.0 + i, mem_demand=20.0)
+        sched.refresh_many(team)
+        passes = len(sched.passes)
+        engine.run(until=2.0)
+        assert sched.passes[passes] == ["w2", "w3", "w4", "w5", "w6", "w7"]
+
+    def test_region_start_skips_the_scan(self):
+        # Every streamer touched: nothing is left outside to re-time.
+        engine = Engine()
+        sched = _Fused(engine, Topology(n_physical=8, smt=1), memory=MemorySystem(100.0))
+        team = [Task(f"w{i}", affinity=frozenset({i}), pinned=True, persistent=True)
+                for i in range(8)]
+        for i, t in enumerate(team):
+            sched.submit(t, cpu=i)
+        for t in team:
+            sched.assign_work(t, 1.0, mem_demand=20.0)
+        sched.refresh_many(team)
+        assert sched._mem_scale == 100.0 / 160.0
+        assert sched.passes == []
+
+
 class TestWorkPools:
     def test_pool_drains_at_combined_rate(self, engine, topo4):
         sched = Scheduler(engine, topo4)

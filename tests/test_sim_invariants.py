@@ -3,8 +3,9 @@
 The golden fixtures prove the simulator unchanged; these tests check
 that every golden case also keeps the model's invariants (capacity,
 FIFO preemption, affinity, a monotone clock, an exact running demand
-total, bit-exact rates and a flushed engine) after every scheduler
-update and every completion, and that the checking subclass leaves the
+total, bit-exact rates, a flushed engine with an exact dead-entry
+count) after every scheduler update, every completion and every
+deferred rescale, and that the checking subclass leaves the
 results on the fixtures.
 """
 
@@ -102,6 +103,30 @@ class TestCheckerCatches:
         engine, sched = _small()
         engine.stage(1.0, lambda: None)
         with pytest.raises(AssertionError, match="staged"):
+            sched.check()
+
+    def test_dead_entry_count_off(self):
+        engine, sched = _small()
+        self._placed(sched)
+        sched.check()
+        engine._n_cancelled += 1
+        with pytest.raises(AssertionError, match="dead entries"):
+            sched.check()
+
+    def test_streamer_off_its_cpu(self):
+        _, sched = _small(bandwidth=10.0)
+        self._placed(sched, mem_demand=20.0)
+        gone = Task("gone", work=1.0, mem_demand=20.0)
+        sched._mem_running[gone.tid] = gone
+        with pytest.raises(AssertionError, match="left its CPU"):
+            sched.check()
+
+    def test_stale_contribution(self):
+        _, sched = _small(bandwidth=10.0)
+        t = self._placed(sched, mem_demand=20.0)
+        t._mem_contrib *= 1.0 + 2.0**-52
+        sched._mem_total = t._mem_contrib
+        with pytest.raises(AssertionError, match="counted"):
             sched.check()
 
     def test_clock_going_back(self):

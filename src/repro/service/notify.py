@@ -21,7 +21,7 @@ Two channels exist per queue (``<queue>.notify/submit`` wakes idle
 workers, ``<queue>.notify/complete`` wakes waiting clients); both
 degrade gracefully:
 
-* ``REPRO_NOTIFY=0`` or a platform without ``os.mkfifo`` falls back to
+* a platform without ``os.mkfifo`` falls back to
   a :class:`_PollSubscription` that samples ``PRAGMA data_version``
   (any *other* connection's commit bumps it) at a sub-interval of the
   poll period — still cheaper than a full queue query;
@@ -44,9 +44,6 @@ from repro import telemetry as _telemetry
 
 __all__ = ["NotifyChannel", "Subscription", "notify_enabled"]
 
-#: environment switch: ``0`` disables the fifo channel (poll fallback)
-_ENV = "REPRO_NOTIFY"
-
 #: a readerless fifo younger than this may be a subscriber mid-open;
 #: older, it belongs to a dead process and is reaped on notify
 _STALE_FIFO_S = 30.0
@@ -56,9 +53,7 @@ _UNSET = object()
 
 
 def notify_enabled() -> bool:
-    """Whether the fifo-based channel is available and not disabled."""
-    if os.environ.get(_ENV, "") == "0":
-        return False
+    """Whether the fifo-based channel is available on this platform."""
     return hasattr(os, "mkfifo")
 
 

@@ -509,7 +509,8 @@ class JobQueue:
         Idempotent by key: re-submitting an existing queued / leased /
         sharded / done job is a no-op (the caller shares the existing
         job's fate), while re-submitting a *failed* job revives it with
-        a fresh attempt budget (stale chunk children of a previously
+        a fresh attempt budget and cleared forensics, as
+        :meth:`dlq_retry` does (stale chunk children of a previously
         sharded attempt are dropped).
         """
         now = time.time()
@@ -521,7 +522,8 @@ class JobQueue:
                    VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
                    ON CONFLICT(key) DO UPDATE SET
                        status = 'queued', attempts = 0, error = NULL,
-                       lease_owner = NULL, lease_expires = NULL,
+                       deaths = NULL, failure = NULL, lease_owner = NULL,
+                       lease_expires = NULL, finished_at = NULL,
                        submitted_at = excluded.submitted_at,
                        priority = excluded.priority,
                        max_attempts = excluded.max_attempts
@@ -605,7 +607,8 @@ class JobQueue:
             else:
                 conn.execute(
                     """UPDATE jobs SET status = 'sharded', attempts = 0, error = NULL,
-                           lease_owner = NULL, lease_expires = NULL, finished_at = NULL,
+                           deaths = NULL, failure = NULL, lease_owner = NULL,
+                           lease_expires = NULL, finished_at = NULL,
                            submitted_at = ?, priority = ?, expected_s = ?,
                            max_attempts = ? WHERE key = ?""",
                     (now, priority, expected_s, max_attempts, key),

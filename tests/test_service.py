@@ -83,6 +83,36 @@ class TestJobQueue:
         assert submit(q, "a") is True  # revived
         assert q.counts() == {"queued": 1, "leased": 0, "sharded": 0, "done": 0, "failed": 0, "quarantined": 0}
 
+    @staticmethod
+    def _fail_by_expiry(q, owner):
+        q.lease(owner, lease_s=0.05)
+        time.sleep(0.1)
+        assert q.lease("reaper") == []
+        return q.job("a")
+
+    def test_resubmit_clears_death_history(self, tmp_path):
+        # A revived job starts clean, as after dlq_retry: the first
+        # attempt's death must not count toward poison detection.
+        q = JobQueue(tmp_path / "q.sqlite")
+        submit(q, "a", max_attempts=1)
+        job = self._fail_by_expiry(q, "A")
+        assert job.status == "failed" and len(job.deaths) == 1
+        assert submit(q, "a", max_attempts=1) is True
+        job = q.job("a")
+        assert (job.status, job.deaths, job.failure, job.finished_at) == ("queued", [], None, None)
+        job = self._fail_by_expiry(q, "B")
+        assert job.status == "failed"
+        assert job.error.startswith("lease expired after 1 attempt(s)")
+        assert [d["worker"] for d in job.deaths] == ["B"]
+
+    def test_resubmit_sharded_clears_death_history(self, tmp_path):
+        q = JobQueue(tmp_path / "q.sqlite")
+        submit(q, "a", max_attempts=1)
+        self._fail_by_expiry(q, "A")
+        assert q.submit_sharded("a", {"k": "a"}, None, "a", chunks=[(0, 3), (3, 6)]) is True
+        job = q.job("a")
+        assert (job.status, job.deaths, job.failure, job.finished_at) == ("sharded", [], None, None)
+
     def test_fail_retryable_requeues_until_attempt_cap(self, tmp_path):
         q = JobQueue(tmp_path / "q.sqlite")
         submit(q, "a", max_attempts=2)

@@ -895,10 +895,9 @@ def _cmd_service_dlq(args, queue) -> int:
             return 0
         for job in entries:
             failure = job.failure or {}
-            deaths = failure.get("deaths", [])
             print(
                 f"{job.key}  {job.label}  reason={failure.get('reason', '?')}"
-                f"  deaths={len(deaths)}  attempts={job.attempts}"
+                f"  deaths={len(queue.deaths(job.key))}  attempts={job.attempts}"
             )
         return 0
 
@@ -917,19 +916,17 @@ def _cmd_service_dlq(args, queue) -> int:
         print(f"reason:   {failure.get('reason', '-')}")
         print(f"error:    {record.get('error', '-')}: {record.get('message', job.error or '-')}")
         print(f"attempts: {job.attempts}/{job.max_attempts}")
-        if failure.get("chunk"):
-            start, stop = failure["chunk"]
-            print(f"chunk:    reps [{start}:{stop}]")
-        for death in failure.get("deaths", []) or job.deaths:
+        if job.chunk_start is not None:
+            print(f"chunk:    reps [{job.chunk_start}:{job.chunk_stop}]")
+        for death in queue.deaths(job.key):
             pid = death.get("pid")
             print(
                 f"death:    worker {death.get('worker')}"
                 + (f" (pid {pid})" if pid is not None else "")
                 + f" attempt {death.get('attempt')}: {death.get('detail')}"
             )
-        spec = failure.get("spec") or job.spec
-        if spec:
-            print("spec:     " + json.dumps(spec, sort_keys=True))
+        if job.spec:
+            print("spec:     " + json.dumps(job.spec, sort_keys=True))
         print(f"revive:   repro-noise service dlq retry {job.key}")
         return 0
 

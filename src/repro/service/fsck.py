@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro import telemetry as _telemetry
-from repro.service.queue import DEFAULT_LOST_AFTER_S, JobQueue
+from repro.service.queue import _REVIVE_SET, DEFAULT_LOST_AFTER_S, JobQueue
 from repro.service.store import SharedResultStore
 
 __all__ = ["FsckReport", "fsck"]
@@ -208,14 +208,15 @@ def fsck(
 
 
 def _requeue_done(queue: JobQueue, key: str) -> bool:
-    """Flip one ``done``-but-resultless job back to ``queued``."""
+    """Revive one ``done``-but-resultless job back to ``queued``."""
     def body(conn):
         cur = conn.execute(
-            "UPDATE jobs SET status = 'queued', attempts = 0, error = NULL,"
-            " lease_owner = NULL, lease_expires = NULL, finished_at = NULL"
+            f"UPDATE jobs SET status = 'queued', {_REVIVE_SET}"
             " WHERE key = ? AND status = 'done'",
             (key,),
         )
+        if cur.rowcount:
+            queue._event(conn, key, "retry", detail="fsck: lost or corrupt result")
         return cur.rowcount > 0
 
     requeued = queue._write_txn(body)

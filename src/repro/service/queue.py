@@ -34,17 +34,19 @@ inside a ``BEGIN IMMEDIATE`` transaction, so exactly one worker can
 hold a job at a time.
 
 **Dead-letter path.**  Every lease lost to a dead or vanished worker is
-recorded as a *death* on the job (worker id, pid, attempt, timestamp).
-A job whose leases have now killed :data:`POISON_DEATHS` *distinct*
-workers is presumed poisonous and moved to status ``quarantined`` —
-before it burns the rest of its attempt budget taking out the fleet —
-with a structured :class:`~repro.harness.faults.FailureRecord` plus the
-full death forensics in its ``failure`` column.  Terminal failures
-(attempt cap exhausted) carry the same structured record in ``failed``.
-Quarantined jobs are surfaced via ``repro-noise service dlq
+an ``expire`` event, and :meth:`JobQueue.deaths` derives a job's death
+history (worker id, pid, attempt, timestamp) from the ``expire`` events
+since its last ``submit`` or ``retry`` event.  A job whose leases have
+now killed :data:`POISON_DEATHS` *distinct* workers is presumed
+poisonous and moved to status ``quarantined`` — before it burns the
+rest of its attempt budget taking out the fleet — with a structured
+:class:`~repro.harness.faults.FailureRecord` in its ``failure`` column.
+Terminal failures (attempt cap exhausted) carry the same record in
+``failed``.  Quarantined jobs are surfaced via ``repro-noise service dlq
 list|show|retry|purge``; :meth:`JobQueue.dlq_retry` revives a job with
-a fresh budget and cleared forensics, and the revived run is
-bit-identical to a clean one (seeding is content-derived).
+a fresh budget, its ``retry`` event starts a clean history, and the
+revived run is bit-identical to a clean one (seeding is
+content-derived).
 
 Workers register themselves in a ``workers`` table and heartbeat it
 while alive, so ``service status`` can derive a ``lost`` state from
@@ -123,8 +125,8 @@ _BUSY_RETRIES = 5
 
 _telemetry.set_counter_help(
     "service_queue",
-    "durable job-queue activity (busy retries, lease expiries, worker "
-    "deaths, dead-letter traffic)",
+    "durable job-queue activity this process saw (busy retries, pruned "
+    "rows); lifecycle totals are counted from the queue's events table",
 )
 
 _SCHEMA = """
@@ -184,6 +186,7 @@ CREATE TABLE IF NOT EXISTS events (
     detail  TEXT
 );
 CREATE INDEX IF NOT EXISTS idx_events_key ON events(key);
+CREATE INDEX IF NOT EXISTS idx_events_expire ON events(key) WHERE event = 'expire';
 """
 
 #: columns added after the first released schema; applied by ALTER
@@ -192,7 +195,6 @@ _MIGRATIONS = (
     ("parent", "TEXT"),
     ("chunk_start", "INTEGER"),
     ("chunk_stop", "INTEGER"),
-    ("deaths", "TEXT"),
     ("failure", "TEXT"),
 )
 
@@ -206,6 +208,21 @@ _WORKER_MIGRATIONS = (
 )
 
 _STATUSES = ("queued", "leased", "sharded", "done", "failed", "quarantined")
+
+#: the one SET clause that revives a job with a fresh attempt budget
+#: (re-submission of a failed job, ``dlq retry``, ``fsck --repair``).
+#: It clears no death state: the revival's own ``submit``/``retry``
+#: event bounds the history :meth:`JobQueue.deaths` reads.
+_REVIVE_SET = (
+    "attempts = 0, error = NULL, failure = NULL, lease_owner = NULL,"
+    " lease_expires = NULL, finished_at = NULL"
+)
+
+#: SQL condition on an event ``e``: newer than its key's last revival
+_SINCE_REVIVAL = (
+    "e.seq > (SELECT COALESCE(MAX(r.seq), 0) FROM events r"
+    " WHERE r.key = e.key AND r.event IN ('submit', 'retry'))"
+)
 
 
 def _chunk_key(key: str, start: int, stop: int) -> str:
@@ -242,15 +259,12 @@ class Job:
     #: for the scheduler's finish-in-flight-cells-first bonus (never
     #: persisted — it is a property of the queue snapshot, not the job)
     siblings_active: int = field(default=0, compare=False)
-    #: workers that died (or vanished) while holding this job's lease:
-    #: ``[{"worker", "pid", "attempt", "at", "detail"}, ...]``
-    deaths: list = field(default_factory=list)
-    #: structured dead-letter forensics for failed/quarantined jobs
+    #: distinct workers that died holding this job's lease since its
+    #: last revival, filled in by ``lease()`` for the scheduler's hazard
+    #: term (transient, like ``siblings_active``)
+    dead_workers: int = field(default=0, compare=False)
+    #: ``{"reason", "record", "at"}`` for failed/quarantined jobs
     failure: Optional[dict] = None
-
-    @property
-    def distinct_death_workers(self) -> int:
-        return len({d.get("worker") for d in self.deaths})
 
     @classmethod
     def from_row(cls, row: sqlite3.Row) -> "Job":
@@ -274,7 +288,6 @@ class Job:
             parent=row["parent"],
             chunk_start=row["chunk_start"],
             chunk_stop=row["chunk_stop"],
-            deaths=json.loads(row["deaths"]) if row["deaths"] else [],
             failure=json.loads(row["failure"]) if row["failure"] else None,
         )
 
@@ -467,21 +480,10 @@ class JobQueue:
         )
 
     def stats(self) -> dict:
-        """Queue-level telemetry counters (shared registry view)."""
+        """This process's counters for what leaves no lifecycle event
+        (shared registry view); see :meth:`event_counts` for the rest."""
         counts = self._counters.as_dict()
-        return {
-            key: int(counts.get(key, 0))
-            for key in (
-                "busy_retries",
-                "pruned",
-                "expired_requeues",
-                "worker_deaths",
-                "quarantined",
-                "released",
-                "merge_requeues",
-                "dlq_retried",
-            )
-        }
+        return {key: int(counts.get(key, 0)) for key in ("busy_retries", "pruned")}
 
     def data_version(self) -> int:
         """SQLite's change counter for *other* connections' commits —
@@ -509,7 +511,7 @@ class JobQueue:
         Idempotent by key: re-submitting an existing queued / leased /
         sharded / done job is a no-op (the caller shares the existing
         job's fate), while re-submitting a *failed* job revives it with
-        a fresh attempt budget and cleared forensics, as
+        a fresh attempt budget and a clean death history, as
         :meth:`dlq_retry` does (stale chunk children of a previously
         sharded attempt are dropped).
         """
@@ -517,17 +519,15 @@ class JobQueue:
 
         def body(conn: sqlite3.Connection) -> bool:
             cur = conn.execute(
-                """INSERT INTO jobs (key, spec, noise, label, priority, expected_s,
-                                     cached, max_attempts, submitted_at, client)
-                   VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
-                   ON CONFLICT(key) DO UPDATE SET
-                       status = 'queued', attempts = 0, error = NULL,
-                       deaths = NULL, failure = NULL, lease_owner = NULL,
-                       lease_expires = NULL, finished_at = NULL,
-                       submitted_at = excluded.submitted_at,
-                       priority = excluded.priority,
-                       max_attempts = excluded.max_attempts
-                   WHERE jobs.status = 'failed'""",
+                f"""INSERT INTO jobs (key, spec, noise, label, priority, expected_s,
+                                      cached, max_attempts, submitted_at, client)
+                    VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
+                    ON CONFLICT(key) DO UPDATE SET
+                        status = 'queued', {_REVIVE_SET},
+                        submitted_at = excluded.submitted_at,
+                        priority = excluded.priority,
+                        max_attempts = excluded.max_attempts
+                    WHERE jobs.status = 'failed'""",
                 (
                     key,
                     json.dumps(spec, sort_keys=True),
@@ -606,11 +606,9 @@ class JobQueue:
                 )
             else:
                 conn.execute(
-                    """UPDATE jobs SET status = 'sharded', attempts = 0, error = NULL,
-                           deaths = NULL, failure = NULL, lease_owner = NULL,
-                           lease_expires = NULL, finished_at = NULL,
-                           submitted_at = ?, priority = ?, expected_s = ?,
-                           max_attempts = ? WHERE key = ?""",
+                    f"UPDATE jobs SET status = 'sharded', {_REVIVE_SET},"
+                    " submitted_at = ?, priority = ?, expected_s = ?,"
+                    " max_attempts = ? WHERE key = ?",
                     (now, priority, expected_s, max_attempts, key),
                 )
             conn.executemany(
@@ -693,118 +691,69 @@ class JobQueue:
             "SELECT * FROM jobs WHERE status = 'leased' AND lease_expires < ?",
             (now,),
         ).fetchall()
-        requeued = 0
-        for row in rows:
-            outcome = self._record_death(
-                conn, row, now, detail="lease expired (worker presumed dead)"
-            )
-            if outcome == "requeued":
-                requeued += 1
-        return requeued
-
-    @staticmethod
-    def _worker_pid(conn: sqlite3.Connection, worker_id) -> Optional[int]:
-        row = conn.execute(
-            "SELECT pid FROM workers WHERE id = ?", (worker_id,)
-        ).fetchone()
-        return row["pid"] if row is not None else None
+        return sum(
+            self._record_death(conn, row, now, "lease expired (worker presumed dead)")
+            for row in rows
+        )
 
     def _record_death(
-        self,
-        conn: sqlite3.Connection,
-        row: sqlite3.Row,
-        now: float,
-        detail: str,
-        pid: Optional[int] = None,
-    ) -> str:
-        """One dead worker's leased job: append the death record, then
-        quarantine (poison), fail terminally (attempt cap), or requeue.
-        Caller holds the transaction.  Returns the outcome, one of
-        ``"quarantined"`` / ``"failed"`` / ``"requeued"``."""
+        self, conn: sqlite3.Connection, row: sqlite3.Row, now: float, detail: str
+    ) -> bool:
+        """One dead worker's leased job: append its ``expire`` event,
+        then quarantine (poison), fail terminally (attempt cap), or
+        requeue.  Caller holds the transaction.  Returns whether the job
+        went back to ``queued``."""
         owner = row["lease_owner"]
-        if pid is None:
-            pid = self._worker_pid(conn, owner)
-        deaths = json.loads(row["deaths"]) if row["deaths"] else []
-        deaths.append(
-            {
-                "worker": owner,
-                "pid": pid,
-                "attempt": row["attempts"],
-                "at": now,
-                "detail": detail,
-            }
-        )
-        deaths_json = json.dumps(deaths)
-        self._counters.inc("worker_deaths")
         self._event(conn, row["key"], "expire", worker=owner, at=now, detail=detail)
-        distinct = {d.get("worker") for d in deaths}
-        if len(distinct) >= POISON_DEATHS:
-            error = (
-                f"poison: killed {len(distinct)} distinct worker(s) mid-lease"
-                f" ({', '.join(sorted(str(w) for w in distinct))})"
+        workers = sorted({str(d["worker"]) for d in self._deaths(conn, row["key"])})
+        if len(workers) >= POISON_DEATHS:
+            self._finish(
+                conn, row, now, "quarantined", "poison", "PoisonJob",
+                f"poison: killed {len(workers)} distinct worker(s) mid-lease"
+                f" ({', '.join(workers)})",
             )
-            self._to_dlq(conn, row, now, deaths_json, error, reason="poison")
-            return "quarantined"
+            return False
         if row["attempts"] >= row["max_attempts"]:
-            error = (
-                f"lease expired after {row['attempts']} attempt(s); "
-                f"last owner {owner}"
+            self._finish(
+                conn, row, now, "failed", "attempts-exhausted", "LeaseExhausted",
+                f"lease expired after {row['attempts']} attempt(s); last owner {owner}",
             )
-            self._to_dlq(
-                conn, row, now, deaths_json, error,
-                reason="attempts-exhausted", status="failed",
-            )
-            return "failed"
+            return False
         conn.execute(
             "UPDATE jobs SET status = 'queued', lease_owner = NULL,"
-            " lease_expires = NULL, deaths = ? WHERE key = ?",
-            (deaths_json, row["key"]),
+            " lease_expires = NULL WHERE key = ?",
+            (row["key"],),
         )
-        return "requeued"
+        return True
 
-    def _to_dlq(
+    def _finish(
         self,
         conn: sqlite3.Connection,
         row: sqlite3.Row,
         now: float,
-        deaths_json: str,
-        error: str,
+        status: str,
         reason: str,
-        status: str = "quarantined",
+        error_name: str,
+        error: str,
     ) -> None:
-        """Park a job terminally with structured dead-letter forensics:
-        a :class:`FailureRecord` plus the spec/chunk/death history that
-        ``dlq show`` renders.  Caller holds the transaction."""
+        """Park a job terminally (``failed`` or ``quarantined``) with a
+        structured :class:`FailureRecord`, and fail its parent cell if
+        it is a chunk.  Caller holds the transaction."""
         record = FailureRecord(
             index=row["chunk_start"] if row["chunk_start"] is not None else -1,
             phase="service",
-            error="PoisonJob" if reason == "poison" else "LeaseExhausted",
+            error=error_name,
             message=error[:500],
             traceback_digest="-",
             attempts=row["attempts"],
             wall_time=max(0.0, now - (row["started_at"] or now)),
         )
-        failure = {
-            "reason": reason,
-            "record": record.to_dict(),
-            "label": row["label"],
-            "spec": json.loads(row["spec"]),
-            "chunk": (
-                [row["chunk_start"], row["chunk_stop"]]
-                if row["chunk_start"] is not None
-                else None
-            ),
-            "deaths": json.loads(deaths_json) if deaths_json else [],
-            "at": now,
-        }
+        failure = {"reason": reason, "record": record.to_dict(), "at": now}
         conn.execute(
-            "UPDATE jobs SET status = ?, finished_at = ?, error = ?,"
-            " deaths = ?, failure = ?, lease_owner = NULL, lease_expires = NULL"
-            " WHERE key = ?",
-            (status, now, error, deaths_json, json.dumps(failure), row["key"]),
+            "UPDATE jobs SET status = ?, finished_at = ?, error = ?, failure = ?,"
+            " lease_owner = NULL, lease_expires = NULL WHERE key = ?",
+            (status, now, error, json.dumps(failure), row["key"]),
         )
-        if status == "quarantined":
-            self._counters.inc("quarantined")
         self._event(
             conn,
             row["key"],
@@ -814,29 +763,37 @@ class JobQueue:
             detail=f"{reason}: {error[:200]}",
         )
         if row["parent"] is not None:
-            self._fail_parent_of(conn, row["parent"], row["key"], error, now)
+            self._fail_parent(
+                conn, row["parent"], now,
+                f"chunk {row['key']} failed: {error}",
+                f"sibling chunk of {row['parent']} failed",
+            )
 
-    def _fail_parent_of(
-        self, conn: sqlite3.Connection, parent: str, chunk_key: str, error: str, now: float
-    ) -> None:
-        """A chunk failed terminally: fail its parent cell and every
-        still-queued sibling (leased siblings finish harmlessly — their
-        chunk entries are ignored once the parent is failed)."""
-        cur = conn.execute(
+    def _fail_parent(
+        self, conn: sqlite3.Connection, parent: str, now: float, error: str, sibling_error: str
+    ) -> bool:
+        """Fail a ``sharded`` parent cell and every still-queued chunk of
+        it, one ``fail`` event each (leased chunks finish harmlessly —
+        their entries are ignored once the parent is failed).  Caller
+        holds the transaction.  Returns whether the parent was failed."""
+        failed = conn.execute(
             "UPDATE jobs SET status = 'failed', finished_at = ?, error = ?"
             " WHERE key = ? AND status = 'sharded'",
-            (now, f"chunk {chunk_key} failed: {error}", parent),
-        )
-        if cur.rowcount:
-            self._event(
-                conn, parent, "fail", at=now,
-                detail=f"terminal: chunk {chunk_key} failed",
-            )
+            (now, error, parent),
+        ).rowcount > 0
+        if failed:
+            self._event(conn, parent, "fail", at=now, detail=f"terminal: {error[:200]}")
+        siblings = conn.execute(
+            "SELECT key FROM jobs WHERE parent = ? AND status = 'queued'", (parent,)
+        ).fetchall()
         conn.execute(
             "UPDATE jobs SET status = 'failed', finished_at = ?, error = ?"
             " WHERE parent = ? AND status = 'queued'",
-            (now, f"sibling chunk of {parent} failed", parent),
+            (now, sibling_error, parent),
         )
+        for sibling in siblings:
+            self._event(conn, sibling["key"], "fail", at=now, detail=f"terminal: {sibling_error}")
+        return failed
 
     def lease(
         self,
@@ -853,7 +810,8 @@ class JobQueue:
         ranking when one is supplied, else FIFO by submission time
         (deterministically tie-broken by key either way).  Chunk
         sub-jobs carry ``siblings_active`` (leased + done siblings) so
-        the scheduler can prefer finishing in-flight cells.
+        the scheduler can prefer finishing in-flight cells, and every
+        job carries ``dead_workers`` for the scheduler's hazard term.
         """
         now = time.time()
 
@@ -864,6 +822,13 @@ class JobQueue:
                 " ORDER BY submitted_at, key"
             ).fetchall()
             jobs = [Job.from_row(r) for r in rows]
+            dead = dict(conn.execute(
+                "SELECT e.key, COUNT(DISTINCT e.worker) FROM jobs j"
+                " JOIN events e ON e.key = j.key AND e.event = 'expire'"
+                f" WHERE j.status = 'queued' AND {_SINCE_REVIVAL} GROUP BY e.key"
+            ).fetchall())
+            for job in jobs:
+                job.dead_workers = dead.get(job.key, 0)
             if any(job.parent is not None for job in jobs):
                 progress = {
                     r["parent"]: r["n"]
@@ -898,7 +863,6 @@ class JobQueue:
 
         claimed, requeued = self._write_txn(body)
         if requeued:
-            self._counters.inc("expired_requeues", requeued)
             self.notify_submit.notify()
         return claimed
 
@@ -1003,22 +967,11 @@ class JobQueue:
         along with its still-queued children."""
         now = time.time()
 
-        def body(conn: sqlite3.Connection) -> bool:
-            cur = conn.execute(
-                "UPDATE jobs SET status = 'failed', finished_at = ?, error = ?"
-                " WHERE key = ? AND status = 'sharded'",
-                (now, error, key),
+        failed = self._write_txn(
+            lambda conn: self._fail_parent(
+                conn, key, now, error, f"sibling merge of {key} failed"
             )
-            if cur.rowcount:
-                self._event(conn, key, "fail", at=now, detail=f"terminal: {error[:200]}")
-                conn.execute(
-                    "UPDATE jobs SET status = 'failed', finished_at = ?, error = ?"
-                    " WHERE parent = ? AND status = 'queued'",
-                    (now, f"sibling merge of {key} failed", key),
-                )
-            return cur.rowcount > 0
-
-        failed = self._write_txn(body)
+        )
         if failed:
             self.notify_complete.notify()
         return failed
@@ -1049,39 +1002,10 @@ class JobQueue:
                     detail=f"retryable: {error[:200]}",
                 )
                 return True  # requeued
-            record = FailureRecord(
-                index=row["chunk_start"] if row["chunk_start"] is not None else -1,
-                phase="service",
-                error="JobFailed",
-                message=error[:500],
-                traceback_digest="-",
-                attempts=row["attempts"],
-                wall_time=max(0.0, now - (row["started_at"] or now)),
+            self._finish(
+                conn, row, now, "failed",
+                "execution" if retryable else "terminal", "JobFailed", error,
             )
-            failure = {
-                "reason": "execution" if retryable else "terminal",
-                "record": record.to_dict(),
-                "label": row["label"],
-                "spec": json.loads(row["spec"]),
-                "chunk": (
-                    [row["chunk_start"], row["chunk_stop"]]
-                    if row["chunk_start"] is not None
-                    else None
-                ),
-                "deaths": json.loads(row["deaths"]) if row["deaths"] else [],
-                "at": now,
-            }
-            conn.execute(
-                "UPDATE jobs SET status = 'failed', finished_at = ?,"
-                " error = ?, failure = ? WHERE key = ?",
-                (now, error, json.dumps(failure), key),
-            )
-            self._event(
-                conn, key, "fail", worker=owner, at=now,
-                detail=f"terminal: {error[:200]}",
-            )
-            if row["parent"] is not None:
-                self._fail_parent_of(conn, row["parent"], key, error, now)
             return False  # terminal
 
         requeued = self._write_txn(body)
@@ -1098,7 +1022,8 @@ class JobQueue:
     ) -> list[str]:
         """A supervisor observed ``owner`` die: release its leases *now*
         (recording a death on each, with poison detection) instead of
-        waiting out the lease expiry, and tombstone its registry row.
+        waiting out the lease expiry, and tombstone its registry row
+        with ``pid`` (created if the worker never registered).
         Returns the keys whose leases were released."""
         now = time.time()
 
@@ -1107,13 +1032,14 @@ class JobQueue:
                 "SELECT * FROM jobs WHERE status = 'leased' AND lease_owner = ?",
                 (owner,),
             ).fetchall()
-            requeued = 0
-            for row in rows:
-                if self._record_death(conn, row, now, detail, pid=pid) == "requeued":
-                    requeued += 1
+            requeued = sum(self._record_death(conn, row, now, detail) for row in rows)
+            # The registry row is the pid provenance deaths() joins on.
             conn.execute(
-                "UPDATE workers SET state = 'dead', heartbeat_at = ? WHERE id = ?",
-                (now, owner),
+                "INSERT INTO workers (id, pid, started_at, heartbeat_at, state)"
+                " VALUES (?, ?, ?, ?, 'dead') ON CONFLICT(id) DO UPDATE SET"
+                " state = 'dead', heartbeat_at = excluded.heartbeat_at,"
+                " pid = COALESCE(excluded.pid, pid)",
+                (owner, pid, now, now),
             )
             return [r["key"] for r in rows], requeued
 
@@ -1142,7 +1068,6 @@ class JobQueue:
 
         released = self._write_txn(body)
         if released:
-            self._counters.inc("released")
             self.notify_submit.notify()
         return released
 
@@ -1179,7 +1104,6 @@ class JobQueue:
 
         requeued = self._write_txn(body)
         if requeued:
-            self._counters.inc("merge_requeues", requeued)
             self.notify_submit.notify()
         return requeued
 
@@ -1283,7 +1207,7 @@ class JobQueue:
 
     def dlq_retry(self, key: str) -> bool:
         """Revive a quarantined (or terminally failed) job with a fresh
-        attempt budget and cleared forensics.  The revived run is
+        attempt budget and a clean death history.  The revived run is
         bit-identical to a clean one — seeding is content-derived, so
         quarantine history cannot leak into results.  ``False`` if the
         key is unknown or not in a dead-letter state."""
@@ -1291,9 +1215,7 @@ class JobQueue:
 
         def body(conn: sqlite3.Connection) -> bool:
             cur = conn.execute(
-                "UPDATE jobs SET status = 'queued', attempts = 0, error = NULL,"
-                " deaths = NULL, failure = NULL, lease_owner = NULL,"
-                " lease_expires = NULL, finished_at = NULL, submitted_at = ?"
+                f"UPDATE jobs SET status = 'queued', {_REVIVE_SET}, submitted_at = ?"
                 " WHERE key = ? AND status IN ('quarantined', 'failed')",
                 (now, key),
             )
@@ -1307,25 +1229,36 @@ class JobQueue:
 
         revived = self._write_txn(body)
         if revived:
-            self._counters.inc("dlq_retried")
             self.notify_submit.notify()
         return revived
 
     def dlq_purge(self, key: Optional[str] = None) -> int:
-        """Drop quarantined rows (one key, or all); returns the count.
-        Purging abandons the work — collect will re-simulate in-process
-        or a resubmission will start a fresh job."""
+        """Drop quarantined rows (one key, or all) with their timelines;
+        returns the count.  Purging abandons the work — collect will
+        re-simulate in-process or a resubmission will start a fresh job."""
         def body(conn: sqlite3.Connection) -> int:
-            if key is not None:
-                return conn.execute(
-                    "DELETE FROM jobs WHERE key = ? AND status = 'quarantined'",
+            keys = [
+                r["key"]
+                for r in conn.execute(
+                    "SELECT key FROM jobs WHERE status = 'quarantined'"
+                    " AND key = COALESCE(?, key)",
                     (key,),
-                ).rowcount
-            return conn.execute(
-                "DELETE FROM jobs WHERE status = 'quarantined'"
-            ).rowcount
+                )
+            ]
+            for k in keys:
+                conn.execute("DELETE FROM jobs WHERE key = ?", (k,))
+                self._drop_timeline(conn, k)
+            return len(keys)
 
         return self._write_txn(body)
+
+    @staticmethod
+    def _drop_timeline(conn: sqlite3.Connection, key: str) -> None:
+        """Delete a deleted job's events, its chunks' too (they share
+        the key prefix): events never outlive their rows."""
+        conn.execute(
+            "DELETE FROM events WHERE key = ? OR key LIKE ?", (key, f"{key}:%")
+        )
 
     # ------------------------------------------------------------------
     # retention
@@ -1364,12 +1297,7 @@ class JobQueue:
                 pruned += conn.execute(
                     "DELETE FROM jobs WHERE key = ? OR parent = ?", (key, key)
                 ).rowcount
-                # The timeline goes with the job (chunk events share the
-                # parent's key prefix) — events never outlive their rows.
-                conn.execute(
-                    "DELETE FROM events WHERE key = ? OR key LIKE ?",
-                    (key, f"{key}:%"),
-                )
+                self._drop_timeline(conn, key)
             return pruned
 
         pruned = self._write_txn(body)
@@ -1442,6 +1370,32 @@ class JobQueue:
         with self._lock:
             rows = self._conn.execute(sql, params).fetchall()
         return [dict(r) for r in rows]
+
+    def deaths(self, key: str) -> list[dict]:
+        """``key``'s death history since its last revival, oldest first:
+        one ``{"worker", "pid", "attempt", "at", "detail"}`` per
+        ``expire`` event after its last ``submit`` or ``retry`` event.
+        ``pid`` is the worker's registry entry; ``attempt`` counts the
+        leases, less releases, since the revival."""
+        with self._lock:
+            return self._deaths(self._conn, key)
+
+    @staticmethod
+    def _deaths(conn: sqlite3.Connection, key: str) -> list[dict]:
+        rows = conn.execute(
+            "SELECT e.event, e.worker, w.pid, e.at, e.detail FROM events e"
+            " LEFT JOIN workers w ON w.id = e.worker"
+            " WHERE e.key = ? AND e.event IN ('lease', 'release', 'expire')"
+            f" AND {_SINCE_REVIVAL} ORDER BY e.seq",
+            (key,),
+        ).fetchall()
+        attempt, out = 0, []
+        for r in rows:
+            attempt += {"lease": 1, "release": -1}.get(r["event"], 0)
+            if r["event"] == "expire":
+                out.append({"worker": r["worker"], "pid": r["pid"], "attempt": attempt,
+                            "at": r["at"], "detail": r["detail"]})
+        return out
 
     def event_counts(self) -> dict:
         """Total recorded events per transition type — the fleet-wide

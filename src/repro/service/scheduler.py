@@ -8,7 +8,7 @@ ranking is reproducible from the queue database alone::
           - expected_s * w.runtime
           + (1 if store had the key at submit) * w.cache_hit
           + (1 if a chunk of an in-flight cell)  * w.shard_progress
-          - distinct_dead_workers * w.hazard
+          - dead_workers * w.hazard
 
 * **priority** — client-assigned urgency, the dominant term;
 * **aging** — seconds since submission, so starved low-priority work
@@ -25,10 +25,11 @@ ranking is reproducible from the queue database alone::
   releases a whole merged result, while starting a fresh cell merely
   begins another.  Preferring in-flight cells bounds the number of
   half-done parents and cuts sweep tail latency;
-* **hazard** — a job that has already killed a worker mid-lease
-  (recorded in its death history) is demoted below fresh work: if it
-  is poisonous, healthy cells finish first and fewer workers die
-  confirming it before the dead-letter quarantine trips.
+* **hazard** — a job that has already killed a worker mid-lease is
+  demoted below fresh work: ``lease()`` counts the distinct workers in
+  the job's ``expire`` events since its last submission or retry.  If
+  the job is poisonous, healthy cells finish first and fewer workers
+  die confirming it before the dead-letter quarantine trips.
 
 Ties break deterministically by submission time then key, so two
 schedulers over the same snapshot produce the same order.  Scheduling
@@ -94,7 +95,7 @@ class Scheduler:
                 if job.parent is not None and job.siblings_active > 0
                 else 0.0
             )
-            - job.distinct_death_workers * w.hazard
+            - job.dead_workers * w.hazard
         )
 
     def rank(self, jobs: list["Job"], now: float) -> list["Job"]:

@@ -188,3 +188,47 @@ class TestCommands:
         assert main(["baseline", "--reps", "3", "--anomaly-prob", "1.0"]) == 0
         out = capsys.readouterr().out
         assert "anomalies observed: 3/3" in out
+
+
+class TestServiceDlq:
+    """``service dlq list|show`` output for a quarantined chunk job."""
+
+    def quarantine_chunk(self, path):
+        from repro.service import JobQueue
+
+        q = JobQueue(path)
+        q.submit_sharded(
+            "cell", {"workload": "nbody", "reps": 4}, None, "nbody",
+            chunks=[(0, 2), (2, 4)],
+        )
+        for worker, pid in (("w1", 101), ("w2", 102)):
+            (job,) = q.lease(worker)
+            assert job.key == "cell:0-2"
+            q.report_worker_death(worker, pid=pid)
+        q.close()
+
+    def dlq(self, path, capsys, *args):
+        assert main(
+            ["service", "dlq", *args, "--queue", str(path), "--store", str(path.parent / "store")]
+        ) == 0
+        return capsys.readouterr().out
+
+    def test_list_and_show(self, tmp_path, capsys):
+        path = tmp_path / "q.sqlite"
+        self.quarantine_chunk(path)
+        assert self.dlq(path, capsys, "list") == (
+            "cell:0-2  nbody[0:2]  reason=poison  deaths=2  attempts=2\n"
+        )
+        assert self.dlq(path, capsys, "show", "cell:0-2") == (
+            "key:      cell:0-2\n"
+            "label:    nbody[0:2]\n"
+            "status:   quarantined\n"
+            "reason:   poison\n"
+            "error:    PoisonJob: poison: killed 2 distinct worker(s) mid-lease (w1, w2)\n"
+            "attempts: 2/3\n"
+            "chunk:    reps [0:2]\n"
+            "death:    worker w1 (pid 101) attempt 1: worker died\n"
+            "death:    worker w2 (pid 102) attempt 2: worker died\n"
+            'spec:     {"reps": 4, "workload": "nbody"}\n'
+            "revive:   repro-noise service dlq retry cell:0-2\n"
+        )

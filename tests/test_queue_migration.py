@@ -15,7 +15,7 @@ from repro.service import JobQueue
 
 FIXTURE = Path(__file__).parent / "fixtures" / "queue_v7_schema.sql"
 
-V7_ABSENT_COLUMNS = ("parent", "chunk_start", "chunk_stop", "deaths", "failure")
+V7_ABSENT_COLUMNS = ("parent", "chunk_start", "chunk_stop", "failure")
 
 
 def make_v7_queue(tmp_path):
@@ -54,7 +54,7 @@ class TestV7Migration:
             queue.close()
         cols = columns(path)
         # exactly one of each migrated column, no duplicate-add errors
-        assert sum(1 for c in cols if c == "deaths") == 1
+        assert sum(1 for c in cols if c == "failure") == 1
 
     def test_pre_existing_jobs_survive_and_lease(self, tmp_path):
         path = make_v7_queue(tmp_path)
@@ -63,7 +63,8 @@ class TestV7Migration:
         assert queue.counts()["done"] == 1
         old = queue.job("oldqueued")
         assert old.spec == {"k": "oldqueued"}
-        assert old.deaths == [] and old.failure is None and old.parent is None
+        assert queue.deaths("oldqueued") == []
+        assert old.failure is None and old.parent is None
         (job,) = queue.lease("new-worker")
         assert job.key == "oldqueued" and job.attempts == 1
         assert queue.complete("oldqueued", "new-worker") is True

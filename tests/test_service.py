@@ -96,14 +96,14 @@ class TestJobQueue:
         q = JobQueue(tmp_path / "q.sqlite")
         submit(q, "a", max_attempts=1)
         job = self._fail_by_expiry(q, "A")
-        assert job.status == "failed" and len(job.deaths) == 1
+        assert job.status == "failed" and len(q.deaths("a")) == 1
         assert submit(q, "a", max_attempts=1) is True
         job = q.job("a")
-        assert (job.status, job.deaths, job.failure, job.finished_at) == ("queued", [], None, None)
+        assert (job.status, q.deaths("a"), job.failure, job.finished_at) == ("queued", [], None, None)
         job = self._fail_by_expiry(q, "B")
         assert job.status == "failed"
         assert job.error.startswith("lease expired after 1 attempt(s)")
-        assert [d["worker"] for d in job.deaths] == ["B"]
+        assert [d["worker"] for d in q.deaths("a")] == ["B"]
 
     def test_resubmit_sharded_clears_death_history(self, tmp_path):
         q = JobQueue(tmp_path / "q.sqlite")
@@ -111,7 +111,7 @@ class TestJobQueue:
         self._fail_by_expiry(q, "A")
         assert q.submit_sharded("a", {"k": "a"}, None, "a", chunks=[(0, 3), (3, 6)]) is True
         job = q.job("a")
-        assert (job.status, job.deaths, job.failure, job.finished_at) == ("sharded", [], None, None)
+        assert (job.status, q.deaths("a"), job.failure, job.finished_at) == ("sharded", [], None, None)
 
     def test_fail_retryable_requeues_until_attempt_cap(self, tmp_path):
         q = JobQueue(tmp_path / "q.sqlite")
@@ -227,6 +227,38 @@ class TestScheduler:
         submit(q, "urgent", priority=9)
         keys = [j.key for j in q.lease("w1", limit=2, scheduler=Scheduler())]
         assert keys == ["urgent", "bulk"]
+
+    @staticmethod
+    def _lease_order(q):
+        jobs = q.lease("probe", limit=2, scheduler=Scheduler())
+        for job in jobs:
+            q.release(job.key, "probe")
+        return [j.key for j in jobs]
+
+    def test_hazard_demotes_a_job_that_killed_a_worker(self, tmp_path):
+        q = JobQueue(tmp_path / "q.sqlite")
+        submit(q, "a")
+        q.lease("w1")
+        q.report_worker_death("w1")
+        submit(q, "b")
+        # Equal priority, and "a" is older, yet one death sinks it.
+        assert self._lease_order(q) == ["b", "a"]
+
+    @pytest.mark.parametrize("revive", ["dlq_retry", "resubmit"])
+    def test_revival_lifts_the_hazard_demotion(self, tmp_path, revive):
+        q = JobQueue(tmp_path / "q.sqlite")
+        submit(q, "a", max_attempts=1)
+        q.lease("w1")
+        q.report_worker_death("w1")
+        assert q.job("a").status == "failed"
+        if revive == "dlq_retry":
+            assert q.dlq_retry("a") is True
+        else:
+            assert submit(q, "a", max_attempts=1) is True
+        submit(q, "b")
+        # The death predates the revival: "a" competes as a fresh job
+        # and wins on age.
+        assert self._lease_order(q) == ["a", "b"]
 
 
 # ----------------------------------------------------------------------

@@ -126,6 +126,29 @@ class TestShardedQueue:
         assert "chunk" in q.job("a").error and "boom" in q.job("a").error
         assert q.drained(["a"])
 
+    @staticmethod
+    def _last_events(q, keys):
+        return {k: (q.job(k).status, q.events(k)[-1]["event"]) for k in keys}
+
+    def test_chunk_failure_records_a_fail_event_per_sibling(self, tmp_path):
+        q = JobQueue(tmp_path / "q.sqlite")
+        submit_sharded(q, "p", [(0, 2), (2, 4), (4, 6)], max_attempts=1)
+        (job,) = q.lease("w1")
+        assert job.key == "p:0-2"
+        q.fail(job.key, "w1", "boom", retryable=False)
+        # The timeline agrees with the jobs table for every failed row.
+        assert self._last_events(q, ["p", "p:0-2", "p:2-4", "p:4-6"]) == {
+            k: ("failed", "fail") for k in ("p", "p:0-2", "p:2-4", "p:4-6")
+        }
+
+    def test_fail_parent_records_a_fail_event_per_sibling(self, tmp_path):
+        q = JobQueue(tmp_path / "q.sqlite")
+        submit_sharded(q, "p", [(0, 2), (2, 4)])
+        assert q.fail_parent("p", "merge broke") is True
+        assert self._last_events(q, ["p", "p:0-2", "p:2-4"]) == {
+            k: ("failed", "fail") for k in ("p", "p:0-2", "p:2-4")
+        }
+
     def test_expired_chunk_lease_past_cap_fails_parent(self, tmp_path):
         q = JobQueue(tmp_path / "q.sqlite")
         submit_sharded(q, "a", [(0, 3), (3, 6)], max_attempts=1)

@@ -96,7 +96,7 @@ class TestSupervisorMechanics:
         job = queue.job("a")
         assert job.status == "queued"
         assert job.lease_owner is None
-        (death,) = job.deaths
+        (death,) = queue.deaths("a")
         assert death["worker"].endswith("-w0-r0")
         assert "code 9" in death["detail"]
 
@@ -229,12 +229,13 @@ class TestPoisonJobEndToEnd:
         assert failure["reason"] == "poison"
         assert failure["record"]["error"] == "PoisonJob"
         # dlq show forensics: which workers, which pids, which spec/reps.
-        assert len(failure["deaths"]) == 2
-        workers = {d["worker"] for d in failure["deaths"]}
+        deaths = queue.deaths(key)
+        assert len(deaths) == 2
+        workers = {d["worker"] for d in deaths}
         assert len(workers) == 2
-        assert all(d["pid"] is not None for d in failure["deaths"])
-        assert failure["spec"]["workload"] == "nbody"
-        assert failure["spec"]["reps"] == 2
+        assert all(d["pid"] is not None for d in deaths)
+        assert job.spec["workload"] == "nbody"
+        assert job.spec["reps"] == 2
         assert (job,) == tuple(queue.dlq_list())
 
         # Revive without chaos: a plain worker drains it...

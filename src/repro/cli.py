@@ -20,10 +20,9 @@ Subcommands mirror the paper's workflow:
   liveness included), ``drain`` the queue and exit, ``prune`` old
   finished job rows, ``dlq`` to inspect/revive quarantined poison
   jobs, ``fsck`` to cross-check queue↔store invariants and re-queue
-  lost work, ``monitor`` to serve the read-only HTTP observability
-  endpoint (``/metrics`` Prometheus, ``/status`` JSON, ``/healthz``),
-  ``top`` for a live worker/queue dashboard
-  (see docs/campaign_service.md);
+  lost work, ``top`` for a live worker/queue dashboard
+  (``status --json`` adds lifecycle-event totals and campaign
+  progress; see docs/campaign_service.md);
 * ``platforms`` — list platform presets;
 * ``noise``     — list registered noise sources and their parameters;
 * ``telemetry`` — summarize or re-export a telemetry log collected with
@@ -399,15 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SEED",
         help="seed of the supervisor's restart-backoff schedule",
     )
-    sp.add_argument(
-        "--monitor",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="with --supervise: serve the read-only monitoring endpoint "
-        "(/metrics, /status, /healthz) on this localhost port for the "
-        "fleet's lifetime (0 picks an ephemeral port)",
-    )
 
     sp = svc.add_parser("submit", help="queue one cell, or a sweep grid")
     _add_service_args(sp)
@@ -470,25 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="print a progress line at most every SECONDS while waiting "
         "(default: wait silently)",
-    )
-
-    sp = svc.add_parser(
-        "monitor",
-        help="serve the read-only observability endpoint: /metrics "
-        "(Prometheus), /status and /jobs/<key> (JSON), /healthz",
-    )
-    _add_service_args(sp)
-    sp.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="bind address (default: 127.0.0.1 — the monitor is loopback-"
-        "only by design)",
-    )
-    sp.add_argument(
-        "--port",
-        type=int,
-        default=9177,
-        help="bind port (default: 9177; 0 picks an ephemeral port)",
     )
 
     sp = svc.add_parser(
@@ -957,17 +928,11 @@ def _cmd_service(args) -> int:
             seed=getattr(args, "supervisor_seed", 0),
             drain=getattr(args, "drain", False),
             lease_s=getattr(args, "lease", None),
-            monitor_port=getattr(args, "monitor", None),
         )
         supervisor.install_signal_handlers()
         print(
             f"supervisor {supervisor.id_prefix}: {len(supervisor.slots)} worker(s) "
             f"over {queue.path} -> {store.root}"
-            + (
-                f", monitor on 127.0.0.1:{supervisor.monitor_port}"
-                if supervisor.monitor_port is not None
-                else ""
-            )
         )
         deaths = supervisor.run()
         print(f"supervisor {supervisor.id_prefix}: {supervisor.stats()}")
@@ -1019,27 +984,6 @@ def _cmd_service(args) -> int:
         report = fsck(queue, store, repair=args.repair)
         print(report.summary())
         return 0 if report.clean or report.repaired else 1
-
-    if args.action == "monitor":
-        import time as _time
-
-        from repro.service import MonitorServer
-
-        server = MonitorServer(queue, store, host=args.host, port=args.port)
-        server.start()
-        print(f"monitor: serving {server.url} (read-only; Ctrl-C to stop)")
-        print(f"  metrics: {server.url}/metrics")
-        print(f"  status:  {server.url}/status")
-        print(f"  health:  {server.url}/healthz")
-        try:
-            while True:
-                _time.sleep(3600.0)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.stop()
-        print("monitor: stopped")
-        return 0
 
     if args.action == "top":
         from repro.service import render_top

@@ -49,15 +49,15 @@ The self-healing tier on top:
   invariants (lost results, unmergeable sharded parents, orphan chunk
   entries, leases held by dead workers) and, with ``repair=True``,
   re-queues lost work.
-* :class:`~repro.service.monitor.MonitorServer` — the read-only
-  observability plane: ``/metrics`` (Prometheus text exposition),
-  ``/status`` and ``/jobs/<key>`` (JSON), and ``/healthz``; built on
-  the queue's append-only lifecycle-events table.  The same module
-  stitches per-worker telemetry with lifecycle events into a single
-  Perfetto trace (:func:`~repro.service.monitor.stitch_trace`) and
-  renders the ``repro-noise service top`` dashboard
-  (:func:`~repro.service.monitor.render_top`).  Everything here is
-  read-only by construction — monitoring cannot perturb results.
+* Read-only views over recorded data: campaign progress/ETA
+  (:func:`~repro.service.monitor.campaign_progress`, also under
+  ``progress`` in ``repro-noise service status --json``), a single
+  Perfetto trace stitched from per-worker telemetry and the queue's
+  append-only lifecycle-events table
+  (:func:`~repro.service.monitor.stitch_trace`), and the
+  ``repro-noise service top`` dashboard
+  (:func:`~repro.service.monitor.render_top`).  None of them writes,
+  so watching a campaign cannot perturb its results.
 
 Bit-identity is the design constraint throughout: a sweep drained
 through the service — including after a mid-lease worker kill, a
@@ -67,13 +67,7 @@ byte-identical to the same sweep run in-process.
 
 from repro.service.client import ServiceClient
 from repro.service.fsck import FsckReport, fsck
-from repro.service.monitor import (
-    MonitorServer,
-    campaign_progress,
-    metrics_text,
-    render_top,
-    stitch_trace,
-)
+from repro.service.monitor import campaign_progress, render_top, stitch_trace
 from repro.service.notify import NotifyChannel, Subscription, notify_enabled
 from repro.service.queue import Job, JobQueue, WorkerInfo
 from repro.service.scheduler import Scheduler, SchedulerWeights
@@ -97,9 +91,7 @@ __all__ = [
     "Worker",
     "FsckReport",
     "fsck",
-    "MonitorServer",
     "campaign_progress",
-    "metrics_text",
     "render_top",
     "stitch_trace",
 ]

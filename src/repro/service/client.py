@@ -395,8 +395,11 @@ class ServiceClient:
 
     def status(self, lost_after_s: Optional[float] = None) -> dict:
         """Queue counts, per-sweep progress, worker fleet liveness (with
-        the heartbeat-derived ``lost`` state), DLQ summary, and store
-        statistics."""
+        the heartbeat-derived ``lost`` state), DLQ summary, store
+        statistics, fleet-wide lifecycle-event totals (``events``;
+        ``events["expire"]`` counts leases lost to dead workers) and
+        campaign progress (``progress``).  Reads only."""
+        from repro.service.monitor import campaign_progress
         from repro.service.queue import DEFAULT_LOST_AFTER_S, _STATUSES
 
         if lost_after_s is None:
@@ -441,6 +444,8 @@ class ServiceClient:
             "workers": workers,
             "dlq": dlq,
             "store": self.store.stats(),
+            "events": self.queue.event_counts(),
+            "progress": campaign_progress(self.queue),
         }
 
 

@@ -1,29 +1,10 @@
-"""Read-only observability plane for the campaign service.
+"""Read-only views of the campaign service, built on recorded data.
 
-Four views over one queue database, none of which writes a single row:
-
-* :class:`MonitorServer` — a stdlib :mod:`http.server` thread serving
-
-  - ``/metrics`` — Prometheus text exposition: queue depth by status,
-    worker registry liveness (heartbeat ages, derived states), DLQ and
-    quarantine counts, store integrity counters, fleet-wide lifecycle
-    totals derived from the queue's ``events`` table (crucially
-    ``repro_service_worker_deaths_total``, which counts *every*
-    worker's deaths, not just ones this process observed), and this
-    process's own telemetry :func:`~repro.telemetry.counters_snapshot`;
-  - ``/status`` — the ``service status`` JSON plus campaign progress;
-  - ``/jobs/<key>`` — one job's row, chunk children, and its full
-    lifecycle timeline;
-  - ``/healthz`` — 200 when the queue answers and at least one worker
-    is live (idle/busy by heartbeat), 503 otherwise — it flips red
-    when a supervisor drains its fleet.
-
-  Binds ``127.0.0.1`` by default (port 0 = ephemeral, for tests); the
-  handlers share the monitor's single :class:`JobQueue` connection,
-  which serialises them on its internal lock.
+Three views over one queue database, none of which writes a single row:
 
 * :func:`campaign_progress` — done/total cells and an ETA extrapolated
-  from the trailing completion rate in the events table.
+  from the trailing completion rate in the events table (``service
+  status --json`` reports it under ``progress``).
 
 * :func:`stitch_trace` — joins per-worker telemetry JSONL buffers with
   the lifecycle events into one Chrome/Perfetto trace: each job's wall
@@ -37,25 +18,17 @@ Four views over one queue database, none of which writes a single row:
   workers (state, heartbeat age, current lease, reps/sec), queue depth
   by status, DLQ size, campaign progress/ETA.
 
-Monitoring is an observer: with the monitor off nothing here is even
-imported, and with it on every endpoint is read-only, so result bytes
-are identical either way (the service bit-identity suite runs with the
-monitor scraping mid-campaign).
+Each view only reads, so result bytes are identical whether or not
+anything is watching.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import threading
 import time
-from dataclasses import asdict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
-from urllib.parse import unquote, urlparse
+from typing import Optional, Sequence
 
-from repro import telemetry as _telemetry
 from repro.service.queue import (
     DEFAULT_LOST_AFTER_S,
     _STATUSES,
@@ -64,17 +37,10 @@ from repro.service.queue import (
 from repro.service.store import SharedResultStore
 
 __all__ = [
-    "MonitorServer",
-    "metrics_text",
-    "health",
     "campaign_progress",
     "stitch_trace",
     "render_top",
 ]
-
-_telemetry.set_counter_help(
-    "service_monitor", "observability-plane activity (scrapes served)"
-)
 
 #: trailing window the completion-rate / ETA estimate is fitted over
 DEFAULT_RATE_WINDOW_S = 600.0
@@ -120,304 +86,6 @@ def campaign_progress(
         "rate_per_s": rate,
         "eta_s": eta_s,
     }
-
-
-# ----------------------------------------------------------------------
-# /metrics
-# ----------------------------------------------------------------------
-def metrics_text(
-    queue: JobQueue,
-    store: Optional[SharedResultStore] = None,
-    lost_after_s: float = DEFAULT_LOST_AFTER_S,
-) -> str:
-    """The full Prometheus exposition for one scrape.
-
-    Queue/worker/DLQ/store series are gauges over live database state;
-    the lifecycle totals (including ``worker_deaths_total``) are
-    counters derived from the append-only events table, so they are
-    fleet-wide facts, not this process's memory.  The scraping
-    process's own telemetry counters are appended last via
-    :func:`~repro.telemetry.prometheus_text`.
-    """
-    from repro.telemetry.exporters import prometheus_text, render_value
-
-    lines: list[str] = []
-
-    def family(name: str, help_: str, kind: str, samples: Iterable[tuple[str, object]]):
-        samples = list(samples)
-        if not samples:
-            return
-        lines.append(f"# HELP {name} {help_}")
-        lines.append(f"# TYPE {name} {kind}")
-        for labels, value in samples:
-            lines.append(f"{name}{labels} {render_value(value)}")
-
-    counts = queue.counts()
-    family(
-        "repro_service_jobs",
-        "jobs in the queue by status (chunk sub-jobs included)",
-        "gauge",
-        ((f'{{status="{s}"}}', counts[s]) for s in _STATUSES),
-    )
-    cells = queue.counts(cells_only=True)
-    family(
-        "repro_service_cells",
-        "experiment cells in the queue by status (chunk sub-jobs folded in)",
-        "gauge",
-        ((f'{{status="{s}"}}', cells[s]) for s in _STATUSES),
-    )
-    now = time.time()
-    workers = queue.workers()
-    by_state: dict[str, int] = {}
-    for info in workers:
-        state = info.derived_state(now, lost_after_s)
-        by_state[state] = by_state.get(state, 0) + 1
-    family(
-        "repro_service_workers",
-        "registered workers by heartbeat-derived state",
-        "gauge",
-        ((f'{{state="{s}"}}', n) for s, n in sorted(by_state.items())),
-    )
-    family(
-        "repro_service_worker_heartbeat_age_seconds",
-        "seconds since each worker's last registry heartbeat",
-        "gauge",
-        (
-            (f'{{worker="{info.id}"}}', round(info.heartbeat_age(now), 3))
-            for info in workers
-        ),
-    )
-    family(
-        "repro_service_worker_jobs_done",
-        "jobs completed per worker (registry view)",
-        "counter",
-        ((f'{{worker="{info.id}"}}', info.jobs_done) for info in workers),
-    )
-    family(
-        "repro_service_dlq_jobs",
-        "quarantined jobs in the dead-letter queue",
-        "gauge",
-        (("", counts["quarantined"]),),
-    )
-    events = queue.event_counts()
-    family(
-        "repro_service_lifecycle_events_total",
-        "lifecycle transitions recorded in the queue's events table",
-        "counter",
-        ((f'{{event="{e}"}}', n) for e, n in sorted(events.items())),
-    )
-    family(
-        "repro_service_worker_deaths_total",
-        "leases lost to dead or vanished workers, fleet-wide "
-        "(expire events in the queue's lifecycle table)",
-        "counter",
-        (("", events.get("expire", 0)),),
-    )
-    progress = campaign_progress(queue)
-    family(
-        "repro_service_campaign_cells_done",
-        "completed cells of the current campaign",
-        "gauge",
-        (("", progress["cells_done"]),),
-    )
-    family(
-        "repro_service_campaign_cells_total",
-        "total cells known to the current campaign",
-        "gauge",
-        (("", progress["cells_total"]),),
-    )
-    if store is not None:
-        family(
-            "repro_service_store",
-            "shared result store counters (hits, integrity quarantines, ...)",
-            "gauge",
-            (
-                (f'{{counter="{name}"}}', value)
-                for name, value in sorted(store.stats().items())
-            ),
-        )
-    text = "\n".join(lines) + ("\n" if lines else "")
-    return text + prometheus_text()
-
-
-# ----------------------------------------------------------------------
-# /healthz
-# ----------------------------------------------------------------------
-def health(
-    queue: JobQueue, lost_after_s: float = DEFAULT_LOST_AFTER_S
-) -> tuple[bool, dict]:
-    """Liveness verdict: queue answers + at least one live worker.
-
-    A worker is live when its heartbeat-derived state is idle or busy;
-    a drained/dead fleet flips this to 503 even though the queue file
-    itself is perfectly healthy.
-    """
-    try:
-        counts = queue.counts()
-    except Exception as exc:  # pragma: no cover - corrupt/locked file
-        return False, {"healthy": False, "reason": f"queue error: {exc}"}
-    now = time.time()
-    live = [
-        w.id
-        for w in queue.workers()
-        if w.derived_state(now, lost_after_s) in ("idle", "busy")
-    ]
-    if not os.access(queue.path, os.W_OK):
-        return False, {"healthy": False, "reason": "queue file not writable"}
-    if not live:
-        return False, {
-            "healthy": False,
-            "reason": "no live workers",
-            "jobs": counts,
-        }
-    return True, {
-        "healthy": True,
-        "reason": f"{len(live)} live worker(s)",
-        "workers": live,
-        "jobs": counts,
-    }
-
-
-# ----------------------------------------------------------------------
-# HTTP plumbing
-# ----------------------------------------------------------------------
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "repro-monitor"
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # scrapes every few seconds must not spam the console
-
-    def do_GET(self):  # noqa: N802 - stdlib casing
-        monitor: "MonitorServer" = self.server.monitor  # type: ignore[attr-defined]
-        path = unquote(urlparse(self.path).path)
-        try:
-            if path == "/metrics":
-                body = monitor.metrics()
-                ctype, code = "text/plain; version=0.0.4; charset=utf-8", 200
-            elif path in ("/", "/status"):
-                body = json.dumps(monitor.status(), default=str) + "\n"
-                ctype, code = "application/json", 200
-            elif path == "/healthz":
-                healthy, payload = health(monitor.queue, monitor.lost_after_s)
-                body = json.dumps(payload) + "\n"
-                ctype, code = "application/json", 200 if healthy else 503
-            elif path.startswith("/jobs/"):
-                payload = monitor.job_detail(path[len("/jobs/"):])
-                if payload is None:
-                    body = json.dumps({"error": "unknown job"}) + "\n"
-                    ctype, code = "application/json", 404
-                else:
-                    body = json.dumps(payload, default=str) + "\n"
-                    ctype, code = "application/json", 200
-            else:
-                body = json.dumps({"error": f"no such endpoint {path!r}"}) + "\n"
-                ctype, code = "application/json", 404
-        except Exception as exc:  # pragma: no cover - defensive
-            body = json.dumps({"error": f"{type(exc).__name__}: {exc}"}) + "\n"
-            ctype, code = "application/json", 500
-        data = body.encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", ctype)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-
-class MonitorServer:
-    """The observability HTTP endpoint, on a daemon thread.
-
-    Strictly read-only over a shared :class:`JobQueue` (whose internal
-    lock serialises the handler threads) and optional store.  ``port=0``
-    binds an ephemeral port — read :attr:`port`/:attr:`url` after
-    construction.  Use as a context manager, or ``start()``/``stop()``.
-    """
-
-    def __init__(
-        self,
-        queue: JobQueue,
-        store: Optional[SharedResultStore] = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        lost_after_s: float = DEFAULT_LOST_AFTER_S,
-    ):
-        self.queue = queue
-        self.store = store
-        self.lost_after_s = lost_after_s
-        self._counters = _telemetry.get_group("service_monitor")
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._httpd.monitor = self  # type: ignore[attr-defined]
-        self.host = self._httpd.server_address[0]
-        self.port = self._httpd.server_address[1]
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "MonitorServer":
-        if self._thread is not None:
-            return self
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.2},
-            daemon=True,
-            name="repro-monitor",
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._httpd.shutdown()
-        self._thread.join(timeout=5.0)
-        self._thread = None
-        self._httpd.server_close()
-
-    def __enter__(self) -> "MonitorServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    # ------------------------------------------------------------------
-    def metrics(self) -> str:
-        self._counters.inc("scrapes")
-        return metrics_text(self.queue, self.store, self.lost_after_s)
-
-    def status(self) -> dict:
-        self._counters.inc("status_requests")
-        from repro.service.client import ServiceClient
-
-        client = ServiceClient(self.queue, self.store)
-        payload = client.status(lost_after_s=self.lost_after_s)
-        payload["progress"] = campaign_progress(self.queue)
-        payload["queue_path"] = str(self.queue.path)
-        if self.store is not None:
-            payload["store_root"] = str(self.store.root)
-        return payload
-
-    def job_detail(self, key: str) -> Optional[dict]:
-        job = self.queue.job(key)
-        if job is None:
-            return None
-        payload = asdict(job)
-        payload["events"] = self.queue.events(key=key)
-        children = self.queue.children(key)
-        if children:
-            payload["children"] = [
-                {
-                    "key": c.key,
-                    "status": c.status,
-                    "chunk_start": c.chunk_start,
-                    "chunk_stop": c.chunk_stop,
-                    "attempts": c.attempts,
-                    "lease_owner": c.lease_owner,
-                }
-                for c in children
-            ]
-        return payload
 
 
 # ----------------------------------------------------------------------

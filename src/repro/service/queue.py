@@ -543,9 +543,8 @@ class JobQueue:
             )
             if cur.rowcount > 0:
                 # Revived after a failed *sharded* attempt: the cell now
-                # runs whole, so its stale chunk children must not linger
-                # as leasable work.
-                conn.execute("DELETE FROM jobs WHERE parent = ?", (key,))
+                # runs whole.
+                self._drop_children(conn, key)
                 self._event(conn, key, "submit", worker=client, at=now)
             return cur.rowcount > 0
 
@@ -595,7 +594,7 @@ class JobQueue:
             ).fetchone()
             if row is not None and row["status"] != "failed":
                 return False
-            conn.execute("DELETE FROM jobs WHERE parent = ?", (key,))
+            self._drop_children(conn, key)
             if row is None:
                 conn.execute(
                     """INSERT INTO jobs (key, spec, noise, label, status, priority,
@@ -1222,8 +1221,8 @@ class JobQueue:
             if cur.rowcount == 0:
                 return False
             # A revived cell runs whole even if its doomed attempt was
-            # sharded — stale chunk children must not linger as work.
-            conn.execute("DELETE FROM jobs WHERE parent = ?", (key,))
+            # sharded.
+            self._drop_children(conn, key)
             self._event(conn, key, "retry", at=now, detail="dlq retry: fresh budget")
             return True
 
@@ -1251,6 +1250,16 @@ class JobQueue:
             return len(keys)
 
         return self._write_txn(body)
+
+    @staticmethod
+    def _drop_children(conn: sqlite3.Connection, key: str) -> None:
+        """Delete a revived cell's stale chunk rows with their events:
+        the old chunks must neither linger as leasable work nor count
+        in :meth:`event_counts` and stitched traces.  The ``LIKE`` scans
+        the whole events table, so it runs only when chunk rows went:
+        a fresh submit has none."""
+        if conn.execute("DELETE FROM jobs WHERE parent = ?", (key,)).rowcount:
+            conn.execute("DELETE FROM events WHERE key LIKE ?", (f"{key}:%",))
 
     @staticmethod
     def _drop_timeline(conn: sqlite3.Connection, key: str) -> None:
@@ -1399,8 +1408,9 @@ class JobQueue:
 
     def event_counts(self) -> dict:
         """Total recorded events per transition type — the fleet-wide
-        counters the monitor exports (unlike :meth:`stats`, these are
-        derived from the shared database, not this process's memory)."""
+        totals ``service status --json`` reports under ``events``
+        (unlike :meth:`stats`, these are derived from the shared
+        database, not this process's memory)."""
         with self._lock:
             rows = self._conn.execute(
                 "SELECT event, COUNT(*) AS n FROM events GROUP BY event"

@@ -120,8 +120,6 @@ class Supervisor:
         command_factory: Optional[Callable[[str], Sequence[str]]] = None,
         env: Optional[dict] = None,
         extra_args: Sequence[str] = (),
-        monitor_port: Optional[int] = None,
-        monitor_host: str = "127.0.0.1",
     ):
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
@@ -140,11 +138,6 @@ class Supervisor:
         self.command_factory = command_factory
         self.env = env
         self.extra_args = list(extra_args)
-        #: when set, run() serves the read-only monitor endpoint on this
-        #: port for the fleet's lifetime (``0`` = ephemeral)
-        self.monitor_port = monitor_port
-        self.monitor_host = monitor_host
-        self.monitor = None
         self.slots = [WorkerSlot(index=i) for i in range(workers)]
         #: per-slot deterministic backoff jitter
         self._rngs = [random.Random(f"{seed}:{i}") for i in range(workers)]
@@ -303,18 +296,6 @@ class Supervisor:
         ``drain`` mode, until the fleet drains the queue).  Returns the
         number of abnormal child deaths observed."""
         deaths = 0
-        if self.monitor_port is not None:
-            # The observability plane rides on the supervisor: it owns
-            # no worker and leases nothing, so serving read-only HTTP
-            # from this process cannot perturb the fleet.
-            from repro.service.monitor import MonitorServer
-            from repro.service.store import SharedResultStore
-
-            store = SharedResultStore(self.store_root)
-            self.monitor = MonitorServer(
-                self.queue, store, host=self.monitor_host, port=self.monitor_port
-            ).start()
-            _log.info("supervisor: monitor serving on %s", self.monitor.url)
         for slot in self.slots:
             self._spawn(slot)
         kill_deadline: Optional[float] = None
@@ -370,7 +351,4 @@ class Supervisor:
                         pid=slot.proc.pid,
                         detail="killed by exiting supervisor",
                     )
-            if self.monitor is not None:
-                self.monitor.stop()
-                self.monitor = None
         return deaths

@@ -1,35 +1,30 @@
-"""Observability-plane tests: lifecycle events, HTTP monitor, stitching.
+"""Observability tests: lifecycle events, status document, stitching.
 
 The guarantees under test:
 
 * every queue transition leaves exactly one append-only event, in
-  commit order (``submit < lease <= renew* < complete`` per job);
-* the HTTP monitor is read-only, answers while a campaign is being
-  drained under concurrent scrapes, and its ``/healthz`` flips red
-  exactly when the last live worker goes away;
+  commit order (``submit < lease <= renew* < complete`` per job), and
+  a revived cell's stale chunk children take their events with them;
+* ``service status --json`` reports the fleet-wide lifecycle totals
+  (a reported worker death is an ``expire``) and cell-level campaign
+  progress, and leaves the queue file byte-identical;
 * stitching attributes a sharded cell's wall time to queue-wait / run
   / merge phases with run spans on the owning worker's pid track.
 """
 
 import json
-import threading
-import time
-import urllib.error
-import urllib.request
 
 import pytest
 
 from repro.harness.experiment import ExperimentSpec
 from repro.service import (
     JobQueue,
-    MonitorServer,
     SharedResultStore,
     Worker,
     campaign_progress,
     render_top,
     stitch_trace,
 )
-from repro.service.monitor import health, metrics_text
 
 
 def spec(**kw):
@@ -52,11 +47,6 @@ def submit_sharded(queue, key, chunks, **kw):
     kw.setdefault("noise", None)
     kw.setdefault("label", key)
     return queue.submit_sharded(key, chunks=chunks, **kw)
-
-
-def get(url, timeout=5.0):
-    with urllib.request.urlopen(url, timeout=timeout) as resp:
-        return resp.status, resp.read().decode()
 
 
 # ----------------------------------------------------------------------
@@ -149,6 +139,27 @@ class TestLifecycleEvents:
         assert q.events("a") == []
         assert q.events("a:0-2") == []
 
+    @pytest.mark.parametrize("revive", ["submit", "submit_sharded", "dlq_retry"])
+    def test_revival_drops_stale_chunk_events(self, tmp_path, revive):
+        q = JobQueue(tmp_path / "q.sqlite")
+        chunks = [(0, 2), (2, 4)]
+        submit_sharded(q, "c", chunks)
+        (job,) = q.lease("w1")
+        q.fail(job.key, "w1", "boom", retryable=False)
+        assert q.job("c").status == "failed"
+        if revive == "submit":
+            assert submit(q, "c") is True
+        elif revive == "submit_sharded":
+            assert submit_sharded(q, "c", chunks) is True
+        else:
+            assert q.dlq_retry("c") is True
+        # only the live children's own submit events may remain
+        live = sorted(child.key for child in q.children("c"))
+        chunk_events = [
+            (e["key"], e["event"]) for e in q.events() if e["key"].startswith("c:")
+        ]
+        assert chunk_events == [(key, "submit") for key in live]
+
     def test_events_survive_reopen(self, tmp_path):
         q = JobQueue(tmp_path / "q.sqlite")
         submit(q, "a")
@@ -174,127 +185,6 @@ class TestCampaignProgress:
         assert progress["cells_done"] == 1 and progress["cells_pending"] == 1
         assert progress["rate_per_s"] > 0
         assert progress["eta_s"] is not None
-
-
-# ----------------------------------------------------------------------
-class TestMonitorServer:
-    def test_endpoints_and_healthz_flip(self, tmp_path):
-        q = JobQueue(tmp_path / "q.sqlite")
-        submit(q, "a")
-        with MonitorServer(q) as server:
-            # no live worker yet: degraded
-            with pytest.raises(urllib.error.HTTPError) as exc:
-                get(f"{server.url}/healthz")
-            assert exc.value.code == 503
-            q.register_worker("w1", pid=4242)
-            status, _body = get(f"{server.url}/healthz")
-            assert status == 200
-
-            status, text = get(f"{server.url}/metrics")
-            assert status == 200
-            assert 'repro_service_jobs{status="queued"} 1' in text
-            assert "# TYPE repro_service_jobs gauge" in text
-            assert "repro_service_worker_deaths_total 0" in text
-            assert 'repro_service_workers{state="idle"} 1' in text
-            assert 'repro_service_lifecycle_events_total{event="submit"} 1' in text
-
-            status, text = get(f"{server.url}/status")
-            doc = json.loads(text)
-            assert doc["jobs"]["queued"] == 1
-            assert doc["progress"]["cells_total"] == 1
-            assert doc["workers"][0]["id"] == "w1"
-
-            status, text = get(f"{server.url}/jobs/a")
-            detail = json.loads(text)
-            assert detail["key"] == "a" and detail["status"] == "queued"
-            assert [e["event"] for e in detail["events"]] == ["submit"]
-
-            with pytest.raises(urllib.error.HTTPError) as exc:
-                get(f"{server.url}/jobs/nope")
-            assert exc.value.code == 404
-            with pytest.raises(urllib.error.HTTPError) as exc:
-                get(f"{server.url}/bogus")
-            assert exc.value.code == 404
-
-            # the fleet drains: the last worker deregisters, health flips
-            q.deregister_worker("w1")
-            with pytest.raises(urllib.error.HTTPError) as exc:
-                get(f"{server.url}/healthz")
-            assert exc.value.code == 503
-
-    def test_worker_deaths_total_is_fleet_wide(self, tmp_path):
-        q = JobQueue(tmp_path / "q.sqlite")
-        submit(q, "a")
-        q.lease("w1")
-        q.report_worker_death("w1")
-        # derived from the shared events table, not in-process counters
-        text = metrics_text(q)
-        assert "repro_service_worker_deaths_total 1" in text
-
-    def test_health_helper_reports_reason(self, tmp_path):
-        q = JobQueue(tmp_path / "q.sqlite")
-        healthy, payload = health(q)
-        assert healthy is False and "worker" in payload["reason"]
-        q.register_worker("w1")
-        healthy, payload = health(q)
-        assert healthy is True and payload["workers"] == ["w1"]
-
-    def test_concurrent_scrapes_during_sharded_campaign(self, tmp_path):
-        """Scrapes from several threads never error or block a drain."""
-        q = JobQueue(tmp_path / "q.sqlite")
-        store = SharedResultStore(tmp_path / "store")
-        from repro.harness.chunkrunner import shard_ranges
-
-        s = spec(reps=6)
-        chunks = [(r.start, r.stop) for r in shard_ranges(6, 2)]
-        submit_sharded(q, "shardcell", chunks, spec=s.to_dict(), label=s.label())
-        submit(q, "cell2", spec=spec(reps=2, seed=7).to_dict())
-        worker = Worker(q, store, worker_id="drainer", poll_s=0.01)
-        failures: list = []
-        stop = threading.Event()
-
-        def scrape():
-            while not stop.is_set():
-                try:
-                    status, text = get(f"{server.url}/metrics", timeout=5.0)
-                    assert status == 200 and "repro_service_jobs" in text
-                    get(f"{server.url}/status", timeout=5.0)
-                except urllib.error.HTTPError as exc:
-                    if exc.code != 503:  # healthz-style degraded is fine
-                        failures.append(exc)
-                except Exception as exc:  # pragma: no cover - test forensics
-                    failures.append(exc)
-
-        with MonitorServer(q, store) as server:
-            scrapers = [threading.Thread(target=scrape) for _ in range(3)]
-            for t in scrapers:
-                t.start()
-            try:
-                done = worker.run(drain=True)
-            finally:
-                stop.set()
-                for t in scrapers:
-                    t.join(timeout=10.0)
-        assert not failures
-        assert done >= 1
-        assert q.job("shardcell").status == "done"
-        assert q.job("cell2").status == "done"
-
-    def test_monitor_never_writes(self, tmp_path):
-        """A full scrape pass leaves the database byte-identical."""
-        q = JobQueue(tmp_path / "q.sqlite")
-        submit(q, "a")
-        q.lease("w1")
-        q.complete("a", "w1")
-        # checkpoint the WAL so file bytes are the whole state
-        q._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-        before = (tmp_path / "q.sqlite").read_bytes()
-        with MonitorServer(q) as server:
-            get(f"{server.url}/metrics")
-            get(f"{server.url}/status")
-            get(f"{server.url}/jobs/a")
-        q._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-        assert (tmp_path / "q.sqlite").read_bytes() == before
 
 
 # ----------------------------------------------------------------------
@@ -421,12 +311,9 @@ class TestRenderTop:
 
 # ----------------------------------------------------------------------
 class TestMonitorCli:
-    def test_status_json(self, tmp_path, capsys):
+    def status_json(self, tmp_path, capsys):
         from repro.cli import main
 
-        q = JobQueue(tmp_path / "q.sqlite")
-        submit(q, "a")
-        q.close()
         assert (
             main(
                 [
@@ -437,8 +324,44 @@ class TestMonitorCli:
             )
             == 0
         )
-        doc = json.loads(capsys.readouterr().out)
+        return json.loads(capsys.readouterr().out)
+
+    def test_status_json(self, tmp_path, capsys):
+        q = JobQueue(tmp_path / "q.sqlite")
+        submit(q, "a")
+        q.close()
+        doc = self.status_json(tmp_path, capsys)
         assert doc["jobs"]["queued"] == 1 and doc["workers"] == []
+        assert doc["events"] == {"submit": 1}
+
+    def test_status_json_counts_worker_deaths(self, tmp_path, capsys):
+        q = JobQueue(tmp_path / "q.sqlite")
+        submit(q, "a")
+        q.lease("w1")
+        q.report_worker_death("w1")
+        q.close()
+        # derived from the shared events table, not in-process counters
+        assert self.status_json(tmp_path, capsys)["events"]["expire"] == 1
+
+    def test_status_json_progress_counts_cells(self, tmp_path, capsys):
+        q = JobQueue(tmp_path / "q.sqlite")
+        submit_sharded(q, "a", [(0, 3), (3, 6)])
+        q.close()
+        progress = self.status_json(tmp_path, capsys)["progress"]
+        assert progress["cells_total"] == 1 and progress["cells_pending"] == 1
+
+    def test_status_json_never_writes(self, tmp_path, capsys):
+        """Reading the status document leaves the database byte-identical."""
+        q = JobQueue(tmp_path / "q.sqlite")
+        submit(q, "a")
+        q.lease("w1")
+        q.complete("a", "w1")
+        # checkpoint the WAL so file bytes are the whole state
+        q._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+        before = (tmp_path / "q.sqlite").read_bytes()
+        self.status_json(tmp_path, capsys)
+        q._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+        assert (tmp_path / "q.sqlite").read_bytes() == before
 
     def test_top_once(self, tmp_path, capsys):
         from repro.cli import main

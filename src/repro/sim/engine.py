@@ -1,6 +1,6 @@
 """Discrete-event simulation engine with a virtual clock.
 
-The engine is deliberately minimal: a binary heap of timestamped
+The engine is deliberately minimal: binary heaps of timestamped
 callbacks with stable FIFO ordering for ties and O(1) lazy
 cancellation.  All higher-level semantics (CPU rates, scheduling,
 noise) live in other modules and interact with the engine only through
@@ -36,11 +36,22 @@ change, about 34k entries per rep of the sim-bound a64fx/minife cell.
 :meth:`Engine.stage` and :meth:`Engine.restage` are the batch forms of
 ``schedule`` and ``reschedule``: they hand out ``seq`` at the call,
 exactly as the plain forms would, and only defer the push to one
-:meth:`Engine.flush`.  A batch at least a quarter the size of the heap
-rebuilds it once and drops every dead entry, so the run loop pops
+:meth:`Engine.flush`.  A batch at least a quarter the size of its heap
+rebuilds it once and drops its dead entries, so the run loop pops
 about 1k dead entries per rep instead of about 22.6k; a smaller batch
-is pushed entry by entry.  Keys are unique ``(time, seq)`` pairs
-either way, so the pop order is that of the one-at-a-time calls.
+is pushed entry by entry.
+
+The engine keeps two heaps, split by how an entry is pushed.  Staged
+entries (team completions) go to the batch heap, and ``flush`` rebuilds
+only that one.  Everything ``schedule`` and ``reschedule`` push goes to
+the singles heap: noise-source and anomaly arrivals, injector and I/O
+arrivals, barrier releases, deferred rescales, migrations and
+starvation checks.  On the sim-bound cell a rebuild then filters about
+23 old entries, nearly all dead, instead of those plus the ~52 live
+noise arrivals that a single heap re-heapified about 950 times per rep.
+The run loop pops the smaller ``(time, seq)`` of the two tops.  Keys
+are unique, so the pop order is that of one heap, and of the
+one-at-a-time calls.
 """
 
 from __future__ import annotations
@@ -133,14 +144,18 @@ class Engine:
 
     def __init__(self, time_epsilon: float = 1e-12):
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, EventHandle]] = []
+        #: entries pushed by `schedule` and `reschedule`
+        self._singles: list[tuple[float, int, EventHandle]] = []
+        #: entries pushed by `flush`, i.e. staged by `stage` and `restage`
+        self._batch: list[tuple[float, int, EventHandle]] = []
         self._seq = 0
         self._running = False
         self._stopped = False
         self._time_epsilon = float(time_epsilon)
-        #: dead (cancelled or re-timed, not yet popped) entries in the heap
+        #: dead (cancelled or re-timed, not yet popped) entries in the
+        #: heaps and the staged batch
         self._n_cancelled = 0
-        #: heap size below which compaction is suppressed; doubled after
+        #: size of both heaps below which compaction is suppressed; doubled after
         #: every compaction so repeated reschedule bursts hovering near
         #: the dead-entry threshold cannot thrash O(n) rebuilds
         self._compact_floor = 128
@@ -171,9 +186,12 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         handle = EventHandle(time, seq, fn, args, self)
-        heap = self._heap
+        heap = self._singles
         heappush(heap, (time, seq, handle))
-        if self._n_cancelled > 64 and self._n_cancelled * 2 > len(heap) >= self._compact_floor:
+        n_cancelled = self._n_cancelled
+        if n_cancelled > 64 and (
+            n_cancelled * 2 > len(heap) + len(self._batch) >= self._compact_floor
+        ):
             self._compact()
         return handle
 
@@ -202,9 +220,11 @@ class Engine:
         self._seq = seq + 1
         handle.time = time
         handle.seq = seq
-        heap = self._heap
+        heap = self._singles
         heappush(heap, (time, seq, handle))
-        if n_cancelled > 64 and n_cancelled * 2 > len(heap) >= self._compact_floor:
+        if n_cancelled > 64 and (
+            n_cancelled * 2 > len(heap) + len(self._batch) >= self._compact_floor
+        ):
             self._compact()
         return handle
 
@@ -240,30 +260,33 @@ class Engine:
         return handle
 
     def flush(self) -> None:
-        """Push every staged entry into the heap.
+        """Push every staged entry into the batch heap.
 
-        A batch of at least 8 entries and a quarter of the heap rebuilds
-        it with one ``heapify``, dropping the dead entries of both
-        (counted in ``_n_cancelled``, so the count is then exactly 0);
-        a smaller one is pushed entry by entry.  The batch is filtered
-        only when a handle stamped since the last flush was re-timed or
-        cancelled, as nearly no batch is.
+        A batch of at least 8 entries and a quarter of the batch heap
+        rebuilds it with one ``heapify``, dropping the dead entries of
+        both; a smaller one is pushed entry by entry.  The batch is
+        filtered only when a handle stamped since the last flush was
+        re-timed or cancelled, as nearly no batch is.
         """
         staged = self._staged
         if not staged:
             return
-        heap = self._heap
+        heap = self._batch
         n = len(staged)
         if n >= 8 and 4 * n >= len(heap):
+            before = len(heap) + n
             heap[:] = [e for e in heap if e[1] == e[2].seq]
             heap += [e for e in staged if e[1] == e[2].seq] if self._staged_dead else staged
             heapq.heapify(heap)
-            self._n_cancelled = 0
+            # the singles heap keeps its dead entries: count out only ours
+            self._n_cancelled -= before - len(heap)
         else:
             for entry in staged:
                 heappush(heap, entry)
             n_cancelled = self._n_cancelled
-            if n_cancelled > 64 and n_cancelled * 2 > len(heap) >= self._compact_floor:
+            if n_cancelled > 64 and (
+                n_cancelled * 2 > len(heap) + len(self._singles) >= self._compact_floor
+            ):
                 self._compact()
         staged.clear()
         self._staged_dead = 0
@@ -282,22 +305,22 @@ class Engine:
     def _compact(self) -> None:
         # Heavy cancellation (rate-change rescheduling) would otherwise
         # grow the heap without bound: once dead entries dominate,
-        # compact in place.  In place, because the run loop holds a
-        # reference to this exact list.  The floor provides hysteresis:
-        # after a rebuild the heap must double before the next one, so
-        # churn sitting just past the dead-entry threshold stays
-        # amortized O(1) per schedule instead of O(n).
+        # compact both heaps in place.  In place, because the run loop
+        # holds references to these exact lists.  The floor provides
+        # hysteresis: after a rebuild the heaps must double before the
+        # next one, so churn sitting just past the dead-entry threshold
+        # stays amortized O(1) per schedule instead of O(n).
         # Staged entries are filtered too: their dead ones are counted.
-        heap = self._heap
-        heap[:] = [e for e in heap if e[1] == e[2].seq]
-        heapq.heapify(heap)
+        for heap in (self._singles, self._batch):
+            heap[:] = [e for e in heap if e[1] == e[2].seq]
+            heapq.heapify(heap)
         staged = self._staged
         if staged:
             staged[:] = [e for e in staged if e[1] == e[2].seq]
         self._staged_dead = 0
         self._n_cancelled = 0
         self.compactions += 1
-        self._compact_floor = 2 * len(heap) + 128
+        self._compact_floor = 2 * (len(self._singles) + len(self._batch)) + 128
 
     def schedule_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` after ``delay`` seconds of virtual time."""
@@ -338,19 +361,31 @@ class Engine:
         self._stopped = False
         executed = 0
         try:
-            heap = self._heap
-            while heap and not self._stopped:
+            singles, batch = self._singles, self._batch
+            last = None
+            while not self._stopped:
+                if batch:
+                    heap = singles if singles and singles[0] < batch[0] else batch
+                elif singles:
+                    heap = singles
+                else:
+                    break
                 t, seq, handle = heappop(heap)
                 if seq != handle.seq:
                     self._n_cancelled -= 1
                     continue
-                if until is not None and t > until:
-                    # keys are unique, so pushing the entry back restores
-                    # the same pop order
-                    heappush(heap, (t, seq, handle))
-                    break
-                if t > self.now:
-                    self.now = t
+                # The rest of a timestamp group skips the `until` check
+                # and the clock: the scheduler's deferred rescales and
+                # barrier releases cluster many events on one instant.
+                if t != last:
+                    if until is not None and t > until:
+                        # keys are unique, so pushing the entry back
+                        # restores the same pop order
+                        heappush(heap, (t, seq, handle))
+                        break
+                    if t > self.now:
+                        self.now = t
+                    last = t
                 fn, args = handle.fn, handle.args
                 # Free the handle's references before invoking, so a
                 # callback rescheduling itself does not chain handles;
@@ -364,26 +399,6 @@ class Engine:
                     self.events_executed += executed
                     executed = 0
                     raise SimulationError(f"exceeded max_events={max_events}")
-                # Drain the rest of this timestamp group without
-                # re-checking `until` or advancing the clock — the
-                # scheduler's deferred rescales and barrier releases
-                # cluster many events on one instant.  Pop order is
-                # still (time, seq), so semantics are unchanged.
-                while heap and heap[0][0] == t and not self._stopped:
-                    _, seq, handle = heappop(heap)
-                    if seq != handle.seq:
-                        self._n_cancelled -= 1
-                        continue
-                    fn, args = handle.fn, handle.args
-                    handle.fn = None  # type: ignore[assignment]
-                    handle.args = ()
-                    handle._engine = None
-                    fn(*args)
-                    executed += 1
-                    if max_events is not None and executed > max_events:
-                        self.events_executed += executed
-                        executed = 0
-                        raise SimulationError(f"exceeded max_events={max_events}")
             if until is not None and self.now < until and not self._stopped:
                 self.now = until
             return self.now
@@ -397,7 +412,7 @@ class Engine:
     def pending_count(self) -> int:
         """Number of live (non-cancelled) events still queued, staged
         ones included.  O(1): the engine tracks dead entries exactly."""
-        return len(self._heap) + len(self._staged) - self._n_cancelled
+        return len(self._singles) + len(self._batch) + len(self._staged) - self._n_cancelled
 
     def next_event_time(self) -> Optional[float]:
         """Time of the earliest live event, or ``None`` if queue is empty.
@@ -407,11 +422,14 @@ class Engine:
         the run loop uses, so repeated introspection cannot re-scan or
         retain dead entries.
         """
-        heap = self._heap
-        while heap and heap[0][1] != heap[0][2].seq:
-            heappop(heap)
-            self._n_cancelled -= 1
-        return heap[0][0] if heap else None
+        times = []
+        for heap in (self._singles, self._batch):
+            while heap and heap[0][1] != heap[0][2].seq:
+                heappop(heap)
+                self._n_cancelled -= 1
+            if heap:
+                times.append(heap[0][0])
+        return min(times, default=None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Engine now={self.now:.9f} pending={len(self._heap)}>"
+        return f"<Engine now={self.now:.9f} pending={self.pending_count()}>"

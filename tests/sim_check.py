@@ -29,7 +29,7 @@ The invariants, each after every checked call:
   streams) times ``speed_penalty``, bit for bit;
 * no staged engine entry is left unflushed, and the engine's dead
   entry count ``_n_cancelled`` is the number of dead entries in its
-  heap.
+  two heaps together.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class CheckedScheduler(Scheduler):
         assert now >= self._checked_now, f"clock went back: {self._checked_now!r} -> {now!r}"
         self._checked_now = now
         assert not engine._staged, f"t={now!r}: {len(engine._staged)} staged entries not flushed"
-        dead = sum(e[1] != e[2].seq for e in engine._heap)
+        dead = sum(e[1] != e[2].seq for e in engine._singles + engine._batch)
         assert engine._n_cancelled == dead, (
             f"t={now!r}: engine counts {engine._n_cancelled} dead entries, holds {dead}"
         )

@@ -7,6 +7,11 @@ from hypothesis import strategies as st
 from repro.sim.engine import Engine, SimulationError
 
 
+def _entries(engine):
+    """Every heap entry the engine holds, dead ones included."""
+    return engine._singles + engine._batch
+
+
 class TestScheduling:
     def test_runs_callbacks_in_time_order(self, engine):
         order = []
@@ -171,13 +176,13 @@ class TestLazyHeapMaintenance:
             h.cancel()
         assert engine.next_event_time() == 5.0
         # The dead heads are gone, not skipped-over on every call.
-        assert len(engine._heap) == 1
+        assert len(_entries(engine)) == 1
 
     def test_next_event_time_all_cancelled(self, engine):
         for t in range(3):
             engine.schedule(float(t + 1), lambda: None).cancel()
         assert engine.next_event_time() is None
-        assert len(engine._heap) == 0
+        assert len(_entries(engine)) == 0
 
     def test_heap_bounded_under_heavy_cancellation(self, engine):
         # Reschedule-and-cancel churn (the scheduler's rate-change
@@ -191,7 +196,7 @@ class TestLazyHeapMaintenance:
             else:
                 h.cancel()
         assert engine.pending_count() == len(live)
-        assert len(engine._heap) < 1000
+        assert len(_entries(engine)) < 1000
         engine.run()
         assert engine.events_executed == len(live)
 
@@ -207,7 +212,7 @@ class TestLazyHeapMaintenance:
             engine.schedule(1.0 + i * 1e-7, lambda: None).cancel()
         assert engine.compactions > 0  # the mechanism did engage
         assert engine.compactions <= churn // 128 + 2  # ...at the amortized rate
-        assert len(engine._heap) < 1024
+        assert len(_entries(engine)) < 1024
         assert engine.pending_count() == 0
 
     def test_compaction_floor_resets_growth_budget(self, engine):
@@ -283,7 +288,7 @@ class TestReschedule:
         for i in range(5000):
             engine.reschedule(h, 1.0 + i * 1e-6)
         assert engine.compactions > 0
-        assert len(engine._heap) < 1024
+        assert len(_entries(engine)) < 1024
         assert engine.pending_count() == 1
         engine.run()
         assert seen == ["x"]
@@ -297,7 +302,7 @@ class TestReschedule:
         for i in range(churn):
             engine.reschedule(h, 1.0 + i * 1e-7)
         assert 0 < engine.compactions <= churn // 128 + 2
-        assert len(engine._heap) < 1024
+        assert len(_entries(engine)) < 1024
 
     def test_cancel_after_reschedule(self, engine):
         seen = []
@@ -341,7 +346,7 @@ class TestReschedule:
         engine.reschedule(h, 5.0)
         assert engine.next_event_time() == 3.0
         # both dead heads popped, never rescanned
-        assert len(engine._heap) == 2
+        assert len(_entries(engine)) == 2
         assert engine.pending_count() == 2
 
 
@@ -384,30 +389,37 @@ class TestStaged:
 
     @staticmethod
     def _loaded(engine, n_live, n_dead):
-        live = [engine.schedule(10.0 + i, lambda: None) for i in range(n_live)]
-        for i in range(n_dead):
-            engine.schedule(20.0 + i, lambda: None).cancel()
+        """A batch heap of ``n_live`` live and ``n_dead`` dead entries."""
+        live = [engine.stage(10.0 + i, lambda: None) for i in range(n_live)]
+        doomed = [engine.stage(20.0 + i, lambda: None) for i in range(n_dead)]
+        engine.flush()
+        for h in doomed:
+            h.cancel()
         return live
 
     def test_large_batch_rebuilds_without_dead_entries(self, engine):
         live = self._loaded(engine, 24, 8)
+        engine.schedule(30.0, lambda: None).cancel()  # a dead single
         for h in live[:8]:
             engine.restage(h, 1.0 + h.time)  # 8 entries, 1/4 of a heap of 32
         engine.flush()
-        assert engine._n_cancelled == 0
-        assert len(engine._heap) == engine.pending_count() == 24
+        assert len(engine._batch) == engine.pending_count() == 24
+        # the rebuild drops the batch heap's dead entries and counts
+        # out only those: the singles heap keeps its own
+        assert engine._n_cancelled == 1 == len(engine._singles)
         assert engine.compactions == 0  # a rebuild is not a compaction
         engine.run()
         assert engine.events_executed == 24
+        assert engine._n_cancelled == 0 and not _entries(engine)
 
     @pytest.mark.parametrize("n_batch,n_live", [(7, 8), (8, 33)], ids=["few", "small-share"])
     def test_small_batch_is_pushed(self, engine, n_batch, n_live):
         live = self._loaded(engine, n_live, 1)
         for h in live[:n_batch]:
             engine.restage(h, 1.0 + h.time)
-        heap_before = len(engine._heap)
+        heap_before = len(engine._batch)
         engine.flush()
-        assert len(engine._heap) == heap_before + n_batch
+        assert len(engine._batch) == heap_before + n_batch
         assert engine._n_cancelled == n_batch + 1
         assert engine.pending_count() == n_live
         engine.run()
@@ -440,9 +452,11 @@ class TestStaged:
         dead = sum(e[1] != e[2].seq for e in engine._staged)
         assert engine._staged_dead == dead == expected_dead
         engine.flush()
-        assert engine._n_cancelled == 0
-        assert all(e[1] == e[2].seq for e in engine._heap)
-        assert engine.pending_count() == len(engine._heap)
+        assert all(e[1] == e[2].seq for e in engine._batch)
+        # only "heaped"'s first entry, in the singles heap, may be dead
+        dead_singles = sum(e[1] != e[2].seq for e in engine._singles)
+        assert engine._n_cancelled == dead_singles == (kill == "restage-twice")
+        assert engine.pending_count() == len(_entries(engine)) - dead_singles
         engine.run()
         expected = [0, 1, 2, 3, 5, 6, 7, 8, "first"]
         if kill == "restage-twice":
@@ -462,7 +476,7 @@ class TestStaged:
         assert engine._staged_dead == 0
         engine.flush()
         assert engine._n_cancelled == 0
-        assert len(engine._heap) == engine.pending_count() == 9
+        assert len(engine._batch) == engine.pending_count() == 9
 
     def test_restage_rejects_finished_handles_and_bad_times(self, engine):
         ran = engine.schedule(1.0, lambda: None)
@@ -479,12 +493,86 @@ class TestStaged:
         assert engine.pending_count() == 1
 
 
+class TestTwoHeaps:
+    """Staged entries live in the batch heap, everything else in the
+    singles heap; the run loop pops the smaller ``(time, seq)`` top."""
+
+    def test_schedule_ties_a_staged_entry(self, engine):
+        order = []
+        engine.stage(1.0, order.append, "staged-first")
+        engine.flush()
+        engine.schedule(1.0, order.append, "single-second")
+        engine.schedule(2.0, order.append, "single-first")
+        engine.stage(2.0, order.append, "staged-second")
+        engine.flush()
+        assert [e[0] for e in engine._singles] == [1.0, 2.0]
+        assert [e[0] for e in engine._batch] == [1.0, 2.0]
+        engine.run()
+        assert order == ["staged-first", "single-second", "single-first", "staged-second"]
+
+    @pytest.mark.parametrize("flushed", [True, False], ids=["flushed", "unflushed"])
+    def test_reschedule_moves_a_staged_handle_to_singles(self, engine, flushed):
+        order = []
+        h = engine.stage(3.0, order.append, "moved")
+        other = engine.stage(2.0, order.append, "other")
+        if flushed:
+            engine.flush()
+        engine.reschedule(h, 1.0)
+        assert [e[1] for e in engine._singles] == [h.seq]
+        assert engine.pending_count() == 2
+        engine.flush()
+        assert engine.next_event_time() == 1.0
+        assert engine.pending_count() == 2
+        engine.restage(h, 4.0)  # and back: the singles entry dies
+        engine.flush()
+        assert engine._n_cancelled == sum(e[1] != e[2].seq for e in _entries(engine))
+        assert engine.next_event_time() == other.time
+        engine.run()
+        assert order == ["other", "moved"]
+        assert engine.now == 4.0 and engine.pending_count() == 0
+
+    def test_run_until_leaves_both_heaps_past_until(self, engine):
+        order = []
+        engine.schedule(1.0, order.append, "a")
+        for i, t in enumerate((3.0, 3.0, 4.0)):
+            engine.stage(t, order.append, f"staged{i}")
+        engine.flush()
+        engine.schedule(3.0, order.append, "single")
+        engine.run(until=2.5)
+        assert order == ["a"] and engine.now == 2.5
+        assert len(engine._singles) == 1 and len(engine._batch) == 3
+        assert engine.pending_count() == 4 and engine.next_event_time() == 3.0
+        engine.run(until=3.0)  # an event exactly at `until` runs
+        assert order == ["a", "staged0", "staged1", "single"]
+        assert engine.pending_count() == 1 and engine.now == 3.0
+        engine.run()
+        assert order[-1] == "staged2" and engine.now == 4.0
+
+    def test_stop_from_a_callback_between_heaps(self, engine):
+        order = []
+
+        def stop(tag):
+            order.append(tag)
+            engine.stop()
+
+        engine.stage(1.0, order.append, "staged")
+        engine.stage(1.0, stop, "staged-stop")
+        engine.flush()
+        engine.schedule(1.0, order.append, "single")  # same instant, later seq
+        engine.run(until=5.0)
+        assert order == ["staged", "staged-stop"]
+        assert engine.now == 1.0  # a stopped run does not advance to `until`
+        assert engine.pending_count() == 1
+        engine.run()
+        assert order[-1] == "single"
+
+
 _OPS = st.lists(
     st.one_of(
         # (kind, events, delay step, first pending handle)
-        st.tuples(st.sampled_from(["schedule", "stage"]), st.integers(1, 40), st.integers(0, 3),
-                  st.just(0)),
-        st.tuples(st.sampled_from(["reschedule", "restage", "cancel"]), st.integers(1, 40),
+        st.tuples(st.sampled_from(["schedule", "stage", "stop"]), st.integers(1, 40),
+                  st.integers(0, 3), st.just(0)),
+        st.tuples(st.sampled_from(["reschedule", "restage", "cancel", "tie"]), st.integers(1, 40),
                   st.integers(0, 3), st.integers(0, 1000)),
         st.tuples(st.sampled_from(["flush", "run"]), st.just(0), st.integers(0, 3), st.just(0)),
     ),
@@ -492,52 +580,111 @@ _OPS = st.lists(
 )
 
 
+class _Reference:
+    """The naive engine: a dict of live ``(time, seq)`` entries, each
+    marked while it waits for a flush, popped by sorting."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.seq = 0
+        self.live = {}  # tag -> [time, seq, waiting for a flush]
+        self.pops = []
+
+    def push(self, tag, time, waiting):
+        self.live[tag] = [max(time, self.now), self.seq, waiting]
+        self.seq += 1
+
+    def flush(self):
+        for entry in self.live.values():
+            entry[2] = False
+
+    def next_event_time(self):
+        return min((t for t, _, waiting in self.live.values() if not waiting), default=None)
+
+    def run(self, stoppers, until=None):
+        for tag, (t, seq, _) in sorted(self.live.items(), key=lambda kv: kv[1][:2]):
+            if until is not None and t > until:
+                break
+            del self.live[tag]
+            self.now = t
+            self.pops.append((t, seq, tag))
+            if tag in stoppers:
+                return
+        if until is not None and self.now < until:
+            self.now = until
+
+
 def _replay(ops, staged):
     """Drive one engine through ``ops``; without ``staged`` the staged
-    calls become their one-at-a-time forms.  Returns the pops as
-    ``(time, seq, tag)``, the live count at each flush and the final
-    pending count."""
+    calls become their one-at-a-time forms.  Checks the engine against
+    :class:`_Reference` after every op; returns the pops as ``(time,
+    seq, tag)``, the live count at each flush and the final pending
+    count."""
     engine = Engine()
-    pops, counts, pending = [], [], []
-    handles = {}
+    ref = _Reference()
+    pops, counts = [], []
+    handles, stoppers = {}, set()
 
     def fire(tag):
         pops.append((engine.now, handles[tag].seq, tag))
-        pending.remove(tag)
+        if tag in stoppers:
+            engine.stop()
+
+    def check():
+        assert engine.pending_count() == len(ref.live)
+        assert engine.next_event_time() == ref.next_event_time()
 
     def flush():
         if staged:
             engine.flush()
-        assert engine.pending_count() == len(pending)
-        counts.append(len(pending))
+        ref.flush()
+        check()
+        counts.append(len(ref.live))
+
+    def run(until=None):
+        engine.run(until=until)
+        ref.run(stoppers, until)
+        assert pops == ref.pops and engine.now == ref.now
+        check()
 
     for kind, n, step, first in ops:
         # quarter steps from now: plenty of ties, all exact in binary
         times = [engine.now + step * 0.5 + (i % 4) * 0.25 for i in range(n)]
-        if kind in ("schedule", "stage"):
+        if kind in ("schedule", "stage", "stop"):
             add = engine.stage if kind == "stage" and staged else engine.schedule
             for time in times:
                 tag = len(handles)
+                if kind == "stop":
+                    stoppers.add(tag)
                 handles[tag] = add(time, fire, tag)
-                pending.append(tag)
-        elif kind in ("reschedule", "restage", "cancel"):
+                ref.push(tag, time, waiting=add == engine.stage)
+        elif kind in ("reschedule", "restage", "cancel", "tie"):
             move = engine.restage if kind == "restage" and staged else engine.reschedule
             for time in times:
-                if not pending:
+                if not ref.live:
                     break
+                pending = list(ref.live)
                 tag = pending[first % len(pending)]
                 first += 7
                 if kind == "cancel":
                     handles[tag].cancel()
-                    pending.remove(tag)
+                    del ref.live[tag]
+                elif kind == "tie":
+                    # a plain schedule at exactly a pending (maybe staged) time
+                    new = len(handles)
+                    handles[new] = engine.schedule(ref.live[tag][0], fire, new)
+                    ref.push(new, ref.live[tag][0], waiting=False)
                 else:
                     move(handles[tag], time)
+                    ref.push(tag, time, waiting=move == engine.restage)
         else:
             flush()
             if kind == "run":
-                engine.run(until=engine.now + step * 0.5)
+                run(until=engine.now + step * 0.5)
+        check()
     flush()
-    engine.run()
+    for _ in range(len(stoppers) + 1):
+        run()
     return pops, counts, engine.pending_count()
 
 

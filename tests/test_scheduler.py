@@ -483,7 +483,7 @@ class TestBarrierFastPath:
         arrivals = []
 
         def arrived(t):
-            heap = [(e[0], e[1]) for e in engine._heap]
+            heap = [[(e[0], e[1]) for e in h] for h in (engine._singles, engine._batch)]
             state = (
                 t.rate, t._mem_contrib, sched._mem_total, sched._mem_scale,
                 sched._mem_rescale_pending, engine._seq, heap,
@@ -669,7 +669,7 @@ class TestFusedRetiming:
         sched.register_pool(pool)
 
         def snapshot():
-            heap = sorted((e[0], e[1]) for e in engine._heap)
+            heap = [sorted((e[0], e[1]) for e in h) for h in (engine._singles, engine._batch)]
             per_task = [
                 (t.rate, t.work_remaining, t.total_cpu_time, t._last_update) for t in tasks
             ]

@@ -415,14 +415,16 @@ class Engine:
         return len(self._singles) + len(self._batch) + len(self._staged) - self._n_cancelled
 
     def next_event_time(self) -> Optional[float]:
-        """Time of the earliest live event, or ``None`` if queue is empty.
+        """Time of the earliest live event, staged ones included, or
+        ``None`` if none is pending (the events :meth:`pending_count`
+        counts).
 
         Single lazy pass: dead heads are popped (and never
         revisited) until a live event surfaces — the same discipline
         the run loop uses, so repeated introspection cannot re-scan or
         retain dead entries.
         """
-        times = []
+        times = [e[0] for e in self._staged if e[1] == e[2].seq]
         for heap in (self._singles, self._batch):
             while heap and heap[0][1] != heap[0][2].seq:
                 heappop(heap)

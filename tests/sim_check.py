@@ -17,6 +17,9 @@ The invariants, each after every checked call:
   ``1 - rt_throttle_share`` of that capacity (nothing without
   throttling), and queued FIFO tasks behind it get no share;
 * every task sits on the CPU it names, inside its affinity;
+* the idle count ``_n_idle`` is the number of CPUs with empty queues,
+  and each CPU's cached ``weight`` is the left-to-right sum of its
+  OTHER tasks' weights, float for float;
 * no busy CPU is left stale, and (with SMT) each CPU's recorded
   busy-ness is its real one;
 * the clock never goes back;
@@ -76,10 +79,16 @@ class CheckedScheduler(Scheduler):
         )
         params = self.params
         mem_scale = self._mem_scale
+        idle = 0
         for c, state in enumerate(self._cpus):
             where = f"t={now!r} cpu {c}"
             busy = bool(state.fifo or state.other)
+            idle += not busy
             assert not (busy and state.stale), f"{where}: busy but left stale"
+            weight = 0.0
+            for t in state.other:
+                weight += t.weight
+            assert state.weight == weight, f"{where}: cached weight {state.weight!r}, sum {weight!r}"
             sib = self._sibling[c]
             if sib is not None:
                 assert self._last_busy[c] == busy, f"{where}: busy-ness record out of date"
@@ -104,6 +113,7 @@ class CheckedScheduler(Scheduler):
                 assert other <= speed * (1.0 - fifo_share) + _SHARE_EPS, (
                     f"{where}: OTHER tasks hold {other!r} beside a FIFO head"
                 )
+        assert self._n_idle == idle, f"t={now!r}: idle count {self._n_idle}, {idle} idle CPUs"
         exact = 0.0
         for t in self._mem_running.values():
             assert t.alive and t.cpu is not None, f"t={now!r}: streamer {t!r} left its CPU"

@@ -548,6 +548,19 @@ class TestTwoHeaps:
         engine.run()
         assert order[-1] == "staged2" and engine.now == 4.0
 
+    def test_next_event_time_sees_unflushed_entries(self, engine):
+        engine.schedule(2.0, lambda: None)
+        engine.stage(3.0, lambda: None)
+        engine.flush()
+        h = engine.stage(1.0, lambda: None)  # earlier than every heap entry
+        assert engine.next_event_time() == 1.0 and engine.pending_count() == 3
+        engine.restage(h, 0.5)
+        assert engine.next_event_time() == 0.5 and engine.pending_count() == 3
+        engine.restage(h, 5.0)  # both staged entries before it are dead
+        assert engine.next_event_time() == 2.0 and engine.pending_count() == 3
+        engine.flush()
+        assert engine.next_event_time() == 2.0 and engine.pending_count() == 3
+
     def test_stop_from_a_callback_between_heaps(self, engine):
         order = []
 
@@ -581,28 +594,24 @@ _OPS = st.lists(
 
 
 class _Reference:
-    """The naive engine: a dict of live ``(time, seq)`` entries, each
-    marked while it waits for a flush, popped by sorting."""
+    """The naive engine: a dict of live ``(time, seq)`` entries, popped
+    by sorting.  Staged entries count from the call, flushed or not."""
 
     def __init__(self):
         self.now = 0.0
         self.seq = 0
-        self.live = {}  # tag -> [time, seq, waiting for a flush]
+        self.live = {}  # tag -> (time, seq)
         self.pops = []
 
-    def push(self, tag, time, waiting):
-        self.live[tag] = [max(time, self.now), self.seq, waiting]
+    def push(self, tag, time):
+        self.live[tag] = (max(time, self.now), self.seq)
         self.seq += 1
 
-    def flush(self):
-        for entry in self.live.values():
-            entry[2] = False
-
     def next_event_time(self):
-        return min((t for t, _, waiting in self.live.values() if not waiting), default=None)
+        return min((t for t, _ in self.live.values()), default=None)
 
     def run(self, stoppers, until=None):
-        for tag, (t, seq, _) in sorted(self.live.items(), key=lambda kv: kv[1][:2]):
+        for tag, (t, seq) in sorted(self.live.items(), key=lambda kv: kv[1]):
             if until is not None and t > until:
                 break
             del self.live[tag]
@@ -637,7 +646,6 @@ def _replay(ops, staged):
     def flush():
         if staged:
             engine.flush()
-        ref.flush()
         check()
         counts.append(len(ref.live))
 
@@ -657,7 +665,7 @@ def _replay(ops, staged):
                 if kind == "stop":
                     stoppers.add(tag)
                 handles[tag] = add(time, fire, tag)
-                ref.push(tag, time, waiting=add == engine.stage)
+                ref.push(tag, time)
         elif kind in ("reschedule", "restage", "cancel", "tie"):
             move = engine.restage if kind == "restage" and staged else engine.reschedule
             for time in times:
@@ -673,10 +681,10 @@ def _replay(ops, staged):
                     # a plain schedule at exactly a pending (maybe staged) time
                     new = len(handles)
                     handles[new] = engine.schedule(ref.live[tag][0], fire, new)
-                    ref.push(new, ref.live[tag][0], waiting=False)
+                    ref.push(new, ref.live[tag][0])
                 else:
                     move(handles[tag], time)
-                    ref.push(tag, time, waiting=move == engine.restage)
+                    ref.push(tag, time)
         else:
             flush()
             if kind == "run":

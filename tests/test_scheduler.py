@@ -2,6 +2,8 @@
 findings rest on."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.harness.executor import SerialExecutor
 from repro.harness.experiment import ExperimentSpec, run_experiment
@@ -12,6 +14,7 @@ from repro.sim.memory import MemorySystem
 from repro.sim.scheduler import SchedParams, Scheduler
 from repro.sim.task import SchedPolicy, Task, TaskKind, WorkPool
 from tests.golden_cases import _noise, build_cases
+from tests.sim_check import CheckedScheduler
 
 
 def run_tasks(sched, *tasks, cpus=None):
@@ -912,3 +915,156 @@ class TestKeptShares:
             executor=SerialExecutor(),
         )
         assert checked[0] > 0
+
+
+# ----------------------------------------------------------------------
+# placement equivalence: the cached idle count and queue weights against
+# the scans they replaced
+# ----------------------------------------------------------------------
+def _scan_pick_cpu_multi(sched, task, hint, allowed):
+    """`Scheduler._pick_cpu_multi` as a scan over every allowed CPU."""
+    cpus, stamp = sched._cpus, sched._placed_stamp
+    if task.policy is SchedPolicy.FIFO and hint is not None and hint in allowed:
+        if not cpus[hint].fifo:
+            return hint
+    idle = [c for c in allowed if not cpus[c].busy()]
+    if idle:
+        if hint is not None and hint in idle:
+            return hint
+
+        def idle_key(c):
+            sib = sched._sibling[c]
+            return (sib is not None and cpus[sib].busy(), stamp[c], c)
+
+        return min(idle, key=idle_key)
+    if task.policy is SchedPolicy.FIFO:
+        return min(allowed, key=lambda c: (
+            len(cpus[c].fifo), len(cpus[c].other), c != hint, stamp[c], c))
+
+    def other_key(c):
+        total_w = 0.0
+        for t in cpus[c].other:
+            total_w += t.weight
+        return (bool(cpus[c].fifo), total_w, c != hint, stamp[c], c)
+
+    return min(allowed, key=other_key)
+
+
+def _scan_best_migration_target(sched, task):
+    cur = task.cpu
+    home_node = sched._numa[cur] if cur is not None else 0
+    best = best_key = None
+    for c in sched._allowed(task):
+        state = sched._cpus[c]
+        if c == cur or state.fifo:
+            continue
+        total_w = 0.0
+        for t in state.other:
+            total_w += t.weight
+        total_w += task.weight
+        share = sched._cpu_speed_if_joined(c) * task.weight / total_w
+        key = (-(share * (0.7 if sched._numa[c] != home_node else 1.0)), c)
+        if share > 1e-12 and (best_key is None or key < best_key):
+            best_key, best = key, c
+    return best
+
+
+def _scan_starvation_target(sched, task, starved_for):
+    idle = [c for c in sched._allowed(task) if c != task.cpu and not sched._cpus[c].busy()]
+    if idle:
+        return min(idle, key=lambda c: (sched._placed_stamp[c], c))
+    if starved_for >= sched.params.shared_migration_delay:
+        return _scan_best_migration_target(sched, task)
+    return None
+
+
+_N_SMT = 8  # Topology(n_physical=4, smt=2)
+_AFFINITY = st.one_of(
+    st.none(), st.frozensets(st.integers(0, _N_SMT - 1), min_size=1, max_size=4)
+)
+_TASK = st.tuples(
+    st.sampled_from([SchedPolicy.OTHER, SchedPolicy.OTHER, SchedPolicy.FIFO]),
+    st.sampled_from([0.1, 0.3, 1.0, 1.7, 3.0]),  # weights whose sums round
+    _AFFINITY,
+    st.one_of(st.none(), st.integers(0, _N_SMT - 1)),  # hint
+)
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("submit"), _TASK, st.integers(1, 6)),  # copies
+        st.tuples(st.just("remove"), st.integers(0, 1000), st.none()),
+        st.tuples(st.just("migrate"), st.integers(0, 1000), st.integers(0, _N_SMT - 1)),
+        st.tuples(st.just("run"), st.integers(1, 40), st.none()),  # in 50 us steps
+        st.tuples(st.just("pin"), _TASK, st.integers(0, _N_SMT - 1)),  # on an explicit CPU
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestPlacementEquivalence:
+    """After every submit, remove, migration or stretch of run time on
+    a 4x2 SMT machine, placement, migration targets and starvation
+    targets read from the cached idle count and queue weights equal the
+    full scans, for probe tasks of both classes."""
+
+    @staticmethod
+    def _task(spec, n):
+        policy, weight, affinity, _ = spec
+        fifo = policy is SchedPolicy.FIFO
+        return Task(
+            f"t{n}", policy=policy, rt_priority=50 if fifo else 0, weight=weight,
+            affinity=affinity, work=1e-3 if fifo else 1.0,
+            kind=TaskKind.IRQ_NOISE if fifo else TaskKind.WORKLOAD,
+        )
+
+    @staticmethod
+    def _compare(sched, probes):
+        assert sched.idle_cpus() == [c for c, s in enumerate(sched._cpus) if not s.busy()]
+        for probe, (_, _, _, hint) in probes:
+            allowed = sched._allowed(probe)
+            assert sched._pick_cpu_multi(probe, hint, allowed) == _scan_pick_cpu_multi(
+                sched, probe, hint, allowed
+            )
+        delay = sched.params.shared_migration_delay
+        for state in sched._cpus:
+            for t in state.fifo + state.other:
+                assert sched._best_migration_target(t) == _scan_best_migration_target(sched, t)
+                for starved_for in (0.0, delay):
+                    assert sched._starvation_target(t, starved_for) == _scan_starvation_target(
+                        sched, t, starved_for
+                    )
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        load=st.lists(_TASK, max_size=12),
+        steps=_STEPS,
+        probes=st.lists(_TASK, min_size=1, max_size=4),
+    )
+    def test_cached_load_places_like_the_scans(self, load, steps, probes):
+        engine = Engine()
+        sched = CheckedScheduler(engine, Topology(n_physical=4, smt=2))
+        probes = [(self._task(spec, -1), spec) for spec in probes]
+        tasks = []
+        for spec in load:
+            tasks.append(self._task(spec, len(tasks)))
+            sched.submit(tasks[-1], hint=spec[3])
+        self._compare(sched, probes)
+        for kind, a, b in steps:
+            placed = [t for t in tasks if t.cpu is not None]
+            if kind == "submit":
+                for _ in range(b):
+                    tasks.append(self._task(a, len(tasks)))
+                    sched.submit(tasks[-1], hint=a[3])
+            elif kind == "pin":
+                tasks.append(self._task((a[0], a[1], frozenset({b}), None), len(tasks)))
+                sched.submit(tasks[-1], cpu=b)
+            elif kind == "remove" and placed:
+                sched.remove(placed[a % len(placed)])
+            elif kind == "migrate" and placed:
+                t = placed[a % len(placed)]
+                if b != t.cpu and (t.affinity is None or b in t.affinity):
+                    sched._migrate(t, b)
+                    sched._finish_migration(t, b)
+            elif kind == "run":
+                engine.run(until=engine.now + a * 50e-6)
+            self._compare(sched, probes)

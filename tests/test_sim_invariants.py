@@ -2,9 +2,10 @@
 
 The golden fixtures prove the simulator unchanged; these tests check
 that every golden case also keeps the model's invariants (capacity,
-FIFO preemption, affinity, a monotone clock, an exact running demand
-total, bit-exact rates, a flushed engine with an exact dead-entry
-count) after every scheduler update, every completion and every
+FIFO preemption, affinity, an exact idle count and queue weights, a
+monotone clock, an exact running demand total, bit-exact rates, a
+flushed engine with an exact dead-entry count) after every scheduler
+update, every completion and every
 deferred rescale, and that the checking subclass leaves the
 results on the fixtures.
 """
@@ -90,6 +91,23 @@ class TestCheckerCatches:
         t = self._placed(sched)
         t.affinity = frozenset({1})
         with pytest.raises(AssertionError, match="affinity"):
+            sched.check()
+
+    def test_idle_count_off(self):
+        _, sched = _small()
+        self._placed(sched)
+        sched._n_idle += 1
+        with pytest.raises(AssertionError, match="idle count"):
+            sched.check()
+
+    def test_cached_weight_off_by_one_ulp(self):
+        _, sched = _small()
+        self._placed(sched, weight=0.1)
+        self._placed(sched, weight=0.2)
+        sched.check()
+        assert sched._cpus[0].weight == 0.1 + 0.2 != 0.3
+        sched._cpus[0].weight = 0.3
+        with pytest.raises(AssertionError, match="cached weight"):
             sched.check()
 
     def test_running_total_drift(self):

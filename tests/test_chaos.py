@@ -23,7 +23,7 @@ from repro.harness.chaos import (
 )
 from repro.harness.executor import ParallelExecutor, SerialExecutor
 from repro.harness.experiment import ExperimentSpec, run_experiment
-from repro.harness.faults import FaultPolicy
+from repro.harness.faults import FaultPolicy, RepExecutionError
 
 
 def spec(**kw):
@@ -178,6 +178,45 @@ class TestPoolRecovery:
             np.testing.assert_array_equal(clean.times, rs.times)
         finally:
             ex.close()
+
+    @staticmethod
+    def _run_hung(monkeypatch, on_failure):
+        """Every rep stalls for 2.05 s on every dispatch while each chunk
+        gets a 0.3 s deadline, so the parent's hung-chunk path runs."""
+        monkeypatch.setenv("REPRO_CHAOS", "timeout!:5:1.0")
+        monkeypatch.setattr(FaultPolicy, "chunk_deadline", lambda self, n: 0.3)
+        policy = FaultPolicy(
+            timeout=2.0, max_retries=1, backoff_base=0.0, on_failure=on_failure
+        )
+        cell = ExperimentSpec(
+            platform="intel-9700kf", workload="nbody", reps=4, seed=5, tracing=False
+        )
+        ex = ParallelExecutor(2)
+        try:
+            return run_experiment(cell, executor=ex, policy=policy), ex.stats()
+        finally:
+            ex.close()
+
+    def test_hung_chunks_skip_after_redispatch(self, monkeypatch):
+        """A missed deadline kills the pool and re-dispatches; it is no
+        pool break, so the hung chunks never run in-process."""
+        rs, stats = self._run_hung(monkeypatch, "skip")
+        assert np.isnan(rs.times).all()
+        assert [f.error for f in rs.failures] == ["ChunkTimeout"] * 4
+        assert stats == {
+            "pool_rebuilds": 0,
+            "chunk_timeouts": 5,
+            "chunk_redispatches": 10,
+            "rep_retries": 4,
+            "rep_failures": 4,
+            "shm_chunks": 0,
+            "pickle_chunks": 0,
+            "degraded": False,
+        }
+
+    def test_hung_chunks_raise_under_retry(self, monkeypatch):
+        with pytest.raises(RepExecutionError, match="kept timing out"):
+            self._run_hung(monkeypatch, "retry")
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ from repro.harness.executor import (
     get_executor,
     resolve_jobs,
 )
-from repro.harness.experiment import ExperimentSpec, ResultSet, run_experiment, run_once
+from repro.harness.experiment import ExperimentSpec, ResultSet, run_experiment
 from repro.harness.faults import (
     FailureRecord,
     FaultPolicy,
@@ -20,7 +20,6 @@ __all__ = [
     "ExperimentSpec",
     "ResultSet",
     "run_experiment",
-    "run_once",
     "summarize",
     "Summary",
     "Executor",

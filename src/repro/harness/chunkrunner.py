@@ -16,11 +16,13 @@ What lives here:
 * :func:`run_one_rep` — the contained attempt loop (timeouts, retries
   with deterministic backoff, ``skip`` semantics) shared by serial,
   pool, and service execution;
-* :class:`ChunkRunner` — the chunk-level entry point: resolve once,
-  run each index through the attempt loop, return results in index
-  order.  It knows nothing about how its inputs arrived or how its
-  outputs travel home — the executor's pickled chunk results and the
-  service's result store are layered on top.
+* :func:`run_chunk` — the chunk-level entry point: resolve once, run
+  each index through the attempt loop, return results in index order.
+  It knows nothing about how its inputs arrived or how its outputs
+  travel home — the executor's pickled chunk results and the service's
+  result store are layered on top.  The executor's in-process loop
+  (serial backend, degraded pool) streams the same attempt loop rep by
+  rep instead.
 
 Determinism contract: rep ``i`` always draws from
 ``SeedSequence(spec.seed, spawn_key=(i,))`` and every retry rebuilds
@@ -35,6 +37,7 @@ import os
 import threading
 import time
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -57,10 +60,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "RepResult",
-    "ChunkRunner",
-    "DEFAULT_RUNNER",
     "rep_seed",
     "resolved_context",
+    "run_chunk",
     "shard_ranges",
 ]
 
@@ -197,25 +199,19 @@ def run_one_rep(
         local_attempt += 1
         try:
             chaos = get_chaos()
-            if not _telemetry.enabled():
-                # Disabled fast path: no span object, no attr dict.
+            # The span wraps the deadline and any chaos injection, so
+            # failed/timed-out attempts surface as error-tagged spans;
+            # disabled, no span object or attribute dict is built.
+            with _telemetry.span(
+                "rep" if attempt == 0 else "retry",
+                spec=spec.label(),
+                rep=index,
+                attempt=attempt,
+            ) if _telemetry.enabled() else nullcontext():
                 with rep_deadline(policy.timeout):
                     if chaos is not None:
                         chaos.rep_fault(spec.seed, index, attempt, policy.timeout)
                     result = _execute_rep(context, spec, noise, index)
-            else:
-                # The span wraps the deadline and any chaos injection, so
-                # failed/timed-out attempts surface as error-tagged spans.
-                with _telemetry.span(
-                    "rep" if attempt == 0 else "retry",
-                    spec=spec.label(),
-                    rep=index,
-                    attempt=attempt,
-                ):
-                    with rep_deadline(policy.timeout):
-                        if chaos is not None:
-                            chaos.rep_fault(spec.seed, index, attempt, policy.timeout)
-                        result = _execute_rep(context, spec, noise, index)
             return RepResult(
                 index=index,
                 exec_time=result.exec_time,
@@ -270,39 +266,26 @@ def run_one_rep(
 # ----------------------------------------------------------------------
 # chunk-level core
 # ----------------------------------------------------------------------
-class ChunkRunner:
-    """Execute one chunk of rep indices, transport-agnostically.
+def run_chunk(
+    spec: "ExperimentSpec",
+    noise: Optional["NoiseStack"],
+    indices,
+    need_runs: bool = False,
+    policy: Optional[FaultPolicy] = None,
+    base_attempt: int = 0,
+) -> list[RepResult]:
+    """Run every index in ``indices``; results in index order.
 
-    This is the seam between *what* runs (the contained per-rep attempt
-    loop over a shared resolved context) and *how* inputs and outputs
-    travel (process-pool pickles or the campaign service's job
-    leases).  Both the in-process pool worker entry point
-    and the service :class:`~repro.service.worker.Worker` consume the
-    same instance, so a cell re-leased after a worker death replays
+    The chunk-level entry point of both transports: the pool worker
+    entry point and the service :class:`~repro.service.worker.Worker`
+    call it, so a cell re-leased after a worker death replays
     byte-for-byte the code path an uninterrupted pool dispatch runs.
+    Raises whatever the policy lets escape (wrapped by the caller's
+    transport shim into :class:`RepExecutionError` as needed).
     """
-
-    def run(
-        self,
-        spec: "ExperimentSpec",
-        noise: Optional["NoiseStack"],
-        indices,
-        need_runs: bool = False,
-        policy: Optional[FaultPolicy] = None,
-        base_attempt: int = 0,
-    ) -> list[RepResult]:
-        """Run every index in ``indices``; results in index order.
-
-        Raises whatever the policy lets escape (wrapped by the caller's
-        transport shim into :class:`RepExecutionError` as needed).
-        """
-        policy = policy if policy is not None else DEFAULT_POLICY
-        context = resolved_context(spec)
-        return [
-            run_one_rep(context, spec, noise, i, need_runs, policy, base_attempt)
-            for i in indices
-        ]
-
-
-#: the shared runner instance every transport dispatches through
-DEFAULT_RUNNER = ChunkRunner()
+    policy = policy if policy is not None else DEFAULT_POLICY
+    context = resolved_context(spec)
+    return [
+        run_one_rep(context, spec, noise, i, need_runs, policy, base_attempt)
+        for i in indices
+    ]

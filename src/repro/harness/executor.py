@@ -63,14 +63,21 @@ its RNG from the *original* per-rep spawn key, so a rep that succeeds
 on attempt *k* is bit-identical to one that succeeded immediately — the
 golden-equivalence suite proves it under injected chaos.
 
-The parallel backend additionally survives infrastructure failure:
-chunks are dispatched as individual futures with deadlines, a
+Every rep run in the caller's process — the serial backend, a run too
+small for a pool, a degraded pool's remainder — goes through one loop,
+``Executor._run_serial``.  The parallel backend dispatches chunks as
+individual futures with deadlines through one loop, which also
+survives infrastructure failure.  A failed submit, a
 ``BrokenProcessPool`` (e.g. a worker killed by the OOM killer — or by
-the :mod:`~repro.harness.chaos` harness) causes the pool to be rebuilt
-and only the unfinished chunks re-dispatched, and after
-``max_pool_breaks`` consecutive breakages the executor degrades to
-in-process serial execution for the remainder (logged, visible in
-:meth:`Executor.stats`).
+the :mod:`~repro.harness.chaos` harness) and a chunk past its deadline
+all retire the pool the same way (workers killed, teardown awaited)
+and re-dispatch only the unfinished chunks on a fresh pool.  Breakages
+count in ``pool_rebuilds``, and after ``max_pool_breaks`` consecutive
+ones the executor degrades to in-process serial execution for the
+remainder (logged, visible in :meth:`Executor.stats`).  A missed
+deadline counts in ``chunk_timeouts`` only, so a hung chunk never
+re-runs in-process; once it has used its re-dispatches it goes
+terminal under the policy.
 
 Backend selection is spec-independent: ``--jobs N`` on the CLI or the
 ``REPRO_JOBS`` environment variable (default ``1``; ``0`` means one
@@ -96,7 +103,7 @@ from repro.harness.chaos import mark_worker
 
 # The per-rep/per-chunk execution core lives in chunkrunner (shared
 # with the campaign service's remote workers).
-from repro.harness.chunkrunner import DEFAULT_RUNNER, RepResult
+from repro.harness.chunkrunner import RepResult, run_chunk
 from repro.harness.chunkrunner import resolved_context as _resolved_context
 from repro.harness.chunkrunner import run_one_rep as _run_one_rep
 from repro.harness.faults import (
@@ -206,9 +213,7 @@ def _run_rep_chunk(payload: tuple) -> tuple:
         with _telemetry.span(
             "chunk", spec=spec.label(), reps=len(indices)
         ) if (token is not None) else nullcontext():
-            results = DEFAULT_RUNNER.run(
-                spec, noise, indices, need_runs, policy, base_attempt
-            )
+            results = run_chunk(spec, noise, indices, need_runs, policy, base_attempt)
         blob = None
         if token is not None:
             blob = _telemetry.worker_capture_end(token)
@@ -243,6 +248,14 @@ class Executor(ABC):
 
     #: worker count (1 for the serial backend)
     jobs: int = 1
+
+    # class-level default so lightweight subclasses that skip __init__
+    # (test doubles) still account correctly — the counter group is
+    # created lazily on first use in that case
+    _counters = None
+
+    #: the keys stats() has always exposed, in their historical order
+    _STAT_KEYS = ("rep_retries", "rep_failures")
 
     def run_reps(
         self,
@@ -279,9 +292,36 @@ class Executor(ABC):
         (``range(n, n+batch)``) without re-running earlier reps.
         """
 
+    def _account(self, rep: RepResult) -> None:
+        """Count a rep's retries and terminal failure."""
+        if rep.attempts > 1 or rep.error is not None:
+            if self._counters is None:
+                self._counters = _telemetry.new_group("executor")
+            self._counters.inc("rep_retries", rep.attempts - 1)
+            if rep.error is not None:
+                self._counters.inc("rep_failures")
+
+    def _run_serial(self, spec, noise, indices, policy, base_attempt=0):
+        """The in-process rep loop: the serial backend, runs too small
+        for a pool round-trip, and a degraded pool's remainder.
+
+        With the full result in hand, passing it through costs nothing
+        regardless of ``need_runs``.
+        """
+        context = _resolved_context(spec)
+        for i in indices:
+            rep = _run_one_rep(context, spec, noise, i, True, policy, base_attempt)
+            self._account(rep)
+            yield rep
+
     def stats(self) -> dict:
-        """Fault/recovery counters (empty for backends without any)."""
-        return {}
+        """Fault/recovery counters observed by this instance.
+
+        A thin view over the telemetry counter registry — the shape is
+        unchanged from the pre-telemetry ad-hoc dict.
+        """
+        counts = self._counters.as_dict() if self._counters is not None else {}
+        return {key: int(counts.get(key, 0)) for key in self._STAT_KEYS}
 
     def close(self, force: bool = False) -> None:
         """Release backend resources (no-op for the serial backend)."""
@@ -298,47 +338,12 @@ class SerialExecutor(Executor):
 
     jobs = 1
 
-    # class-level default so lightweight subclasses that skip __init__
-    # (test doubles) still account correctly — the counter group is
-    # created lazily on first use in that case
-    _counters = None
-
     def __init__(self) -> None:
         self._counters = _telemetry.new_group("executor")
 
-    def _group(self) -> "_telemetry.CounterGroup":
-        group = self._counters
-        if group is None:
-            group = self._counters = _telemetry.new_group("executor")
-        return group
-
-    def stats(self) -> dict:
-        """``rep_retries`` / ``rep_failures`` observed by this instance.
-
-        A thin view over the telemetry counter registry — the shape is
-        unchanged from the pre-telemetry ad-hoc dict.
-        """
-        group = self._counters
-        if group is None:
-            return {"rep_retries": 0, "rep_failures": 0}
-        return {
-            "rep_retries": int(group.get("rep_retries")),
-            "rep_failures": int(group.get("rep_failures")),
-        }
-
     def run_rep_range(self, spec, noise, indices, need_runs=False, policy=None):
         policy = policy if policy is not None else DEFAULT_POLICY
-        group = self._group()
-        context = _resolved_context(spec)
-        for i in indices:
-            # The serial backend always has the full result in hand;
-            # passing it through costs nothing regardless of need_runs.
-            rep = _run_one_rep(context, spec, noise, i, True, policy)
-            if rep.attempts > 1:
-                group.inc("rep_retries", rep.attempts - 1)
-            if rep.error is not None:
-                group.inc("rep_failures")
-            yield rep
+        return self._run_serial(spec, noise, indices, policy)
 
     def __repr__(self) -> str:
         return "SerialExecutor()"
@@ -354,13 +359,14 @@ class ParallelExecutor(Executor):
     so ``on_run`` consumers degrade to *ordered post-hoc delivery*
     rather than live streaming.
 
-    Failure containment: chunks are dispatched as individual futures.
-    A broken pool (worker death) is rebuilt and only unfinished chunks
-    are re-dispatched; a chunk that exceeds its policy deadline has its
-    workers killed and is re-dispatched likewise.  After
-    ``max_pool_breaks`` *consecutive* breakages the executor degrades
-    to in-process serial execution (the pool infrastructure itself is
-    deemed unhealthy).  All of it is counted in :meth:`stats`.
+    Failure containment: chunks are dispatched as individual futures,
+    and one dispatch loop handles every failure.  A failed submit, a
+    broken pool (worker death) and a chunk past its policy deadline
+    all retire the pool through :meth:`_retire_pool` (workers killed)
+    and re-dispatch only the unfinished chunks on a fresh pool.  After
+    ``max_pool_breaks`` *consecutive* breakages — missed deadlines do
+    not count — the loop finishes in-process (the pool infrastructure
+    itself is deemed unhealthy).  All of it is counted in :meth:`stats`.
     """
 
     #: consecutive pool breakages tolerated before degrading to serial
@@ -380,7 +386,6 @@ class ParallelExecutor(Executor):
         #: the registry entry ``stats()`` is a thin view over)
         self._counters = _telemetry.new_group("executor")
 
-    #: the keys stats() has always exposed, in their historical order;
     #: ``shm_chunks`` is never incremented and stays for readers of the
     #: shape (every chunk returns by pickle)
     _STAT_KEYS = (
@@ -396,12 +401,10 @@ class ParallelExecutor(Executor):
     def stats(self) -> dict:
         """Recovery counters plus the current ``degraded`` flag.
 
-        The counts live in the telemetry counter registry; this view
-        preserves the pre-telemetry return shape (extended by the
-        ``shm_chunks`` / ``pickle_chunks`` chunk counters).
+        The pre-telemetry return shape, extended by the ``shm_chunks`` /
+        ``pickle_chunks`` chunk counters.
         """
-        counts = self._counters.as_dict()
-        out = {key: int(counts.get(key, 0)) for key in self._STAT_KEYS}
+        out = super().stats()
         with self._lock:
             out["degraded"] = self._degraded
         return out
@@ -420,61 +423,47 @@ class ParallelExecutor(Executor):
                 self._pool = ProcessPoolExecutor(max_workers=self.jobs, mp_context=ctx)
             return self._pool
 
-    def _note_pool_break(self, pool) -> None:
-        """Account one pool breakage and retire the broken pool.
+    def _retire_pool(self, pool, broken: bool) -> None:
+        """Kill a failed pool's workers and wait for its teardown.
 
-        Idempotent per pool object so concurrent threads observing the
-        same breakage count it once.
+        Idempotent per pool object, so concurrent threads observing the
+        same failure retire it once.  Only a *broken* pool counts in
+        ``pool_rebuilds`` and towards degrading to serial: a missed
+        deadline kills the workers too, but a hung chunk must never
+        re-run in the caller's process.
+
+        The teardown runs under the lock, so no thread forks a new pool
+        while this one's manager thread still holds its locks: a worker
+        forked then inherits a held lock and deadlocks when it
+        garbage-collects the old pool.  Workers get ``SIGKILL``: one
+        forked by a service worker inherits that process's draining
+        ``SIGTERM`` handler, survives ``SIGTERM`` and would hold the wait.
         """
         with self._lock:
             if pool is not self._pool:
                 return  # another thread already retired it
             self._pool = None
-            self._counters.inc("pool_rebuilds")
-            self._consecutive_breaks += 1
-            if self._consecutive_breaks >= self.max_pool_breaks and not self._degraded:
-                self._degraded = True
-                _log.error(
-                    "process pool broke %d consecutive times; degrading to "
-                    "serial in-process execution",
-                    self._consecutive_breaks,
-                )
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # pragma: no cover - best-effort teardown
-            pass
+            if broken:
+                self._counters.inc("pool_rebuilds")
+                self._consecutive_breaks += 1
+                if self._consecutive_breaks >= self.max_pool_breaks and not self._degraded:
+                    self._degraded = True
+                    _log.error(
+                        "process pool broke %d consecutive times; degrading to "
+                        "serial in-process execution",
+                        self._consecutive_breaks,
+                    )
+            for proc in list(pool._processes.values()):
+                try:
+                    proc.kill()
+                except Exception:  # pragma: no cover - already dead
+                    pass
+            pool.shutdown(wait=True, cancel_futures=True)
 
-    def _kill_pool(self, pool) -> None:
-        """Forcibly terminate a pool whose workers are hung."""
-        with self._lock:
-            if pool is self._pool:
-                self._pool = None
-        for proc in list(getattr(pool, "_processes", {}).values()):
-            try:
-                proc.terminate()
-            except Exception:  # pragma: no cover - already dead
-                pass
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # pragma: no cover - best-effort teardown
-            pass
-
-    def _note_healthy_round(self) -> None:
-        with self._lock:
-            self._consecutive_breaks = 0
-
-    def _account(self, rep: RepResult) -> None:
-        if rep.attempts > 1 or rep.error is not None:
-            self._counters.inc("rep_retries", rep.attempts - 1)
-            if rep.error is not None:
-                self._counters.inc("rep_failures")
-
-    def _terminal_chunk(
-        self, spec, chunk: range, policy: FaultPolicy, reason: str
-    ) -> list[RepResult]:
-        """Resolve a chunk that exhausted its dispatch budget."""
+    def _terminal_chunk(self, spec, chunk: range, policy: FaultPolicy) -> list[RepResult]:
+        """Resolve a chunk that timed out on every dispatch it was granted."""
         message = (
-            f"chunk reps {list(chunk)} of {spec.label()} {reason} after "
+            f"chunk reps {list(chunk)} of {spec.label()} kept timing out after "
             f"{policy.retries + 1} dispatch(es)"
         )
         if policy.on_failure != "skip":
@@ -505,25 +494,20 @@ class ParallelExecutor(Executor):
     # ------------------------------------------------------------------
     def run_rep_range(self, spec, noise, indices, need_runs=False, policy=None):
         policy = policy if policy is not None else DEFAULT_POLICY
-        if len(indices) <= 1 or self.jobs <= 1 or self._degraded:
-            # Not worth a pool round-trip (or the pool infrastructure is
-            # unhealthy); the serial path is bit-identical.
-            yield from self._serial_remainder(spec, noise, indices, need_runs, policy)
+        if len(indices) <= 1 or self.jobs <= 1:
+            # Not worth a pool round-trip; the serial path is bit-identical.
+            yield from self._run_serial(spec, noise, indices, policy)
             return
         chunks = chunk_range(indices, self.jobs, self.chunk_size)
-        dispatches = {cid: 0 for cid in range(len(chunks))}
-        done: set[int] = set()
-        while len(done) < len(chunks):
+        # Chunks finish in order and a failed round re-dispatches every
+        # unfinished one, so the unfinished chunks share one dispatch count.
+        dispatches = 0
+        while chunks:
             if self._degraded:
-                for cid in range(len(chunks)):
-                    if cid in done:
-                        continue
-                    yield from self._serial_remainder(
-                        spec, noise, chunks[cid], need_runs, policy, dispatches[cid]
-                    )
-                    done.add(cid)
+                # The pool infrastructure is unhealthy: finish in-process.
+                rest = range(chunks[0].start, indices.stop)
+                yield from self._run_serial(spec, noise, rest, policy, dispatches)
                 return
-            pending = [cid for cid in range(len(chunks)) if cid not in done]
             pool = self._ensure_pool()
             # Telemetry context rides in the payload so worker spans
             # parent to the dispatching span; None keeps the disabled
@@ -531,81 +515,61 @@ class ParallelExecutor(Executor):
             telem = (
                 {"parent": _telemetry.current_span_id()} if _telemetry.enabled() else None
             )
+            futures = []
+            failed = False
             try:
-                futures = {
-                    cid: pool.submit(
-                        _run_rep_chunk,
-                        (spec, noise, chunks[cid], need_runs, policy, dispatches[cid], telem),
-                    )
-                    for cid in pending
-                }
+                for chunk in chunks:
+                    payload = (spec, noise, chunk, need_runs, policy, dispatches, telem)
+                    futures.append(pool.submit(_run_rep_chunk, payload))
             except (BrokenProcessPool, RuntimeError):
-                self._note_pool_break(pool)
-                for cid in pending:
-                    dispatches[cid] += 1
-                    self._counters.inc("chunk_redispatches")
-                continue
-            broke = False
+                self._retire_pool(pool, broken=True)
+                failed = True
             # In-order consumption streams completed chunks to the
             # caller while later chunks are still running (rep order is
             # chunk order).
-            for cid in pending:
-                deadline = policy.chunk_deadline(len(chunks[cid]))
+            while chunks and not failed:
+                deadline = policy.chunk_deadline(len(chunks[0]))
                 try:
-                    reps_list, blob = futures[cid].result(timeout=deadline)
+                    reps_list, blob = futures[0].result(timeout=deadline)
                 except BrokenProcessPool:
                     _log.warning(
                         "process pool broke while running chunk reps %s of %s; "
                         "rebuilding and re-dispatching unfinished chunks",
-                        list(chunks[cid]),
+                        list(chunks[0]),
                         spec.label(),
                     )
-                    self._note_pool_break(pool)
-                    broke = True
+                    self._retire_pool(pool, broken=True)
+                    failed = True
                     break
                 except FuturesTimeout:
                     self._counters.inc("chunk_timeouts")
                     _log.warning(
                         "chunk reps %s of %s exceeded its %.1fs deadline; "
                         "killing workers and re-dispatching",
-                        list(chunks[cid]),
+                        list(chunks[0]),
                         spec.label(),
                         deadline,
                     )
-                    self._kill_pool(pool)
-                    if dispatches[cid] >= policy.retries:
-                        for rep in self._terminal_chunk(
-                            spec, chunks[cid], policy, "kept timing out"
-                        ):
-                            self._account(rep)
-                            yield rep
-                        done.add(cid)
-                    broke = True
-                    break
+                    self._retire_pool(pool, broken=False)
+                    failed = True
+                    if dispatches < policy.retries:
+                        break
+                    reps_list = self._terminal_chunk(spec, chunks[0], policy)
                 else:
                     _telemetry.absorb_worker(blob)
                     self._counters.inc("pickle_chunks")
-                    for rep in reps_list:
-                        self._account(rep)
-                        yield rep
-                    done.add(cid)
-            if broke:
-                for cid in pending:
-                    if cid in done:
-                        continue
-                    futures[cid].cancel()
-                    dispatches[cid] += 1
-                    self._counters.inc("chunk_redispatches")
-            else:
-                self._note_healthy_round()
-
-    def _serial_remainder(self, spec, noise, indices, need_runs, policy, base_attempt=0):
-        """In-process execution of ``indices`` (degraded / tiny runs)."""
-        context = _resolved_context(spec)
-        for i in indices:
-            rep = _run_one_rep(context, spec, noise, i, True, policy, base_attempt)
-            self._account(rep)
-            yield rep
+                for rep in reps_list:
+                    self._account(rep)
+                    yield rep
+                del chunks[0], futures[0]
+            if not failed:
+                with self._lock:
+                    self._consecutive_breaks = 0
+            elif chunks:
+                for future in futures:
+                    future.cancel()
+                dispatches += 1
+                self._counters.inc("chunk_redispatches", len(chunks))
 
     def close(self, force: bool = False) -> None:
         """Shut the pool down.

@@ -17,7 +17,7 @@ counts (1000 / 200) can be restored without code changes.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -47,7 +47,6 @@ __all__ = [
     "resolve_context",
     "context_key",
     "run_experiment",
-    "run_once",
     "run_resolved",
     "default_baseline_reps",
     "default_inject_reps",
@@ -242,9 +241,9 @@ class ResolvedContext:
 
     The runtime is *not* cached: :class:`~repro.runtimes.base.TeamRuntime`
     instances are single-use (one machine each), so ``model`` stays a
-    name and :func:`run_resolved` instantiates a fresh runtime per rep
-    — exactly as :func:`run_once` always has, keeping the RNG draw
-    order (and therefore every result bit) unchanged.
+    name and :func:`run_resolved` instantiates a fresh runtime per rep,
+    so every rep draws from its RNG in the same order on a clean
+    machine.
     """
 
     platform: PlatformSpec
@@ -284,8 +283,29 @@ def context_key(spec: ExperimentSpec) -> str:
 
 
 def resolve_context(spec: ExperimentSpec) -> ResolvedContext:
-    """Build the reusable per-spec execution context."""
-    platform, workload, placement = _build_context(spec)
+    """Build the reusable per-spec execution context.
+
+    Resolves names to the concrete platform (with the spec's
+    runlevel-3 and anomaly overrides), workload and placement.
+    """
+    platform = get_platform(spec.platform)
+    noise_env = platform.noise
+    if spec.runlevel3:
+        noise_env = _runlevel3(noise_env)
+    if spec.anomaly_prob is not None:
+        noise_env = replace(
+            noise_env, anomalies=replace(noise_env.anomalies, prob=spec.anomaly_prob)
+        )
+    platform = platform.with_noise(noise_env)
+    workload = get_workload(spec.workload, platform, **spec.workload_params)
+    placement = get_strategy(spec.strategy).placement(platform, use_smt=spec.use_smt)
+    if spec.n_threads is not None:
+        if spec.n_threads > len(placement.cpus):
+            raise ValueError(
+                f"n_threads={spec.n_threads} exceeds the strategy's "
+                f"{len(placement.cpus)}-CPU mask"
+            )
+        placement = replace(placement, n_threads=spec.n_threads)
     return ResolvedContext(
         platform=platform,
         workload=workload,
@@ -308,11 +328,11 @@ def run_resolved(
 ) -> RunResult:
     """Execute one run on a prebuilt :class:`ResolvedContext`.
 
-    The hot-loop twin of :func:`run_once`: identical machine
-    construction, runtime launch, and noise attachment in the same
-    order, so results are bit-identical — it merely skips re-resolving
-    platform/workload/placement and re-estimating the duration.
-    ``noise`` must already be a coerced stack (or ``None``).
+    Every rep of every backend runs here: a fresh machine and runtime,
+    then the runtime launch and noise attachment in a fixed order, so
+    results are bit-identical — platform/workload/placement and the
+    expected duration come from the context instead of being resolved
+    again.  ``noise`` must already be a coerced stack (or ``None``).
     """
     machine = Machine(
         context.platform,
@@ -332,70 +352,6 @@ def run_resolved(
             noise.attach(m, rng).start(context.expected)
 
     return machine.run(start, expected_duration=context.expected, meta=meta)
-
-
-def _build_context(spec: ExperimentSpec):
-    """Resolve names to concrete platform / workload / placement."""
-    platform = get_platform(spec.platform)
-    noise_env = platform.noise
-    if spec.runlevel3:
-        noise_env = _runlevel3(noise_env)
-    if spec.anomaly_prob is not None:
-        from dataclasses import replace as _dc_replace
-
-        noise_env = _dc_replace(
-            noise_env, anomalies=_dc_replace(noise_env.anomalies, prob=spec.anomaly_prob)
-        )
-    platform = platform.with_noise(noise_env)
-    workload = get_workload(spec.workload, platform, **spec.workload_params)
-    placement = get_strategy(spec.strategy).placement(platform, use_smt=spec.use_smt)
-    if spec.n_threads is not None:
-        from dataclasses import replace as _dc_replace
-
-        if spec.n_threads > len(placement.cpus):
-            raise ValueError(
-                f"n_threads={spec.n_threads} exceeds the strategy's "
-                f"{len(placement.cpus)}-CPU mask"
-            )
-        placement = _dc_replace(placement, n_threads=spec.n_threads)
-    return platform, workload, placement
-
-
-def run_once(
-    platform: PlatformSpec,
-    workload: Workload,
-    placement: Placement,
-    model: str,
-    rng: np.random.Generator,
-    *,
-    tracing: bool = True,
-    rt_throttle: bool = True,
-    noise: "NoiseLike" = None,
-    meta: Optional[dict] = None,
-) -> RunResult:
-    """Execute a single simulated run and return its result.
-
-    ``noise`` accepts any :class:`~repro.noise.base.NoiseSource`, a
-    :class:`~repro.noise.base.NoiseStack`, or a sequence of sources;
-    each member source draws from an independent child of ``rng``.
-    """
-    stack = NoiseStack.coerce(noise)
-    machine = Machine(
-        platform,
-        rng,
-        tracing=tracing,
-        rt_throttle=rt_throttle,
-    )
-    runtime = get_runtime(model)
-    expected = workload.estimate_duration(platform, placement.n_threads)
-
-    def start(m: Machine) -> None:
-        """Launch runtime (and noise sources) on the fresh machine."""
-        runtime.launch(m, workload.regions(platform, placement.n_threads), placement)
-        if stack is not None and stack:
-            stack.attach(m, rng).start(expected)
-
-    return machine.run(start, expected_duration=expected, meta=meta)
 
 
 def run_experiment(

@@ -23,8 +23,8 @@ Two kinds of job arrive from one lease call:
 
 * **whole cells** run through ``get_or_run`` as before;
 * **chunk sub-jobs** of a sharded cell run their rep slice directly on
-  the :class:`~repro.harness.chunkrunner.ChunkRunner` (the same code a
-  pool worker runs), publish the slice as a chunk entry, and — when the
+  :func:`~repro.harness.chunkrunner.run_chunk` (the same code a pool
+  worker runs), publish the slice as a chunk entry, and — when the
   queue says theirs was the last slice — merge the cell and finalize
   the parent.  Seeding is per-rep, so which worker runs which slice
   can never show up in the bytes.
@@ -47,7 +47,7 @@ from typing import Optional
 
 from repro import telemetry as _telemetry
 from repro.harness.chaos import get_chaos
-from repro.harness.chunkrunner import DEFAULT_RUNNER
+from repro.harness.chunkrunner import run_chunk
 from repro.harness.experiment import ExperimentSpec
 from repro.noise.base import NoiseStack
 from repro.service.queue import DEFAULT_LEASE_S, Job, JobQueue, _chunk_key
@@ -259,8 +259,8 @@ class Worker:
     def run_chunk_job(self, job: Job) -> bool:
         """Execute one leased chunk sub-job; returns success.
 
-        The rep slice ``[chunk_start, chunk_stop)`` runs on the shared
-        :class:`~repro.harness.chunkrunner.ChunkRunner` — bit-identical
+        The rep slice ``[chunk_start, chunk_stop)`` runs through
+        :func:`~repro.harness.chunkrunner.run_chunk` — bit-identical
         to the same indices inside any in-process dispatch, because
         each rep reseeds from its own spawn key.  The finished slice is
         published as an immutable chunk entry; if the queue reports
@@ -285,7 +285,7 @@ class Worker:
                 # in-process run of the same cell); computing the slice
                 # again would be wasted, not wrong.
                 if not self.store.has_entry(job.parent):
-                    results = DEFAULT_RUNNER.run(
+                    results = run_chunk(
                         spec,
                         stack,
                         range(job.chunk_start, job.chunk_stop),

@@ -120,9 +120,6 @@ class _CpuState:
     def busy(self) -> bool:
         return bool(self.fifo or self.other)
 
-    def tasks(self) -> list[Task]:
-        return self.fifo + self.other
-
 
 class Scheduler:
     """Places tasks on logical CPUs and integrates their progress."""
@@ -292,16 +289,6 @@ class Scheduler:
             state.stale = True
         if fractions:
             self._update(set(fractions))
-
-    def idle_cpus(self) -> list[int]:
-        """Logical CPUs with no runnable task."""
-        if not self._n_idle:
-            return []
-        return [i for i, s in enumerate(self._cpus) if not s.busy()]
-
-    def tasks_on(self, cpu: int) -> list[Task]:
-        """All runnable tasks currently assigned to ``cpu``."""
-        return self._cpus[cpu].tasks()
 
     def register_pool(self, pool: WorkPool) -> None:
         """Start tracking a pool's drain-completion event."""

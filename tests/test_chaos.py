@@ -218,6 +218,40 @@ class TestPoolRecovery:
         with pytest.raises(RepExecutionError, match="kept timing out"):
             self._run_hung(monkeypatch, "retry")
 
+    def test_retired_pool_is_gone_before_the_next_fork(self, monkeypatch):
+        """Retiring a pool kills its workers even when they inherited a
+        SIGTERM handler (as a service worker's pool workers do) and
+        waits out its manager thread, which a worker forked for the
+        next pool could otherwise inherit a held lock from."""
+        import signal
+
+        monkeypatch.setenv("REPRO_CHAOS", "timeout!:5:1.0")
+        monkeypatch.setattr(FaultPolicy, "chunk_deadline", lambda self, n: 0.3)
+        ex = ParallelExecutor(2)
+        retired = []
+        retire = ex._retire_pool
+
+        def spy(pool, broken):
+            workers = list(pool._processes.values())
+            manager = pool._executor_manager_thread
+            retire(pool, broken)
+            retired.append((workers, manager))
+
+        monkeypatch.setattr(ex, "_retire_pool", spy)
+        cell = ExperimentSpec(
+            platform="intel-9700kf", workload="nbody", reps=4, seed=5, tracing=False
+        )
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            with pytest.raises(RepExecutionError, match="kept timing out"):
+                run_experiment(cell, executor=ex, policy=FaultPolicy(timeout=2.0))
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+            ex.close()
+        [(workers, manager)] = retired
+        assert workers and [w.exitcode for w in workers] == [-signal.SIGKILL] * len(workers)
+        assert not manager.is_alive()
+
 
 # ----------------------------------------------------------------------
 # cache corruption (torn-write salvage)

@@ -209,9 +209,9 @@ class TestStoreIntegrity:
 
     def test_corrupt_chunk_entry_reads_as_missing(self, tmp_path):
         store = SharedResultStore(tmp_path / "store")
-        from repro.harness.chunkrunner import DEFAULT_RUNNER
+        from repro.harness.chunkrunner import run_chunk
 
-        results = DEFAULT_RUNNER.run(spec(reps=4), None, range(0, 2), need_runs=False)
+        results = run_chunk(spec(reps=4), None, range(0, 2), need_runs=False)
         store.store_chunk("cafef00d", 0, 2, results)
         assert store.load_chunk("cafef00d", 0, 2) is not None
         chunk = store.chunk_path("cafef00d", 0, 2)
@@ -318,9 +318,9 @@ class TestFsck:
 
     def test_orphan_chunk_files_deleted_on_repair(self, tmp_path):
         queue, store, client = self.parts(tmp_path)
-        from repro.harness.chunkrunner import DEFAULT_RUNNER
+        from repro.harness.chunkrunner import run_chunk
 
-        results = DEFAULT_RUNNER.run(spec(reps=2), None, range(0, 2), need_runs=False)
+        results = run_chunk(spec(reps=2), None, range(0, 2), need_runs=False)
         store.store_chunk("deadbeef", 0, 2, results)
         report = fsck(queue, store)
         assert report.orphan_chunks == ["deadbeef.chunk-0-2.json"]

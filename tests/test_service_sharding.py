@@ -29,7 +29,7 @@ from pathlib import Path
 import pytest
 
 from repro.harness.cache import ResultCache
-from repro.harness.chunkrunner import DEFAULT_RUNNER, shard_ranges
+from repro.harness.chunkrunner import run_chunk, shard_ranges
 from repro.harness.experiment import ExperimentSpec
 from repro.harness.sweep import sweep
 from repro.service import (
@@ -235,7 +235,7 @@ class TestChunkMerge:
         spans = [(r.start, r.stop) for r in shard_ranges(rspec.reps, shard)]
         # Chunks arrive in arbitrary order from arbitrary "workers".
         for start, stop in reversed(spans):
-            results = DEFAULT_RUNNER.run(rspec, stack, range(start, stop))
+            results = run_chunk(rspec, stack, range(start, stop))
             store.store_chunk(key, start, stop, results)
         merged = store.merge_chunks(rspec, stack, key, spans)
         assert [t.hex() for t in merged.times] == [t.hex() for t in golden_rs.times]
@@ -253,7 +253,7 @@ class TestChunkMerge:
     def test_merge_missing_chunk_raises(self, tmp_path):
         store = SharedResultStore(tmp_path / "store")
         rspec, stack, key = store.resolve_cell(spec(reps=6), None)
-        results = DEFAULT_RUNNER.run(rspec, stack, range(0, 3))
+        results = run_chunk(rspec, stack, range(0, 3))
         store.store_chunk(key, 0, 3, results)
         with pytest.raises(RuntimeError, match="missing or torn"):
             store.merge_chunks(rspec, stack, key, [(0, 3), (3, 6)])
@@ -263,7 +263,7 @@ class TestChunkMerge:
         rspec, stack, key = store.resolve_cell(spec(reps=4), None)
         for start, stop in ((0, 2), (2, 4)):
             store.store_chunk(
-                key, start, stop, DEFAULT_RUNNER.run(rspec, stack, range(start, stop))
+                key, start, stop, run_chunk(rspec, stack, range(start, stop))
             )
         first = store.merge_chunks(rspec, stack, key, [(0, 2), (2, 4)])
         # Second merger (worker vs client race) sees the envelope and
@@ -328,7 +328,7 @@ class TestShardedEndToEnd:
         # Simulate workers that published every chunk and completed the
         # queue rows, then died before anyone ran the merge.
         for job in queue.lease("w1", limit=2):
-            results = DEFAULT_RUNNER.run(
+            results = run_chunk(
                 rspec, stack, range(job.chunk_start, job.chunk_stop)
             )
             store.store_chunk(key, job.chunk_start, job.chunk_stop, results)

@@ -91,7 +91,13 @@ class ProfileAccumulator:
         n_sources = len(trace.sources)
         counts = np.bincount(trace.source_ids, minlength=n_sources)
         sums = np.bincount(trace.source_ids, weights=trace.durations, minlength=n_sources)
-        # Dominant event type per source (sources rarely mix types).
+        # Per-source etype histograms from one joint bincount, a row of
+        # ``n_types`` bins per source (sources rarely mix types).
+        n_types = max(len(EventType), int(trace.etypes.max()) + 1)
+        joint = np.bincount(
+            trace.source_ids.astype(np.int64) * n_types + trace.etypes,
+            minlength=n_sources * n_types,
+        ).reshape(n_sources, n_types)
         for sid, name in enumerate(trace.sources):
             c = int(counts[sid])
             if c == 0:
@@ -99,9 +105,9 @@ class ProfileAccumulator:
             self._counts[name] = self._counts.get(name, 0) + c
             self._durations[name] = self._durations.get(name, 0.0) + float(sums[sid])
             etype_hist = self._etypes.setdefault(name, {})
-            mask = trace.source_ids == sid
-            for code, n in zip(*np.unique(trace.etypes[mask], return_counts=True)):
-                etype_hist[int(code)] = etype_hist.get(int(code), 0) + int(n)
+            row = joint[sid]
+            for code in np.flatnonzero(row).tolist():
+                etype_hist[code] = etype_hist.get(code, 0) + int(row[code])
 
     def build(self) -> NoiseProfile:
         """Finish accumulation and return the profile."""

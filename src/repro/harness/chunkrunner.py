@@ -143,8 +143,8 @@ class RepResult:
     exec_time: float
     anomaly: Optional[str]
     #: full :class:`~repro.sim.machine.RunResult` (trace included) when
-    #: the caller asked for it; ``None`` otherwise to keep worker
-    #: payloads small
+    #: the caller asked for it; ``None`` otherwise, and the rep then
+    #: builds no trace at all
     run: Optional["RunResult"] = None
     #: terminal failure under a ``skip`` policy (``exec_time`` is NaN);
     #: ``None`` for a successful rep — including one that succeeded
@@ -159,6 +159,7 @@ def _execute_rep(
     spec: "ExperimentSpec",
     noise: Optional["NoiseStack"],
     index: int,
+    keep_trace: bool,
 ) -> "RunResult":
     """Run repetition ``index`` on a prebuilt :class:`ResolvedContext`."""
     from repro.harness.experiment import run_resolved
@@ -171,6 +172,7 @@ def _execute_rep(
         noise,
         rt_throttle=context.rt_throttle and not throttle_off,
         meta={"run": index, "spec": spec.label()},
+        keep_trace=keep_trace,
     )
 
 
@@ -184,6 +186,10 @@ def run_one_rep(
     base_attempt: int = 0,
 ) -> RepResult:
     """Contained attempt loop for one repetition.
+
+    ``need_runs`` asks for the full :class:`RunResult` on the returned
+    item; without it the rep assembles no trace, since nothing would
+    read one.
 
     Every attempt rebuilds the rep RNG from its original spawn key, so
     a success on attempt *k* is bit-identical to a clean first run.
@@ -211,7 +217,7 @@ def run_one_rep(
                 with rep_deadline(policy.timeout):
                     if chaos is not None:
                         chaos.rep_fault(spec.seed, index, attempt, policy.timeout)
-                    result = _execute_rep(context, spec, noise, index)
+                    result = _execute_rep(context, spec, noise, index, need_runs)
             return RepResult(
                 index=index,
                 exec_time=result.exec_time,

@@ -39,8 +39,10 @@ pool's own pickle channel, as ``(results, telemetry_blob_or_None)``.
 An exec time is one 8-byte float per rep, so pickling it is exact and
 cheap.  Full ``RunResult`` payloads (``need_runs``, the
 ``on_run``/trace-collection path) travel the same way, traces
-included.  ``stats()`` counts every returned chunk as
-``pickle_chunks``; ``shm_chunks`` stays in the shape and is always 0.
+included.  A rep builds its trace only for such a consumer: without
+``need_runs`` no backend assembles one.  ``stats()`` counts every
+returned chunk as ``pickle_chunks``; ``shm_chunks`` stays in the shape
+and is always 0.
 
 Worker-invariant determinism contract
 -------------------------------------
@@ -301,16 +303,16 @@ class Executor(ABC):
             if rep.error is not None:
                 self._counters.inc("rep_failures")
 
-    def _run_serial(self, spec, noise, indices, policy, base_attempt=0):
+    def _run_serial(self, spec, noise, indices, need_runs, policy, base_attempt=0):
         """The in-process rep loop: the serial backend, runs too small
         for a pool round-trip, and a degraded pool's remainder.
 
-        With the full result in hand, passing it through costs nothing
-        regardless of ``need_runs``.
+        ``need_runs`` is the caller's: without it a rep builds no
+        trace, which is most of what the full result costs.
         """
         context = _resolved_context(spec)
         for i in indices:
-            rep = _run_one_rep(context, spec, noise, i, True, policy, base_attempt)
+            rep = _run_one_rep(context, spec, noise, i, need_runs, policy, base_attempt)
             self._account(rep)
             yield rep
 
@@ -343,7 +345,7 @@ class SerialExecutor(Executor):
 
     def run_rep_range(self, spec, noise, indices, need_runs=False, policy=None):
         policy = policy if policy is not None else DEFAULT_POLICY
-        return self._run_serial(spec, noise, indices, policy)
+        return self._run_serial(spec, noise, indices, need_runs, policy)
 
     def __repr__(self) -> str:
         return "SerialExecutor()"
@@ -496,7 +498,7 @@ class ParallelExecutor(Executor):
         policy = policy if policy is not None else DEFAULT_POLICY
         if len(indices) <= 1 or self.jobs <= 1:
             # Not worth a pool round-trip; the serial path is bit-identical.
-            yield from self._run_serial(spec, noise, indices, policy)
+            yield from self._run_serial(spec, noise, indices, need_runs, policy)
             return
         chunks = chunk_range(indices, self.jobs, self.chunk_size)
         # Chunks finish in order and a failed round re-dispatches every
@@ -506,7 +508,7 @@ class ParallelExecutor(Executor):
             if self._degraded:
                 # The pool infrastructure is unhealthy: finish in-process.
                 rest = range(chunks[0].start, indices.stop)
-                yield from self._run_serial(spec, noise, rest, policy, dispatches)
+                yield from self._run_serial(spec, noise, rest, need_runs, policy, dispatches)
                 return
             pool = self._ensure_pool()
             # Telemetry context rides in the payload so worker spans

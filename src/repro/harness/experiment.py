@@ -325,6 +325,7 @@ def run_resolved(
     *,
     rt_throttle: Optional[bool] = None,
     meta: Optional[dict] = None,
+    keep_trace: bool = True,
 ) -> RunResult:
     """Execute one run on a prebuilt :class:`ResolvedContext`.
 
@@ -333,6 +334,8 @@ def run_resolved(
     results are bit-identical — platform/workload/placement and the
     expected duration come from the context instead of being resolved
     again.  ``noise`` must already be a coerced stack (or ``None``).
+    ``keep_trace=False`` skips assembling the trace (see
+    :meth:`~repro.sim.machine.Machine.run`).
     """
     machine = Machine(
         context.platform,
@@ -351,7 +354,9 @@ def run_resolved(
         if noise is not None and noise:
             noise.attach(m, rng).start(context.expected)
 
-    return machine.run(start, expected_duration=context.expected, meta=meta)
+    return machine.run(
+        start, expected_duration=context.expected, meta=meta, keep_trace=keep_trace
+    )
 
 
 def run_experiment(
@@ -373,8 +378,9 @@ def run_experiment(
         it, as in the paper).  Defaults to ``spec.noise``.
     on_run:
         Optional consumer called per run — e.g. the trace collector.
-        Traces are not retained by the ResultSet (a thousand desktop
-        traces would be gigabytes); consume them here.  Always invoked
+        A rep's trace is assembled only when ``on_run`` is given, and
+        is not retained by the ResultSet (a thousand desktop traces
+        would be gigabytes); consume it here.  Always invoked
         in rep order; under a parallel executor delivery is post-hoc
         (after the rep's chunk completes) rather than live.
     executor:

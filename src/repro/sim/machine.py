@@ -32,6 +32,8 @@ class RunResult:
     """Outcome of one simulated workload execution."""
 
     exec_time: float
+    #: the tracer's output; ``None`` when tracing is off or the caller
+    #: passed ``keep_trace=False`` (no consumer reads it)
     trace: Optional[Trace]
     anomaly: Optional[str] = None
     migrations: int = 0
@@ -122,6 +124,7 @@ class Machine:
         expected_duration: float,
         max_events: Optional[int] = None,
         meta: Optional[dict] = None,
+        keep_trace: bool = True,
     ) -> RunResult:
         """Execute one workload to completion.
 
@@ -133,6 +136,11 @@ class Machine:
             :meth:`workload_done` when finished.
         expected_duration:
             A-priori runtime estimate used to place anomaly windows.
+        keep_trace:
+            Assemble the tracer's :class:`~repro.core.trace.Trace`.
+            ``False`` skips only that assembly: the tracer still runs
+            and steals its overhead, so the exec time, anomaly and
+            counters are unchanged and ``trace`` is ``None``.
         """
         if self._exec_time is not None:
             raise RuntimeError("Machine instances are single-use")
@@ -148,13 +156,15 @@ class Machine:
         assert exec_time is not None
         if self.noise_model is not None:
             self.noise_model.stop()
-        trace = self.tracer.finalize(
-            exec_time,
-            tuple(sorted(self.workload_cpus)),
-            self.noise_model,
-            self.rng,
-            meta=meta,
-        )
+        trace = None
+        if keep_trace:
+            trace = self.tracer.finalize(
+                exec_time,
+                tuple(sorted(self.workload_cpus)),
+                self.noise_model,
+                self.rng,
+                meta=meta,
+            )
         if _telemetry.enabled():
             # Engine counters flush once per run, never from inside the
             # event loop — the hot path is untouched, and the golden-

@@ -219,11 +219,11 @@ class TestStatsShapes:
 
         original = chunkrunner._execute_rep
 
-        def flaky(context, sp, noise, index):
+        def flaky(context, sp, noise, index, keep_trace):
             if index == 1 and failures["count"] == 0:
                 failures["count"] += 1
                 raise Flaky("first attempt of rep 1 fails")
-            return original(context, sp, noise, index)
+            return original(context, sp, noise, index, keep_trace)
 
         chunkrunner._execute_rep = flaky
         try:

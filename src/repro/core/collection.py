@@ -98,16 +98,17 @@ def collect_traces(
     the "inherent noise" that refinement subtracts.
     """
     spec = spec.with_(tracing=True, reps=reps if reps is not None else spec.reps)
-    acc_all = ProfileAccumulator()
-    acc_clean = ProfileAccumulator()
+    # Each trace is folded once.  With ``profile_excludes_anomalies``
+    # anomalous runs go to their own accumulator, which is the profile
+    # only when no run was clean (it then holds every run, in order).
+    acc = ProfileAccumulator()
+    acc_anomalous = ProfileAccumulator() if profile_excludes_anomalies else acc
     state: dict = {"worst": None}
 
     def consume(i: int, result: RunResult) -> None:
         trace = result.trace
         assert trace is not None, "tracing was forced on"
-        acc_all.add(trace)
-        if not result.anomaly:
-            acc_clean.add(trace)
+        (acc_anomalous if result.anomaly else acc).add(trace)
         worst = state["worst"]
         if worst is None or trace.exec_time > worst.exec_time:
             trace.meta.update(run=i, anomaly=result.anomaly)
@@ -131,10 +132,9 @@ def collect_traces(
         worst = state["worst"]
         if worst is not None and worst.exec_time / times.mean() - 1.0 >= min_degradation:
             break
-    use_clean = profile_excludes_anomalies and acc_clean.n_runs > 0
     return CollectionResult(
         spec=spec,
-        profile=(acc_clean if use_clean else acc_all).build(),
+        profile=(acc if acc.n_runs else acc_anomalous).build(),
         worst_trace=state["worst"],
         exec_times=np.concatenate(all_times),
         anomalies=all_anomalies,

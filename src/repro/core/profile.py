@@ -92,8 +92,9 @@ class ProfileAccumulator:
         counts = np.bincount(trace.source_ids, minlength=n_sources)
         sums = np.bincount(trace.source_ids, weights=trace.durations, minlength=n_sources)
         # Per-source etype histograms from one joint bincount, a row of
-        # ``n_types`` bins per source (sources rarely mix types).
-        n_types = max(len(EventType), int(trace.etypes.max()) + 1)
+        # ``n_types`` bins per source (sources rarely mix types); a
+        # trace holds only EventType codes.
+        n_types = len(EventType)
         joint = np.bincount(
             trace.source_ids.astype(np.int64) * n_types + trace.etypes,
             minlength=n_sources * n_types,

@@ -31,7 +31,8 @@ class Trace:
     Events are kept sorted by ``(start, cpu)``.  Columns:
 
     * ``cpus`` — logical CPU of each event (int32);
-    * ``etypes`` — :class:`EventType` codes (int8);
+    * ``etypes`` — :class:`EventType` codes (int8); any other code is
+      rejected with :class:`ValueError`;
     * ``source_ids`` — index into :attr:`sources` (int32);
     * ``starts`` / ``durations`` — seconds (float64).
     """
@@ -57,9 +58,14 @@ class Trace:
             raise ValueError(f"exec_time must be positive: {exec_time!r}")
         if n and (durations < 0).any():
             raise ValueError("negative event duration")
+        etypes = np.asarray(etypes, dtype=np.int8)
+        # as uint8, a negative code wraps past every valid one
+        if n and etypes.view(np.uint8).max() >= len(EventType):
+            bad = sorted(set(etypes.tolist()) - set(map(int, EventType)))
+            raise ValueError(f"unknown etype codes: {bad}")
         order = np.lexsort((np.asarray(cpus), np.asarray(starts)))
         self.cpus = np.ascontiguousarray(np.asarray(cpus, dtype=np.int32)[order])
-        self.etypes = np.ascontiguousarray(np.asarray(etypes, dtype=np.int8)[order])
+        self.etypes = np.ascontiguousarray(etypes[order])
         self.source_ids = np.ascontiguousarray(np.asarray(source_ids, dtype=np.int32)[order])
         self.starts = np.ascontiguousarray(np.asarray(starts, dtype=np.float64)[order])
         self.durations = np.ascontiguousarray(np.asarray(durations, dtype=np.float64)[order])

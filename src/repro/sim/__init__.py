@@ -16,7 +16,7 @@ from repro.sim.scheduler import Scheduler
 from repro.sim.memory import MemorySystem
 from repro.sim.platform import PlatformSpec, get_platform, available_platforms
 from repro.sim.noise import NoiseModel, NoiseSourceSpec
-from repro.sim.tracer import OSNoiseTracer, TraceRecord
+from repro.sim.tracer import OSNoiseTracer
 from repro.sim.machine import Machine
 
 __all__ = [
@@ -34,6 +34,5 @@ __all__ = [
     "NoiseModel",
     "NoiseSourceSpec",
     "OSNoiseTracer",
-    "TraceRecord",
     "Machine",
 ]

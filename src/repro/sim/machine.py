@@ -86,7 +86,7 @@ class Machine:
             memory=self.memory,
             params=params,
             rt_throttle=rt_throttle,
-            on_noise_interval=self.tracer.on_noise_interval,
+            on_noise_interval=self.tracer.on_noise_interval if tracing else None,
         )
         self.noise_model: Optional[NoiseModel] = None
         if enable_noise:
@@ -98,8 +98,8 @@ class Machine:
         self._exec_time: Optional[float] = None
 
     # ------------------------------------------------------------------
-    def extra_steal(self, cpu: int) -> float:
-        """Additional per-CPU steal fraction (tracing overhead)."""
+    def extra_steal(self) -> float:
+        """Additional steal fraction on every CPU (tracing overhead)."""
         micro = self.noise_model.env.micro if self.noise_model else None
         if micro is None:
             return 0.0
@@ -138,12 +138,16 @@ class Machine:
             A-priori runtime estimate used to place anomaly windows.
         keep_trace:
             Assemble the tracer's :class:`~repro.core.trace.Trace`.
-            ``False`` skips only that assembly: the tracer still runs
-            and steals its overhead, so the exec time, anomaly and
-            counters are unchanged and ``trace`` is ``None``.
+            ``False`` records no macro interval and skips the assembly,
+            but the tracer still steals its overhead, so the exec time,
+            anomaly and counters are unchanged and ``trace`` is ``None``.
         """
         if self._exec_time is not None:
             raise RuntimeError("Machine instances are single-use")
+        if not keep_trace:
+            # The hook only feeds the trace; the scheduler's resets of a
+            # noise task's run start and CPU time serve it alone.
+            self.scheduler.on_noise_interval = None
         if self.noise_model is not None:
             self.noise_model.start(expected_duration)
         start(self)

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from repro.sim.engine import EventHandle
 from repro.sim.task import SchedPolicy, Task, TaskKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -253,6 +254,26 @@ def runlevel3(env: NoiseEnvironment) -> NoiseEnvironment:
 # ----------------------------------------------------------------------
 # runtime driver
 # ----------------------------------------------------------------------
+@dataclass(slots=True)
+class _Stream:
+    """One arrival stream of a macro source: a pinned ``per_cpu`` copy
+    or the single unbound stream, resolved once per run so an arrival
+    does no lookup."""
+
+    name: str
+    cpu: Optional[int]
+    affinity: Optional[frozenset[int]]
+    kind: TaskKind
+    policy: SchedPolicy
+    rt_priority: int
+    weight: float
+    log_median: float
+    sigma: float
+    mean_gap: float
+    #: the stream's one pending arrival
+    handle: Optional[EventHandle] = None
+
+
 class NoiseModel:
     """Drives a :class:`NoiseEnvironment` on a live machine for one run."""
 
@@ -263,16 +284,28 @@ class NoiseModel:
         self.anomaly: Optional[AnomalyType] = None
         self._run_factor = 1.0
         self._cpu_factors: Optional[np.ndarray] = None
-        self._handles: list = []
         self._started = False
-        # Per-fire allocation trims: arrival streams construct one Task
-        # per event, so everything reusable (formatted names, affinity
-        # frozensets) is resolved once instead of per arrival.
         n_cpu = machine.topology.n_logical
-        self._cpu_affinity = [frozenset((c,)) for c in range(n_cpu)]
         self._os_affinity = frozenset(env.os_affinity) if env.os_affinity else None
-        self._name_cache: dict[tuple[str, Optional[int]], str] = {}
-        self._log_median = {s: np.log(s.duration_median) for s in env.sources}
+        # Each stream is resolved here, in arming order, so an arrival
+        # constructs its Task from one record.
+        self._streams: list[_Stream] = []
+        for spec in env.sources:
+            if spec.rate <= 0:
+                continue
+            kind = spec.kind
+            shared = (
+                kind, _POLICY_FOR_KIND[kind], _RT_PRIO_FOR_KIND[kind], spec.weight,
+                np.log(spec.duration_median), spec.duration_sigma, 1.0 / spec.rate,
+            )
+            if spec.per_cpu:
+                self._streams.extend(
+                    _Stream(spec.name.format(cpu=c), c, frozenset((c,)), *shared)
+                    for c in range(n_cpu)
+                )
+            else:
+                self._streams.append(_Stream(spec.name, None, self._os_affinity, *shared))
+        self._anomaly_handles: list = []
 
     # -------------------------------------------------- lifecycle
     def start(self, expected_duration: float) -> None:
@@ -290,20 +323,15 @@ class NoiseModel:
         # One batched recompute for all CPUs: at t=0 the machine is
         # still empty (workload launch follows noise start), so the
         # per-CPU update passes would each be no-ops anyway.
+        tick_hz = self.machine.platform.tick_hz
+        extra = self.machine.extra_steal()
         steals = {}
-        for cpu in range(n_cpu):
-            frac = micro.steal_fraction(
-                self.machine.platform.tick_hz,
-                self._run_factor * float(self._cpu_factors[cpu]),
-            )
-            steals[cpu] = min(0.5, frac + wander + self.machine.extra_steal(cpu))
+        for cpu, cpu_factor in enumerate(self._cpu_factors.tolist()):
+            frac = micro.steal_fraction(tick_hz, self._run_factor * cpu_factor)
+            steals[cpu] = min(0.5, frac + wander + extra)
         self.machine.scheduler.set_steal_many(steals)
-        for spec in self.env.sources:
-            if spec.per_cpu:
-                for cpu in range(n_cpu):
-                    self._arm_source(spec, cpu)
-            else:
-                self._arm_source(spec, None)
+        for stream in self._streams:
+            self._arm(stream)
         if self.env.anomalies.prob > 0 and self.rng.random() < self.env.anomalies.prob:
             idx = int(self.rng.integers(len(self.env.anomalies.candidates)))
             self.anomaly = self.env.anomalies.candidates[idx]
@@ -311,42 +339,29 @@ class NoiseModel:
 
     def stop(self) -> None:
         """Cancel pending arrivals (machine teardown)."""
-        for h in self._handles:
+        for stream in self._streams:
+            self.machine.engine.cancel(stream.handle)
+        for h in self._anomaly_handles:
             h.cancel()
-        self._handles.clear()
+        self._anomaly_handles.clear()
 
     # -------------------------------------------------- macro sources
-    def _arm_source(self, spec: NoiseSourceSpec, cpu: Optional[int]) -> None:
-        if spec.rate <= 0:
-            return
-        delay = float(self.rng.exponential(1.0 / spec.rate))
-        h = self.machine.engine.schedule_after(delay, self._fire_source, spec, cpu)
-        self._handles.append(h)
+    def _arm(self, stream: _Stream) -> None:
+        delay = float(self.rng.exponential(stream.mean_gap))
+        stream.handle = self.machine.engine.schedule_after(delay, self._fire_source, stream)
 
-    def _fire_source(self, spec: NoiseSourceSpec, cpu: Optional[int]) -> None:
-        duration = float(
-            self.rng.lognormal(self._log_median[spec], spec.duration_sigma)
-        )
-        key = (spec.name, cpu)
-        name = self._name_cache.get(key)
-        if name is None:
-            name = spec.name.format(cpu=cpu) if cpu is not None else spec.name
-            self._name_cache[key] = name
-        if cpu is not None:
-            affinity = self._cpu_affinity[cpu]
-        else:
-            affinity = self._os_affinity
+    def _fire_source(self, stream: _Stream) -> None:
         task = Task(
-            name,
-            policy=_POLICY_FOR_KIND[spec.kind],
-            rt_priority=_RT_PRIO_FOR_KIND[spec.kind],
-            weight=spec.weight,
-            affinity=affinity,
-            kind=spec.kind,
-            work=duration,
+            stream.name,
+            policy=stream.policy,
+            rt_priority=stream.rt_priority,
+            weight=stream.weight,
+            affinity=stream.affinity,
+            kind=stream.kind,
+            work=float(self.rng.lognormal(stream.log_median, stream.sigma)),
         )
-        self.machine.scheduler.submit(task, hint=cpu)
-        self._arm_source(spec, cpu)
+        self.machine.scheduler.submit(task, hint=stream.cpu)
+        self._arm(stream)
 
     # -------------------------------------------------- anomalies
     def _schedule_anomaly(self, anomaly: AnomalyType, expected_duration: float) -> None:
@@ -372,7 +387,7 @@ class NoiseModel:
             h = self.machine.engine.schedule_after(
                 start0 + float(off), self._fire_anomaly_segment, anomaly.name, kind, float(dur)
             )
-            self._handles.append(h)
+            self._anomaly_handles.append(h)
 
     def _fire_anomaly_segment(self, name: str, kind: TaskKind, duration: float) -> None:
         affinity = self._os_affinity
@@ -391,51 +406,55 @@ class NoiseModel:
         """Vectorised tick/softirq trace records for the whole run.
 
         Returns four parallel numpy arrays ``(cpus, kinds, starts,
-        durations)`` where ``kinds`` is 0 for irq (local_timer) and 1
-        for softirq; the tracer turns these into records.  Idle CPUs
-        tick at a tenth of the rate (dyntick idle).
+        durations)``, CPU by CPU, each CPU's ticks before its softirqs.
+        ``kinds`` holds the :class:`~repro.core.events.EventType` code:
+        0 (irq) for a local_timer tick, 1 (softirq) for the softirq it
+        raised.  Idle CPUs tick at a tenth of the rate (dyntick idle).
+
+        Each CPU draws ``uniform(1)``, ``lognormal(n)``, ``random(n)``
+        and ``lognormal(m)`` in that order, ``m`` counting the
+        ``random(n)`` draws below ``softirq_prob``; the cpu and kind
+        columns are built once from the per-CPU counts.
         """
         micro = self.env.micro
         tick_hz = self.machine.platform.tick_hz
-        all_cpus = range(self.machine.topology.n_logical)
+        idle_hz = max(1, tick_hz // 10)
         busy = set(busy_cpus)
-        cpu_list, kind_list, start_list, dur_list = [], [], [], []
+        rng = self.rng
         assert self._cpu_factors is not None, "start() must run first"
-        for cpu in all_cpus:
-            hz = tick_hz if cpu in busy else max(1, tick_hz // 10)
+        ticks = np.arange(int(duration * tick_hz))  # no CPU ticks more often
+        cpus, counts, start_parts, dur_parts = [], [], [], []
+        for cpu, cpu_factor in enumerate(self._cpu_factors.tolist()):
+            hz = tick_hz if cpu in busy else idle_hz
             n = int(duration * hz)
             if n <= 0:
                 continue
-            period = 1.0 / hz
-            starts = (np.arange(n) + self.rng.uniform(0.0, 1.0)) * period
-            starts = starts[starts < duration]
-            n = len(starts)
-            if n == 0:
-                continue
-            factor = self._run_factor * float(self._cpu_factors[cpu])
-            durs = self.rng.lognormal(
-                np.log(micro.tick_mean * factor), micro.tick_sigma, size=n
-            )
-            cpu_list.append(np.full(n, cpu, dtype=np.int32))
-            kind_list.append(np.zeros(n, dtype=np.int8))
-            start_list.append(starts)
-            dur_list.append(durs)
-            mask = self.rng.random(n) < micro.softirq_prob
-            m = int(mask.sum())
+            starts = (ticks[:n] + rng.uniform(0.0, 1.0)) * (1.0 / hz)
+            if starts[-1] >= duration:  # only the last ticks can fall on the end
+                starts = starts[starts < duration]
+                n = len(starts)
+                if n == 0:
+                    continue
+            factor = self._run_factor * cpu_factor
+            durs = rng.lognormal(np.log(micro.tick_mean * factor), micro.tick_sigma, size=n)
+            mask = rng.random(n) < micro.softirq_prob
+            m = int(np.count_nonzero(mask))
+            cpus.append(cpu)
+            counts += (n, m)
+            start_parts.append(starts)
+            dur_parts.append(durs)
             if m:
-                sdurs = self.rng.lognormal(
-                    np.log(micro.softirq_mean * factor), micro.softirq_sigma, size=m
+                start_parts.append(starts[mask] + durs[mask])
+                dur_parts.append(
+                    rng.lognormal(np.log(micro.softirq_mean * factor), micro.softirq_sigma, size=m)
                 )
-                cpu_list.append(np.full(m, cpu, dtype=np.int32))
-                kind_list.append(np.ones(m, dtype=np.int8))
-                start_list.append(starts[mask] + durs[mask])
-                dur_list.append(sdurs)
-        if not cpu_list:
+        if not cpus:
             empty = np.array([])
             return empty.astype(np.int32), empty.astype(np.int8), empty, empty
+        counts = np.array(counts)
         return (
-            np.concatenate(cpu_list),
-            np.concatenate(kind_list),
-            np.concatenate(start_list),
-            np.concatenate(dur_list),
+            np.repeat(np.array(cpus, dtype=np.int32), counts[0::2] + counts[1::2]),
+            np.repeat(np.tile(np.array([0, 1], dtype=np.int8), len(cpus)), counts),
+            np.concatenate(start_parts),
+            np.concatenate(dur_parts),
         )

@@ -153,6 +153,10 @@ class Scheduler:
         #: CPUs with empty queues; `submit`, `remove` and `_migrate`
         #: keep it current, so placement skips its idle scans at 0
         self._n_idle = n
+        #: CPUs holding a FIFO task or more than one OTHER task, the
+        #: only ones an idle CPU can pull from; `submit` and `_dequeue`
+        #: keep it current, so `_update` skips the pull scan at 0
+        self._n_crowded = 0
         self._mem_running: dict[int, Task] = {}  # tid -> task with demand & share > 0
         #: running sum of the tasks' ``_mem_contrib`` over ``_mem_running``
         #: (an estimate: it only picks a branch, see `_update` phase 3)
@@ -186,17 +190,23 @@ class Scheduler:
         elif task.affinity is not None and cpu not in task.affinity:
             raise ValueError(f"cpu {cpu} not in affinity of {task!r}")
         state = self._cpus[cpu]
-        if not (state.fifo or state.other):
+        fifo = state.fifo
+        other = state.other
+        if not (fifo or other):
             self._n_idle -= 1
+        # A CPU turns crowded with its first FIFO task, idle or not, or
+        # its second OTHER task.
+        if not (fifo or len(other) > 1) and (task.policy is SchedPolicy.FIFO or other):
+            self._n_crowded += 1
         state.stale = True
         task.cpu = cpu
         task._last_update = self.engine.now
         if task.policy is SchedPolicy.FIFO:
-            self._insert_fifo(state.fifo, task)
-            if state.other:
+            self._insert_fifo(fifo, task)
+            if other:
                 self.preemptions += 1
         else:
-            state.other.append(task)
+            other.append(task)
             # the left-to-right sum over `other`, float for float
             state.weight += task.weight
         self._update((cpu,))
@@ -578,10 +588,11 @@ class Scheduler:
             for pool in pools.values():
                 self._reschedule_pool(pool)
 
-        # Phase 5: idle CPUs may pull starved/shared work.
+        # Phase 5: idle CPUs may pull starved/shared work, which only a
+        # crowded CPU holds.
         for c in order:
             state = cpu_states[c]
-            if not (state.fifo or state.other):
+            if not (state.fifo or state.other) and self._n_crowded:
                 self._try_pull(c)
 
     def _estimate_decides(self, total: float) -> bool:
@@ -911,21 +922,25 @@ class Scheduler:
         self.engine.schedule_after(cost, self._finish_migration, task, target)
 
     def _dequeue(self, task: Task, cpu: int) -> None:
-        """Take ``task`` off ``cpu``'s queue, keeping the idle count and
-        the queue's weight total current."""
+        """Take ``task`` off ``cpu``'s queue, keeping the idle and
+        crowded counts and the queue's weight total current."""
         state = self._cpus[cpu]
         state.stale = True
+        fifo = state.fifo
+        other = state.other
+        crowded = bool(fifo) or len(other) > 1
         if task.policy is SchedPolicy.FIFO:
-            state.fifo.remove(task)
+            fifo.remove(task)
         else:
-            other = state.other
             other.remove(task)
             total = 0.0
             for t in other:
                 total += t.weight
             state.weight = total
-        if not (state.fifo or state.other):
+        if not (fifo or other):
             self._n_idle += 1
+        if crowded and not (fifo or len(other) > 1):
+            self._n_crowded -= 1
 
     def _finish_migration(self, task: Task, target: int) -> None:
         if not task.alive or task.cpu is not None:

@@ -20,7 +20,7 @@ what Table 1 measures (and finds to be <1%).
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -29,27 +29,17 @@ from repro.core.trace import Trace
 from repro.sim.noise import MicroNoiseSpec, NoiseModel
 from repro.sim.task import Task, TaskKind
 
-__all__ = ["OSNoiseTracer", "TraceRecord"]
+__all__ = ["OSNoiseTracer"]
 
-_KIND_TO_ETYPE = {
-    TaskKind.IRQ_NOISE: EventType.IRQ,
-    TaskKind.SOFTIRQ_NOISE: EventType.SOFTIRQ,
-    TaskKind.THREAD_NOISE: EventType.THREAD,
-}
+# The kind → EventType code map, tested by identity: hashing an enum
+# member is a Python-level call, once per recorded interval.
+_THREAD, _THREAD_CODE = TaskKind.THREAD_NOISE, int(EventType.THREAD)
+_IRQ, _IRQ_CODE = TaskKind.IRQ_NOISE, int(EventType.IRQ)
+_SOFTIRQ, _SOFTIRQ_CODE = TaskKind.SOFTIRQ_NOISE, int(EventType.SOFTIRQ)
 
 _SOFTIRQ_SOURCES = ("RCU:9", "SCHED:7", "TIMER:1", "NET_RX:3")
 _SOFTIRQ_PROBS = (0.35, 0.35, 0.2, 0.1)
 _TIMER_SOURCE = "local_timer:236"
-
-
-class TraceRecord(NamedTuple):
-    """One macro noise interval as captured live."""
-
-    cpu: int
-    etype: EventType
-    source: str
-    start: float
-    duration: float
 
 
 class OSNoiseTracer:
@@ -58,8 +48,9 @@ class OSNoiseTracer:
     Parameters
     ----------
     enabled:
-        When false the tracer records nothing and costs nothing
-        (Table 1's "Tracing Off" arm).
+        When false the tracer steals no overhead and assembles no
+        trace, and :class:`~repro.sim.machine.Machine` leaves its hook
+        unwired (Table 1's "Tracing Off" arm).
     per_event_overhead:
         CPU seconds consumed per recorded event — ring-buffer write plus
         the osnoise context-switch accounting hooks; the default lands
@@ -71,17 +62,35 @@ class OSNoiseTracer:
             raise ValueError("per_event_overhead must be non-negative")
         self.enabled = enabled
         self.per_event_overhead = per_event_overhead
-        self._records: list[TraceRecord] = []
+        # Macro records, one column each: cpu, EventType code, source
+        # name, start, duration.
+        self._cpus: list[int] = []
+        self._etypes: list[int] = []
+        self._sources: list[str] = []
+        self._starts: list[float] = []
+        self._durations: list[float] = []
 
     # ------------------------------------------------------------------
     def on_noise_interval(self, task: Task, cpu: int, start: float, cpu_time: float) -> None:
-        """Scheduler hook: a noise task left CPU ``cpu``."""
-        if not self.enabled:
+        """Scheduler hook: a noise task left CPU ``cpu``.
+
+        :class:`~repro.sim.machine.Machine` wires it only while a trace
+        is wanted, so it records without checking :attr:`enabled`.
+        """
+        kind = task.kind
+        if kind is _THREAD:
+            etype = _THREAD_CODE
+        elif kind is _IRQ:
+            etype = _IRQ_CODE
+        elif kind is _SOFTIRQ:
+            etype = _SOFTIRQ_CODE
+        else:
             return
-        etype = _KIND_TO_ETYPE.get(task.kind)
-        if etype is None:
-            return
-        self._records.append(TraceRecord(cpu, etype, task.name, start, cpu_time))
+        self._cpus.append(cpu)
+        self._etypes.append(etype)
+        self._sources.append(task.name)
+        self._starts.append(start)
+        self._durations.append(cpu_time)
 
     def overhead_steal(self, tick_hz: int, micro: MicroNoiseSpec) -> float:
         """Extra per-CPU steal fraction caused by tracing.
@@ -97,7 +106,7 @@ class OSNoiseTracer:
     @property
     def macro_record_count(self) -> int:
         """Number of macro events captured so far."""
-        return len(self._records)
+        return len(self._cpus)
 
     # ------------------------------------------------------------------
     def finalize(
@@ -115,47 +124,32 @@ class OSNoiseTracer:
         """
         if not self.enabled:
             return None
+        # Sources are interned in order of first use: the macro records',
+        # then the timer, then the softirq vectors.
         intern: dict[str, int] = {}
-        sources: list[str] = []
-
-        def sid(name: str) -> int:
-            i = intern.get(name)
-            if i is None:
-                i = intern[name] = len(sources)
-                sources.append(name)
-            return i
-
-        cpus = [r.cpu for r in self._records]
-        etypes = [int(r.etype) for r in self._records]
-        sids = [sid(r.source) for r in self._records]
-        starts = [r.start for r in self._records]
-        durs = [r.duration for r in self._records]
+        sids = [intern.setdefault(name, len(intern)) for name in self._sources]
+        cpus = np.array(self._cpus, dtype=np.int32)
+        etypes = np.array(self._etypes, dtype=np.int8)
+        sids = np.array(sids, dtype=np.int32)
+        starts = np.array(self._starts, dtype=np.float64)
+        durs = np.array(self._durations, dtype=np.float64)
 
         if noise_model is not None:
             m_cpus, m_kinds, m_starts, m_durs = noise_model.synthesize_micro_records(
                 duration, busy_cpus
             )
             if len(m_cpus):
-                timer_id = sid(_TIMER_SOURCE)
-                softirq_ids = np.array([sid(s) for s in _SOFTIRQ_SOURCES], dtype=np.int32)
+                timer_id = intern.setdefault(_TIMER_SOURCE, len(intern))
+                softirq_ids = np.array(
+                    [intern.setdefault(s, len(intern)) for s in _SOFTIRQ_SOURCES], dtype=np.int32
+                )
                 pick = rng.choice(len(_SOFTIRQ_SOURCES), size=len(m_cpus), p=_SOFTIRQ_PROBS)
-                m_sids = np.where(m_kinds == 0, timer_id, softirq_ids[pick])
-                m_etypes = np.where(
-                    m_kinds == 0, int(EventType.IRQ), int(EventType.SOFTIRQ)
-                ).astype(np.int8)
-                cpus = np.concatenate([np.asarray(cpus, dtype=np.int32), m_cpus])
-                etypes = np.concatenate([np.asarray(etypes, dtype=np.int8), m_etypes])
-                sids = np.concatenate([np.asarray(sids, dtype=np.int32), m_sids.astype(np.int32)])
-                starts = np.concatenate([np.asarray(starts, dtype=np.float64), m_starts])
-                durs = np.concatenate([np.asarray(durs, dtype=np.float64), m_durs])
+                m_sids = np.where(m_kinds == _IRQ_CODE, timer_id, softirq_ids[pick])
+                # the micro kinds are EventType codes already
+                cpus = np.concatenate([cpus, m_cpus])
+                etypes = np.concatenate([etypes, m_kinds])
+                sids = np.concatenate([sids, m_sids.astype(np.int32)])
+                starts = np.concatenate([starts, m_starts])
+                durs = np.concatenate([durs, m_durs])
 
-        return Trace(
-            np.asarray(cpus, dtype=np.int32),
-            np.asarray(etypes, dtype=np.int8),
-            np.asarray(sids, dtype=np.int32),
-            np.asarray(starts, dtype=np.float64),
-            np.asarray(durs, dtype=np.float64),
-            sources,
-            exec_time=duration,
-            meta=meta,
-        )
+        return Trace(cpus, etypes, sids, starts, durs, list(intern), exec_time=duration, meta=meta)

@@ -18,7 +18,8 @@ The invariants, each after every checked call:
   throttling), and queued FIFO tasks behind it get no share;
 * every task sits on the CPU it names, inside its affinity;
 * the idle count ``_n_idle`` is the number of CPUs with empty queues,
-  and each CPU's cached ``weight`` is the left-to-right sum of its
+  the crowded count ``_n_crowded`` the number holding a FIFO task or
+  more than one OTHER task, and each CPU's cached ``weight`` is the left-to-right sum of its
   OTHER tasks' weights, float for float;
 * no busy CPU is left stale, and (with SMT) each CPU's recorded
   busy-ness is its real one;
@@ -79,11 +80,12 @@ class CheckedScheduler(Scheduler):
         )
         params = self.params
         mem_scale = self._mem_scale
-        idle = 0
+        idle = crowded = 0
         for c, state in enumerate(self._cpus):
             where = f"t={now!r} cpu {c}"
             busy = bool(state.fifo or state.other)
             idle += not busy
+            crowded += bool(state.fifo) or len(state.other) > 1
             assert not (busy and state.stale), f"{where}: busy but left stale"
             weight = 0.0
             for t in state.other:
@@ -114,6 +116,9 @@ class CheckedScheduler(Scheduler):
                     f"{where}: OTHER tasks hold {other!r} beside a FIFO head"
                 )
         assert self._n_idle == idle, f"t={now!r}: idle count {self._n_idle}, {idle} idle CPUs"
+        assert self._n_crowded == crowded, (
+            f"t={now!r}: crowded count {self._n_crowded}, {crowded} crowded CPUs"
+        )
         exact = 0.0
         for t in self._mem_running.values():
             assert t.alive and t.cpu is not None, f"t={now!r}: streamer {t!r} left its CPU"

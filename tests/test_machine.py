@@ -76,7 +76,7 @@ class TestLifecycle:
         rng = np.random.default_rng(0)
         m = Machine(quiet_platform, rng, enable_noise=False, tracing=False)
         assert m.noise_model is None
-        assert m.extra_steal(0) == 0.0
+        assert m.extra_steal() == 0.0
         result = m.run(
             lambda mm: mm.engine.schedule(0.1, mm.workload_done), expected_duration=0.1
         )

@@ -171,3 +171,111 @@ class TestMicroSynthesis:
         )
         frac = (kinds == 1).mean()
         assert 0.2 < frac / (1 - frac) / plat.noise.micro.softirq_prob < 2.0
+
+
+def _reference_micro_records(model, duration, busy_cpus):
+    """The per-CPU loop :meth:`NoiseModel.synthesize_micro_records`
+    replaced, kept as its oracle: same draws, same columns."""
+    micro = model.env.micro
+    tick_hz = model.machine.platform.tick_hz
+    busy = set(busy_cpus)
+    cpu_list, kind_list, start_list, dur_list = [], [], [], []
+    for cpu in range(model.machine.topology.n_logical):
+        hz = tick_hz if cpu in busy else max(1, tick_hz // 10)
+        n = int(duration * hz)
+        if n <= 0:
+            continue
+        period = 1.0 / hz
+        starts = (np.arange(n) + model.rng.uniform(0.0, 1.0)) * period
+        starts = starts[starts < duration]
+        n = len(starts)
+        if n == 0:
+            continue
+        factor = model._run_factor * float(model._cpu_factors[cpu])
+        durs = model.rng.lognormal(np.log(micro.tick_mean * factor), micro.tick_sigma, size=n)
+        cpu_list.append(np.full(n, cpu, dtype=np.int32))
+        kind_list.append(np.zeros(n, dtype=np.int8))
+        start_list.append(starts)
+        dur_list.append(durs)
+        mask = model.rng.random(n) < micro.softirq_prob
+        m = int(mask.sum())
+        if m:
+            sdurs = model.rng.lognormal(
+                np.log(micro.softirq_mean * factor), micro.softirq_sigma, size=m
+            )
+            cpu_list.append(np.full(m, cpu, dtype=np.int32))
+            kind_list.append(np.ones(m, dtype=np.int8))
+            start_list.append(starts[mask] + durs[mask])
+            dur_list.append(sdurs)
+    if not cpu_list:
+        empty = np.array([])
+        return empty.astype(np.int32), empty.astype(np.int8), empty, empty
+    return tuple(np.concatenate(c) for c in (cpu_list, kind_list, start_list, dur_list))
+
+
+class _LatePhase:
+    """A generator whose tick phases sit just below 1, so the last tick
+    of a run that lasts a whole number of periods rounds onto its end."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.bit_generator = rng.bit_generator
+
+    def uniform(self, low, high):
+        self._rng.uniform(low, high)
+        return 1.0 - 2.0**-53
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestMicroSynthesisReference:
+    """The per-CPU draws and the columns equal the old loop's, byte for
+    byte, and leave the generator in the same state."""
+
+    @staticmethod
+    def _pair(platform, seed, wrap=None):
+        models = []
+        for _ in range(2):
+            m = make_machine(get_platform(platform), seed=seed)
+            if wrap is not None:
+                m.noise_model.rng = wrap(m.noise_model.rng)
+            m.noise_model.start(0.5)
+            models.append(m.noise_model)
+        return models
+
+    @staticmethod
+    def _assert_same(new, ref, duration, busy):
+        got = new.synthesize_micro_records(duration, busy)
+        want = _reference_micro_records(ref, duration, busy)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+        assert new.rng.bit_generator.state == ref.rng.bit_generator.state
+        return got
+
+    @pytest.mark.parametrize(
+        "platform", ["intel-9700kf", "amd-9950x3d", "a64fx", "a64fx-reserved", "hpc-2s64"]
+    )
+    @pytest.mark.parametrize("busy", ["none", "partial", "all"])
+    @pytest.mark.parametrize("ticks", [None, 40.0, 3.5])
+    def test_equals_reference(self, platform, busy, ticks):
+        new, ref = self._pair(platform, seed=sum(map(ord, platform + busy)))
+        n_cpu = new.machine.topology.n_logical
+        busy_cpus = {"none": (), "partial": tuple(range(1, n_cpu, 3)), "all": tuple(range(n_cpu))}[busy]
+        tick_hz = new.machine.platform.tick_hz
+        # a plain length, a whole number of busy tick periods, and less
+        # than one idle tick period (idle CPUs then draw nothing)
+        duration = 0.3137 if ticks is None else ticks / tick_hz
+        cpus, kinds, _, _ = self._assert_same(new, ref, duration, busy_cpus)
+        if ticks == 3.5:
+            assert set(cpus.tolist()) <= set(busy_cpus)
+        assert len(cpus) > 0 or not busy_cpus
+
+    def test_last_tick_on_the_end_is_dropped(self):
+        new, ref = self._pair("intel-9700kf", seed=3, wrap=_LatePhase)
+        tick_hz = new.machine.platform.tick_hz
+        duration = 40 / tick_hz
+        cpus, kinds, starts, _ = self._assert_same(new, ref, duration, (0, 1))
+        assert (starts[kinds == 0] < duration).all()
+        assert np.count_nonzero((cpus == 0) & (kinds == 0)) < 40

@@ -1020,6 +1020,7 @@ class TestPlacementEquivalence:
     @staticmethod
     def _compare(sched, probes):
         assert sched._n_idle == sum(1 for s in sched._cpus if not s.busy())
+        assert sched._n_crowded == sum(bool(s.fifo) or len(s.other) > 1 for s in sched._cpus)
         for probe, (_, _, _, hint) in probes:
             allowed = sched._allowed(probe)
             assert sched._pick_cpu_multi(probe, hint, allowed) == _scan_pick_cpu_multi(
@@ -1068,3 +1069,45 @@ class TestPlacementEquivalence:
             elif kind == "run":
                 engine.run(until=engine.now + a * 50e-6)
             self._compare(sched, probes)
+
+
+class TestCrowdedCount:
+    """The crowded-CPU count gates the pull scan of an idle CPU; the
+    checker recounts it after every update."""
+
+    @staticmethod
+    def _sched():
+        return CheckedScheduler(Engine(), Topology(n_physical=2))
+
+    def test_fifo_arrival_on_idle_cpu_crowds_it(self):
+        sched = self._sched()
+        sched.submit(fifo_noise(1e-3), cpu=0)
+        assert sched._n_crowded == 1
+        sched.engine.run()
+        assert sched._n_crowded == 0
+
+    def test_second_other_task_crowds_and_leaving_uncrowds(self):
+        sched = self._sched()
+        a = Task("a", work=1.0, affinity=frozenset({0}), pinned=True)
+        b = Task("b", work=2.0, affinity=frozenset({0}), pinned=True)
+        sched.submit(a, cpu=0)
+        assert sched._n_crowded == 0
+        sched.submit(b, cpu=0)
+        assert sched._n_crowded == 1
+        sched.engine.run(until=2.5)
+        assert not a.alive and sched._n_crowded == 0
+
+    def test_cpu_going_idle_pulls_from_a_fifo_crowded_cpu(self):
+        # The FIFO event lands on an idle CPU, and the starved OTHER task
+        # only joins it after: the CPU holds one OTHER task, yet is
+        # crowded, so the CPU that goes idle still pulls that task.
+        sched = self._sched()
+        sched.submit(fifo_noise(0.5), cpu=0)
+        starved = Task("starved", work=1.0)
+        sched.submit(starved, cpu=0)
+        sched.submit(Task("short", work=1e-3), cpu=1)
+        assert sched._n_crowded == 1
+        sched.engine.run(until=0.01)
+        assert sched.migrations == 1
+        assert starved.cpu == 1
+        assert sched._n_crowded == 1  # the FIFO event still runs on cpu 0

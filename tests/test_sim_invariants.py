@@ -100,6 +100,13 @@ class TestCheckerCatches:
         with pytest.raises(AssertionError, match="idle count"):
             sched.check()
 
+    def test_crowded_count_off(self):
+        _, sched = _small()
+        self._placed(sched)
+        sched._n_crowded += 1
+        with pytest.raises(AssertionError, match="crowded count"):
+            sched.check()
+
     def test_cached_weight_off_by_one_ulp(self):
         _, sched = _small()
         self._placed(sched, weight=0.1)

@@ -62,6 +62,29 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_trace(exec_time=0.0)
 
+    @pytest.mark.parametrize("code", [len(EventType), 7, -1])
+    def test_rejects_unknown_etype(self, code):
+        with pytest.raises(ValueError, match="unknown etype codes"):
+            Trace(
+                np.array([0, 1], dtype=np.int32),
+                np.array([int(EventType.THREAD), code], dtype=np.int8),
+                np.array([0, 0], dtype=np.int32),
+                np.array([0.1, 0.2]),
+                np.array([1e-6, 1e-6]),
+                ["s"],
+                1.0,
+            )
+
+    def test_from_records_rejects_unknown_etype(self):
+        with pytest.raises(ValueError, match=r"unknown etype codes: \[3\]"):
+            make_trace([(0, 0, "x", 0.1, 1e-6), (0, 3, "y", 0.2, 1e-6)])
+
+    def test_from_dict_rejects_unknown_etype(self):
+        data = make_trace().to_dict()
+        data["etypes"][1] = len(EventType)
+        with pytest.raises(ValueError, match="unknown etype codes"):
+            Trace.from_dict(data)
+
     def test_empty_trace_ok(self):
         t = make_trace([])
         assert t.n_events == 0

@@ -12,7 +12,7 @@ from repro.sim.tracer import OSNoiseTracer
 from conftest import make_machine
 
 
-def run_noise_burst(tracing=True, seed=0):
+def run_noise_burst(tracing=True, seed=0, keep_trace=True):
     """Run a quiet machine with one injected FIFO noise task."""
     m = make_machine(seed=seed, tracing=tracing)
 
@@ -27,7 +27,7 @@ def run_noise_burst(tracing=True, seed=0):
         mm.scheduler.submit(noise, hint=0)
         mm.engine.schedule(0.1, mm.workload_done)
 
-    result = m.run(start, expected_duration=0.1)
+    result = m.run(start, expected_duration=0.1, keep_trace=keep_trace)
     return m, result
 
 
@@ -43,6 +43,12 @@ class TestRecording:
         m, result = run_noise_burst(tracing=False)
         assert m.tracer.macro_record_count == 0
         assert result.trace is None
+
+    def test_no_consumer_records_nothing(self):
+        m, result = run_noise_burst(keep_trace=False)
+        assert m.tracer.macro_record_count == 0
+        assert result.trace is None
+        assert result.exec_time == run_noise_burst()[1].exec_time
 
     def test_recorded_duration_is_cpu_time(self):
         m, result = run_noise_burst()

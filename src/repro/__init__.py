@@ -14,7 +14,7 @@ Quickstart::
     spec = ExperimentSpec(platform="intel-9700kf", workload="nbody",
                           model="omp", strategy="Rm", reps=50, seed=7)
     baseline = run_experiment(spec)
-    pipe = NoiseInjectionPipeline.from_spec(spec)
+    pipe = NoiseInjectionPipeline(spec)
     result = pipe.run()           # collect, refine, inject, measure
     print(result.summary())
 """
@@ -25,7 +25,6 @@ from repro.core import (
     NoiseInjectionPipeline,
     NoiseInjector,
     Trace,
-    TraceSet,
     build_profile,
     collect_traces,
     generate_config,
@@ -41,7 +40,6 @@ from repro.sim.platform import available_platforms, get_platform
 __all__ = [
     "__version__",
     "Trace",
-    "TraceSet",
     "NoiseConfig",
     "NoiseInjector",
     "NoiseInjectionPipeline",

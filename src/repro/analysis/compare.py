@@ -25,13 +25,6 @@ class ProfileDelta:
     mean_duration_b: float
 
     @property
-    def rate_change(self) -> float:
-        """Relative rate change (+1.0 = doubled); inf if new."""
-        if self.rate_a == 0:
-            return float("inf") if self.rate_b > 0 else 0.0
-        return self.rate_b / self.rate_a - 1.0
-
-    @property
     def load_a(self) -> float:
         """CPU-seconds of this source per second of execution (a)."""
         return self.rate_a * self.mean_duration_a

@@ -18,7 +18,7 @@ Table 7.
 """
 
 from repro.core.events import EventType, POLICY_FOR_EVENT
-from repro.core.trace import Trace, TraceSet
+from repro.core.trace import Trace
 from repro.core.profile import NoiseProfile, SourceStats, build_profile
 from repro.core.refine import refine_worst_case
 from repro.core.merge import MergeStrategy, merge_events
@@ -33,7 +33,6 @@ __all__ = [
     "EventType",
     "POLICY_FOR_EVENT",
     "Trace",
-    "TraceSet",
     "NoiseProfile",
     "SourceStats",
     "build_profile",

@@ -12,10 +12,6 @@ treats ≤8% as good replication.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
 __all__ = ["replication_accuracy", "signed_replication_error"]
 
 
@@ -31,12 +27,3 @@ def replication_accuracy(avg_exec: float, anomaly_exec: float) -> float:
     """Absolute replication accuracy (the paper's headline metric)."""
     return abs(signed_replication_error(avg_exec, anomaly_exec))
 
-
-def replication_accuracy_from_times(
-    injected_times: Sequence[float], anomaly_exec: float
-) -> float:
-    """Accuracy computed from a set of injected run times."""
-    arr = np.asarray(injected_times, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("need at least one injected run")
-    return replication_accuracy(float(arr.mean()), anomaly_exec)

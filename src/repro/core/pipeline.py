@@ -126,11 +126,6 @@ class NoiseInjectionPipeline:
         self.collection: Optional[CollectionResult] = None
         self.config: Optional[NoiseConfig] = None
 
-    @classmethod
-    def from_spec(cls, spec: ExperimentSpec, **kwargs) -> "NoiseInjectionPipeline":
-        """Alias constructor matching the README quickstart."""
-        return cls(spec, **kwargs)
-
     # ------------------------------------------------------------------
     def build_config(self) -> NoiseConfig:
         """Stages 1–2: collect traces and generate the configuration."""

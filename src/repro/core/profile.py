@@ -60,10 +60,6 @@ class NoiseProfile(Mapping):
     def __len__(self) -> int:
         return len(self._stats)
 
-    def total_noise_rate(self) -> float:
-        """Aggregate events/second over all sources."""
-        return sum(s.rate_hz for s in self._stats.values())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<NoiseProfile sources={len(self)} runs={self.n_runs}>"
 

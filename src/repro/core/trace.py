@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.events import EventType
 
-__all__ = ["Trace", "TraceSet"]
+__all__ = ["Trace"]
 
 
 class Trace:
@@ -31,10 +31,13 @@ class Trace:
     Events are kept sorted by ``(start, cpu)``.  Columns:
 
     * ``cpus`` — logical CPU of each event (int32);
-    * ``etypes`` — :class:`EventType` codes (int8); any other code is
-      rejected with :class:`ValueError`;
+    * ``etypes`` — :class:`EventType` codes (int8);
     * ``source_ids`` — index into :attr:`sources` (int32);
-    * ``starts`` / ``durations`` — seconds (float64).
+    * ``starts`` / ``durations`` — seconds (float64), finite, and
+      non-negative for durations.
+
+    Any other code, id or time, or an ``exec_time`` that is not
+    positive and finite, is rejected with :class:`ValueError`.
     """
 
     __slots__ = ("cpus", "etypes", "source_ids", "starts", "durations", "sources", "exec_time", "meta")
@@ -54,21 +57,31 @@ class Trace:
         for arr, label in ((cpus, "cpus"), (etypes, "etypes"), (source_ids, "source_ids"), (durations, "durations")):
             if len(arr) != n:
                 raise ValueError(f"column length mismatch: {label} has {len(arr)}, starts has {n}")
-        if exec_time <= 0:
-            raise ValueError(f"exec_time must be positive: {exec_time!r}")
-        if n and (durations < 0).any():
-            raise ValueError("negative event duration")
+        # NaN fails this comparison too
+        if not 0 < exec_time < np.inf:
+            raise ValueError(f"exec_time must be positive and finite: {exec_time!r}")
         etypes = np.asarray(etypes, dtype=np.int8)
-        # as uint8, a negative code wraps past every valid one
-        if n and etypes.view(np.uint8).max() >= len(EventType):
-            bad = sorted(set(etypes.tolist()) - set(map(int, EventType)))
-            raise ValueError(f"unknown etype codes: {bad}")
-        order = np.lexsort((np.asarray(cpus), np.asarray(starts)))
+        source_ids = np.asarray(source_ids, dtype=np.int32)
+        starts = np.asarray(starts, dtype=np.float64)
+        durations = np.asarray(durations, dtype=np.float64)
+        if n:
+            if not (np.isfinite(starts).all() and np.isfinite(durations).all()):
+                raise ValueError("non-finite event start or duration")
+            if (durations < 0).any():
+                raise ValueError("negative event duration")
+            # as unsigned, a negative code or id wraps past every valid one
+            if etypes.view(np.uint8).max() >= len(EventType):
+                bad = sorted(set(etypes.tolist()) - set(map(int, EventType)))
+                raise ValueError(f"unknown etype codes: {bad}")
+            if source_ids.view(np.uint32).max() >= len(sources):
+                bad = sorted({i for i in source_ids.tolist() if not 0 <= i < len(sources)})
+                raise ValueError(f"source ids outside the {len(sources)} sources: {bad}")
+        order = np.lexsort((np.asarray(cpus), starts))
         self.cpus = np.ascontiguousarray(np.asarray(cpus, dtype=np.int32)[order])
         self.etypes = np.ascontiguousarray(etypes[order])
-        self.source_ids = np.ascontiguousarray(np.asarray(source_ids, dtype=np.int32)[order])
-        self.starts = np.ascontiguousarray(np.asarray(starts, dtype=np.float64)[order])
-        self.durations = np.ascontiguousarray(np.asarray(durations, dtype=np.float64)[order])
+        self.source_ids = np.ascontiguousarray(source_ids[order])
+        self.starts = np.ascontiguousarray(starts[order])
+        self.durations = np.ascontiguousarray(durations[order])
         self.sources = list(sources)
         self.exec_time = float(exec_time)
         self.meta = dict(meta) if meta else {}
@@ -142,38 +155,6 @@ class Trace:
         """Sum of all event durations (CPU-seconds of noise)."""
         return float(self.durations.sum())
 
-    def noise_time_per_cpu(self, n_cpus: Optional[int] = None) -> np.ndarray:
-        """Per-CPU noise CPU-seconds."""
-        n = n_cpus if n_cpus is not None else (int(self.cpus.max()) + 1 if self.n_events else 0)
-        return np.bincount(self.cpus, weights=self.durations, minlength=n)
-
-    def compress_time(self, factor: float, origin: Optional[float] = None) -> "Trace":
-        """Stress transform: squeeze event start times toward ``origin``.
-
-        Multiplies every event's offset from ``origin`` (default: the
-        first event) by ``1/factor``, leaving durations untouched.  The
-        result packs the same noise into a shorter window, forcing the
-        overlaps that distinguish the naive and improved merge rules —
-        used by the §5.2 ablation as a controlled densification of a
-        recorded worst case.
-        """
-        if factor <= 0:
-            raise ValueError(f"factor must be positive: {factor!r}")
-        if self.n_events == 0:
-            return self
-        base = float(self.starts[0]) if origin is None else float(origin)
-        new_starts = base + (self.starts - base) / factor
-        return Trace(
-            self.cpus,
-            self.etypes,
-            self.source_ids,
-            new_starts,
-            self.durations,
-            self.sources,
-            self.exec_time,
-            {**self.meta, "time_compressed": factor},
-        )
-
     def events_of_source(self, source: str) -> np.ndarray:
         """Boolean mask of events coming from ``source``."""
         try:
@@ -197,26 +178,6 @@ class Trace:
                 f"{self.starts[i]:.9f}   {dur_ns:.0f} ns"
             )
         return "\n".join(lines)
-
-    @classmethod
-    def parse_osnoise_text(cls, text: str, exec_time: float) -> "Trace":
-        """Parse the Fig.-3 layout back into a trace (round-trips
-        :meth:`to_osnoise_text` up to float formatting)."""
-        records = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("CPU"):
-                continue
-            parts = line.split()
-            if len(parts) < 6 or parts[-1] != "ns":
-                raise ValueError(f"malformed OSnoise line: {line!r}")
-            cpu = int(parts[0])
-            etype = EventType.from_label(parts[1])
-            source = parts[2]
-            start = float(parts[3])
-            duration = float(parts[4]) * 1e-9
-            records.append((cpu, int(etype), source, start, duration))
-        return cls.from_records(records, exec_time)
 
     # ------------------------------------------------------------------
     # JSON round-trip
@@ -260,37 +221,3 @@ class Trace:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Trace events={self.n_events} exec_time={self.exec_time:.6f}s sources={len(self.sources)}>"
 
-
-class TraceSet:
-    """The traces of a whole collection campaign (stage 1 output)."""
-
-    def __init__(self, traces: Sequence[Trace]):
-        if not traces:
-            raise ValueError("TraceSet needs at least one trace")
-        self.traces = list(traces)
-
-    def __len__(self) -> int:
-        return len(self.traces)
-
-    def __iter__(self) -> Iterator[Trace]:
-        return iter(self.traces)
-
-    def __getitem__(self, i: int) -> Trace:
-        return self.traces[i]
-
-    @property
-    def exec_times(self) -> np.ndarray:
-        """Execution times of all runs (seconds)."""
-        return np.array([t.exec_time for t in self.traces])
-
-    def worst_case(self) -> Trace:
-        """The run with the longest execution time (paper §4.1)."""
-        return self.traces[int(np.argmax(self.exec_times))]
-
-    def worst_case_index(self) -> int:
-        """Index of the worst-case run."""
-        return int(np.argmax(self.exec_times))
-
-    def mean_exec_time(self) -> float:
-        """Average execution time across runs."""
-        return float(self.exec_times.mean())

@@ -55,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.faults import FaultPolicy
     from repro.sim.machine import RunResult
 
-__all__ = ["ResultCache", "cached_experiment"]
+__all__ = ["ResultCache"]
 
 _log = logging.getLogger(__name__)
 
@@ -415,25 +415,3 @@ class ResultCache:
         self.store_entry(key, spec, stack, rs)
         return rs
 
-
-_default_cache: Optional[ResultCache] = None
-
-
-def cached_experiment(
-    spec: ExperimentSpec,
-    noise: "NoiseLike" = None,
-    executor: Optional["Executor"] = None,
-) -> ResultSet:
-    """Module-level convenience using a process-wide cache.
-
-    Contract: results may come from disk, in which case **no runs are
-    replayed** — there is deliberately no ``on_run`` parameter here.
-    Consumers that must observe live runs (e.g. trace collection) go
-    through :func:`~repro.harness.experiment.run_experiment`;
-    :meth:`ResultCache.get_or_run` rejects an ``on_run`` consumer with
-    ``ValueError`` whenever caching is enabled.
-    """
-    global _default_cache
-    if _default_cache is None:
-        _default_cache = ResultCache()
-    return _default_cache.get_or_run(spec, noise, executor=executor)

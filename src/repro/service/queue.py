@@ -89,6 +89,7 @@ import random
 import sqlite3
 import threading
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -150,9 +151,11 @@ CREATE TABLE IF NOT EXISTS jobs (
     error         TEXT,
     parent        TEXT,
     chunk_start   INTEGER,
-    chunk_stop    INTEGER
+    chunk_stop    INTEGER,
+    failure       TEXT
 );
 CREATE INDEX IF NOT EXISTS idx_jobs_status ON jobs(status);
+CREATE INDEX IF NOT EXISTS idx_jobs_parent ON jobs(parent);
 CREATE TABLE IF NOT EXISTS sweeps (
     id            TEXT PRIMARY KEY,
     title         TEXT,
@@ -188,24 +191,6 @@ CREATE TABLE IF NOT EXISTS events (
 CREATE INDEX IF NOT EXISTS idx_events_key ON events(key);
 CREATE INDEX IF NOT EXISTS idx_events_expire ON events(key) WHERE event = 'expire';
 """
-
-#: columns added after the first released schema; applied by ALTER
-#: TABLE when an older queue file is opened
-_MIGRATIONS = (
-    ("parent", "TEXT"),
-    ("chunk_start", "INTEGER"),
-    ("chunk_stop", "INTEGER"),
-    ("failure", "TEXT"),
-)
-
-#: same, for the workers registry table (files from before the
-#: observability plane lack the current-lease / rep-progress columns;
-#: files from before the registry itself get the whole table from
-#: ``_SCHEMA``'s CREATE TABLE IF NOT EXISTS)
-_WORKER_MIGRATIONS = (
-    ("current_key", "TEXT"),
-    ("reps_done", "INTEGER NOT NULL DEFAULT 0"),
-)
 
 _STATUSES = ("queued", "leased", "sharded", "done", "failed", "quarantined")
 
@@ -360,8 +345,8 @@ class JobQueue:
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute(f"PRAGMA busy_timeout={int(busy_timeout_s * 1000)}")
             self._conn.execute("PRAGMA synchronous=NORMAL")
+            self._check_schema()
             self._conn.executescript(_SCHEMA)
-            self._migrate()
         notify_root = self.path.parent / f"{self.path.name}.notify"
         #: wakes idle workers: fired whenever a row becomes leasable
         self.notify_submit = NotifyChannel(notify_root / "submit")
@@ -369,21 +354,21 @@ class JobQueue:
         #: pending (queued/leased) set
         self.notify_complete = NotifyChannel(notify_root / "complete")
 
-    def _migrate(self) -> None:
-        """Add post-v1 columns to queue files created before them."""
-        cols = {r["name"] for r in self._conn.execute("PRAGMA table_info(jobs)")}
-        for name, decl in _MIGRATIONS:
-            if name not in cols:
-                self._conn.execute(f"ALTER TABLE jobs ADD COLUMN {name} {decl}")
-        wcols = {r["name"] for r in self._conn.execute("PRAGMA table_info(workers)")}
-        for name, decl in _WORKER_MIGRATIONS:
-            if name not in wcols:
-                self._conn.execute(f"ALTER TABLE workers ADD COLUMN {name} {decl}")
-        # After the columns exist (the index of a migrated column cannot
-        # be part of _SCHEMA: it would fail on a pre-migration file).
-        self._conn.execute(
-            "CREATE INDEX IF NOT EXISTS idx_jobs_parent ON jobs(parent)"
-        )
+    def _check_schema(self) -> None:
+        """Reject a file whose existing tables lack columns of ``_SCHEMA``."""
+        missing = []
+        with closing(sqlite3.connect(":memory:")) as ref:
+            ref.executescript(_SCHEMA)
+            for (table,) in ref.execute("SELECT name FROM sqlite_master WHERE type = 'table'"):
+                have = {r[1] for r in self._conn.execute(f"PRAGMA table_info({table})")}
+                if have:  # a table the file lacks altogether is created below
+                    want = [r[1] for r in ref.execute(f"PRAGMA table_info({table})")]
+                    missing += [f"{table}.{c}" for c in want if c not in have]
+        if missing:
+            self._conn.close()
+            raise ValueError(
+                f"{self.path}: queue file of an older schema, missing {', '.join(missing)}"
+            )
 
     def close(self) -> None:
         with self._lock:

@@ -88,17 +88,6 @@ class Topology:
         per_node = self.n_physical // self.numa_nodes
         return self.physical_core(cpu) // per_node
 
-    def cpus_of_node(self, node: int) -> tuple[int, ...]:
-        """All logical CPUs in NUMA node ``node``."""
-        if not 0 <= node < self.numa_nodes:
-            raise ValueError(f"numa node out of range: {node}")
-        per_node = self.n_physical // self.numa_nodes
-        cores = range(node * per_node, (node + 1) * per_node)
-        cpus = list(cores)
-        if self.smt == 2:
-            cpus += [c + self.n_physical for c in cores]
-        return tuple(cpus)
-
     def _check(self, cpu: int) -> None:
         if not 0 <= cpu < self.n_logical:
             raise ValueError(f"logical cpu out of range: {cpu}")

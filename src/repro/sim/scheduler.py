@@ -273,23 +273,9 @@ class Scheduler:
         if cpus:
             self._update(cpus)
 
-    def set_steal(self, cpu: int, fraction: float) -> None:
-        """Set the micro-noise steal fraction of a CPU (0 ≤ f < 1)."""
-        if not 0.0 <= fraction < 1.0:
-            raise ValueError(f"steal fraction out of range: {fraction!r}")
-        state = self._cpus[cpu]
-        state.steal = fraction
-        state.stale = True
-        self._update((cpu,))
-
     def set_steal_many(self, fractions: dict[int, float]) -> None:
-        """Set steal fractions for several CPUs in one rate recompute.
-
-        Equivalent to calling :meth:`set_steal` per CPU when the
-        machine is still empty (each CPU's share depends only on its
-        own steal), which is how the noise model initialises all CPUs
-        at t=0 without n full update passes.
-        """
+        """Set the micro-noise steal fraction (0 ≤ f < 1) of each CPU
+        in ``fractions``, with one rate recompute for all of them."""
         for cpu, fraction in fractions.items():
             if not 0.0 <= fraction < 1.0:
                 raise ValueError(f"steal fraction out of range: {fraction!r}")

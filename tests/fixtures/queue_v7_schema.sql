@@ -1,9 +1,10 @@
 -- The campaign-service queue schema as first released (PR 7): before
 -- the sharding columns (parent/chunk_start/chunk_stop), before the
 -- dead-letter columns (deaths/failure), and before the workers
--- registry table.  tests/test_queue_migration.py loads this into a
--- fresh SQLite file to prove that opening an old queue migrates it in
--- place, idempotently, with its pre-existing jobs still leasable.
+-- registry table.  tests/test_service.py loads this into a fresh
+-- SQLite file to prove that opening a queue file of an older schema
+-- fails at once with a ValueError naming the file and its missing
+-- columns, and leaves the file's tables as they were.
 CREATE TABLE IF NOT EXISTS jobs (
     key           TEXT PRIMARY KEY,
     spec          TEXT NOT NULL,

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.accuracy import (
     replication_accuracy,
-    replication_accuracy_from_times,
     signed_replication_error,
 )
 
@@ -33,13 +32,3 @@ class TestAbsolute:
     def test_matches_paper_formula(self):
         # |avg/anomaly - 1|
         assert replication_accuracy(1.0857, 1.0) == pytest.approx(0.0857)
-
-
-class TestFromTimes:
-    def test_uses_mean(self):
-        acc = replication_accuracy_from_times([0.9, 1.1], 1.0)
-        assert acc == pytest.approx(0.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            replication_accuracy_from_times([], 1.0)

@@ -74,13 +74,3 @@ class TestNuma:
         topo = Topology(n_physical=4, smt=2, numa_nodes=2)
         # sibling lives in the same node as its physical core
         assert topo.numa_node(4) == topo.numa_node(0)
-
-    def test_cpus_of_node(self):
-        topo = Topology(n_physical=4, smt=2, numa_nodes=2)
-        assert topo.cpus_of_node(0) == (0, 1, 4, 5)
-        assert topo.cpus_of_node(1) == (2, 3, 6, 7)
-
-    def test_node_range_checked(self):
-        topo = Topology(n_physical=4, numa_nodes=2)
-        with pytest.raises(ValueError):
-            topo.cpus_of_node(2)

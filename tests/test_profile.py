@@ -86,20 +86,6 @@ class TestExpectedCount:
             profile["k"].expected_count(-1.0)
 
 
-class TestAggregate:
-    def test_total_noise_rate(self):
-        t = Trace.from_records(
-            [
-                (0, 0, "a", 0.1, 1e-6),
-                (0, 2, "b", 0.2, 1e-6),
-                (0, 2, "b", 0.3, 1e-6),
-            ],
-            1.0,
-        )
-        profile = build_profile([t])
-        assert profile.total_noise_rate() == pytest.approx(3.0)
-
-
 def add_by_mask(acc: ProfileAccumulator, trace: Trace) -> None:
     """The per-source mask + ``np.unique`` form of :meth:`ProfileAccumulator.add`."""
     acc.n_runs += 1

@@ -62,18 +62,6 @@ class TestTraceProperties:
             trace.sources[i] for i in trace.source_ids
         ]
 
-    @given(trace_strategy)
-    def test_osnoise_text_roundtrip_counts(self, trace):
-        parsed = Trace.parse_osnoise_text(trace.to_osnoise_text(), trace.exec_time)
-        assert parsed.n_events == trace.n_events
-
-    @given(trace_strategy)
-    def test_noise_time_per_cpu_sums_to_total(self, trace):
-        per_cpu = trace.noise_time_per_cpu(16)
-        assert abs(per_cpu.sum() - trace.total_noise_time()) <= 1e-12 * max(
-            1.0, trace.total_noise_time()
-        )
-
 
 # ----------------------------------------------------------------------
 # refinement invariants

@@ -169,8 +169,8 @@ class TestSMT:
     @staticmethod
     def _set_steal(sched, a, b):
         sched.submit(b, cpu=4)
-        sched.set_steal(0, 0.2)
-        sched.set_steal(4, 0.5)
+        sched.set_steal_many({0: 0.2})
+        sched.set_steal_many({4: 0.5})
         return 0.8 * 0.5, 0.5 * 0.5
 
     @staticmethod
@@ -796,16 +796,16 @@ class TestWorkPools:
 
 class TestSteal:
     def test_steal_slows_cpu(self, sched):
-        sched.set_steal(0, 0.5)
+        sched.set_steal_many({0: 0.5})
         t = Task("t", work=1.0, affinity=frozenset({0}), pinned=True)
         done = run_tasks(sched, t)
         assert done["t"] == pytest.approx(2.0)
 
     def test_steal_bounds_checked(self, sched):
         with pytest.raises(ValueError):
-            sched.set_steal(0, 1.0)
+            sched.set_steal_many({0: 1.0})
         with pytest.raises(ValueError):
-            sched.set_steal(0, -0.1)
+            sched.set_steal_many({0: -0.1})
 
 
 class TestNoiseHook:

@@ -15,6 +15,7 @@ import json
 import multiprocessing
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import textwrap
@@ -38,6 +39,7 @@ from repro.service import (
 )
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def spec(**kw):
@@ -170,6 +172,36 @@ class TestJobQueue:
         q.complete(job.key, "w1")
         assert q.drained([job.key])
         assert not q.drained()
+
+    def test_old_schema_file_is_rejected_at_open(self, tmp_path):
+        path = tmp_path / "old.sqlite"
+        conn = sqlite3.connect(path)
+        conn.executescript((FIXTURES / "queue_v7_schema.sql").read_text())
+        conn.close()
+        with pytest.raises(ValueError, match="missing jobs.parent") as exc:
+            JobQueue(path)
+        assert str(path) in str(exc.value) and "jobs.failure" in str(exc.value)
+        conn = sqlite3.connect(path)
+        # nothing was added to the file it rejected
+        assert "parent" not in {r[1] for r in conn.execute("PRAGMA table_info(jobs)")}
+        assert conn.execute("SELECT count(*) FROM jobs").fetchone() == (2,)
+        conn.close()
+
+    def test_fresh_file_has_the_queue_columns_in_order(self, tmp_path):
+        JobQueue(tmp_path / "q.sqlite").close()
+        conn = sqlite3.connect(tmp_path / "q.sqlite")
+        cols = {t: [r[1] for r in conn.execute(f"PRAGMA table_info({t})")] for t in ("jobs", "workers")}
+        conn.close()
+        assert cols["jobs"] == [
+            "key", "spec", "noise", "label", "status", "priority", "expected_s", "cached",
+            "attempts", "max_attempts", "submitted_at", "client", "lease_owner",
+            "lease_expires", "started_at", "finished_at", "error", "parent", "chunk_start",
+            "chunk_stop", "failure",
+        ]
+        assert cols["workers"] == [
+            "id", "pid", "started_at", "heartbeat_at", "state", "jobs_done", "current_key",
+            "reps_done",
+        ]
 
 
 # ----------------------------------------------------------------------

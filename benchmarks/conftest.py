@@ -32,7 +32,7 @@ OUT_DIR = Path(__file__).parent / "out"
 @pytest.fixture(scope="session")
 def settings():
     """Shared campaign settings: one seed, one on-disk cache."""
-    return campaigns.default_settings(seed=2025, collect_batches=3)
+    return campaigns.CampaignSettings(seed=2025, collect_batches=3)
 
 
 @pytest.fixture(scope="session")

@@ -735,7 +735,7 @@ def _artefact_settings(args, **extra):
     """Campaign settings shared by ``table``, ``figure`` and ``campaign``."""
     from repro.harness import campaigns
 
-    return campaigns.default_settings(
+    return campaigns.CampaignSettings(
         seed=args.seed,
         jobs=args.jobs,
         chunk_size=args.chunk_size,

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.core.config import ConfigEvent, NoiseConfig
 from repro.core.events import EventType
 from repro.sim.machine import Machine
@@ -39,37 +37,14 @@ _POLICY_SWITCH_COST = 2e-6
 
 
 class _InjectorProcess:
-    """Replays one CPU's event list (Listing 1's loop).
-
-    The event list is unpacked into parallel per-field arrays up front
-    (the numpy columns for the timing fields, resolved enums and
-    interned names for the rest), so replaying a worst-case
-    configuration with thousands of events per CPU is an index walk
-    rather than per-event dataclass attribute traffic.  Values are
-    taken back out as plain Python floats, keeping every downstream
-    computation bit-identical to the direct walk.
-    """
+    """Replays one CPU's event list (Listing 1's loop)."""
 
     def __init__(self, injector: "NoiseInjector", home_cpu: int, events: list[ConfigEvent]):
         self.injector = injector
         self.home_cpu = home_cpu
-        self.n_events = len(events)
-        n = self.n_events
-        self._starts = np.fromiter((e.start for e in events), dtype=np.float64, count=n).tolist()
-        self._durations = np.fromiter(
-            (e.duration for e in events), dtype=np.float64, count=n
-        ).tolist()
-        self._weights = [e.weight for e in events]
-        self._fifo = [e.policy == "SCHED_FIFO" for e in events]
-        self._prios = [e.rt_priority if e.policy == "SCHED_FIFO" else 0 for e in events]
-        self._kinds = [_ETYPE_TO_KIND[e.etype] for e in events]
-        names: dict[str, str] = {}
-        self._names = [
-            names.setdefault(e.source, f"inject:{e.source}") for e in events
-        ]
+        self.events = events
         self._idx = 0
         self._policy: Optional[str] = None
-        self._policies = [e.policy for e in events]
 
     def start(self, machine: Machine) -> None:
         self.machine = machine
@@ -77,11 +52,12 @@ class _InjectorProcess:
 
     def _next(self) -> None:
         i = self._idx
-        if i >= self.n_events:
+        if i >= len(self.events):
             return
-        start = self._starts[i]
+        event = self.events[i]
+        start = event.start
         now = self.machine.engine.now
-        policy = self._policies[i]
+        policy = event.policy
         if self._policy != policy:
             # SetPolicy() before SleepUntil() (Listing 1): the switch
             # happens while waiting, but a switch landing exactly on
@@ -96,14 +72,16 @@ class _InjectorProcess:
 
     def _fire(self, i: int) -> None:
         self._idx = i + 1
-        duration = self._durations[i]
+        event = self.events[i]
+        duration = event.duration
+        fifo = event.policy == "SCHED_FIFO"
         task = Task(
-            self._names[i],
-            policy=SchedPolicy.FIFO if self._fifo[i] else SchedPolicy.OTHER,
-            rt_priority=self._prios[i],
-            weight=self._weights[i],
+            f"inject:{event.source}",
+            policy=SchedPolicy.FIFO if fifo else SchedPolicy.OTHER,
+            rt_priority=event.rt_priority if fifo else 0,
+            weight=event.weight,
             affinity=None,  # injector processes roam (§4.3)
-            kind=self._kinds[i],
+            kind=_ETYPE_TO_KIND[event.etype],
             work=duration,
             on_complete=self._done,
         )

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from repro import telemetry as _telemetry
-from repro.harness.adaptive import ADAPTIVE_FIXTURE_VERSION, AdaptivePolicy
+from repro.harness.adaptive import ADAPTIVE_FIXTURE_VERSION
 from repro.harness.experiment import ExperimentSpec, ResultSet, run_experiment
 from repro.harness.faults import FailureRecord, atomic_write_text
 from repro.noise.base import NoiseStack
@@ -79,30 +79,18 @@ _ADAPTIVE_KEY_VERSION = ADAPTIVE_FIXTURE_VERSION
 class ResultCache:
     """Content-addressed store of experiment execution times.
 
-    ``executor`` sets the default execution backend for cache misses;
-    per-call overrides win.  The cache is safe to share between threads
+    The cache holds no run settings: the executor, fault policy and
+    adaptive policy of a miss come from the call (or the spec) that
+    asks for the cell.  The cache is safe to share between threads
     dispatching independent cells (distinct keys write distinct files;
     counters are lock-protected).
     """
 
-    def __init__(
-        self,
-        root: Optional[Path] = None,
-        executor: Optional["Executor"] = None,
-        policy: Optional["FaultPolicy"] = None,
-        adaptive: Optional["AdaptivePolicy"] = None,
-    ):
+    def __init__(self, root: Optional[Path] = None):
         if root is None:
             root = Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
         self.root = Path(root)
         self.enabled = os.environ.get("REPRO_NO_CACHE", "") != "1"
-        self.executor = executor
-        #: default fault policy for cache misses; per-call overrides win
-        self.policy = policy
-        #: default adaptive-rep policy applied to specs that carry none;
-        #: unlike ``policy`` it *does* enter the cache key (sample sizes
-        #: differ), under the distinct adaptive key block
-        self.adaptive = adaptive
         #: the telemetry registry entry backing the counters; the
         #: hits/misses/... attributes and stats() are thin views over it
         self._counters = _telemetry.new_group("cache")
@@ -161,7 +149,7 @@ class ResultCache:
         re-simulates."""
         self._count("integrity_quarantined")
         _log.warning(
-            "cache entry %s failed sha256 verification for %s; "
+            "cache entry %s failed its integrity check for %s; "
             "quarantining to .corrupt and re-running",
             path.name,
             label,
@@ -223,11 +211,11 @@ class ResultCache:
         """Normalise a cell to ``(spec, stack, key)`` — the cache identity.
 
         Applies exactly the canonicalisation :meth:`get_or_run` uses
-        before keying: noise coercion (argument wins over ``spec.noise``),
-        environment-defaulted rep counts pinned into the spec, and
-        inheritance of the cache-level adaptive policy.  The campaign
-        service calls this at submit time so a queued job's key equals
-        the key the executing worker (or any in-process run) computes.
+        before keying: noise coercion (argument wins over ``spec.noise``)
+        and environment-defaulted rep counts pinned into the spec.  The
+        campaign service calls this at submit time so a queued job's key
+        equals the key the executing worker (or any in-process run)
+        computes.
         """
         stack = NoiseStack.coerce(noise)
         if stack is None:
@@ -235,8 +223,6 @@ class ResultCache:
         injecting = stack is not None and bool(stack)
         reps = spec.resolved_reps(injecting)
         spec = spec.with_(reps=reps)
-        if spec.adaptive is None and self.adaptive is not None:
-            spec = spec.with_(adaptive=self.adaptive)
         return spec, stack, self._key(spec, stack, reps)
 
     # ------------------------------------------------------------------
@@ -370,18 +356,19 @@ class ResultCache:
         (with ``REPRO_NO_CACHE=1`` every call re-runs, so live
         consumption is honest again and allowed through).
 
-        ``policy`` governs fault containment on a miss (default:
-        ``self.policy``).  It never enters the cache key — a retried or
-        recovered run is bit-identical to a clean one, so the same cell
-        keys identically under any policy.  Partial results (skipped
-        reps) are returned but quarantined to ``<key>.partial.json``
-        rather than cached, so the cell re-runs on the next call.
+        ``executor`` and ``policy`` govern a miss (defaults: the
+        ``REPRO_JOBS`` backend, fail fast).  The policy never enters the
+        cache key — a retried or recovered run is bit-identical to a
+        clean one, so the same cell keys identically under any policy.
+        Partial results (skipped reps) are returned but quarantined to
+        ``<key>.partial.json`` rather than cached, so the cell re-runs
+        on the next call.
 
         Adaptive early stopping is different: a spec that carries an
-        :class:`~repro.harness.adaptive.AdaptivePolicy` (or inherits
-        ``self.adaptive``) stores a *smaller sample* of the same cell,
-        so it keys under a distinct versioned key block and can never
-        collide with — or masquerade as — the fixed-rep entry.
+        :class:`~repro.harness.adaptive.AdaptivePolicy` stores a
+        *smaller sample* of the same cell, so it keys under a distinct
+        versioned key block and can never collide with — or masquerade
+        as — the fixed-rep entry.
         """
         if on_run is not None and self.enabled:
             raise ValueError(
@@ -406,11 +393,7 @@ class ResultCache:
         entry written by a racing process before running).
         """
         rs = run_experiment(
-            spec,
-            noise=stack,
-            on_run=on_run,
-            executor=executor if executor is not None else self.executor,
-            policy=policy if policy is not None else self.policy,
+            spec, noise=stack, on_run=on_run, executor=executor, policy=policy
         )
         self.store_entry(key, spec, stack, rs)
         return rs

@@ -20,6 +20,7 @@ defaults used in CI versus the paper's 1000/200.
 from __future__ import annotations
 
 import functools
+import json
 import zlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -43,7 +44,6 @@ from repro.noise.sources import TraceReplaySource
 
 __all__ = [
     "CampaignSettings",
-    "default_settings",
     "table1",
     "table2",
     "injection_table",
@@ -100,7 +100,9 @@ class CampaignSettings:
     deterministic backoff, ``skip`` partial results) for every cell the
     campaign runs.  The ``cache`` is the campaign's checkpoint: an
     interrupted campaign resumes by re-running it, and every completed
-    cell hits.
+    cell hits.  The cache holds none of these settings: each cell gets
+    them from :meth:`submit_or_run`, so two campaigns sharing one cache
+    (or one service) each run under their own.
     """
 
     seed: int = 2025
@@ -113,8 +115,8 @@ class CampaignSettings:
     cache: ResultCache = field(default_factory=ResultCache)
     fault_policy: Optional["FaultPolicy"] = None
     #: CI-driven early stopping applied to every cell the campaign runs
-    #: (threaded through the cache, so adaptive cells key — and cache —
-    #: separately from fixed-rep ones); None keeps classic fixed reps
+    #: that carries no policy of its own (adaptive cells key — and
+    #: cache — separately from fixed-rep ones); None keeps fixed reps
     adaptive: Optional["AdaptivePolicy"] = None
     #: when set, every cell goes through the campaign service instead of
     #: running in-process: :meth:`submit_or_run` submits to the service's
@@ -125,9 +127,9 @@ class CampaignSettings:
     service: Optional[object] = None
     #: shard threshold for service-routed cells: a cell with more reps
     #: than this submits as chunk sub-jobs several workers can run
-    #: concurrently (``None`` defers to the client's own threshold /
-    #: ``REPRO_SHARD_REPS``; ignored without a ``service``).  Sharding
-    #: never changes results — rep seeding is positional.
+    #: concurrently (``None`` defers to ``REPRO_SHARD_REPS``; ignored
+    #: without a ``service``).  Sharding never changes results — rep
+    #: seeding is positional.
     shard: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -136,12 +138,6 @@ class CampaignSettings:
         if self.service is not None:
             self.cache = self.service.store
         self.executor = get_executor(self.jobs, chunk_size=self.chunk_size)
-        if self.cache.executor is None:
-            self.cache.executor = self.executor
-        if self.fault_policy is not None and self.cache.policy is None:
-            self.cache.policy = self.fault_policy
-        if self.adaptive is not None and self.cache.adaptive is None:
-            self.cache.adaptive = self.adaptive
 
     def resolved_collect_reps(self) -> int:
         """Collection batch size with environment default applied."""
@@ -181,16 +177,23 @@ class CampaignSettings:
     def submit_or_run(self, spec: ExperimentSpec, **kwargs):
         """The cell execution seam every campaign call site goes through.
 
-        Without a ``service`` this is exactly ``cache.get_or_run``.
+        A spec without an adaptive policy gets the campaign's
+        ``adaptive`` on both paths.  Without a ``service`` this is
+        ``cache.get_or_run`` under the campaign's executor and
+        ``fault_policy`` (explicit ``executor``/``policy`` kwargs win).
         With one, the cell is submitted to the service queue and the
         result read back from the shared store once a worker (or a
         concurrent client's cache entry) produced it — bit-identical
         either way, because both paths terminate in the same
-        content-hash envelope.  ``executor``/``policy`` overrides only
-        apply in-process (service workers run their own); ``noise`` is
+        content-hash envelope.  ``executor``/``policy`` only apply
+        in-process (service workers run their own); ``noise`` is
         honoured on both paths.
         """
+        if spec.adaptive is None and self.adaptive is not None:
+            spec = spec.with_(adaptive=self.adaptive)
         if self.service is None:
+            kwargs.setdefault("executor", self.executor)
+            kwargs.setdefault("policy", self.fault_policy)
             return self.cache.get_or_run(spec, **kwargs)
         noise = kwargs.pop("noise", None)
         kwargs.pop("executor", None)
@@ -218,11 +221,6 @@ def _traced_cell(fn):
             return fn(item)
 
     return wrapped
-
-
-def default_settings(**kwargs) -> CampaignSettings:
-    """Settings with environment-driven defaults."""
-    return CampaignSettings(**kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -265,12 +263,13 @@ def build_noise_config(
     strategy, model, use_smt = source
     label = f"{strategy}-{model.upper()}{'' if use_smt else '-noSMT'}"
     key_parts = ("cfg", platform, workload, label, idx, merge.value, anomaly_prob)
-    cache_path = settings.cache.root / f"cfg_{_stable_hash(*key_parts):07x}_{platform}_{workload}_{idx}.json"
-    if settings.cache.enabled and cache_path.exists():
-        import json
-
+    cache = settings.cache
+    cache_path = cache.root / f"cfg_{_stable_hash(*key_parts):07x}_{platform}_{workload}_{idx}.json"
+    if cache.enabled and cache_path.exists():
         try:
             data = json.loads(cache_path.read_text())
+            if not ResultCache._verify_sealed(data):
+                raise ValueError("sha256 seal mismatch")
             return ConfigInfo(
                 config=NoiseConfig.from_json(data["config"]),
                 worst_exec_time=data["worst_exec_time"],
@@ -279,11 +278,10 @@ def build_noise_config(
                 n_runs=data["n_runs"],
                 source_label=data["source_label"],
             )
-        except (json.JSONDecodeError, KeyError):
-            # Torn config entry (crash mid-session, disk fault, chaos
-            # corruption): salvage by evicting and re-collecting.
-            settings.cache._count("corrupt")
-            cache_path.unlink(missing_ok=True)
+        except (ValueError, KeyError, TypeError):
+            # Torn or bit-flipped config entry (crash mid-session, disk
+            # fault, chaos corruption): move it aside and re-collect.
+            cache._quarantine_corrupt(cache_path, label)
     spec = ExperimentSpec(
         platform=platform,
         workload=workload,
@@ -316,12 +314,10 @@ def build_noise_config(
         n_runs=len(coll.exec_times),
         source_label=label,
     )
-    if settings.cache.enabled:
-        import json
-
+    if cache.enabled:
         atomic_write_text(
             cache_path,
-            json.dumps(
+            ResultCache._seal(
                 {
                     "config": config.to_json(),
                     "worst_exec_time": info.worst_exec_time,
@@ -356,7 +352,7 @@ class Table1Result:
 @_traced_campaign
 def table1(settings: Optional[CampaignSettings] = None, platform: str = "intel-9700kf") -> Table1Result:
     """Average execution time with tracing off and on (Table 1)."""
-    settings = settings or default_settings()
+    settings = settings or CampaignSettings()
     rows = {}
     for wl in _WORKLOADS:
         seed = settings.spec_seed("table1", platform, wl)
@@ -398,7 +394,7 @@ def table2(
     workloads: Sequence[str] = _WORKLOADS,
 ) -> Table2Result:
     """Average s.d. of baseline executions (Table 2)."""
-    settings = settings or default_settings()
+    settings = settings or CampaignSettings()
     sds: dict[str, dict[str, float]] = {}
     cells = [(plat, wl) for plat in platforms for wl in workloads]
     for model in ("omp", "sycl"):
@@ -497,7 +493,7 @@ def injection_table(
     strategies: Sequence[str] = STRATEGY_NAMES,
 ) -> InjectionTableResult:
     """Generic Tables 3–5 generator for one workload."""
-    settings = settings or default_settings()
+    settings = settings or CampaignSettings()
     paper_table = {
         "nbody": paper.TABLE3,
         "babelstream": paper.TABLE4,
@@ -598,7 +594,7 @@ def table6(
     tables: Optional[Sequence[InjectionTableResult]] = None,
 ) -> Table6Result:
     """Summary of Tables 3–5 (Table 6); reuses their cached cells."""
-    settings = settings or default_settings()
+    settings = settings or CampaignSettings()
     if tables is None:
         tables = [injection_table(wl, settings) for wl in _WORKLOADS]
     sums: dict[str, dict[str, list[float]]] = {
@@ -665,7 +661,7 @@ def table7(
     merge: MergeStrategy = MergeStrategy.IMPROVED,
 ) -> Table7Result:
     """Injector accuracy over the ten worst-case traces (Table 7)."""
-    settings = settings or default_settings()
+    settings = settings or CampaignSettings()
     rows = []
     for (workload, label), (plat, strat, model, use_smt) in _TABLE7_CONFIGS.items():
         info = build_noise_config(
@@ -721,7 +717,7 @@ def figure1(
     chunks: Sequence[int] = (1, 8, 64),
 ) -> FigureResult:
     """schedbench variability with and without reserved OS cores (Fig. 1)."""
-    settings = settings or default_settings()
+    settings = settings or CampaignSettings()
     x_labels: list[str] = []
     series: dict[str, list[tuple[float, float, float]]] = {"A64FX:w/o": [], "A64FX:reserved": []}
     for sched in schedules:
@@ -755,7 +751,7 @@ def figure2(
     thread_counts: Sequence[int] = (12, 24, 36, 48),
 ) -> FigureResult:
     """Babelstream *dot* variability versus thread count (Fig. 2)."""
-    settings = settings or default_settings()
+    settings = settings or CampaignSettings()
     x_labels = [str(t) for t in thread_counts]
     series: dict[str, list[tuple[float, float, float]]] = {"A64FX:w/o": [], "A64FX:reserved": []}
     for plat, key in (("a64fx", "A64FX:w/o"), ("a64fx-reserved", "A64FX:reserved")):
@@ -827,7 +823,7 @@ def merge_ablation(
     with a guaranteed anomaly reliably produces such dense traces — the
     same worst case is converted with both rules and replayed.
     """
-    settings = settings or default_settings()
+    settings = settings or CampaignSettings()
     spec = ExperimentSpec(
         platform=platform,
         workload=workload,
@@ -891,7 +887,7 @@ def runlevel3_study(
     workload: str = "nbody",
 ) -> Runlevel3Result:
     """The paper's sanity check that GUI noise was not driving results."""
-    settings = settings or default_settings()
+    settings = settings or CampaignSettings()
     seed = settings.spec_seed("rl3", platform, workload)
     spec = ExperimentSpec(platform=platform, workload=workload, model="omp", strategy="Rm", seed=seed)
     gui = settings.submit_or_run(spec)

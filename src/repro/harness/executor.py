@@ -259,24 +259,6 @@ class Executor(ABC):
     #: the keys stats() has always exposed, in their historical order
     _STAT_KEYS = ("rep_retries", "rep_failures")
 
-    def run_reps(
-        self,
-        spec: "ExperimentSpec",
-        noise: Optional["NoiseStack"],
-        reps: int,
-        need_runs: bool = False,
-        policy: Optional[FaultPolicy] = None,
-    ) -> Iterator[RepResult]:
-        """Yield one :class:`RepResult` per rep, in ascending index order.
-
-        ``need_runs`` asks for the full :class:`RunResult` payload
-        (traces included) on every item — required by ``on_run``
-        consumers such as trace collection.  ``policy`` governs
-        containment of failing reps (default: fail fast).  Equivalent
-        to ``run_rep_range(spec, noise, range(reps), ...)``.
-        """
-        return self.run_rep_range(spec, noise, range(reps), need_runs=need_runs, policy=policy)
-
     @abstractmethod
     def run_rep_range(
         self,
@@ -292,6 +274,10 @@ class Executor(ABC):
         order and are bit-identical at any backend/worker count.  The
         adaptive-rep loop uses this to dispatch incremental batches
         (``range(n, n+batch)``) without re-running earlier reps.
+        ``need_runs`` asks for the full :class:`RunResult` payload
+        (traces included) on every item — required by ``on_run``
+        consumers such as trace collection.  ``policy`` governs
+        containment of failing reps (default: fail fast).
         """
 
     def _account(self, rep: RepResult) -> None:
@@ -355,7 +341,7 @@ class ParallelExecutor(Executor):
     """Process-pool backend dispatching chunked rep indices.
 
     The pool is created lazily and kept alive across experiments (a
-    campaign issues thousands of ``run_reps`` calls), and is safe to
+    campaign issues thousands of ``run_rep_range`` calls), and is safe to
     share between threads — the campaign runners fan independent table
     cells through it concurrently.  Results are yielded in rep order,
     so ``on_run`` consumers degrade to *ordered post-hoc delivery*

@@ -418,8 +418,8 @@ def run_experiment(
     with _telemetry.span(
         "experiment", spec=spec.label(), reps=reps, injected=injecting
     ):
-        for rep in executor.run_reps(
-            spec, stack, reps, need_runs=on_run is not None, policy=policy
+        for rep in executor.run_rep_range(
+            spec, stack, range(reps), need_runs=on_run is not None, policy=policy
         ):
             times[rep.index] = rep.exec_time
             anomalies[rep.index] = rep.anomaly

@@ -18,7 +18,6 @@ from repro.harness.report import TableBuilder
 from repro.harness.stats import Summary
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.harness.adaptive import AdaptivePolicy
     from repro.harness.executor import Executor
     from repro.harness.experiment import NoiseLike
     from repro.harness.faults import FaultPolicy
@@ -75,7 +74,6 @@ def sweep(
     cache: Optional[ResultCache] = None,
     executor: Optional["Executor"] = None,
     policy: Optional["FaultPolicy"] = None,
-    adaptive: Optional["AdaptivePolicy"] = None,
     service=None,
     shard: Optional[int] = None,
     **axes: Sequence,
@@ -105,11 +103,10 @@ def sweep(
     point may return a partial :class:`ResultSet` whose statistics
     aggregate its completed reps only.
 
-    ``adaptive`` applies an
-    :class:`~repro.harness.adaptive.AdaptivePolicy` to every grid
-    point (points that already carry one keep theirs): each cell stops
-    as soon as its bootstrap CI is tight enough, and caches under the
-    distinct adaptive key block.
+    An :class:`~repro.harness.adaptive.AdaptivePolicy` on ``base``
+    applies to every grid point: each cell stops as soon as its
+    bootstrap CI is tight enough, and caches under the distinct
+    adaptive key block.
 
     Example::
 
@@ -120,8 +117,6 @@ def sweep(
     unknown = set(axes) - _SWEEPABLE
     if unknown:
         raise ValueError(f"cannot sweep over: {sorted(unknown)} (allowed: {sorted(_SWEEPABLE)})")
-    if adaptive is not None and base.adaptive is None:
-        base = base.with_(adaptive=adaptive)
     if service is not None:
         return service.run_sweep(base, noise=noise, shard=shard, **axes)
     cache = cache if cache is not None else ResultCache()

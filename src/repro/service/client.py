@@ -14,7 +14,7 @@ Sweeps submit every grid point up front (workers pipeline across
 cells) and are recorded in the queue as ordered key lists, so any
 client can later collect a sweep it did not submit.
 
-A **shard threshold** (``shard=`` per call, per client, or
+A **shard threshold** (``shard=`` per call, else
 ``REPRO_SHARD_REPS``) splits big cells into chunk sub-jobs at submit:
 a cell with more reps than the threshold is queued as a ``sharded``
 parent plus one leasable chunk per deterministic ``chunk_range`` slice,
@@ -54,10 +54,9 @@ _log = logging.getLogger(__name__)
 class ServiceClient:
     """Submit/poll/collect front end over a queue + shared store.
 
-    ``shard`` is the client's default shard threshold: cells with more
-    reps than this are split into chunk sub-jobs of at most ``shard``
-    reps each.  ``None`` reads ``REPRO_SHARD_REPS`` (0, the default,
-    disables sharding).
+    The client holds no run settings: a cell's shard threshold comes
+    from the call's ``shard=`` (else ``REPRO_SHARD_REPS``; 0, the
+    default, disables sharding), and its adaptive policy from its spec.
     """
 
     def __init__(
@@ -66,13 +65,11 @@ class ServiceClient:
         store: Optional[SharedResultStore] = None,
         client_id: Optional[str] = None,
         poll_s: float = 0.2,
-        shard: Optional[int] = None,
     ):
         self.queue = queue
         self.store = store if store is not None else SharedResultStore()
         self.client_id = client_id or f"client-{os.getpid()}"
         self.poll_s = poll_s
-        self.shard = shard if shard is not None else env_int("REPRO_SHARD_REPS", 0)
         self._counters = _telemetry.new_group("service_client")
 
     def stats(self) -> dict:
@@ -109,8 +106,9 @@ class ServiceClient:
             )
             return 0.0
 
-    def _shard_threshold(self, shard: Optional[int]) -> int:
-        threshold = self.shard if shard is None else shard
+    @staticmethod
+    def _shard_threshold(shard: Optional[int]) -> int:
+        threshold = env_int("REPRO_SHARD_REPS", 0) if shard is None else shard
         return max(0, int(threshold or 0))
 
     def submit(
@@ -128,7 +126,7 @@ class ServiceClient:
         as ``deduplicated``).  The job record carries the rep-resolved
         spec, so the executing worker computes the identical key.
 
-        ``shard`` (default: the client threshold) splits a cell with
+        ``shard`` (default: ``REPRO_SHARD_REPS``) splits a cell with
         more reps than the threshold into chunk sub-jobs of at most
         that many reps each; cells the store can already serve, and
         adaptive-rep cells (their batch loop is sequential by

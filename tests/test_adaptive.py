@@ -224,23 +224,18 @@ class TestCaching:
         assert again.adaptive == first.adaptive
         assert again.adaptive["reps_run"] == len(again.times)
 
-    def test_cache_level_default_policy(self, tmp_path):
-        """A cache-wide policy applies to specs without one (campaign
-        threading) but never overrides a per-spec policy."""
-        cache = ResultCache(tmp_path, adaptive=policy())
-        rs = cache.get_or_run(spec(), executor=SerialExecutor())
-        assert rs.adaptive is not None
-        tight = policy(target_rel_hw=1e-9)
-        rs2 = cache.get_or_run(spec(adaptive=tight), executor=SerialExecutor())
-        assert rs2.adaptive["policy"] == tight.to_dict()
+    def test_campaign_level_default_policy(self, tmp_path):
+        """A campaign-wide policy applies to specs without one but never
+        overrides a per-spec policy."""
+        from repro.harness.campaigns import CampaignSettings
 
-    def test_fixed_keys_independent_of_cache_default(self, tmp_path):
-        """The cache-wide policy changes what runs, not how fixed keys
-        hash — keys are a pure function of the (possibly upgraded) spec."""
-        plain = ResultCache(tmp_path)
-        defaulted = ResultCache(tmp_path, adaptive=policy())
-        s = spec()
-        assert plain._key(s, None, 24) == defaulted._key(s, None, 24)
+        settings = CampaignSettings(cache=ResultCache(tmp_path), adaptive=policy(), jobs=1)
+        rs = settings.submit_or_run(spec())
+        assert rs.adaptive is not None
+        assert rs.adaptive["policy"] == policy().to_dict()
+        tight = policy(target_rel_hw=1e-9)
+        rs2 = settings.submit_or_run(spec(adaptive=tight))
+        assert rs2.adaptive["policy"] == tight.to_dict()
 
 
 # ----------------------------------------------------------------------

@@ -171,14 +171,14 @@ class TestCache:
             def __init__(self):
                 self.calls = 0
 
-            def run_reps(self, *a, **kw):
+            def run_rep_range(self, *a, **kw):
                 self.calls += 1
-                return super().run_reps(*a, **kw)
+                return super().run_rep_range(*a, **kw)
 
         ex = CountingExecutor()
-        cache = ResultCache(tmp_path, executor=ex)
-        cache.get_or_run(spec())
-        cache.get_or_run(spec())  # hit: executor untouched
+        cache = ResultCache(tmp_path)
+        cache.get_or_run(spec(), executor=ex)
+        cache.get_or_run(spec(), executor=ex)  # hit: executor untouched
         assert ex.calls == 1
 
     def test_disabled_by_env(self, tmp_path, monkeypatch):

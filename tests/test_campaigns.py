@@ -15,7 +15,7 @@ from repro.mitigation.strategies import STRATEGY_NAMES
 def settings(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_BASELINE_REPS", "4")
     monkeypatch.setenv("REPRO_INJECT_REPS", "3")
-    return campaigns.default_settings(
+    return campaigns.CampaignSettings(
         seed=2025, collect_reps=6, collect_batches=2, cache=ResultCache(tmp_path)
     )
 
@@ -103,6 +103,71 @@ class TestConfigStore:
             settings, "intel-9700kf", "nbody", ("TP", "omp", True), idx=1
         )
         assert info.source_label == "TP-OMP"
+
+    @pytest.mark.parametrize("field", ["policy", "source"])
+    def test_flipped_entry_recollects_the_clean_config(self, settings, tmp_path, field):
+        """Flip the case of one byte the way the ``corrupt-store`` chaos
+        profile does: the first character of a ``policy`` value (an
+        unknown policy) or of a ``source`` name (a silently different
+        config) past the entry's midpoint.  The entry is quarantined
+        and the config re-collected, equal to a clean start's."""
+        args = ("intel-9700kf", "nbody", ("Rm", "omp", True))
+        clean = campaigns.build_noise_config(
+            campaigns.CampaignSettings(
+                seed=2025, collect_reps=6, collect_batches=2,
+                cache=ResultCache(tmp_path / "clean"),
+            ),
+            *args, idx=1,
+        )
+        campaigns.build_noise_config(settings, *args, idx=1)
+        [entry] = settings.cache.root.glob("cfg_*.json")
+        raw = entry.read_bytes()
+        marker = f'\\"{field}\\": \\"'.encode()
+        at = raw.index(marker, len(raw) // 2) + len(marker)
+        assert chr(raw[at]).isalpha()
+        entry.write_bytes(raw[:at] + bytes([raw[at] ^ 0x20]) + raw[at + 1:])
+
+        again = campaigns.build_noise_config(settings, *args, idx=1)
+        assert again.config.to_json() == clean.config.to_json()
+        assert again.worst_exec_time == clean.worst_exec_time
+        assert settings.cache.stats()["integrity_quarantined"] == 1
+        assert entry.with_name(entry.name + ".corrupt").exists()
+        assert campaigns.build_noise_config(settings, *args, idx=1).config.to_json() == (
+            clean.config.to_json()
+        )
+
+
+class TestSettingsIsolation:
+    """A cell's run settings come from the campaign that runs it, never
+    from another campaign sharing its cache or service."""
+
+    def test_second_campaign_on_a_shared_cache_runs_its_own_settings(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.harness.adaptive import AdaptivePolicy
+        from repro.harness.chaos import ChaosError
+        from repro.harness.experiment import ExperimentSpec
+        from repro.harness.faults import FaultPolicy
+
+        monkeypatch.setenv("REPRO_BASELINE_REPS", "6")
+        cache = ResultCache(tmp_path)
+        adaptive = AdaptivePolicy(target_rel_hw=0.5, min_reps=3, batch=3)
+        first = campaigns.CampaignSettings(
+            cache=cache, jobs=1, adaptive=adaptive,
+            fault_policy=FaultPolicy(on_failure="skip", max_retries=0, backoff_base=0.0),
+        )
+        second = campaigns.CampaignSettings(cache=cache, jobs=1)
+        s = ExperimentSpec(platform="intel-9700kf", workload="nbody", seed=3)
+
+        rs = second.submit_or_run(s)
+        assert rs.adaptive is None and len(rs.times) == 6
+        assert rs.spec.adaptive is None
+        assert cache.entry_path(ResultCache._key(rs.spec, None, 6)).exists()
+        assert first.submit_or_run(s).adaptive["policy"] == adaptive.to_dict()
+
+        monkeypatch.setenv("REPRO_CHAOS", "raise!:5:1.0")
+        with pytest.raises(ChaosError):
+            second.submit_or_run(s.with_(seed=4))
 
 
 class TestFigures:

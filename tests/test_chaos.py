@@ -289,11 +289,11 @@ class TestChaosEquivalence:
 
         monkeypatch.setenv("REPRO_BASELINE_REPS", "3")
         reference = campaigns.table1(
-            campaigns.default_settings(cache=ResultCache(tmp_path / "clean"))
+            campaigns.CampaignSettings(cache=ResultCache(tmp_path / "clean"))
         ).render()
         monkeypatch.setenv("REPRO_CHAOS", "raise:37:0.4")
         chaotic = campaigns.table1(
-            campaigns.default_settings(
+            campaigns.CampaignSettings(
                 cache=ResultCache(tmp_path / "chaos"),
                 fault_policy=FaultPolicy(
                     on_failure="retry", max_retries=2, backoff_base=0.0

@@ -245,9 +245,10 @@ class TestPartialQuarantine:
         # Pin the serial backend: the behaviour under test is the cache's
         # quarantine, and a REPRO_JOBS pool forked before setenv would
         # never see the chaos directive.
-        cache = ResultCache(tmp_path, executor=SerialExecutor())
+        cache = ResultCache(tmp_path)
+        ex = SerialExecutor()
         policy = FaultPolicy(on_failure="skip", max_retries=0, backoff_base=0.0)
-        rs = cache.get_or_run(spec(reps=8), policy=policy)
+        rs = cache.get_or_run(spec(reps=8), executor=ex, policy=policy)
         assert rs.failure_count() > 0
         assert cache.stats()["partial"] == 1
         partials = list(tmp_path.glob("*.partial.json"))
@@ -255,18 +256,19 @@ class TestPartialQuarantine:
         env = json.loads(partials[0].read_text())
         assert len(env["failures"]) == rs.failure_count()
         # The primary key is absent: the next call re-runs.
-        cache.get_or_run(spec(reps=8), policy=policy)
+        cache.get_or_run(spec(reps=8), executor=ex, policy=policy)
         assert cache.stats()["hits"] == 0 and cache.stats()["misses"] == 2
 
     def test_clean_rerun_after_chaos_lifts_caches_normally(
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_CHAOS", "raise!:11:0.5")
-        cache = ResultCache(tmp_path, executor=SerialExecutor())
+        cache = ResultCache(tmp_path)
+        ex = SerialExecutor()
         policy = FaultPolicy(on_failure="skip", max_retries=0, backoff_base=0.0)
-        partial = cache.get_or_run(spec(reps=8), policy=policy)
+        partial = cache.get_or_run(spec(reps=8), executor=ex, policy=policy)
         monkeypatch.delenv("REPRO_CHAOS")
-        clean = cache.get_or_run(spec(reps=8), policy=policy)
+        clean = cache.get_or_run(spec(reps=8), executor=ex, policy=policy)
         assert not clean.failures
         ok = ~np.isnan(partial.times)
         np.testing.assert_array_equal(partial.times[ok], clean.times[ok])
@@ -284,7 +286,7 @@ class TestCampaignResume:
         monkeypatch.setenv("REPRO_INJECT_REPS", "2")
 
     def _settings(self, tmp_path):
-        return campaigns.default_settings(
+        return campaigns.CampaignSettings(
             seed=2025, cache=ResultCache(tmp_path / "cache")
         )
 
@@ -328,12 +330,16 @@ class TestCampaignResume:
         assert cells and all(e["error"] == "RuntimeError" for e in cells)
         assert "'only-cell'" in [e["args"]["item"] for e in cells]
 
-    def test_settings_thread_policy_into_cache(self, tmp_path):
-        policy = FaultPolicy(on_failure="skip")
-        settings = campaigns.default_settings(
-            cache=ResultCache(tmp_path / "cache"), fault_policy=policy
+    def test_settings_thread_policy_into_cache(self, tmp_path, monkeypatch):
+        """A cache miss runs under the settings' fault policy."""
+        policy = FaultPolicy(on_failure="skip", max_retries=0, backoff_base=0.0)
+        settings = campaigns.CampaignSettings(
+            cache=ResultCache(tmp_path / "cache"), fault_policy=policy, jobs=1
         )
-        assert settings.cache.policy is policy
+        monkeypatch.setenv("REPRO_CHAOS", "raise!:11:0.5")
+        rs = settings.submit_or_run(spec(reps=8))
+        assert 0 < rs.failure_count() < 8
+        assert settings.cache.stats()["partial"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -467,7 +467,7 @@ class TestServiceEndToEnd:
         t.start()
         try:
             via_service = campaigns.table2(
-                campaigns.default_settings(service=client),
+                campaigns.CampaignSettings(service=client),
                 platforms=("intel-9700kf",),
                 workloads=("nbody",),
             ).render()
@@ -475,11 +475,37 @@ class TestServiceEndToEnd:
             worker.stop()
             t.join(timeout=60)
         in_process = campaigns.table2(
-            campaigns.default_settings(cache=ResultCache(tmp_path / "golden")),
+            campaigns.CampaignSettings(cache=ResultCache(tmp_path / "golden")),
             platforms=("intel-9700kf",),
             workloads=("nbody",),
         ).render()
         assert via_service == in_process
+
+    def test_campaign_adaptive_stays_out_of_the_client(self, tmp_path):
+        """An adaptive campaign routed through a client leaves the
+        client's own submits on the fixed-rep key; the campaign's cells
+        still run adaptively."""
+        import threading
+
+        from repro.harness import campaigns
+        from repro.harness.adaptive import AdaptivePolicy
+
+        queue, store, client = self.parts(tmp_path)
+        adaptive = AdaptivePolicy(target_rel_hw=0.5, min_reps=3, batch=3)
+        settings = campaigns.CampaignSettings(service=client, adaptive=adaptive, jobs=1)
+        _spec, _stack, fixed = ResultCache(tmp_path / "plain").resolve_cell(spec())
+        assert client.submit(spec()) == fixed
+        assert queue.job(fixed).spec.get("adaptive") is None
+
+        worker = Worker(queue, store, poll_s=0.01)
+        t = threading.Thread(target=worker.run, kwargs={"drain": False})
+        t.start()
+        try:
+            rs = settings.submit_or_run(spec(seed=8))
+        finally:
+            worker.stop()
+            t.join(timeout=60)
+        assert rs.adaptive["policy"] == adaptive.to_dict()
 
 
 # ----------------------------------------------------------------------

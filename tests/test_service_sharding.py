@@ -361,7 +361,6 @@ class TestShardedEndToEnd:
     def test_client_threshold_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SHARD_REPS", "4")
         queue, store, client = self.parts(tmp_path)
-        assert client.shard == 4
         key = client.submit(spec(reps=6, seed=23))
         assert queue.job(key).status == "sharded"
         assert len(queue.children(key)) == 2

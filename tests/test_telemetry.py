@@ -227,7 +227,7 @@ class TestStatsShapes:
 
         chunkrunner._execute_rep = flaky
         try:
-            list(ex.run_reps(spec(), None, 3, policy=policy))
+            list(ex.run_rep_range(spec(), None, range(3), policy=policy))
         finally:
             chunkrunner._execute_rep = original
         assert ex.stats()["rep_retries"] == 1

@@ -211,7 +211,7 @@ def _noise_sources_from(args) -> list:
     for text in getattr(args, "noise", []):
         try:
             sources.append(parse_noise_spec(text))
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:  # OSError: trace-replay's path
             raise SystemExit(f"repro-noise: --noise {text!r}: {exc}")
     return sources
 
@@ -714,7 +714,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_noise(args) -> int:
-    from repro.noise import available_sources, get_source_type
+    from repro.noise import REQUIRED, available_sources, get_source_type
 
     print("registered noise sources (compose with repeatable --noise flags):")
     for kind in available_sources():
@@ -722,11 +722,13 @@ def _cmd_noise(args) -> int:
         doc = (cls.__doc__ or "").strip().splitlines()[0]
         print(f"\n  {kind}")
         print(f"      {doc}")
-        params = cls.cli_params()
-        if params:
-            print(f"      params: {', '.join(sorted(params))}")
-        else:
-            print("      params: (none)")
+        for name, _, default, text in cls.fields:
+            if default is REQUIRED:
+                text += " (required)"
+            elif default is not None:
+                shown = "+".join(map(str, default)) if isinstance(default, tuple) else default
+                text += f" (default {shown})"
+            print(f"      {name:<15} {text}")
     print("\nsyntax: --noise KIND[:key=val,key=val,...]   (CPU lists use `+`: irq_cpus=0+1)")
     return 0
 

@@ -9,6 +9,7 @@ average-noise profile into that JSON structure.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,8 +39,9 @@ class ConfigEvent:
     source: str
 
     def __post_init__(self) -> None:
-        if self.start < 0 or self.duration <= 0:
-            raise ValueError("event needs start >= 0 and duration > 0")
+        # NaN fails this comparison too
+        if not (0 <= self.start < math.inf and 0 < self.duration < math.inf):
+            raise ValueError("event needs a finite start >= 0 and duration > 0")
         if self.policy not in ("SCHED_FIFO", "SCHED_OTHER"):
             raise ValueError(f"unknown policy {self.policy!r}")
 

@@ -91,30 +91,9 @@ class ResultCache:
             root = Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
         self.root = Path(root)
         self.enabled = os.environ.get("REPRO_NO_CACHE", "") != "1"
-        #: the telemetry registry entry backing the counters; the
-        #: hits/misses/... attributes and stats() are thin views over it
+        #: the telemetry registry entry backing the counters; stats()
+        #: is a thin view over it
         self._counters = _telemetry.new_group("cache")
-
-    # read-only counter views (the historical public attributes)
-    @property
-    def hits(self) -> int:
-        return int(self._counters.get("hits"))
-
-    @property
-    def misses(self) -> int:
-        return int(self._counters.get("misses"))
-
-    @property
-    def corrupt(self) -> int:
-        return int(self._counters.get("corrupt"))
-
-    @property
-    def stale(self) -> int:
-        return int(self._counters.get("stale"))
-
-    @property
-    def partial(self) -> int:
-        return int(self._counters.get("partial"))
 
     # ------------------------------------------------------------------
     # envelope integrity: sha256 sealed at publish, verified on read

@@ -20,11 +20,13 @@ CLI syntax, and how to add a new source.
 """
 
 from repro.noise.base import (
+    REQUIRED,
     SCHEMA_VERSION,
     AttachedSource,
     NoiseSource,
     NoiseStack,
     available_sources,
+    cpu_list,
     get_source_type,
     parse_noise_spec,
     register_source,
@@ -48,11 +50,13 @@ from repro.noise.sources import (
 )
 
 __all__ = [
+    "REQUIRED",
     "SCHEMA_VERSION",
     "AttachedSource",
     "NoiseSource",
     "NoiseStack",
     "available_sources",
+    "cpu_list",
     "get_source_type",
     "parse_noise_spec",
     "register_source",

@@ -17,12 +17,13 @@ and anomalies compose additively through the scheduler.
 
 from __future__ import annotations
 
-from dataclasses import asdict
+import math
+from dataclasses import asdict, replace
 from typing import TYPE_CHECKING, ClassVar, Optional
 
 import numpy as np
 
-from repro.noise.base import AttachedSource, NoiseSource, register_source
+from repro.noise.base import REQUIRED, AttachedSource, NoiseSource, register_source
 from repro.sim.noise import (
     AnomalySpec,
     AnomalyType,
@@ -126,14 +127,20 @@ class BackgroundNoiseSource(NoiseSource):
     """Synthetic ambient OS noise layered on top of the platform's own."""
 
     kind: ClassVar[str] = "background"
+    fields = (
+        ("preset", str, REQUIRED, f"environment preset: {', '.join(sorted(_PRESETS))}"),
+        ("intensity", float, 1.0, "macro-source rate multiplier"),
+        ("anomaly_prob", float, None, "override the preset's per-run anomaly probability"),
+    )
 
     def __init__(self, env: NoiseEnvironment, intensity: float = 1.0):
         if not isinstance(env, NoiseEnvironment):
             raise TypeError(
                 f"BackgroundNoiseSource needs a NoiseEnvironment, got {type(env).__name__}"
             )
-        if intensity <= 0:
-            raise ValueError(f"intensity must be positive: {intensity!r}")
+        # NaN fails this comparison too
+        if not 0 < intensity < math.inf:
+            raise ValueError(f"intensity must be positive and finite: {intensity!r}")
         self.intensity = float(intensity)
         self.env = env.intensity_scaled(self.intensity) if intensity != 1.0 else env
 
@@ -144,7 +151,7 @@ class BackgroundNoiseSource(NoiseSource):
         intensity: float = 1.0,
         anomaly_prob: Optional[float] = None,
     ) -> "BackgroundNoiseSource":
-        """Build from a named environment preset (see ``presets()``)."""
+        """Build from a named environment preset."""
         try:
             env = _PRESETS[name]()
         except KeyError:
@@ -152,15 +159,8 @@ class BackgroundNoiseSource(NoiseSource):
                 f"unknown background preset {name!r} (available: {', '.join(sorted(_PRESETS))})"
             ) from None
         if anomaly_prob is not None:
-            from dataclasses import replace
-
             env = replace(env, anomalies=replace(env.anomalies, prob=anomaly_prob))
         return cls(env, intensity=intensity)
-
-    @staticmethod
-    def presets() -> list[str]:
-        """Available preset names for :meth:`preset` / the CLI."""
-        return sorted(_PRESETS)
 
     # -------------------------------------------------- protocol
     def attach(self, machine: "Machine", rng: np.random.Generator) -> AttachedSource:
@@ -180,20 +180,6 @@ class BackgroundNoiseSource(NoiseSource):
         return False
 
     @classmethod
-    def cli_params(cls) -> dict[str, str]:
-        return {
-            "preset": f"environment preset: {', '.join(sorted(_PRESETS))} (required)",
-            "intensity": "macro-source rate multiplier (default 1.0)",
-            "anomaly_prob": "override the per-run anomaly probability",
-        }
-
-    @classmethod
     def from_cli(cls, **raw: str) -> "BackgroundNoiseSource":
-        if "preset" not in raw:
-            raise ValueError("background needs preset=<name>")
-        try:
-            intensity = float(raw.get("intensity", "1.0"))
-            anomaly_prob = float(raw["anomaly_prob"]) if "anomaly_prob" in raw else None
-        except ValueError:
-            raise ValueError("background intensity/anomaly_prob must be numbers") from None
-        return cls.preset(raw["preset"], intensity=intensity, anomaly_prob=anomaly_prob)
+        values = cls._from_fields(raw)
+        return cls.preset(values.pop("preset"), **values)

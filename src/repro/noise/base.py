@@ -10,7 +10,10 @@ harness.  This module is the single seam they all plug into:
   one noise mechanism.  ``attach(machine, rng)`` binds it to a single
   simulated run and returns an :class:`AttachedSource` whose
   ``start(expected_duration)`` arms the events; ``spec_hash()`` is a
-  stable content address used by the result cache.
+  stable content address used by the result cache.  Its ``fields``
+  table declares each ``--noise`` parameter once, as a
+  ``(name, kind, default, help)`` row: ``_from_fields`` parses flags
+  by it and ``repro-noise noise`` prints it.
 * the **registry** — string-keyed source types
   (:func:`register_source` / :func:`get_source_type` /
   :func:`available_sources`), so serialized specs, CLI flags, and cache
@@ -39,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.machine import Machine
 
 __all__ = [
+    "REQUIRED",
     "SCHEMA_VERSION",
     "AttachedSource",
     "NoiseSource",
@@ -49,11 +53,25 @@ __all__ = [
     "source_from_dict",
     "source_from_json",
     "parse_noise_spec",
+    "cpu_list",
 ]
 
 #: serialization schema of ``{"kind": ..., "params": ...}`` payloads;
 #: bump when the envelope (not a source's own params) changes shape
 SCHEMA_VERSION = 1
+
+#: the ``default`` of a ``fields`` row that every ``--noise`` flag must give
+REQUIRED = object()
+
+
+def cpu_list(text: str) -> tuple[int, ...]:
+    """The ``fields`` kind of a CPU list: ``+`` separates CPUs because
+    ``,`` separates parameters (``irq_cpus=0+1``)."""
+    return tuple(int(part) for part in text.split("+") if part != "")
+
+
+#: what a ``--noise`` value failed to be, by ``fields`` kind
+_KIND_NAMES = {float: "a number", int: "an integer", cpu_list: "a +-separated CPU list"}
 
 
 class AttachedSource:
@@ -77,13 +95,20 @@ class NoiseSource(ABC):
     """An immutable, serialisable description of one noise mechanism.
 
     Subclasses define a unique ``kind`` (the registry key), parameter
-    (de)serialization via ``params``/``from_params``, and per-run
-    binding via ``attach``.  Instances must be safe to share across
-    repetitions and process boundaries (pure data, no machine state).
+    (de)serialization via ``params``/``from_params``, per-run binding
+    via ``attach``, and their ``--noise`` parameters as ``fields``.
+    Instances must be safe to share across repetitions and process
+    boundaries (pure data, no machine state).
     """
 
     #: registry key; unique per source type
     kind: ClassVar[str] = ""
+
+    #: one ``(name, kind, default, help)`` row per ``--noise`` parameter:
+    #: ``kind`` parses the flag's text (``float``, ``int``, ``str`` or
+    #: :func:`cpu_list`); ``default`` is :data:`REQUIRED` or the value an
+    #: omitted flag takes
+    fields: ClassVar[tuple[tuple, ...]] = ()
 
     # -------------------------------------------------- per-run binding
     @abstractmethod
@@ -126,14 +151,41 @@ class NoiseSource(ABC):
 
     # -------------------------------------------------- CLI surface
     @classmethod
-    def cli_params(cls) -> dict[str, str]:
-        """``key -> help`` map for ``--noise kind:key=val,...`` flags."""
-        return {}
-
-    @classmethod
     def from_cli(cls, **raw: str) -> "NoiseSource":
         """Build a source from raw ``--noise`` key/value strings."""
         raise ValueError(f"noise source {cls.kind!r} cannot be built from --noise flags")
+
+    @classmethod
+    def _from_fields(cls, raw: dict[str, str]) -> dict:
+        """Every ``fields`` parameter, parsed from ``raw`` or defaulted.
+
+        An unknown key, a missing (or empty) required one, or text its
+        kind cannot parse is a ``ValueError``.
+        """
+        known = {row[0] for row in cls.fields}
+        unknown = set(raw) - known
+        if unknown:
+            raise ValueError(
+                f"unknown parameter(s) {sorted(unknown)} for noise source {cls.kind!r} "
+                f"(accepted: {sorted(known)})"
+            )
+        missing = [
+            name for name, _, default, _ in cls.fields if default is REQUIRED and not raw.get(name)
+        ]
+        if missing:
+            raise ValueError(f"{cls.kind} needs {', '.join(missing)}")
+        values = {}
+        for name, kind, default, _ in cls.fields:
+            if name not in raw:
+                values[name] = default
+                continue
+            try:
+                values[name] = kind(raw[name])
+            except ValueError:
+                raise ValueError(
+                    f"noise parameter {name}={raw[name]!r} is not {_KIND_NAMES[kind]}"
+                ) from None
+        return values
 
     # -------------------------------------------------- equality
     def __eq__(self, other: object) -> bool:
@@ -364,14 +416,10 @@ def parse_noise_spec(text: str) -> NoiseSource:
     if rest.strip():
         for item in rest.split(","):
             key, sep, value = item.partition("=")
-            if not sep or not key.strip():
+            key = key.strip()
+            if not sep or not key:
                 raise ValueError(f"malformed noise parameter {item!r} in {text!r} (want key=val)")
-            raw[key.strip()] = value.strip()
-    known = cls.cli_params()
-    unknown = set(raw) - set(known)
-    if unknown:
-        raise ValueError(
-            f"unknown parameter(s) {sorted(unknown)} for noise source {kind!r} "
-            f"(accepted: {sorted(known)})"
-        )
+            if key in raw:
+                raise ValueError(f"noise parameter {key!r} given twice in {text!r}")
+            raw[key] = value.strip()
     return cls.from_cli(**raw)

@@ -21,12 +21,16 @@ events when the run starts:
 
 All of them serialize through the common
 ``{"kind", "version", "params"}`` envelope, so a single JSON document
-can describe any composition of heterogeneous noise.
+can describe any composition of heterogeneous noise.  Each declares
+its ``--noise`` parameters once, in its ``fields`` table; the HPAS
+generators, stored by exactly those parameters, derive their payload
+and its inverse from the table too (:class:`_FlatSource`).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Optional
 
@@ -34,7 +38,7 @@ import numpy as np
 
 from repro.core.config import ConfigEvent, NoiseConfig
 from repro.core.events import EventType
-from repro.noise.base import AttachedSource, NoiseSource, register_source
+from repro.noise.base import REQUIRED, AttachedSource, NoiseSource, cpu_list, register_source
 from repro.sim.task import SchedPolicy, Task, TaskKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,26 +78,24 @@ def _replay(machine: "Machine", config: NoiseConfig) -> AttachedSource:
     return _OnStart(NoiseInjector(config).launch, machine)
 
 
-def _parse_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ValueError(f"noise parameter {key}={value!r} is not a number") from None
+class _FlatSource(NoiseSource):
+    """A source stored by its constructor arguments, one per ``fields``
+    row, as the instance attributes of the same names: its payload, the
+    payload's inverse and its ``--noise`` flags all read the table."""
 
+    def params(self) -> dict:
+        return {
+            name: list(getattr(self, name)) if kind is cpu_list else getattr(self, name)
+            for name, kind, _, _ in self.fields
+        }
 
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"noise parameter {key}={value!r} is not an integer") from None
+    @classmethod
+    def from_params(cls, params: dict) -> "NoiseSource":
+        return cls(**{name: params[name] for name, *_ in cls.fields if name in params})
 
-
-def _parse_cpus(key: str, value: str) -> tuple[int, ...]:
-    """CPU lists use ``+`` separators (``,`` splits parameters)."""
-    try:
-        return tuple(int(part) for part in value.split("+") if part != "")
-    except ValueError:
-        raise ValueError(f"noise parameter {key}={value!r} is not a +-separated CPU list") from None
+    @classmethod
+    def from_cli(cls, **raw: str) -> "NoiseSource":
+        return cls(**cls._from_fields(raw))
 
 
 # ----------------------------------------------------------------------
@@ -104,6 +106,7 @@ class TraceReplaySource(NoiseSource):
     """Replays a per-CPU worst-case noise configuration (paper §4.3)."""
 
     kind: ClassVar[str] = "trace-replay"
+    fields = (("path", str, REQUIRED, "noise config JSON written by `repro-noise configure`"),)
 
     def __init__(self, config: NoiseConfig):
         if not isinstance(config, NoiseConfig):
@@ -121,15 +124,8 @@ class TraceReplaySource(NoiseSource):
         return cls(NoiseConfig.from_json(json.dumps(params["config"])))
 
     @classmethod
-    def cli_params(cls) -> dict[str, str]:
-        return {"path": "noise config JSON written by `repro-noise configure` (required)"}
-
-    @classmethod
     def from_cli(cls, **raw: str) -> "TraceReplaySource":
-        path = raw.get("path")
-        if not path:
-            raise ValueError("trace-replay needs path=<config.json>")
-        return cls(NoiseConfig.load(path))
+        return cls(NoiseConfig.load(cls._from_fields(raw)["path"]))
 
 
 # ----------------------------------------------------------------------
@@ -165,12 +161,13 @@ class IoBurst:
     flush_segments: int = 20
 
     def __post_init__(self) -> None:
-        if self.start < 0 or self.duration <= 0:
-            raise ValueError("burst needs start >= 0 and duration > 0")
-        if self.irq_rate < 0 or self.irq_duration < 0:
-            raise ValueError("irq parameters must be non-negative")
-        if self.flush_cpu_time < 0 or self.flush_segments <= 0:
-            raise ValueError("flush parameters invalid")
+        # NaN fails these comparisons too
+        if not (0 <= self.start < math.inf and 0 < self.duration < math.inf):
+            raise ValueError("burst needs a finite start >= 0 and duration > 0")
+        if not (0 <= self.irq_rate < math.inf and 0 <= self.irq_duration < math.inf):
+            raise ValueError("irq parameters must be non-negative and finite")
+        if not (0 <= self.flush_cpu_time < math.inf and 0 < self.flush_segments < math.inf):
+            raise ValueError("flush needs a finite cpu time >= 0 and segments > 0")
         if not self.irq_cpus and self.irq_rate > 0:
             raise ValueError("irq_rate > 0 needs target cpus")
 
@@ -211,6 +208,15 @@ class IoNoiseSource(NoiseSource):
     """
 
     kind: ClassVar[str] = "io"
+    fields = (
+        ("start", float, REQUIRED, "burst start time in seconds"),
+        ("duration", float, REQUIRED, "burst window in seconds"),
+        ("irq_rate", float, 2000.0, "completion interrupts per second"),
+        ("irq_duration", float, 8e-6, "CPU time per interrupt in seconds"),
+        ("irq_cpus", cpu_list, (0,), "+-separated CPUs receiving completions"),
+        ("flush_cpu_time", float, 0.05, "flusher CPU-seconds over the window"),
+        ("flush_segments", int, 20, "flusher wakeups"),
+    )
 
     def __init__(self, bursts: Iterable[IoBurst], meta: Optional[dict] = None):
         self.bursts = tuple(sorted(bursts, key=lambda b: b.start))
@@ -255,31 +261,8 @@ class IoNoiseSource(NoiseSource):
         )
 
     @classmethod
-    def cli_params(cls) -> dict[str, str]:
-        return {
-            "start": "burst start time in seconds (required)",
-            "duration": "burst window in seconds (required)",
-            "irq_rate": "completion interrupts per second (default 2000)",
-            "irq_duration": "CPU time per interrupt in seconds (default 8e-6)",
-            "irq_cpus": "+-separated CPUs receiving completions (default 0)",
-            "flush_cpu_time": "flusher CPU-seconds over the window (default 0.05)",
-            "flush_segments": "flusher wakeups (default 20)",
-        }
-
-    @classmethod
     def from_cli(cls, **raw: str) -> "IoNoiseSource":
-        if "start" not in raw or "duration" not in raw:
-            raise ValueError("io needs start=<s> and duration=<s>")
-        burst = IoBurst(
-            start=_parse_float("start", raw["start"]),
-            duration=_parse_float("duration", raw["duration"]),
-            irq_rate=_parse_float("irq_rate", raw.get("irq_rate", "2000")),
-            irq_duration=_parse_float("irq_duration", raw.get("irq_duration", "8e-6")),
-            irq_cpus=_parse_cpus("irq_cpus", raw.get("irq_cpus", "0")),
-            flush_cpu_time=_parse_float("flush_cpu_time", raw.get("flush_cpu_time", "0.05")),
-            flush_segments=_parse_int("flush_segments", raw.get("flush_segments", "20")),
-        )
-        return cls([burst])
+        return cls([IoBurst(**cls._from_fields(raw))])
 
 
 # ----------------------------------------------------------------------
@@ -295,10 +278,11 @@ class MemoryNoiseEvent:
     source: str = "membw-hog"
 
     def __post_init__(self) -> None:
-        if self.start < 0 or self.duration <= 0:
-            raise ValueError("event needs start >= 0 and duration > 0")
-        if self.bandwidth_gbs <= 0:
-            raise ValueError("bandwidth_gbs must be positive")
+        # NaN fails these comparisons too
+        if not (0 <= self.start < math.inf and 0 < self.duration < math.inf):
+            raise ValueError("event needs a finite start >= 0 and duration > 0")
+        if not 0 < self.bandwidth_gbs < math.inf:
+            raise ValueError("bandwidth_gbs must be positive and finite")
 
     def to_dict(self) -> dict:
         """JSON-serialisable form."""
@@ -351,6 +335,12 @@ class MemoryNoiseSource(NoiseSource):
     """
 
     kind: ClassVar[str] = "memory"
+    fields = (
+        ("start", float, REQUIRED, "burst start time in seconds"),
+        ("duration", float, REQUIRED, "hog CPU-seconds"),
+        ("bandwidth_gbs", float, REQUIRED, "DRAM bandwidth the hog pulls"),
+        ("source", str, "membw-hog", "label in traces"),
+    )
 
     def __init__(self, events: Iterable[MemoryNoiseEvent], meta: Optional[dict] = None):
         self.events = tuple(sorted(events, key=lambda e: e.start))
@@ -371,33 +361,15 @@ class MemoryNoiseSource(NoiseSource):
         return cls([MemoryNoiseEvent.from_dict(d) for d in config["events"]], config.get("meta"))
 
     @classmethod
-    def cli_params(cls) -> dict[str, str]:
-        return {
-            "start": "burst start time in seconds (required)",
-            "duration": "hog CPU-seconds (required)",
-            "bandwidth_gbs": "DRAM bandwidth the hog pulls (required)",
-            "source": "label in traces (default membw-hog)",
-        }
-
-    @classmethod
     def from_cli(cls, **raw: str) -> "MemoryNoiseSource":
-        missing = [k for k in ("start", "duration", "bandwidth_gbs") if k not in raw]
-        if missing:
-            raise ValueError(f"memory needs {', '.join(missing)}")
-        event = MemoryNoiseEvent(
-            start=_parse_float("start", raw["start"]),
-            duration=_parse_float("duration", raw["duration"]),
-            bandwidth_gbs=_parse_float("bandwidth_gbs", raw["bandwidth_gbs"]),
-            source=raw.get("source", "membw-hog"),
-        )
-        return cls([event])
+        return cls([MemoryNoiseEvent(**cls._from_fields(raw))])
 
 
 # ----------------------------------------------------------------------
 # HPAS-style synthetic generators (stored by generator parameters)
 # ----------------------------------------------------------------------
 @register_source
-class HpasCpuOccupySource(NoiseSource):
+class HpasCpuOccupySource(_FlatSource):
     """HPAS ``cpuoccupy``: synthetic (optionally square-wave) CPU hogs.
 
     ``utilization`` < 1 produces a square-wave hog (busy for
@@ -408,6 +380,13 @@ class HpasCpuOccupySource(NoiseSource):
     """
 
     kind: ClassVar[str] = "hpas.cpu_occupy"
+    fields = (
+        ("start", float, REQUIRED, "hog start time in seconds"),
+        ("duration", float, REQUIRED, "hog duration in seconds"),
+        ("cpus", cpu_list, REQUIRED, "+-separated target CPUs"),
+        ("utilization", float, 1.0, "busy fraction per period, (0, 1]"),
+        ("period", float, 0.01, "square-wave period in seconds"),
+    )
 
     def __init__(
         self,
@@ -422,10 +401,13 @@ class HpasCpuOccupySource(NoiseSource):
         self.cpus = tuple(int(c) for c in cpus)
         self.utilization = float(utilization)
         self.period = float(period)
+        # NaN fails these comparisons too
         if not 0.0 < self.utilization <= 1.0:
             raise ValueError(f"utilization must be in (0, 1]: {self.utilization!r}")
-        if self.duration <= 0 or self.period <= 0:
-            raise ValueError("duration and period must be positive")
+        if not (0 < self.duration < math.inf and 0 < self.period < math.inf):
+            raise ValueError("duration and period must be positive and finite")
+        if not math.isfinite(self.start):
+            raise ValueError(f"start must be finite: {self.start!r}")
         if not self.cpus:
             raise ValueError("need at least one target cpu")
         if self.utilization >= 1.0:
@@ -452,54 +434,18 @@ class HpasCpuOccupySource(NoiseSource):
     def attach(self, machine: "Machine", rng: np.random.Generator) -> AttachedSource:
         return _replay(machine, self.config)
 
-    def params(self) -> dict:
-        return {
-            "start": self.start,
-            "duration": self.duration,
-            "cpus": list(self.cpus),
-            "utilization": self.utilization,
-            "period": self.period,
-        }
-
-    @classmethod
-    def from_params(cls, params: dict) -> "HpasCpuOccupySource":
-        return cls(
-            start=params["start"],
-            duration=params["duration"],
-            cpus=tuple(params["cpus"]),
-            utilization=params.get("utilization", 1.0),
-            period=params.get("period", 10e-3),
-        )
-
-    @classmethod
-    def cli_params(cls) -> dict[str, str]:
-        return {
-            "start": "hog start time in seconds (required)",
-            "duration": "hog duration in seconds (required)",
-            "cpus": "+-separated target CPUs (required)",
-            "utilization": "busy fraction per period, (0, 1] (default 1.0)",
-            "period": "square-wave period in seconds (default 0.01)",
-        }
-
-    @classmethod
-    def from_cli(cls, **raw: str) -> "HpasCpuOccupySource":
-        missing = [k for k in ("start", "duration", "cpus") if k not in raw]
-        if missing:
-            raise ValueError(f"hpas.cpu_occupy needs {', '.join(missing)}")
-        return cls(
-            start=_parse_float("start", raw["start"]),
-            duration=_parse_float("duration", raw["duration"]),
-            cpus=_parse_cpus("cpus", raw["cpus"]),
-            utilization=_parse_float("utilization", raw.get("utilization", "1.0")),
-            period=_parse_float("period", raw.get("period", "0.01")),
-        )
-
 
 @register_source
-class HpasMemoryBandwidthSource(NoiseSource):
+class HpasMemoryBandwidthSource(_FlatSource):
     """HPAS ``membw``: ``streams`` hogs splitting a DRAM bandwidth draw."""
 
     kind: ClassVar[str] = "hpas.membw"
+    fields = (
+        ("start", float, REQUIRED, "hog start time in seconds"),
+        ("duration", float, REQUIRED, "hog duration in seconds"),
+        ("bandwidth_gbs", float, REQUIRED, "total DRAM bandwidth pulled"),
+        ("streams", int, 1, "number of hog streams"),
+    )
 
     def __init__(self, start: float, duration: float, bandwidth_gbs: float, streams: int = 1):
         self.start = float(start)
@@ -508,6 +454,7 @@ class HpasMemoryBandwidthSource(NoiseSource):
         self.streams = int(streams)
         if self.streams <= 0:
             raise ValueError("streams must be positive")
+        # each event rejects a NaN or infinite start, duration or bandwidth
         self.events = tuple(
             MemoryNoiseEvent(
                 start=self.start,
@@ -521,47 +468,9 @@ class HpasMemoryBandwidthSource(NoiseSource):
     def attach(self, machine: "Machine", rng: np.random.Generator) -> AttachedSource:
         return _OnStart(_arm_memory_hogs, machine, self.events)
 
-    def params(self) -> dict:
-        return {
-            "start": self.start,
-            "duration": self.duration,
-            "bandwidth_gbs": self.bandwidth_gbs,
-            "streams": self.streams,
-        }
-
-    @classmethod
-    def from_params(cls, params: dict) -> "HpasMemoryBandwidthSource":
-        return cls(
-            start=params["start"],
-            duration=params["duration"],
-            bandwidth_gbs=params["bandwidth_gbs"],
-            streams=params.get("streams", 1),
-        )
-
-    @classmethod
-    def cli_params(cls) -> dict[str, str]:
-        return {
-            "start": "hog start time in seconds (required)",
-            "duration": "hog duration in seconds (required)",
-            "bandwidth_gbs": "total DRAM bandwidth pulled (required)",
-            "streams": "number of hog streams (default 1)",
-        }
-
-    @classmethod
-    def from_cli(cls, **raw: str) -> "HpasMemoryBandwidthSource":
-        missing = [k for k in ("start", "duration", "bandwidth_gbs") if k not in raw]
-        if missing:
-            raise ValueError(f"hpas.membw needs {', '.join(missing)}")
-        return cls(
-            start=_parse_float("start", raw["start"]),
-            duration=_parse_float("duration", raw["duration"]),
-            bandwidth_gbs=_parse_float("bandwidth_gbs", raw["bandwidth_gbs"]),
-            streams=_parse_int("streams", raw.get("streams", "1")),
-        )
-
 
 @register_source
-class HpasCacheThrashSource(NoiseSource):
+class HpasCacheThrashSource(_FlatSource):
     """HPAS ``cachecopy``: per-CPU copy loops evicting shared cache.
 
     In this substrate cache pollution manifests as extra memory traffic
@@ -569,6 +478,12 @@ class HpasCacheThrashSource(NoiseSource):
     """
 
     kind: ClassVar[str] = "hpas.cache_thrash"
+    fields = (
+        ("start", float, REQUIRED, "thrash start time in seconds"),
+        ("duration", float, REQUIRED, "thrash duration in seconds"),
+        ("cpus", cpu_list, REQUIRED, "+-separated victim CPUs"),
+        ("bandwidth_gbs", float, 8.0, "per-CPU bandwidth draw"),
+    )
 
     def __init__(self, start: float, duration: float, cpus: tuple[int, ...], bandwidth_gbs: float = 8.0):
         self.start = float(start)
@@ -577,6 +492,7 @@ class HpasCacheThrashSource(NoiseSource):
         self.bandwidth_gbs = float(bandwidth_gbs)
         if not self.cpus:
             raise ValueError("need at least one target cpu")
+        # each event rejects a NaN or infinite start, duration or bandwidth
         self.events = tuple(
             MemoryNoiseEvent(
                 start=self.start,
@@ -589,41 +505,3 @@ class HpasCacheThrashSource(NoiseSource):
 
     def attach(self, machine: "Machine", rng: np.random.Generator) -> AttachedSource:
         return _OnStart(_arm_memory_hogs, machine, self.events)
-
-    def params(self) -> dict:
-        return {
-            "start": self.start,
-            "duration": self.duration,
-            "cpus": list(self.cpus),
-            "bandwidth_gbs": self.bandwidth_gbs,
-        }
-
-    @classmethod
-    def from_params(cls, params: dict) -> "HpasCacheThrashSource":
-        return cls(
-            start=params["start"],
-            duration=params["duration"],
-            cpus=tuple(params["cpus"]),
-            bandwidth_gbs=params.get("bandwidth_gbs", 8.0),
-        )
-
-    @classmethod
-    def cli_params(cls) -> dict[str, str]:
-        return {
-            "start": "thrash start time in seconds (required)",
-            "duration": "thrash duration in seconds (required)",
-            "cpus": "+-separated victim CPUs (required)",
-            "bandwidth_gbs": "per-CPU bandwidth draw (default 8.0)",
-        }
-
-    @classmethod
-    def from_cli(cls, **raw: str) -> "HpasCacheThrashSource":
-        missing = [k for k in ("start", "duration", "cpus") if k not in raw]
-        if missing:
-            raise ValueError(f"hpas.cache_thrash needs {', '.join(missing)}")
-        return cls(
-            start=_parse_float("start", raw["start"]),
-            duration=_parse_float("duration", raw["duration"]),
-            cpus=_parse_cpus("cpus", raw["cpus"]),
-            bandwidth_gbs=_parse_float("bandwidth_gbs", raw.get("bandwidth_gbs", "8.0")),
-        )

@@ -42,34 +42,34 @@ class TestCache:
     def test_miss_then_hit(self, tmp_path):
         cache = ResultCache(tmp_path)
         a = cache.get_or_run(spec())
-        assert cache.misses == 1 and cache.hits == 0
+        assert cache.stats()["misses"] == 1 and cache.stats()["hits"] == 0
         b = cache.get_or_run(spec())
-        assert cache.hits == 1
+        assert cache.stats()["hits"] == 1
         np.testing.assert_array_equal(a.times, b.times)
 
     def test_different_specs_different_entries(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.get_or_run(spec())
         cache.get_or_run(spec(strategy="TP"))
-        assert cache.misses == 2
+        assert cache.stats()["misses"] == 2
 
     def test_seed_changes_key(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.get_or_run(spec())
         cache.get_or_run(spec(seed=10))
-        assert cache.misses == 2
+        assert cache.stats()["misses"] == 2
 
     def test_noise_config_part_of_key(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.get_or_run(spec())
         cache.get_or_run(spec(), noise=TraceReplaySource(tiny_config()))
-        assert cache.misses == 2
+        assert cache.stats()["misses"] == 2
 
     def test_injected_flag_persisted(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.get_or_run(spec(), noise=TraceReplaySource(tiny_config()))
         rs = cache.get_or_run(spec(), noise=TraceReplaySource(tiny_config()))
-        assert cache.hits == 1
+        assert cache.stats()["hits"] == 1
         assert rs.injected
 
     def test_corrupt_entry_recovered(self, tmp_path):
@@ -78,7 +78,7 @@ class TestCache:
         for f in tmp_path.glob("*.json"):
             f.write_text("not json")
         rs = cache.get_or_run(spec())
-        assert cache.misses == 2
+        assert cache.stats()["misses"] == 2
         assert len(rs.times) == 2
 
     def test_truncated_entry_evicted_counted_and_rerun(self, tmp_path):
@@ -89,7 +89,7 @@ class TestCache:
         # Truncate mid-payload: the classic interrupted-write artefact.
         entries[0].write_text(entries[0].read_text()[:10])
         rs = cache.get_or_run(spec())
-        assert cache.corrupt == 1
+        assert cache.stats()["corrupt"] == 1
         np.testing.assert_array_equal(first.times, rs.times)
         # The re-run rewrote a valid entry: next lookup is a clean hit.
         again = cache.get_or_run(spec())
@@ -117,7 +117,7 @@ class TestCache:
         entry.write_text(json.dumps(data))
         rs = cache.get_or_run(spec())
         assert cache.stats()["stale"] == 1
-        assert cache.misses == 2
+        assert cache.stats()["misses"] == 2
         np.testing.assert_array_equal(first.times, rs.times)
         # the eviction re-ran and rewrote a current entry: clean hit next
         again = cache.get_or_run(spec())
@@ -186,7 +186,7 @@ class TestCache:
         cache = ResultCache(tmp_path)
         cache.get_or_run(spec())
         cache.get_or_run(spec())
-        assert cache.misses == 2
+        assert cache.stats()["misses"] == 2
         assert list(tmp_path.glob("*.json")) == []
 
     def test_cache_dir_from_env(self, tmp_path, monkeypatch):

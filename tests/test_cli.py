@@ -83,6 +83,23 @@ class TestCommands:
             assert kind in out
         assert "irq_cpus" in out  # per-source parameter docs
 
+    def test_noise_prints_each_parameter_with_its_default(self, capsys):
+        assert main(["noise"]) == 0
+        out = capsys.readouterr().out
+        assert "irq_rate        completion interrupts per second (default 2000.0)" in out
+        assert "irq_cpus        +-separated CPUs receiving completions (default 0)" in out
+        assert "preset          environment preset: desktop, desktop-nogui, hpc (required)" in out
+
+    def test_inject_rejects_non_finite_noise_before_running(self, capsys):
+        with pytest.raises(SystemExit, match="finite"):
+            main(["inject", "--reps", "2",
+                  "--noise", "memory:start=nan,duration=0.05,bandwidth_gbs=40"])
+        assert capsys.readouterr().out == ""
+
+    def test_inject_reports_a_missing_trace_replay_config(self, tmp_path):
+        with pytest.raises(SystemExit, match="No such file"):
+            main(["inject", "--noise", f"trace-replay:path={tmp_path / 'missing.json'}"])
+
     def test_inject_composes_heterogeneous_noise(self, tmp_path, capsys):
         """One invocation replays the worst case while composing I/O and
         memory interference on top — the unified-stack acceptance path."""

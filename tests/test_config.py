@@ -32,6 +32,13 @@ class TestConfigEvent:
         with pytest.raises(ValueError):
             make_event(policy="SCHED_RR")
 
+    @pytest.mark.parametrize("field", ["start", "duration"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_times_rejected(self, field, value):
+        # a trace-replay config file can carry NaN or Infinity literals
+        with pytest.raises(ValueError, match="finite"):
+            make_event(**{field: value})
+
     def test_dict_roundtrip(self):
         e = make_event(policy="SCHED_FIFO", rt_priority=90, etype=EventType.IRQ)
         back = ConfigEvent.from_dict(e.to_dict())

@@ -8,6 +8,8 @@ per-kind classes at the end drive each source through
 ``attach()``/``start()`` on a bare machine.
 """
 
+import hashlib
+import inspect
 import json
 import pickle
 import warnings
@@ -28,6 +30,7 @@ from repro.noise import (
     MemoryNoiseEvent,
     MemoryNoiseSource,
     NoiseStack,
+    REQUIRED,
     TraceReplaySource,
     available_sources,
     get_source_type,
@@ -109,6 +112,57 @@ EXEC_TIME_PINS = {
 }
 
 
+#: ``parse_noise_spec(flag)`` as ``(spec_hash(), sha256(to_json())[:16])``
+#: for every kind, with and without its optional keys (``{path}`` is a
+#: saved ``tiny_config()``); flags and constructors must key alike
+FLAG_PINS = {
+    "trace-replay:path={path}": ("aeef7529187149e8", "ba7d94d0c3384bf7"),
+    "io:start=0.02,duration=0.1": ("71f0eec1437ebf6e", "481e6d293446f427"),
+    "io:start=0.02,duration=0.1,irq_rate=3000,irq_duration=1e-5,irq_cpus=0+2,"
+    "flush_cpu_time=0.01,flush_segments=6": ("0bedde9a9188117e", "6b4448765867e2ec"),
+    "memory:start=0,duration=0.2,bandwidth_gbs=15": ("976090ee0ef24ad3", "6224bbf8a8606994"),
+    "memory:start=0,duration=0.2,bandwidth_gbs=15,source=hog": (
+        "0bc6793cb3142a21", "40a5ceccdb161196"
+    ),
+    "hpas.cpu_occupy:start=0.01,duration=0.1,cpus=0": ("5ddfbb44ef9a934c", "0392e56bffd96588"),
+    "hpas.cpu_occupy:start=0.01,duration=0.1,cpus=0+1,utilization=0.5,period=0.02": (
+        "063621a4b027e04a", "a84cf0f082b231f9"
+    ),
+    "hpas.membw:start=0,duration=0.15,bandwidth_gbs=12": ("74f1a8b75d89b252", "c178b6ef18eb3af8"),
+    "hpas.membw:start=0,duration=0.15,bandwidth_gbs=12,streams=2": (
+        "5cccfd133bf83930", "5b65171b741084a8"
+    ),
+    "hpas.cache_thrash:start=0.02,duration=0.1,cpus=0+1": ("e924ec340949764d", "7bfb85ead2c194d0"),
+    "hpas.cache_thrash:start=0.02,duration=0.1,cpus=0+1,bandwidth_gbs=6": (
+        "adf69432610bd75e", "84b9046f75a0d6bc"
+    ),
+    "background:preset=hpc": ("3165d6318391d266", "49281956f5506233"),
+    "background:preset=desktop-nogui,intensity=0.5,anomaly_prob=0.1": (
+        "150e015e9fa4bc54", "c0dfff7dbb8d3e86"
+    ),
+}
+
+#: flags with a NaN or infinite number; each must fail while parsing,
+#: before any rep runs, not inside the simulator
+NON_FINITE_FLAGS = [
+    "memory:start=nan,duration=0.05,bandwidth_gbs=40",
+    "memory:start=0,duration=nan,bandwidth_gbs=40",
+    "memory:start=0,duration=0.05,bandwidth_gbs=inf",
+    "io:start=inf,duration=0.1",
+    "io:start=0,duration=0.1,irq_duration=nan",
+    "io:start=0,duration=0.1,flush_cpu_time=inf",
+    "hpas.cpu_occupy:start=nan,duration=0.1,cpus=0",
+    "hpas.cpu_occupy:start=0,duration=inf,cpus=0",
+    "hpas.cpu_occupy:start=0,duration=0.1,cpus=0,utilization=0.5,period=nan",
+    "hpas.membw:start=0,duration=nan,bandwidth_gbs=12",
+    "hpas.membw:start=0,duration=0.1,bandwidth_gbs=inf",
+    "hpas.cache_thrash:start=nan,duration=0.1,cpus=0",
+    "hpas.cache_thrash:start=0,duration=0.1,cpus=0,bandwidth_gbs=nan",
+    "background:preset=hpc,intensity=nan",
+    "background:preset=hpc,intensity=inf",
+]
+
+
 def spec(**kw):
     defaults = dict(
         platform="intel-9700kf", workload="schedbench", model="omp", reps=2, seed=11
@@ -132,10 +186,24 @@ class TestRegistry:
         with pytest.raises(KeyError, match="io"):
             get_source_type("does-not-exist")
 
-    def test_every_kind_documents_cli_params(self):
+    def test_every_kind_declares_fields(self):
         for kind in available_sources():
-            params = get_source_type(kind).cli_params()
-            assert isinstance(params, dict) and params
+            fields = get_source_type(kind).fields
+            assert fields and all(len(row) == 4 and row[3] for row in fields)
+
+    def test_field_defaults_match_constructors(self):
+        # an omitted flag builds what the omitted keyword argument builds
+        targets = {
+            "background": BackgroundNoiseSource.preset,
+            "io": IoBurst,
+            "memory": MemoryNoiseEvent,
+        }
+        for kind in available_sources():
+            cls = get_source_type(kind)
+            signature = inspect.signature(targets.get(kind, cls))
+            for name, _, default, _ in cls.fields:
+                if default is not REQUIRED:
+                    assert signature.parameters[name].default == default, (kind, name)
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +334,17 @@ class TestComposedExecution:
         rs = run_experiment(s, noise=one_of_each()[kind], executor=SerialExecutor())
         assert [t.hex() for t in rs.times] == EXEC_TIME_PINS[kind]
 
+    @pytest.mark.parametrize("kind", sorted(EXEC_TIME_PINS))
+    def test_exec_times_pinned_on_a_pool(self, kind):
+        # each rep's source is pickled to its own worker process
+        from repro.harness.executor import ParallelExecutor
+
+        s = spec(workload="babelstream", workload_params={"iters": 12})
+        with ParallelExecutor(2, chunk_size=1) as ex:
+            rs = run_experiment(s, noise=one_of_each()[kind], executor=ex)
+            assert ex.stats()["pickle_chunks"] == 2
+        assert [t.hex() for t in rs.times] == EXEC_TIME_PINS[kind]
+
     def test_single_source_equivalent_to_stack_of_one(self):
         src = TraceReplaySource(tiny_config())
         a = run_experiment(spec(), noise=src)
@@ -333,6 +412,24 @@ class TestParseNoiseSpec:
         with pytest.raises(ValueError):
             parse_noise_spec("io:start")
 
+    def test_repeated_parameter_rejected(self):
+        with pytest.raises(ValueError, match="'start' given twice"):
+            parse_noise_spec("io:start=0,duration=1,start=5")
+
+    @pytest.mark.parametrize("flag", NON_FINITE_FLAGS)
+    def test_non_finite_number_rejected(self, flag):
+        with pytest.raises(ValueError, match="finite"):
+            parse_noise_spec(flag)
+
+    @pytest.mark.parametrize("flag", sorted(FLAG_PINS))
+    def test_flag_built_sources_pinned(self, flag, tmp_path):
+        path = tmp_path / "cfg.json"
+        tiny_config().save(path)
+        src = parse_noise_spec(flag.format(path=path))
+        digest = hashlib.sha256(src.to_json().encode()).hexdigest()[:16]
+        assert (src.spec_hash(), digest) == FLAG_PINS[flag]
+        assert source_from_json(src.to_json()).to_json() == src.to_json()
+
 
 # ----------------------------------------------------------------------
 # per-kind behaviour, driven through attach()/start()
@@ -359,6 +456,28 @@ def traced_busy(result, name):
     trace = result.trace
     sel = trace.source_ids == trace.sources.index(name)
     return sorted(set(trace.cpus[sel].tolist())), float(trace.durations[sel].sum())
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: IoBurst(start=NAN, duration=0.1),
+        lambda: IoBurst(start=0.0, duration=0.1, irq_rate=INF),
+        lambda: MemoryNoiseEvent(0.0, INF, 10.0),
+        lambda: HpasCpuOccupySource(start=NAN, duration=0.1, cpus=(0,)),
+        lambda: HpasMemoryBandwidthSource(start=0.0, duration=0.1, bandwidth_gbs=NAN),
+        lambda: HpasCacheThrashSource(start=0.0, duration=INF, cpus=(0,)),
+        lambda: BackgroundNoiseSource.preset("hpc", intensity=INF),
+    ],
+    ids=["io-start", "io-irq_rate", "memory-duration", "cpu_occupy-start",
+         "membw-bandwidth", "cache_thrash-duration", "background-intensity"],
+)
+def test_constructors_reject_non_finite_numbers(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 class TestIoSource:

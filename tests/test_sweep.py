@@ -56,7 +56,7 @@ class TestSweep:
     def test_uses_cache(self, base, cache):
         sweep(base, cache=cache, model=("omp",))
         sweep(base, cache=cache, model=("omp",))
-        assert cache.hits >= 1
+        assert cache.stats()["hits"] >= 1
 
     def test_thread_axis(self, base, cache):
         r = sweep(base, cache=cache, n_threads=(2, 8))

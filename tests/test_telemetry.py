@@ -203,8 +203,6 @@ class TestStatsShapes:
             "hits": 1, "misses": 1, "corrupt": 0, "stale": 0, "partial": 0,
             "integrity_quarantined": 0,
         }
-        # the historical attribute views stay readable
-        assert cache.hits == 1 and cache.misses == 1 and cache.corrupt == 0
 
     def test_executor_counters_surface_in_global_snapshot(self):
         failures = {"count": 0}

@@ -669,7 +669,10 @@ def _cmd_inject(args) -> int:
     if args.config is not None:
         from repro.core.config import NoiseConfig
 
-        config = NoiseConfig.load(args.config)
+        try:
+            config = NoiseConfig.load(args.config)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"repro-noise: --config {args.config}: {exc}")
         sources.insert(0, TraceReplaySource(config))
     if not sources:
         raise SystemExit("repro-noise: inject needs --config and/or at least one --noise")

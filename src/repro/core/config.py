@@ -135,9 +135,16 @@ class NoiseConfig:
 
     @classmethod
     def load(cls, path) -> "NoiseConfig":
-        """Read a configuration previously written by :meth:`save`."""
+        """Read a configuration previously written by :meth:`save`.
+
+        A file that holds no such configuration raises ``ValueError``.
+        """
         with open(path) as fh:
-            return cls.from_json(fh.read())
+            text = fh.read()
+        try:
+            return cls.from_json(text)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"not a noise configuration ({type(exc).__name__}: {exc})") from None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -81,6 +81,21 @@ deadline counts in ``chunk_timeouts`` only, so a hung chunk never
 re-runs in-process; once it has used its re-dispatches it goes
 terminal under the policy.
 
+Starting a range ahead
+----------------------
+:meth:`ParallelExecutor.start` submits a rep range's chunks before
+anyone asks for its results, so the pool keeps working while the
+caller finishes something else (a sweep starts its next cache miss
+behind the current one).  The started batch belongs to the thread
+that started it: only a ``run_rep_range`` call on that thread with an
+equal ``(spec, noise, indices, need_runs, policy)``, while the pool
+the batch went to is still the live one, adopts it, as the first
+round of the one dispatch loop, so recovery, deadlines and counters
+stay there.  A batch whose pool was retired is dropped and its range
+dispatches afresh at dispatch count 0; a batch nobody adopts must be
+cancelled (``cancel()`` on the handle ``start`` returns), which waits
+out its running chunks so none outlives the caller.
+
 Backend selection is spec-independent: ``--jobs N`` on the CLI or the
 ``REPRO_JOBS`` environment variable (default ``1``; ``0`` means one
 worker per CPU).  Chunk sizing follows ``--chunk-size`` /
@@ -96,6 +111,7 @@ import os
 import threading
 from abc import ABC, abstractmethod
 from concurrent.futures import TimeoutError as FuturesTimeout
+from concurrent.futures import wait as _wait_futures
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Iterator, Optional
@@ -242,6 +258,37 @@ def _run_rep_chunk(payload: tuple) -> tuple:
             _telemetry.worker_capture_end(token)
 
 
+class _StartedRange:
+    """A rep range whose chunks went to a pool ahead of its
+    ``run_rep_range`` call (see :meth:`ParallelExecutor.start`)."""
+
+    __slots__ = ("executor", "key", "pool", "chunks", "futures", "registry")
+
+    def __init__(self, executor, key, pool, chunks, futures, registry):
+        self.executor = executor
+        #: ``(spec, noise, indices, need_runs, policy)`` an adopting call must equal
+        self.key = key
+        self.pool = pool
+        self.chunks = chunks
+        self.futures = futures
+        #: the starting thread's unadopted batches, this one among them
+        self.registry = registry
+
+    def cancel(self) -> None:
+        """Drop the batch unless a call adopted it: cancel its queued
+        chunks and wait out the running ones (a chunk past its policy's
+        deadline retires the pool, as in the dispatch loop)."""
+        if self not in self.registry:
+            return  # adopted, or dropped with its retired pool
+        self.registry.remove(self)
+        for future in self.futures:
+            future.cancel()
+        policy = self.key[-1]
+        deadline = policy.chunk_deadline(max(len(c) for c in self.chunks))
+        if _wait_futures(self.futures, timeout=deadline).not_done:
+            self.executor._retire_pool(self.pool, broken=False)
+
+
 # ----------------------------------------------------------------------
 # backends
 # ----------------------------------------------------------------------
@@ -279,6 +326,16 @@ class Executor(ABC):
         consumers such as trace collection.  ``policy`` governs
         containment of failing reps (default: fail fast).
         """
+
+    def start(self, spec, noise, indices, need_runs=False, policy=None, parent=None):
+        """Start ``indices`` ahead of its :meth:`run_rep_range` call.
+
+        Returns a handle with a ``cancel()`` method, or ``None`` when
+        there is nothing to start: this backend runs a range in the
+        caller's process once asked.  ``parent`` is the telemetry span
+        the started chunks report under (default: the current span).
+        """
+        return None
 
     def _account(self, rep: RepResult) -> None:
         """Count a rep's retries and terminal failure."""
@@ -355,6 +412,11 @@ class ParallelExecutor(Executor):
     ``max_pool_breaks`` *consecutive* breakages — missed deadlines do
     not count — the loop finishes in-process (the pool infrastructure
     itself is deemed unhealthy).  All of it is counted in :meth:`stats`.
+
+    :meth:`start` puts a range's chunks into the pool ahead of its
+    ``run_rep_range`` call, which adopts them as its first round; only
+    the starting thread's equal call on the same live pool can (see
+    the module docstring).
     """
 
     #: consecutive pool breakages tolerated before degrading to serial
@@ -370,6 +432,8 @@ class ParallelExecutor(Executor):
         self._shared = False
         self._degraded = False
         self._consecutive_breaks = 0
+        #: per thread: the batches :meth:`start` submitted, not yet adopted
+        self._local = threading.local()
         #: recovery counters, kept in the telemetry registry (this is
         #: the registry entry ``stats()`` is a thin view over)
         self._counters = _telemetry.new_group("executor")
@@ -480,13 +544,68 @@ class ParallelExecutor(Executor):
         return out
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _submit(pool, futures, spec, noise, chunks, need_runs, policy, dispatches, parent):
+        """Submit one round of ``chunks`` to ``pool``, appending to ``futures``.
+
+        Telemetry context rides in the payload so worker spans parent
+        to ``parent``; None keeps the disabled path allocation-free in
+        the workers.
+        """
+        telem = {"parent": parent} if _telemetry.enabled() else None
+        for chunk in chunks:
+            payload = (spec, noise, chunk, need_runs, policy, dispatches, telem)
+            futures.append(pool.submit(_run_rep_chunk, payload))
+
+    def start(self, spec, noise, indices, need_runs=False, policy=None, parent=None):
+        policy = policy if policy is not None else DEFAULT_POLICY
+        if len(indices) <= 1 or self.jobs <= 1 or self._degraded:
+            return None  # run_rep_range will not use the pool either
+        if parent is None:
+            parent = _telemetry.current_span_id()
+        chunks = chunk_range(indices, self.jobs, self.chunk_size)
+        pool = self._ensure_pool()
+        futures = []
+        try:
+            self._submit(pool, futures, spec, noise, chunks, need_runs, policy, 0, parent)
+        except (BrokenProcessPool, RuntimeError):
+            # The range's own call meets the same failure and recovers.
+            for future in futures:
+                future.cancel()
+            return None
+        registry = self._local.__dict__.setdefault("started", [])
+        key = (spec, noise, indices, need_runs, policy)
+        batch = _StartedRange(self, key, pool, chunks, futures, registry)
+        registry.append(batch)
+        return batch
+
+    def _adopt(self, key) -> Optional[_StartedRange]:
+        """This thread's started batch for ``key`` on the live pool, if
+        any, taken out of the registry; batches whose pool was retired
+        are dropped on the way (the retirement ended their futures)."""
+        registry = self._local.__dict__.get("started")
+        if not registry:
+            return None
+        live = self._pool
+        for batch in list(registry):
+            if batch.pool is not live:
+                registry.remove(batch)
+            elif batch.key == key:
+                registry.remove(batch)
+                return batch
+        return None
+
     def run_rep_range(self, spec, noise, indices, need_runs=False, policy=None):
         policy = policy if policy is not None else DEFAULT_POLICY
         if len(indices) <= 1 or self.jobs <= 1:
             # Not worth a pool round-trip; the serial path is bit-identical.
             yield from self._run_serial(spec, noise, indices, need_runs, policy)
             return
-        chunks = chunk_range(indices, self.jobs, self.chunk_size)
+        started = self._adopt((spec, noise, indices, need_runs, policy))
+        if started is not None:
+            chunks = list(started.chunks)
+        else:
+            chunks = chunk_range(indices, self.jobs, self.chunk_size)
         # Chunks finish in order and a failed round re-dispatches every
         # unfinished one, so the unfinished chunks share one dispatch count.
         dispatches = 0
@@ -496,22 +615,21 @@ class ParallelExecutor(Executor):
                 rest = range(chunks[0].start, indices.stop)
                 yield from self._run_serial(spec, noise, rest, need_runs, policy, dispatches)
                 return
-            pool = self._ensure_pool()
-            # Telemetry context rides in the payload so worker spans
-            # parent to the dispatching span; None keeps the disabled
-            # path allocation-free in the workers.
-            telem = (
-                {"parent": _telemetry.current_span_id()} if _telemetry.enabled() else None
-            )
-            futures = []
             failed = False
-            try:
-                for chunk in chunks:
-                    payload = (spec, noise, chunk, need_runs, policy, dispatches, telem)
-                    futures.append(pool.submit(_run_rep_chunk, payload))
-            except (BrokenProcessPool, RuntimeError):
-                self._retire_pool(pool, broken=True)
-                failed = True
+            if started is not None:
+                # First round of a started range: its chunks are in flight.
+                pool, futures, started = started.pool, started.futures, None
+            else:
+                pool = self._ensure_pool()
+                futures = []
+                try:
+                    self._submit(
+                        pool, futures, spec, noise, chunks, need_runs, policy,
+                        dispatches, _telemetry.current_span_id(),
+                    )
+                except (BrokenProcessPool, RuntimeError):
+                    self._retire_pool(pool, broken=True)
+                    failed = True
             # In-order consumption streams completed chunks to the
             # caller while later chunks are still running (rep order is
             # chunk order).
@@ -543,6 +661,10 @@ class ParallelExecutor(Executor):
                     if dispatches < policy.retries:
                         break
                     reps_list = self._terminal_chunk(spec, chunks[0], policy)
+                except RepExecutionError:
+                    for future in futures[1:]:
+                        future.cancel()  # fail fast: the rest would be wasted
+                    raise
                 else:
                     _telemetry.absorb_worker(blob)
                     self._counters.inc("pickle_chunks")

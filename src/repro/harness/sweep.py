@@ -3,6 +3,12 @@
 A small grid-runner for exploratory studies beyond the pre-canned
 campaigns: vary any subset of :class:`ExperimentSpec` fields, run each
 combination (cached), and collect a tidy result table.
+
+On a process pool the grid points still run one at a time, but a cell
+boundary is no barrier: once a miss's chunks are in the pool, the
+next grid point's chunks go in behind them if that point is a
+fixed-rep miss too, and its own run adopts them (see
+:meth:`~repro.harness.executor.ParallelExecutor.start`).
 """
 
 from __future__ import annotations
@@ -35,6 +41,64 @@ _SWEEPABLE = {
     "anomaly_prob",
     "n_threads",
 }
+
+
+class _Lookahead:
+    """The executor a sweep's misses run on: it passes each range to
+    the sweep's executor and, once the range's first rep is back (its
+    chunks are all in the pool by then), starts the next grid point
+    if that point is a miss.  Hits never reach it, so an all-hit pass
+    looks nothing up twice."""
+
+    def __init__(self, executor, cache: ResultCache, noise, policy, parent):
+        self.executor = executor
+        self.cache = cache
+        self.noise = noise
+        self.policy = policy
+        #: the ``sweep`` span, which a started point's chunks report under
+        self.parent = parent
+        #: the grid point after the current one, and what was started for it
+        self.upcoming: Optional[ExperimentSpec] = None
+        self.started = None
+
+    def run_rep_range(self, spec, noise, indices, need_runs=False, policy=None):
+        if self.executor is None:
+            from repro.harness.executor import get_executor
+
+            self.executor = get_executor()
+        reps = self.executor.run_rep_range(spec, noise, indices, need_runs, policy)
+        for n, rep in enumerate(reps):
+            if n == 0 and self.upcoming is not None:
+                self._start_upcoming()
+            yield rep
+
+    def _start_upcoming(self) -> None:
+        upcoming, self.upcoming = self.upcoming, None
+        if upcoming.adaptive is not None or self.executor.jobs <= 1:
+            return  # an adaptive point's rep count is unknown until it stops
+        spec, stack, key = self.cache.resolve_cell(upcoming, self.noise)
+        if not self.cache.has_entry(key):
+            self.started = self.executor.start(
+                spec, stack, range(spec.reps), policy=self.policy, parent=self.parent
+            )
+
+    def get_or_run(self, spec: ExperimentSpec, upcoming: Optional[ExperimentSpec]) -> ResultSet:
+        """Run one grid point; then cancel what was started for it, if
+        its run did not adopt it (the point was a hit after all)."""
+        started, self.started, self.upcoming = self.started, None, upcoming
+        try:
+            return self.cache.get_or_run(
+                spec, noise=self.noise, executor=self, policy=self.policy
+            )
+        finally:
+            if started is not None:
+                started.cancel()
+
+    def close(self) -> None:
+        """Cancel the started point no grid point reached (the sweep raised)."""
+        if self.started is not None:
+            self.started.cancel()
+            self.started = None
 
 
 @dataclass
@@ -85,8 +149,12 @@ def sweep(
     sources).
 
     ``executor`` selects the execution backend for cache misses
-    (default: ``REPRO_JOBS``); grid points themselves run in order so
-    the result table is stable.
+    (default: ``REPRO_JOBS``).  Grid points are looked up, run and
+    stored one at a time in grid order, so the result table is stable;
+    on a process pool a miss's chunks are followed into the pool by
+    those of the next grid point when that point is a fixed-rep miss,
+    so workers do not idle at the cell boundary.  Results and cache
+    entries are the same bytes either way.
 
     ``service`` (a :class:`~repro.service.ServiceClient`) routes the
     whole grid through the campaign service instead: every point is
@@ -121,14 +189,14 @@ def sweep(
         return service.run_sweep(base, noise=noise, shard=shard, **axes)
     cache = cache if cache is not None else ResultCache()
     names = tuple(axes)
-    combos = list(itertools.product(*(axes[n] for n in names)))
-    points: list[tuple] = []
+    points = list(itertools.product(*(axes[n] for n in names)))
+    specs = [base.with_(**dict(zip(names, combo))) for combo in points]
     results: list[ResultSet] = []
-    with _telemetry.span("sweep", axes=",".join(names), points=len(combos)):
-        for combo in combos:
-            spec = base.with_(**dict(zip(names, combo)))
-            points.append(combo)
-            results.append(
-                cache.get_or_run(spec, noise=noise, executor=executor, policy=policy)
-            )
+    with _telemetry.span("sweep", axes=",".join(names), points=len(points)):
+        ahead = _Lookahead(executor, cache, noise, policy, _telemetry.current_span_id())
+        try:
+            for spec, upcoming in zip(specs, specs[1:] + [None]):
+                results.append(ahead.get_or_run(spec, upcoming))
+        finally:
+            ahead.close()
     return SweepResult(axes=names, points=points, results=results)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Optional
 
@@ -76,6 +77,23 @@ def _replay(machine: "Machine", config: NoiseConfig) -> AttachedSource:
     from repro.core.injector import NoiseInjector
 
     return _OnStart(NoiseInjector(config).launch, machine)
+
+
+def _whole(name: str, value) -> int:
+    """``value`` as an ``int`` if it is a whole number (``2`` and
+    ``2.0`` are); anything else, NaN and infinity included, raises a
+    ``ValueError`` naming the parameter instead of being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        pass
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not number.is_integer():  # also False for NaN and infinity
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(number)
 
 
 class _FlatSource(NoiseSource):
@@ -398,7 +416,7 @@ class HpasCpuOccupySource(_FlatSource):
     ):
         self.start = float(start)
         self.duration = float(duration)
-        self.cpus = tuple(int(c) for c in cpus)
+        self.cpus = tuple(_whole("cpus", c) for c in cpus)
         self.utilization = float(utilization)
         self.period = float(period)
         # NaN fails these comparisons too
@@ -451,7 +469,7 @@ class HpasMemoryBandwidthSource(_FlatSource):
         self.start = float(start)
         self.duration = float(duration)
         self.bandwidth_gbs = float(bandwidth_gbs)
-        self.streams = int(streams)
+        self.streams = _whole("streams", streams)
         if self.streams <= 0:
             raise ValueError("streams must be positive")
         # each event rejects a NaN or infinite start, duration or bandwidth
@@ -488,7 +506,7 @@ class HpasCacheThrashSource(_FlatSource):
     def __init__(self, start: float, duration: float, cpus: tuple[int, ...], bandwidth_gbs: float = 8.0):
         self.start = float(start)
         self.duration = float(duration)
-        self.cpus = tuple(int(c) for c in cpus)
+        self.cpus = tuple(_whole("cpus", c) for c in cpus)
         self.bandwidth_gbs = float(bandwidth_gbs)
         if not self.cpus:
             raise ValueError("need at least one target cpu")

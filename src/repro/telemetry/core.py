@@ -377,12 +377,18 @@ def worker_capture_begin(parent: Optional[str] = None) -> tuple:
     spans recorded during the capture parent to it.  Returns an opaque
     token for :func:`worker_capture_end`.  Forked workers inherit the
     parent's event buffer and counter values; the token records both
-    high-water marks so only *new* activity is flushed.
+    high-water marks so only *new* activity is flushed.  They also
+    inherit the spans the forking thread had open, which the capture
+    sets aside until its end: they would otherwise parent every chunk
+    to whatever span was open when the pool forked.
     """
     set_base_parent(parent)
+    stack = _stack()
+    inherited = stack[:]
+    stack.clear()
     with _events_lock:
         position = len(_events)
-    return position, counters_snapshot()
+    return position, counters_snapshot(), inherited
 
 
 def worker_capture_end(token: tuple) -> dict:
@@ -391,7 +397,8 @@ def worker_capture_end(token: tuple) -> dict:
     Returns the picklable blob that rides back on the chunk result
     (``{"events": [...], "counters": {ns: {name: delta}}}``).
     """
-    position, before = token
+    position, before, inherited = token
+    _stack()[:] = inherited
     with _events_lock:
         events = _events[position:]
         del _events[position:]

@@ -253,6 +253,44 @@ class TestPoolRecovery:
         assert not manager.is_alive()
 
 
+    def test_a_pool_break_takes_the_started_batch_with_it(self, tmp_path, monkeypatch):
+        """A sweep starts each next point behind the current one; the
+        last rep of every point kills its worker.  The started batch
+        goes with the retired pool, its point dispatches afresh at
+        dispatch count 0, and the grid matches the serial sweep bit for
+        bit with one pool break per point, as without the look-ahead."""
+        from repro.harness.sweep import sweep
+
+        base = ExperimentSpec(platform="intel-9700kf", workload="nbody", reps=12, seed=9)
+        grid = dict(strategy=("Rm", "TP", "RmHK2"))
+        serial = sweep(base, cache=ResultCache(tmp_path / "serial"),
+                       executor=SerialExecutor(), **grid)
+        monkeypatch.setenv("REPRO_CHAOS", "crash:46:0.1")  # spec seed 9: rep 11 only
+        rounds = []
+        submit = ParallelExecutor._submit
+
+        def spy(pool, futures, spec, noise, chunks, need_runs, policy, dispatches, parent):
+            rounds.append((spec.strategy, dispatches))
+            submit(pool, futures, spec, noise, chunks, need_runs, policy, dispatches, parent)
+
+        monkeypatch.setattr(ParallelExecutor, "_submit", staticmethod(spy))
+        ex = ParallelExecutor(2)
+        try:
+            pooled = sweep(base, cache=ResultCache(tmp_path / "pool"), executor=ex, **grid)
+        finally:
+            ex.close()
+        for a, b in zip(pooled.results, serial.results):
+            assert a.times.tobytes() == b.times.tobytes()
+        entries = {p.name: p.read_bytes() for p in (tmp_path / "serial").iterdir()}
+        assert {p.name: p.read_bytes() for p in (tmp_path / "pool").iterdir()} == entries
+        stats = ex.stats()
+        assert stats["pool_rebuilds"] == 3 and not stats["degraded"]
+        for strategy in ("TP", "RmHK2"):
+            # started (0), dropped with the pool, dispatched afresh (0), re-dispatched (1)
+            assert [d for s, d in rounds if s == strategy] == [0, 0, 1]
+        assert ex._local.started == []
+
+
 # ----------------------------------------------------------------------
 # cache corruption (torn-write salvage)
 # ----------------------------------------------------------------------

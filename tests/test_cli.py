@@ -100,6 +100,24 @@ class TestCommands:
         with pytest.raises(SystemExit, match="No such file"):
             main(["inject", "--noise", f"trace-replay:path={tmp_path / 'missing.json'}"])
 
+    def test_inject_reports_a_missing_config(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        with pytest.raises(SystemExit, match=r"^repro-noise: --config .*No such file"):
+            main(["inject", "--reps", "2", "--config", str(missing)])
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "text", ["{not json", "[]", '{"threads": [{"cpu": 0}]}', '{"threads": 3}']
+    )
+    def test_inject_reports_a_malformed_config(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        with pytest.raises(SystemExit, match=r"^repro-noise: --config "):
+            main(["inject", "--reps", "2", "--config", str(bad)])
+        with pytest.raises(SystemExit, match=r"^repro-noise: --noise "):
+            main(["inject", "--reps", "2", "--noise", f"trace-replay:path={bad}"])
+        assert capsys.readouterr().out == ""
+
     def test_inject_composes_heterogeneous_noise(self, tmp_path, capsys):
         """One invocation replays the worst case while composing I/O and
         memory interference on top — the unified-stack acceptance path."""

@@ -645,3 +645,31 @@ class TestHpasSources:
         ]
         with pytest.raises(ValueError):
             HpasCacheThrashSource(start=0.0, duration=0.5, cpus=())
+
+    @pytest.mark.parametrize("bad", [2.5, INF, NAN, "two", None])
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda v: HpasMemoryBandwidthSource(0.0, 1.0, 30.0, streams=v), "streams"),
+            (lambda v: HpasCacheThrashSource(0.0, 0.5, cpus=(1, v)), "cpus"),
+            (lambda v: HpasCpuOccupySource(0.0, 0.1, cpus=(v,)), "cpus"),
+        ],
+        ids=["membw.streams", "cache_thrash.cpus", "cpu_occupy.cpus"],
+    )
+    def test_counts_and_cpus_must_be_whole_numbers(self, build, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+            build(bad)
+
+    def test_integral_floats_key_as_their_ints(self):
+        pairs = [
+            (HpasMemoryBandwidthSource(0.0, 1.0, 30.0, streams=2.0),
+             HpasMemoryBandwidthSource(0.0, 1.0, 30.0, streams=2)),
+            (HpasCacheThrashSource(0.0, 0.5, cpus=(0.0, 3.0)),
+             HpasCacheThrashSource(0.0, 0.5, cpus=(0, 3))),
+            (HpasCpuOccupySource(0.0, 0.1, cpus=(np.int64(1), 2.0)),
+             HpasCpuOccupySource(0.0, 0.1, cpus=(1, 2))),
+        ]
+        for a, b in pairs:
+            assert a.to_json() == b.to_json() and a.spec_hash() == b.spec_hash()
+        assert type(pairs[0][0].streams) is int
+        assert all(type(c) is int for c in pairs[2][0].cpus)

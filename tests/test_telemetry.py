@@ -159,6 +159,20 @@ class TestCounters:
         assert blob["counters"]["capture-test"] == {"fresh": 2, "inherited": 1}
         assert blob["events"] == []
 
+    def test_worker_capture_sets_inherited_spans_aside(self):
+        """A worker forked while the parent had spans open inherits that
+        stack; the capture's spans parent to the dispatching span it was
+        given instead, and the stack is back when the capture ends."""
+        telemetry.configure(enabled=True)
+        with telemetry.span("open-at-fork") as outer:
+            token = telemetry.worker_capture_begin("dispatcher")
+            with telemetry.span("chunk"):
+                pass
+            blob = telemetry.worker_capture_end(token)
+            assert telemetry.current_span_id() == outer.id
+        [chunk] = blob["events"]
+        assert chunk["parent"] == "dispatcher"
+
     def test_absorb_worker_merges_into_shared_groups(self):
         telemetry.absorb_worker(
             {"events": [{"type": "span", "name": "w"}], "counters": {"eng": {"runs": 3}}}

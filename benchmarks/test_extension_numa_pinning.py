@@ -19,6 +19,7 @@ that boundary of the reproduction.
 
 from repro.core.collection import collect_traces
 from repro.core.config import generate_config
+from repro.core.pipeline import INJECT_SEED_OFFSET
 from repro.harness.experiment import ExperimentSpec
 from repro.harness.report import TableBuilder
 from repro.noise import TraceReplaySource
@@ -43,7 +44,7 @@ def _tp_vs_rm(settings, platform):
         s = spec.with_(strategy=strategy, anomaly_prob=0.0, seed=spec.seed + 17)
         base = settings.cache.get_or_run(s)
         inj = settings.cache.get_or_run(
-            s.with_(seed=s.seed + 1_000_003), noise=TraceReplaySource(config)
+            s.with_(seed=s.seed + INJECT_SEED_OFFSET), noise=TraceReplaySource(config)
         )
         deltas[strategy] = (inj.mean / base.mean - 1.0) * 100.0
     return deltas

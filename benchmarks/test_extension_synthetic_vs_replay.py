@@ -9,6 +9,7 @@ the delta-refined replay tracks it closely.
 from repro.core.accuracy import replication_accuracy
 from repro.core.collection import collect_traces
 from repro.core.config import generate_config
+from repro.core.pipeline import INJECT_SEED_OFFSET
 from repro.harness.experiment import ExperimentSpec
 from repro.harness.report import TableBuilder
 from repro.noise import HpasCpuOccupySource, TraceReplaySource
@@ -37,7 +38,7 @@ def test_extension_synthetic_vs_replay(benchmark, settings, publish):
         out = {"worst": coll.worst_exec_time, "budget": budget}
         for name, noise in (("replay", TraceReplaySource(replay_cfg)), ("synthetic", synthetic)):
             inj = settings.cache.get_or_run(
-                spec.with_(reps=0, anomaly_prob=None, seed=spec.seed + 1_000_003),
+                spec.with_(reps=0, anomaly_prob=None, seed=spec.seed + INJECT_SEED_OFFSET),
                 noise=noise,
             )
             out[name] = inj.mean

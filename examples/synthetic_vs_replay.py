@@ -14,6 +14,7 @@ Run:  python examples/synthetic_vs_replay.py
 
 from repro import ExperimentSpec, NoiseInjectionPipeline, run_experiment
 from repro.core.accuracy import replication_accuracy
+from repro.core.pipeline import INJECT_SEED_OFFSET
 from repro.harness.report import TableBuilder
 from repro.noise import HpasCpuOccupySource, TraceReplaySource
 
@@ -47,7 +48,7 @@ table = TableBuilder(["injector", "injected (s)", "delta vs baseline", "vs anoma
 for name, noise in (("trace replay", TraceReplaySource(replay_config)),
                     ("HPAS-style synthetic", synthetic)):
     injected = run_experiment(
-        spec.with_(reps=10, anomaly_prob=0.0, seed=spec.seed + 1_000_003),
+        spec.with_(reps=10, anomaly_prob=0.0, seed=spec.seed + INJECT_SEED_OFFSET),
         noise=noise,
     )
     delta = (injected.mean / baseline.mean - 1.0) * 100.0

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from repro import ExperimentSpec, NoiseConfig, collect_traces, generate_config, run_experiment
 from repro.core.accuracy import replication_accuracy
+from repro.core.pipeline import INJECT_SEED_OFFSET
 from repro.noise import TraceReplaySource
 
 workdir = Path(tempfile.mkdtemp(prefix="repro-replay-"))
@@ -57,7 +58,7 @@ for strategy in ("Rm", "RmHK"):
     s = spec.with_(strategy=strategy, reps=10, anomaly_prob=0.0, seed=91)
     baseline = run_experiment(s)
     injected = run_experiment(
-        s.with_(seed=spec.seed + 1_000_003), noise=TraceReplaySource(loaded)
+        s.with_(seed=spec.seed + INJECT_SEED_OFFSET), noise=TraceReplaySource(loaded)
     )
     delta = (injected.mean / baseline.mean - 1.0) * 100.0
     line = (

@@ -94,13 +94,6 @@ def _jobs_arg(value: str) -> int:
     return n
 
 
-def _chunk_size_arg(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return n
-
-
 def _adaptive_ci_arg(value: str) -> float:
     x = float(value)
     if not x > 0.0:
@@ -115,14 +108,6 @@ def _add_exec_args(p: argparse.ArgumentParser) -> None:
         default=None,
         help="worker processes for repetitions (default: $REPRO_JOBS or 1; "
         "0 = one per CPU; results are bit-identical at any worker count)",
-    )
-    p.add_argument(
-        "--chunk-size",
-        type=_chunk_size_arg,
-        default=None,
-        metavar="N",
-        help="reps per dispatched chunk (default: $REPRO_CHUNK_SIZE or "
-        "automatic ~4 chunks per worker; any size yields identical results)",
     )
     p.add_argument(
         "--adaptive-ci",
@@ -220,9 +205,7 @@ def _executor_from(args):
     from repro.harness.executor import get_executor
 
     try:
-        return get_executor(
-            getattr(args, "jobs", None), chunk_size=getattr(args, "chunk_size", None)
-        )
+        return get_executor(getattr(args, "jobs", None))
     except ValueError as exc:
         raise SystemExit(f"repro-noise: {exc}")
 
@@ -503,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_service_args(sp)
     sp.add_argument(
         "--older-than",
-        type=float,
         default=None,
         metavar="SECONDS",
         help="retention window (default: $REPRO_PRUNE_S or 7 days; 0 "
@@ -661,6 +643,7 @@ def _cmd_configure(args) -> int:
 
 
 def _cmd_inject(args) -> int:
+    from repro.core.pipeline import INJECT_SEED_OFFSET
     from repro.harness.experiment import run_experiment
     from repro.noise import NoiseStack, TraceReplaySource
 
@@ -682,7 +665,7 @@ def _cmd_inject(args) -> int:
     policy = _policy_from(args)
     baseline = run_experiment(spec, executor=executor, policy=policy)
     injected = run_experiment(
-        spec.with_(seed=spec.seed + 1_000_003),
+        spec.with_(seed=spec.seed + INJECT_SEED_OFFSET),
         noise=stack,
         executor=executor,
         policy=policy,
@@ -743,7 +726,6 @@ def _artefact_settings(args, **extra):
     return campaigns.CampaignSettings(
         seed=args.seed,
         jobs=args.jobs,
-        chunk_size=args.chunk_size,
         adaptive=_adaptive_from(args),
         **extra,
     )
@@ -773,6 +755,7 @@ def _demo_figure(number: int, seed: int) -> None:
     """Figures 3–6 are structural illustrations; render live examples."""
     from repro.core.collection import collect_traces
     from repro.core.config import generate_config
+    from repro.core.pipeline import INJECT_SEED_OFFSET
     from repro.core.refine import refine_worst_case
     from repro.harness.experiment import ExperimentSpec, run_experiment
     from repro.noise import TraceReplaySource
@@ -801,7 +784,7 @@ def _demo_figure(number: int, seed: int) -> None:
     if number == 6:
         print("Figure 6: injector processing overview")
         injected = run_experiment(
-            spec.with_(seed=seed + 1_000_003, reps=5), noise=TraceReplaySource(config)
+            spec.with_(seed=seed + INJECT_SEED_OFFSET, reps=5), noise=TraceReplaySource(config)
         )
         print(
             f"  spawned {config.n_cpus} injector processes, "
@@ -827,19 +810,40 @@ def _cmd_campaign(args) -> int:
     return 0
 
 
+def _queue_path(args):
+    """``--queue``, else ``$REPRO_SERVICE_QUEUE``, else
+    ``.repro_service/queue.sqlite``."""
+    import os
+    from pathlib import Path
+
+    return Path(
+        args.queue or os.environ.get("REPRO_SERVICE_QUEUE", ".repro_service/queue.sqlite")
+    )
+
+
 def _service_parts(args):
     """Queue + store + client from the common ``--queue/--store`` flags."""
-    import os
     from pathlib import Path
 
     from repro.service import JobQueue, ServiceClient, SharedResultStore
 
-    queue_path = args.queue or os.environ.get(
-        "REPRO_SERVICE_QUEUE", ".repro_service/queue.sqlite"
-    )
-    queue = JobQueue(Path(queue_path))
+    queue = JobQueue(_queue_path(args))
     store = SharedResultStore(Path(args.store) if args.store else None)
     return queue, store, ServiceClient(queue, store)
+
+
+def _prune(queue, older_than=None) -> int:
+    """``queue.prune`` over ``--older-than`` (text, or None for
+    ``$REPRO_PRUNE_S``); a bad window exits with a ``repro-noise:``
+    line that names the flag or the variable."""
+    from repro.service.queue import retention_window
+
+    try:
+        if older_than is not None:
+            older_than = retention_window(older_than, "--older-than")
+        return queue.prune(older_than)
+    except ValueError as exc:
+        raise SystemExit(f"repro-noise: {exc}")
 
 
 def _sweep_axis(text: str) -> tuple[str, list]:
@@ -975,7 +979,7 @@ def _cmd_service(args) -> int:
             and done >= 0
             and not getattr(args, "keep_finished", False)
         ):
-            pruned = queue.prune()
+            pruned = _prune(queue)
             if pruned:
                 print(f"pruned {pruned} finished job row(s) past retention")
         return 0 if done >= 0 else 130
@@ -1112,7 +1116,7 @@ def _cmd_service(args) -> int:
             return 0
 
     if args.action == "prune":
-        pruned = queue.prune(args.older_than)
+        pruned = _prune(queue, args.older_than)
         print(f"pruned {pruned} finished job row(s) from {queue.path}")
         return 0
 
@@ -1180,7 +1184,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_telemetry(args) -> int:
-    import os
     from pathlib import Path
 
     from repro import telemetry
@@ -1188,10 +1191,7 @@ def _cmd_telemetry(args) -> int:
     if args.action == "stitch":
         from repro.service import JobQueue, stitch_trace
 
-        queue_path = Path(
-            args.queue
-            or os.environ.get("REPRO_SERVICE_QUEUE", ".repro_service/queue.sqlite")
-        )
+        queue_path = _queue_path(args)
         if not queue_path.exists():
             raise SystemExit(
                 f"repro-noise: no service queue at {queue_path} (pass --queue, "

@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.executor import Executor
     from repro.harness.faults import FaultPolicy
 
-__all__ = ["PipelineResult", "NoiseInjectionPipeline"]
+__all__ = ["PipelineResult", "NoiseInjectionPipeline", "INJECT_SEED_OFFSET"]
 
 
 @dataclass
@@ -80,6 +80,12 @@ class PipelineResult:
             f"config: {self.config.n_events} events on {self.config.n_cpus} CPUs, "
             f"{self.config.total_busy_time() * 1e3:.1f}ms busy"
         )
+
+
+#: added to a spec's seed for its injected runs (:meth:`NoiseInjectionPipeline.inject`
+#: and every campaign cell that replays a config), so they draw a seed
+#: stream apart from the baseline's and see fresh inherent noise
+INJECT_SEED_OFFSET = 1_000_003
 
 
 class NoiseInjectionPipeline:
@@ -170,7 +176,7 @@ class NoiseInjectionPipeline:
             spec = spec.with_(reps=self.inject_reps)
         # Different seed stream than collection, so injection runs see
         # fresh inherent noise (the paper's uncontrollable residual).
-        spec = spec.with_(seed=spec.seed + 1_000_003)
+        spec = spec.with_(seed=spec.seed + INJECT_SEED_OFFSET)
         stack = NoiseStack([TraceReplaySource(config), *self.extra_noise])
         with _telemetry.span("inject", spec=spec.label()):
             return run_experiment(

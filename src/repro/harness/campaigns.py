@@ -32,6 +32,7 @@ from repro.core.accuracy import signed_replication_error
 from repro.core.collection import collect_traces
 from repro.core.config import NoiseConfig, generate_config
 from repro.core.merge import MergeStrategy
+from repro.core.pipeline import INJECT_SEED_OFFSET
 from repro.harness.adaptive import AdaptivePolicy
 from repro.harness.cache import ResultCache
 from repro.harness.experiment import ExperimentSpec
@@ -109,9 +110,6 @@ class CampaignSettings:
     collect_reps: int = 0          # per collection batch; 0 → env default
     collect_batches: int = 5
     jobs: Optional[int] = None
-    #: reps per dispatched chunk (None → ``REPRO_CHUNK_SIZE`` or auto);
-    #: chunking never affects results, only dispatch granularity
-    chunk_size: Optional[int] = None
     cache: ResultCache = field(default_factory=ResultCache)
     fault_policy: Optional["FaultPolicy"] = None
     #: CI-driven early stopping applied to every cell the campaign runs
@@ -137,7 +135,7 @@ class CampaignSettings:
 
         if self.service is not None:
             self.cache = self.service.store
-        self.executor = get_executor(self.jobs, chunk_size=self.chunk_size)
+        self.executor = get_executor(self.jobs)
 
     def resolved_collect_reps(self) -> int:
         """Collection batch size with environment default applied."""
@@ -523,7 +521,7 @@ def injection_table(
                 )
                 base = settings.submit_or_run(spec)
                 inj = settings.submit_or_run(
-                    spec.with_(seed=seed + 1_000_003), noise=TraceReplaySource(_cfg)
+                    spec.with_(seed=seed + INJECT_SEED_OFFSET), noise=TraceReplaySource(_cfg)
                 )
                 return strat, base, inj
 

@@ -82,17 +82,15 @@ def rep_seed(seed: int, index: int) -> np.random.SeedSequence:
 def shard_ranges(reps: int, shard: int) -> list[range]:
     """Deterministic rep-slice boundaries for sharding a cell.
 
-    Exactly the :func:`~repro.harness.executor.chunk_range` partition
-    with an explicit chunk size — fixed ``shard``-rep slices in index
-    order — so a cell split across service workers is carved the same
-    way an in-process executor would carve it, and any transport can
-    recompute the boundaries from ``(reps, shard)`` alone.
+    The :func:`~repro.harness.executor.chunk_range` partition into
+    ``shard``-rep slices in index order, so any transport can recompute
+    the boundaries from ``(reps, shard)`` alone.
     """
     from repro.harness.executor import chunk_range
 
     if reps < 1:
         raise ValueError(f"shard_ranges needs reps >= 1, got {reps}")
-    return chunk_range(range(reps), 1, chunk_size=shard)
+    return chunk_range(range(reps), shard)
 
 
 # ----------------------------------------------------------------------

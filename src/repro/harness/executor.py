@@ -47,7 +47,7 @@ and is always 0.
 Worker-invariant determinism contract
 -------------------------------------
 ``times[i]`` and ``anomalies[i]`` are bit-identical for ``jobs=1``,
-``jobs=4``, and any chunk size.  This holds by construction: rep ``i``
+``jobs=4``, and any chunk partition.  This holds by construction: rep ``i``
 always draws from ``SeedSequence(spec.seed, spawn_key=(i,))`` — exactly
 the ``i``-th child of ``SeedSequence(spec.seed).spawn(reps)`` — and the
 chunk map preserves index order.  ``tests/test_executor.py`` enforces
@@ -98,8 +98,10 @@ out its running chunks so none outlives the caller.
 
 Backend selection is spec-independent: ``--jobs N`` on the CLI or the
 ``REPRO_JOBS`` environment variable (default ``1``; ``0`` means one
-worker per CPU).  Chunk sizing follows ``--chunk-size`` /
-``REPRO_CHUNK_SIZE`` (default: automatic, ~4 chunks per worker).
+worker per CPU).  The chunk size is derived, not set: a range of ``n``
+reps goes out in chunks of ``ceil(n / (jobs * 4))``, about four per
+worker, so a slow chunk does not straggle the whole range.  No
+partition changes a result, so there is nothing to tune per caller.
 """
 
 from __future__ import annotations
@@ -140,7 +142,6 @@ __all__ = [
     "SerialExecutor",
     "ParallelExecutor",
     "resolve_jobs",
-    "resolve_chunk_size",
     "get_executor",
     "chunk_range",
 ]
@@ -151,54 +152,19 @@ _log = logging.getLogger(__name__)
 # ----------------------------------------------------------------------
 # chunking primitives
 # ----------------------------------------------------------------------
-def resolve_chunk_size(chunk_size: Optional[int] = None) -> Optional[int]:
-    """Chunk size from an explicit value or ``REPRO_CHUNK_SIZE``.
+def chunk_range(indices: range, size: int) -> list[range]:
+    """Partition a step-1 index range into consecutive ``size``-rep
+    slices in index order (the last may be shorter).
 
-    ``None`` reads the environment; unset or ``0`` selects the
-    automatic ~4-chunks-per-worker default (returned as ``None``).
-    Anything else — argument or environment — must be ``>= 1``; the
-    environment error names the variable (via ``env_int``).
+    A pure partition: an empty range yields no chunks and a ``size``
+    past the range's length yields one.  ``size < 1`` and a non-unit
+    step raise.
     """
-    if chunk_size is None:
-        from repro.harness.experiment import env_int
-
-        value = env_int("REPRO_CHUNK_SIZE", 0)
-        if value == 0:
-            return None
-        if value < 0:
-            raise ValueError(
-                f"REPRO_CHUNK_SIZE must be >= 1 (or 0 for automatic sizing), got {value}"
-            )
-        return value
-    chunk_size = int(chunk_size)
-    if chunk_size < 1:
-        raise ValueError(f"chunk size must be >= 1, got {chunk_size}")
-    return chunk_size
-
-
-def chunk_range(
-    indices: range, jobs: int, chunk_size: Optional[int] = None
-) -> list[range]:
-    """Partition a contiguous index range into dispatch chunks.
-
-    The default size targets ~4 chunks per worker so a slow chunk does
-    not straggle the whole experiment; any size yields identical
-    results (determinism is per-rep, not per-chunk).  Degenerate
-    inputs fail loudly: ``jobs <= 0`` and ``chunk_size < 1`` raise,
-    an empty range yields no chunks, and ``chunk_size > len(indices)``
-    simply produces a single chunk.
-    """
-    if jobs <= 0:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if size < 1:
+        raise ValueError(f"chunk size must be >= 1, got {size}")
     if indices.step != 1:
         raise ValueError(f"rep indices must be a step-1 range, got step {indices.step}")
-    n = len(indices)
-    if n == 0:
-        return []
-    chunk_size = resolve_chunk_size(chunk_size)
-    if chunk_size is None:
-        chunk_size = max(1, -(-n // (jobs * 4)))
-    return [indices[lo : lo + chunk_size] for lo in range(0, n, chunk_size)]
+    return [indices[lo : lo + size] for lo in range(0, len(indices), size)]
 
 
 def _run_rep_chunk(payload: tuple) -> tuple:
@@ -422,11 +388,10 @@ class ParallelExecutor(Executor):
     #: consecutive pool breakages tolerated before degrading to serial
     max_pool_breaks: int = 3
 
-    def __init__(self, jobs: int, chunk_size: Optional[int] = None):
+    def __init__(self, jobs: int):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = int(jobs)
-        self.chunk_size = resolve_chunk_size(chunk_size)
         self._pool = None
         self._lock = threading.Lock()
         self._shared = False
@@ -544,6 +509,10 @@ class ParallelExecutor(Executor):
         return out
 
     # ------------------------------------------------------------------
+    def _chunks(self, indices: range) -> list[range]:
+        """``indices`` in about four chunks per worker."""
+        return chunk_range(indices, max(1, -(-len(indices) // (self.jobs * 4))))
+
     @staticmethod
     def _submit(pool, futures, spec, noise, chunks, need_runs, policy, dispatches, parent):
         """Submit one round of ``chunks`` to ``pool``, appending to ``futures``.
@@ -563,7 +532,7 @@ class ParallelExecutor(Executor):
             return None  # run_rep_range will not use the pool either
         if parent is None:
             parent = _telemetry.current_span_id()
-        chunks = chunk_range(indices, self.jobs, self.chunk_size)
+        chunks = self._chunks(indices)
         pool = self._ensure_pool()
         futures = []
         try:
@@ -605,7 +574,7 @@ class ParallelExecutor(Executor):
         if started is not None:
             chunks = list(started.chunks)
         else:
-            chunks = chunk_range(indices, self.jobs, self.chunk_size)
+            chunks = self._chunks(indices)
         # Chunks finish in order and a failed round re-dispatches every
         # unfinished one, so the unfinished chunks share one dispatch count.
         dispatches = 0
@@ -739,24 +708,18 @@ def _close_shared() -> None:
     _shared.clear()
 
 
-def get_executor(
-    jobs: Optional[int] = None, chunk_size: Optional[int] = None
-) -> Executor:
+def get_executor(jobs: Optional[int] = None) -> Executor:
     """Backend for ``jobs`` workers (``None`` → ``REPRO_JOBS``).
 
     Parallel backends are pooled per worker count and *shared*: their
     ``close()`` is a no-op (other callers may still hold the same
     instance), and the warm pool is torn down at interpreter exit.
-    An explicit ``chunk_size`` is applied to the shared instance —
-    chunking never affects results, only dispatch granularity.
     """
     n = resolve_jobs(jobs)
     if n <= 1:
         return SerialExecutor()
     ex = _shared.get(n)
     if ex is None:
-        ex = _shared[n] = ParallelExecutor(n, chunk_size=chunk_size)
+        ex = _shared[n] = ParallelExecutor(n)
         ex._shared = True
-    elif chunk_size is not None:
-        ex.chunk_size = resolve_chunk_size(chunk_size)
     return ex

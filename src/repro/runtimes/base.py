@@ -222,7 +222,7 @@ class TeamRuntime(abc.ABC):
         machine = self.machine
         now = machine.engine.now
         mem_demand = float(region.mem_demand)
-        done = self._static_thread_done
+        done = self._barrier_arrival
         pending = 0
         for t, w in zip(self.team, shares):
             if w <= 0.0:
@@ -255,7 +255,9 @@ class TeamRuntime(abc.ABC):
             return
         machine.scheduler.refresh_many(self.team)
 
-    def _static_thread_done(self, task: Task) -> None:
+    def _barrier_arrival(self, task: Task) -> None:
+        """A thread of a static partition or a pool's straggler reached
+        the region's barrier; the last arrival schedules the join."""
         task.on_complete = None
         self._pending -= 1
         if self._pending == 0:
@@ -287,7 +289,7 @@ class TeamRuntime(abc.ABC):
             self._pending = 0
             for t in blocked:
                 self._pending += 1
-                t.on_complete = self._straggler_done
+                t.on_complete = self._barrier_arrival
                 scheduler.assign_work(t, self._pool_tail * 0.5, mem_demand=self._pool_mem)
             scheduler.refresh_many(blocked)
             return
@@ -297,14 +299,6 @@ class TeamRuntime(abc.ABC):
         n = max(1, len(self.team))
         delay = self._pool_tail * (n - 1) / n + self.barrier_cost(n)
         self.machine.engine.schedule_after(delay, self._after_region)
-
-    def _straggler_done(self, task: Task) -> None:
-        task.on_complete = None
-        self._pending -= 1
-        if self._pending == 0:
-            self.machine.engine.schedule_after(
-                self.barrier_cost(len(self.team)), self._after_region
-            )
 
     # ------------------------------------------------------------------
     # model knobs (subclass overrides)

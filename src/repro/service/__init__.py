@@ -8,9 +8,9 @@ service many clients can share:
   and attempt caps; jobs are keyed by the cell's content-hash result
   key, so identical submissions from different clients coalesce into
   one job.
-* :class:`~repro.service.scheduler.Scheduler` — ranks queued cells by
-  priority, aging, expected runtime (the resolved-context duration
-  estimate), and cache-hit probability.
+* :mod:`~repro.service.scheduler` — the one lease order: queued cells
+  ranked by priority, aging, expected runtime (the resolved-context
+  duration estimate), cache-hit probability, shard progress and hazard.
 * :class:`~repro.service.store.SharedResultStore` — the
   :class:`~repro.harness.cache.ResultCache` generalised for concurrent
   multi-process access: per-key file locks serialise the
@@ -70,7 +70,6 @@ from repro.service.fsck import FsckReport, fsck
 from repro.service.monitor import campaign_progress, render_top, stitch_trace
 from repro.service.notify import NotifyChannel, Subscription, notify_enabled
 from repro.service.queue import Job, JobQueue, WorkerInfo
-from repro.service.scheduler import Scheduler, SchedulerWeights
 from repro.service.store import SharedResultStore
 from repro.service.supervisor import Supervisor, WorkerSlot
 from repro.service.worker import Worker
@@ -82,8 +81,6 @@ __all__ = [
     "NotifyChannel",
     "Subscription",
     "notify_enabled",
-    "Scheduler",
-    "SchedulerWeights",
     "SharedResultStore",
     "ServiceClient",
     "Supervisor",

@@ -84,6 +84,7 @@ latency, never correctness.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import sqlite3
@@ -97,6 +98,7 @@ from typing import Callable, Optional, Sequence
 from repro import telemetry as _telemetry
 from repro.harness.faults import FailureRecord
 from repro.service.notify import NotifyChannel
+from repro.service.scheduler import rank
 
 __all__ = [
     "Job",
@@ -107,6 +109,7 @@ __all__ = [
     "DEFAULT_RETENTION_S",
     "DEFAULT_LOST_AFTER_S",
     "POISON_DEATHS",
+    "retention_window",
 ]
 
 #: lease dispatches (not rep retries) a job gets before it is failed
@@ -129,6 +132,20 @@ _telemetry.set_counter_help(
     "durable job-queue activity this process saw (busy retries, pruned "
     "rows); lifecycle totals are counted from the queue's events table",
 )
+
+
+def retention_window(value, name: str) -> float:
+    """``value`` (a number or its text) as a retention window in
+    seconds.  NaN, infinities, negatives and non-numbers raise a
+    ``ValueError`` naming ``name``, where the value came from."""
+    try:
+        seconds = float(value)
+    except ValueError:
+        seconds = math.nan
+    if not 0.0 <= seconds < math.inf:
+        raise ValueError(f"{name} must be a finite number of seconds >= 0, got {value!r}")
+    return seconds
+
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
@@ -784,18 +801,15 @@ class JobQueue:
         owner: str,
         limit: int = 1,
         lease_s: float = DEFAULT_LEASE_S,
-        scheduler=None,
     ) -> list[Job]:
         """Atomically claim up to ``limit`` queued jobs for ``owner``.
 
         Expired leases are swept first, so a dead worker's jobs become
-        claimable here without any separate reaper process.  Candidate
-        order is the :class:`~repro.service.scheduler.Scheduler`'s
-        ranking when one is supplied, else FIFO by submission time
-        (deterministically tie-broken by key either way).  Chunk
+        claimable here without any separate reaper process.  Candidates
+        go in :func:`repro.service.scheduler.rank` order.  Chunk
         sub-jobs carry ``siblings_active`` (leased + done siblings) so
-        the scheduler can prefer finishing in-flight cells, and every
-        job carries ``dead_workers`` for the scheduler's hazard term.
+        the ranking can prefer finishing in-flight cells, and every job
+        carries ``dead_workers`` for its hazard term.
         """
         now = time.time()
 
@@ -825,9 +839,7 @@ class JobQueue:
                 for job in jobs:
                     if job.parent is not None:
                         job.siblings_active = progress.get(job.parent, 0)
-            if scheduler is not None:
-                jobs = scheduler.rank(jobs, now)
-            claimed = jobs[: max(0, limit)]
+            claimed = rank(jobs, now)[: max(0, limit)]
             for job in claimed:
                 conn.execute(
                     "UPDATE jobs SET status = 'leased', lease_owner = ?,"
@@ -1262,17 +1274,21 @@ class JobQueue:
         window; returns how many rows went.
 
         The default window comes from ``REPRO_PRUNE_S`` (seconds; unset
-        means 7 days).  Chunk children go with their parent; a parent is
-        only pruned once none of its children are queued or leased.
+        means 7 days).  A window that is NaN, infinite, negative or not
+        a number raises ``ValueError``.  Chunk children go with their
+        parent; a parent is only pruned once none of its children are
+        queued or leased.
         Results are untouched — they live in the store under the same
         key, so a pruned cell is still collectable and a re-submission
         is served without re-simulation.  Sweep records are kept (a few
         bytes each) so old sweeps remain renderable from the store.
         """
         if older_than_s is None:
-            raw = os.environ.get("REPRO_PRUNE_S", "")
-            older_than_s = float(raw) if raw else DEFAULT_RETENTION_S
-        cutoff = time.time() - max(0.0, older_than_s)
+            raw = os.environ.get("REPRO_PRUNE_S", "").strip()
+            older_than_s = retention_window(raw, "REPRO_PRUNE_S") if raw else DEFAULT_RETENTION_S
+        else:
+            older_than_s = retention_window(older_than_s, "older_than_s")
+        cutoff = time.time() - older_than_s
 
         def body(conn: sqlite3.Connection) -> int:
             keys = [

@@ -3,12 +3,16 @@
 Scoring is a pure function of the job row and the clock, so the
 ranking is reproducible from the queue database alone::
 
-    score = priority * w.priority
-          + age_s    * w.aging
-          - expected_s * w.runtime
-          + (1 if store had the key at submit) * w.cache_hit
-          + (1 if a chunk of an in-flight cell)  * w.shard_progress
-          - dead_workers * w.hazard
+    score = priority * PRIORITY
+          + age_s    * AGING
+          - expected_s * RUNTIME
+          + (1 if store had the key at submit) * CACHE_HIT
+          + (1 if a chunk of an in-flight cell)  * SHARD_PROGRESS
+          - dead_workers * HAZARD
+
+The weights are fixed module constants (score units are arbitrary;
+only differences matter), and :meth:`JobQueue.lease
+<repro.service.queue.JobQueue.lease>` always leases in this order.
 
 * **priority** — client-assigned urgency, the dominant term;
 * **aging** — seconds since submission, so starved low-priority work
@@ -32,75 +36,61 @@ ranking is reproducible from the queue database alone::
   die confirming it before the dead-letter quarantine trips.
 
 Ties break deterministically by submission time then key, so two
-schedulers over the same snapshot produce the same order.  Scheduling
+rankings of the same snapshot give the same order.  Scheduling
 affects *when* a cell runs, never *what* it computes — results are
 content-keyed and bit-identical in any execution order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.service.queue import Job
 
-__all__ = ["Scheduler", "SchedulerWeights"]
+__all__ = ["score", "rank"]
+
+#: per unit of client-assigned priority
+PRIORITY = 100.0
+#: per second of queue age — a cell gains one priority unit's worth of
+#: score every ``PRIORITY / AGING`` seconds of waiting
+AGING = 1.0
+#: per second of expected runtime (subtracted: shortest-first)
+RUNTIME = 10.0
+#: flat bonus for cells already present in the shared store
+CACHE_HIT = 1000.0
+#: flat bonus for chunk sub-jobs whose cell is already in flight (some
+#: sibling chunk leased or done) — finish before starting.  Below
+#: ``CACHE_HIT`` (store-served cells stay near-free) and above five
+#: priority units, so only an explicitly urgent fresh cell preempts
+#: completing a half-done one.
+SHARD_PROGRESS = 500.0
+#: penalty per *distinct worker* a job has already killed mid-lease —
+#: suspected-poisonous work runs after healthy work, so a bad cell takes
+#: out the fleet as late and as rarely as possible.  Scaled like
+#: ``SHARD_PROGRESS`` so one death roughly cancels the in-flight bonus
+#: and outweighs five priority units.
+HAZARD = 500.0
 
 
-@dataclass(frozen=True)
-class SchedulerWeights:
-    """Relative weights of the five scoring terms (score units are
-    arbitrary; only differences matter)."""
-
-    #: per unit of client-assigned priority
-    priority: float = 100.0
-    #: per second of queue age — a cell gains one priority unit's worth
-    #: of score every ``priority / aging`` seconds of waiting
-    aging: float = 1.0
-    #: per second of expected runtime (subtracted: shortest-first)
-    runtime: float = 10.0
-    #: flat bonus for cells already present in the shared store
-    cache_hit: float = 1000.0
-    #: flat bonus for chunk sub-jobs whose cell is already in flight
-    #: (some sibling chunk leased or done) — finish before starting.
-    #: Below ``cache_hit`` (store-served cells stay near-free) and above
-    #: five priority units, so only an explicitly urgent fresh cell
-    #: preempts completing a half-done one.
-    shard_progress: float = 500.0
-    #: penalty per *distinct worker* a job has already killed mid-lease
-    #: — suspected-poisonous work runs after healthy work, so a bad cell
-    #: takes out the fleet as late and as rarely as possible.  Scaled
-    #: like ``shard_progress`` so one death roughly cancels the
-    #: in-flight bonus and outweighs five priority units.
-    hazard: float = 500.0
-
-
-class Scheduler:
-    """Deterministic scorer/ranker over queued jobs."""
-
-    def __init__(self, weights: SchedulerWeights | None = None):
-        self.weights = weights if weights is not None else SchedulerWeights()
-
-    def score(self, job: "Job", now: float) -> float:
-        w = self.weights
-        age = max(0.0, now - job.submitted_at)
-        return (
-            job.priority * w.priority
-            + age * w.aging
-            - job.expected_s * w.runtime
-            + (w.cache_hit if job.cached else 0.0)
-            + (
-                w.shard_progress
-                if job.parent is not None and job.siblings_active > 0
-                else 0.0
-            )
-            - job.dead_workers * w.hazard
+def score(job: "Job", now: float) -> float:
+    """``job``'s lease score at wall time ``now`` (higher leases first)."""
+    age = max(0.0, now - job.submitted_at)
+    return (
+        job.priority * PRIORITY
+        + age * AGING
+        - job.expected_s * RUNTIME
+        + (CACHE_HIT if job.cached else 0.0)
+        + (
+            SHARD_PROGRESS
+            if job.parent is not None and job.siblings_active > 0
+            else 0.0
         )
+        - job.dead_workers * HAZARD
+    )
 
-    def rank(self, jobs: list["Job"], now: float) -> list["Job"]:
-        """Jobs in lease order: descending score, stable deterministic
-        tie-break (submission time, then key)."""
-        return sorted(
-            jobs, key=lambda j: (-self.score(j, now), j.submitted_at, j.key)
-        )
+
+def rank(jobs: list["Job"], now: float) -> list["Job"]:
+    """Jobs in lease order: descending score, stable deterministic
+    tie-break (submission time, then key)."""
+    return sorted(jobs, key=lambda j: (-score(j, now), j.submitted_at, j.key))

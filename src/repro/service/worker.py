@@ -51,7 +51,6 @@ from repro.harness.chunkrunner import run_chunk
 from repro.harness.experiment import ExperimentSpec
 from repro.noise.base import NoiseStack
 from repro.service.queue import DEFAULT_LEASE_S, Job, JobQueue, _chunk_key
-from repro.service.scheduler import Scheduler
 from repro.service.store import SharedResultStore
 
 __all__ = ["Worker"]
@@ -80,7 +79,6 @@ class Worker:
         policy=None,
         lease_s: float = DEFAULT_LEASE_S,
         poll_s: float = 0.5,
-        scheduler: Optional[Scheduler] = None,
     ):
         self.queue = queue
         self.store = store
@@ -89,7 +87,6 @@ class Worker:
         self.policy = policy
         self.lease_s = lease_s
         self.poll_s = poll_s
-        self.scheduler = scheduler if scheduler is not None else Scheduler()
         self._stop = threading.Event()
         self._counters = _telemetry.new_group("service_worker")
         #: the job currently held, for fail-fast lease release
@@ -383,12 +380,7 @@ class Worker:
             while not self._stop.is_set():
                 if max_jobs is not None and done >= max_jobs:
                     break
-                leased = self.queue.lease(
-                    self.worker_id,
-                    limit=1,
-                    lease_s=self.lease_s,
-                    scheduler=self.scheduler,
-                )
+                leased = self.queue.lease(self.worker_id, limit=1, lease_s=self.lease_s)
                 if not leased:
                     if drain and self.queue.drained():
                         break

@@ -152,8 +152,8 @@ class TestLoop:
         s = spec(workload="schedbench", seed=9, workload_params={"repeats": 3},
                  adaptive=policy())
         ref = run_experiment(s, executor=SerialExecutor())
-        for jobs, chunk in ((2, None), (2, 1), (3, 5)):
-            ex = ParallelExecutor(jobs, chunk_size=chunk)
+        for jobs in (2, 3):
+            ex = ParallelExecutor(jobs)
             try:
                 rs = run_experiment(s, executor=ex)
             finally:
@@ -256,7 +256,7 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["baseline", "--adaptive-ci", "-0.1"])
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["baseline", "--chunk-size", "0"])
+            build_parser().parse_args(["baseline", "--jobs", "-1"])
 
     def test_flag_reaches_spec(self):
         from repro.cli import _spec_from, build_parser

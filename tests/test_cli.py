@@ -225,6 +225,76 @@ class TestCommands:
         assert "anomalies observed: 3/3" in out
 
 
+class TestServicePrune:
+    """A bad retention window is a ``repro-noise:`` line naming the
+    flag or the variable, and no row is pruned."""
+
+    @staticmethod
+    def finished_queue(tmp_path):
+        from repro.service import JobQueue
+
+        path = tmp_path / "q.sqlite"
+        q = JobQueue(path)
+        q.submit("a", {"k": "a"}, None, "a")
+        q.lease("w1")
+        assert q.complete("a", "w1") is True
+        q.close()
+        return path
+
+    def prune(self, path, *args):
+        assert main(["service", "prune", "--queue", str(path),
+                     "--store", str(path.parent / "store"), *args]) == 0
+        from repro.service import JobQueue
+
+        return JobQueue(path).job("a")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "7d"])
+    def test_bad_flag(self, tmp_path, monkeypatch, value):
+        monkeypatch.delenv("REPRO_PRUNE_S", raising=False)
+        path = self.finished_queue(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            self.prune(path, f"--older-than={value}")
+        assert str(exc.value) == (
+            f"repro-noise: --older-than must be a finite number of seconds >= 0, got '{value}'"
+        )
+        assert self.prune(path).status == "done"  # the 7-day default keeps it
+
+    @pytest.mark.parametrize("value", ["nan", "7d"])
+    def test_bad_environment(self, tmp_path, monkeypatch, value):
+        path = self.finished_queue(tmp_path)
+        monkeypatch.setenv("REPRO_PRUNE_S", value)
+        with pytest.raises(SystemExit) as exc:
+            self.prune(path)
+        assert str(exc.value).startswith("repro-noise: REPRO_PRUNE_S must be")
+        monkeypatch.delenv("REPRO_PRUNE_S")
+        assert self.prune(path, "--older-than", "0") is None
+
+    def test_drain_reports_a_bad_environment(self, tmp_path):
+        # In a child process: a drain makes its process a service worker
+        # (signal handlers, kill-worker chaos), which must not be pytest.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        path = self.finished_queue(tmp_path)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src, "REPRO_PRUNE_S": "nan"}
+        env.pop("REPRO_CHAOS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "service", "drain", "--queue", str(path),
+             "--store", str(tmp_path / "store")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.strip().splitlines()[-1].startswith(
+            "repro-noise: REPRO_PRUNE_S must be"
+        )
+        from repro.service import JobQueue
+
+        assert JobQueue(path).job("a").status == "done"
+
+
 class TestServiceDlq:
     """``service dlq list|show`` output for a quarantined chunk job."""
 
@@ -236,10 +306,16 @@ class TestServiceDlq:
             "cell", {"workload": "nbody", "reps": 4}, None, "nbody",
             chunks=[(0, 2), (2, 4)],
         )
-        for worker, pid in (("w1", 101), ("w2", 102)):
-            (job,) = q.lease(worker)
-            assert job.key == "cell:0-2"
-            q.report_worker_death(worker, pid=pid)
+        (job,) = q.lease("w1")
+        assert job.key == "cell:0-2"
+        q.report_worker_death("w1", pid=101)
+        # One death demotes the chunk below its sibling, which finishes first.
+        (job,) = q.lease("w3")
+        assert job.key == "cell:2-4"
+        assert q.complete_chunk("cell:2-4", "w3") == (False, "cell")
+        (job,) = q.lease("w2")
+        assert job.key == "cell:0-2"
+        q.report_worker_death("w2", pid=102)
         q.close()
 
     def dlq(self, path, capsys, *args):

@@ -2,7 +2,7 @@
 
 The load-bearing property is **worker-invariant determinism**:
 ``times[i]`` / ``anomalies[i]`` must be bit-identical for jobs=1,
-jobs=4, and any chunk size — seeds derive from per-rep spawn keys and
+jobs=4, and any chunk partition — seeds derive from per-rep spawn keys and
 results are written back by rep index.  Pool workers return every
 result, traces included, through the pool's pickle channel, so the
 pool results are checked against serial bit for bit, fault paths too.
@@ -21,7 +21,6 @@ from repro.harness.executor import (
     SerialExecutor,
     chunk_range,
     get_executor,
-    resolve_chunk_size,
     resolve_jobs,
 )
 from repro.harness.experiment import ExperimentSpec, run_experiment
@@ -72,9 +71,14 @@ class TestPrimitives:
             b = np.random.default_rng(rep_seed(2025, i)).random(4)
             np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("reps,jobs,chunk_size", [(10, 4, None), (10, 4, 1), (10, 4, 3), (1, 4, None), (5, 8, None), (7, 2, 100)])
-    def test_chunks_partition_exactly(self, reps, jobs, chunk_size):
-        chunks = chunk_range(range(reps), jobs, chunk_size)
+    @pytest.mark.parametrize("reps,jobs,size", [(10, 4, None), (10, 4, 1), (10, 4, 3), (1, 4, None), (5, 8, None), (7, 2, 100)])
+    def test_chunks_partition_exactly(self, reps, jobs, size):
+        """An explicit ``size`` goes through ``chunk_range``; ``None`` is
+        the pool's derived partition for ``jobs`` workers."""
+        if size is None:
+            chunks = ParallelExecutor(jobs)._chunks(range(reps))
+        else:
+            chunks = chunk_range(range(reps), size)
         flat = [i for chunk in chunks for i in chunk]
         assert flat == list(range(reps))
 
@@ -82,60 +86,45 @@ class TestPrimitives:
         assert chunk_range(range(0), 4) == []
 
     def test_chunks_partition_property(self):
-        """Property sweep: for every (reps, jobs, chunk_size) combination
-        the chunks are non-empty, in-order, contiguous ranges that
-        partition ``range(reps)`` exactly — chunking can never drop,
-        duplicate, or reorder a rep."""
+        """Property sweep: for every (reps, size) combination the chunks
+        are non-empty, in-order, contiguous ranges of ``size`` reps (the
+        last may be shorter) that partition ``range(reps)`` exactly —
+        chunking can never drop, duplicate, or reorder a rep."""
         for reps in (0, 1, 2, 3, 7, 16, 33, 100):
-            for jobs in (1, 2, 3, 8, 64):
-                for chunk_size in (None, 1, 2, 5, 7, 1000):
-                    chunks = chunk_range(range(reps), jobs, chunk_size)
-                    assert all(len(c) > 0 for c in chunks)
-                    assert all(c.step == 1 for c in chunks)
-                    flat = [i for c in chunks for i in c]
-                    assert flat == list(range(reps)), (reps, jobs, chunk_size)
+            for size in (1, 2, 3, 5, 7, 13, 1000):
+                chunks = chunk_range(range(reps), size)
+                assert all(c.step == 1 for c in chunks)
+                assert all(len(c) == size for c in chunks[:-1])
+                assert all(0 < len(c) <= size for c in chunks[-1:])
+                flat = [i for c in chunks for i in c]
+                assert flat == list(range(reps)), (reps, size)
 
     def test_chunk_range_offset_windows(self):
         """Adaptive batches dispatch non-zero-based windows."""
-        chunks = chunk_range(range(8, 14), 2, None)
-        assert [i for c in chunks for i in c] == list(range(8, 14))
+        chunks = chunk_range(range(8, 14), 4)
+        assert chunks == [range(8, 12), range(12, 14)]
 
     def test_chunk_degenerate_inputs_fail_loudly(self):
         with pytest.raises(ValueError):
             chunk_range(range(4), 0)
         with pytest.raises(ValueError):
-            chunk_range(range(4), -1)
-        with pytest.raises(ValueError):
-            chunk_range(range(4), 2, chunk_size=0)
-        with pytest.raises(ValueError):
-            chunk_range(range(4), 2, chunk_size=-3)
+            chunk_range(range(4), -3)
         with pytest.raises(ValueError):
             chunk_range(range(0, 8, 2), 2)  # non-unit step
 
     def test_oversized_chunk_is_single_chunk(self):
-        assert chunk_range(range(5), 4, chunk_size=100) == [range(0, 5)]
+        assert chunk_range(range(5), 100) == [range(0, 5)]
 
-    def test_resolve_chunk_size_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK_SIZE", "3")
-        assert resolve_chunk_size() == 3
-        assert resolve_chunk_size(5) == 5  # explicit wins
-        monkeypatch.setenv("REPRO_CHUNK_SIZE", "0")
-        assert resolve_chunk_size() is None  # 0 = automatic
-        monkeypatch.delenv("REPRO_CHUNK_SIZE")
-        assert resolve_chunk_size() is None
-
-    def test_resolve_chunk_size_rejects_bad_values(self, monkeypatch):
-        with pytest.raises(ValueError):
-            resolve_chunk_size(0)
-        with pytest.raises(ValueError):
-            resolve_chunk_size(-2)
-        monkeypatch.setenv("REPRO_CHUNK_SIZE", "-1")
-        with pytest.raises(ValueError):
-            resolve_chunk_size()
-
-    def test_env_chunk_size_drives_dispatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK_SIZE", "2")
-        assert chunk_range(range(6), 4) == [range(0, 2), range(2, 4), range(4, 6)]
+    @pytest.mark.parametrize(
+        "reps,jobs,sizes",
+        [(9, 2, [2, 2, 2, 2, 1]), (9, 3, [1] * 9), (20, 2, [3] * 6 + [2]), (1, 4, [1]), (0, 2, [])],
+    )
+    def test_pool_derives_about_four_chunks_per_worker(self, reps, jobs, sizes):
+        """The pool cuts ``n`` reps into ``ceil(n / (jobs * 4))``-rep
+        chunks (no pool is started to compute them)."""
+        chunks = ParallelExecutor(jobs)._chunks(range(reps))
+        assert [len(c) for c in chunks] == sizes
+        assert chunks == chunk_range(range(reps), sizes[0] if sizes else 1)
 
     def test_resolve_jobs_default_is_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
@@ -238,16 +227,18 @@ class TestEquivalence:
             np.testing.assert_array_equal(serial.times, rs.times)
             assert serial.anomalies == rs.anomalies
 
-    def test_chunk_size_invariance(self):
-        s = spec(reps=5, seed=3)
-        reference = run_experiment(s, executor=SerialExecutor())
-        for chunk_size in (1, 2, 100):
-            ex = ParallelExecutor(2, chunk_size=chunk_size)
-            try:
+    def test_derived_partition_invariance(self):
+        """Two and three workers cut 9 reps into different chunks (five
+        of up to 2 reps, nine of 1); both match serial float for float."""
+        s = spec(reps=9, seed=3)
+        reference = [t.hex() for t in run_experiment(s, executor=SerialExecutor()).times]
+        partitions = set()
+        for jobs in (2, 3):
+            with ParallelExecutor(jobs) as ex:
+                partitions.add(tuple(ex._chunks(range(s.reps))))
                 rs = run_experiment(s, executor=ex)
-            finally:
-                ex.close()
-            np.testing.assert_array_equal(reference.times, rs.times)
+            assert [t.hex() for t in rs.times] == reference
+        assert len(partitions) == 2
 
     def test_env_selected_backend_equivalent(self, monkeypatch):
         s = spec(reps=4, seed=9)
@@ -589,7 +580,7 @@ class TestStartedRange:
                                     args["need_runs"], args["policy"]))
         want = list(SerialExecutor().run_rep_range(args["spec"], None, args["indices"]))
         assert [r.exec_time for r in got] == [r.exec_time for r in want]
-        assert submits == [0] * len(chunk_range(args["indices"], 2))
+        assert submits == [0] * len(ex._chunks(args["indices"]))
         assert ex._local.started == [batch]
         batch.cancel()
         assert ex._local.started == [] and all(f.done() for f in batch.futures)

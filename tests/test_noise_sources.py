@@ -340,7 +340,7 @@ class TestComposedExecution:
         from repro.harness.executor import ParallelExecutor
 
         s = spec(workload="babelstream", workload_params={"iters": 12})
-        with ParallelExecutor(2, chunk_size=1) as ex:
+        with ParallelExecutor(2) as ex:
             rs = run_experiment(s, noise=one_of_each()[kind], executor=ex)
             assert ex.stats()["pickle_chunks"] == 2
         assert [t.hex() for t in rs.times] == EXEC_TIME_PINS[kind]

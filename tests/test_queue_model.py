@@ -6,6 +6,12 @@ failures, clean releases and ``dlq retry`` over a few keys and
 workers.  After every step each job's status, attempt count and death
 history since its last revival must match the model, and the job's
 last status-changing lifecycle event must agree with its status.
+
+Every lease must take the job the service's one ranking puts first.
+With equal priorities, runtimes and store state that is the fewest
+distinct dead workers since the last revival (the hazard term, 500
+score units per worker, outweighs the milliseconds of age between
+these submissions), then the oldest submission, then the key.
 """
 
 import shutil
@@ -60,6 +66,9 @@ class QueueModel(RuleBasedStateMachine):
     def _stamp(self, key: str) -> float:
         return self.q.job(key).submitted_at
 
+    def _dead_workers(self, key: str) -> int:
+        return len({worker for worker, _ in self.jobs[key].deaths})
+
     def _with(self, *statuses):
         return sorted(k for k, j in self.jobs.items() if j.status in statuses)
 
@@ -74,7 +83,10 @@ class QueueModel(RuleBasedStateMachine):
     @precondition(lambda self: self._with("queued"))
     @rule(worker=st.sampled_from(WORKERS))
     def lease(self, worker):
-        expect = min(self._with("queued"), key=lambda k: (self.jobs[k].submitted_at, k))
+        expect = min(
+            self._with("queued"),
+            key=lambda k: (self._dead_workers(k), self.jobs[k].submitted_at, k),
+        )
         assert [j.key for j in self.q.lease(worker)] == [expect]
         job = self.jobs[expect]
         job.status, job.owner = "leased", worker
@@ -91,7 +103,7 @@ class QueueModel(RuleBasedStateMachine):
             job = self.jobs[key]
             job.deaths.append((worker, job.attempts))
             job.owner = None
-            if len({w for w, _ in job.deaths}) >= POISON_DEATHS:
+            if self._dead_workers(key) >= POISON_DEATHS:
                 job.status = "quarantined"
             elif job.attempts >= MAX_ATTEMPTS:
                 job.status = "failed"

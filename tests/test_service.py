@@ -12,6 +12,7 @@ The hard guarantees under test:
 """
 
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -28,11 +29,10 @@ from repro.harness.cache import ResultCache
 from repro.harness.experiment import ExperimentSpec
 from repro.harness.sweep import sweep
 from repro.noise.base import NoiseStack
+from repro.service import scheduler
 from repro.service import (
     Job,
     JobQueue,
-    Scheduler,
-    SchedulerWeights,
     ServiceClient,
     SharedResultStore,
     Worker,
@@ -220,49 +220,56 @@ class TestScheduler:
         return Job(key=key, **kw)
 
     def test_priority_dominates(self):
-        s = Scheduler()
-        ranked = s.rank([self.job("lo"), self.job("hi", priority=5)], now=100.0)
+        ranked = scheduler.rank([self.job("lo"), self.job("hi", priority=5)], now=100.0)
         assert [j.key for j in ranked] == ["hi", "lo"]
 
     def test_cached_jobs_jump_the_queue(self):
-        s = Scheduler()
-        ranked = s.rank([self.job("cold"), self.job("warm", cached=True)], now=100.0)
+        ranked = scheduler.rank([self.job("cold"), self.job("warm", cached=True)], now=100.0)
         assert ranked[0].key == "warm"
 
     def test_shortest_job_first_among_equals(self):
-        s = Scheduler()
-        ranked = s.rank(
+        ranked = scheduler.rank(
             [self.job("slow", expected_s=10.0), self.job("fast", expected_s=1.0)],
             now=100.0,
         )
         assert ranked[0].key == "fast"
 
     def test_aging_eventually_overtakes_priority(self):
-        s = Scheduler(SchedulerWeights(priority=100.0, aging=1.0))
+        # one priority unit is worth 100 s of waiting
+        assert scheduler.PRIORITY / scheduler.AGING == 100.0
         old = self.job("old", submitted_at=0.0)
         # Against a priority-1 job submitted *just now*, the old job's
         # accumulated age decides: under 100 s of waiting it loses,
         # past 100 s it overtakes every such newcomer.
-        young = s.rank([self.job("f", priority=1, submitted_at=50.0), old], now=50.0)
-        starved = s.rank([self.job("f", priority=1, submitted_at=150.0), old], now=150.0)
+        young = scheduler.rank([self.job("f", priority=1, submitted_at=50.0), old], now=50.0)
+        starved = scheduler.rank([self.job("f", priority=1, submitted_at=150.0), old], now=150.0)
         assert young[0].key == "f"
         assert starved[0].key == "old"
 
     def test_tie_break_is_deterministic(self):
-        s = Scheduler()
         a, b = self.job("a"), self.job("b")
-        assert [j.key for j in s.rank([b, a], now=100.0)] == ["a", "b"]
+        assert [j.key for j in scheduler.rank([b, a], now=100.0)] == ["a", "b"]
+
+    def test_score_is_the_documented_formula(self):
+        job = self.job(
+            "j", priority=2, expected_s=3.0, cached=True, submitted_at=90.0,
+            parent="p", siblings_active=1, dead_workers=2,
+        )
+        assert scheduler.score(job, now=100.0) == (
+            2 * scheduler.PRIORITY + 10.0 * scheduler.AGING - 3.0 * scheduler.RUNTIME
+            + scheduler.CACHE_HIT + scheduler.SHARD_PROGRESS - 2 * scheduler.HAZARD
+        )
 
     def test_queue_leases_in_scheduler_order(self, tmp_path):
         q = JobQueue(tmp_path / "q.sqlite")
         submit(q, "bulk")
         submit(q, "urgent", priority=9)
-        keys = [j.key for j in q.lease("w1", limit=2, scheduler=Scheduler())]
+        keys = [j.key for j in q.lease("w1", limit=2)]
         assert keys == ["urgent", "bulk"]
 
     @staticmethod
     def _lease_order(q):
-        jobs = q.lease("probe", limit=2, scheduler=Scheduler())
+        jobs = q.lease("probe", limit=2)
         for job in jobs:
             q.release(job.key, "probe")
         return [j.key for j in jobs]
@@ -291,6 +298,43 @@ class TestScheduler:
         # The death predates the revival: "a" competes as a fresh job
         # and wins on age.
         assert self._lease_order(q) == ["a", "b"]
+
+
+# ----------------------------------------------------------------------
+class TestPruneWindow:
+    """A retention window that is not a finite number of seconds >= 0
+    is refused: ``max(0.0, nan)`` would read it as 0 and prune every
+    finished row."""
+
+    @staticmethod
+    def finished(tmp_path):
+        q = JobQueue(tmp_path / "q.sqlite")
+        submit(q, "a")
+        q.lease("w1")
+        assert q.complete("a", "w1") is True
+        return q
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "-1", "7d"])
+    def test_bad_environment_window_prunes_nothing(self, tmp_path, monkeypatch, raw):
+        q = self.finished(tmp_path)
+        monkeypatch.setenv("REPRO_PRUNE_S", raw)
+        with pytest.raises(ValueError, match=f"REPRO_PRUNE_S must be .* got '{raw}'"):
+            q.prune()
+        assert q.job("a").status == "done"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_bad_explicit_window_prunes_nothing(self, tmp_path, value):
+        q = self.finished(tmp_path)
+        with pytest.raises(ValueError, match="older_than_s must be"):
+            q.prune(value)
+        assert q.job("a").status == "done"
+
+    def test_default_window_keeps_a_fresh_row(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_PRUNE_S", raising=False)
+        q = self.finished(tmp_path)
+        assert q.prune() == 0
+        monkeypatch.setenv("REPRO_PRUNE_S", " 0 ")
+        assert q.prune() == 1
 
 
 # ----------------------------------------------------------------------

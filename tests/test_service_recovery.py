@@ -136,14 +136,21 @@ class TestDeadLetterQueue:
         q = JobQueue(tmp_path / "q.sqlite")
         for key in ("a", "b"):
             submit(q, key)
-        for worker in ("w1", "w2"):
-            (job,) = q.lease(worker)
-            assert job.key == "a"
-            q.report_worker_death(worker)
+        (job,) = q.lease("w1")
+        assert job.key == "a"
+        q.report_worker_death("w1")
+        # One death demotes "a" below "b", which finishes first.
+        (job,) = q.lease("w3")
+        assert job.key == "b"
+        assert q.complete("b", "w3") is True
+        (job,) = q.lease("w2")
+        assert job.key == "a"
+        q.report_worker_death("w2")
+        assert q.job("a").status == "quarantined"
         assert len(q.events("a")) == 6
         assert q.dlq_purge("a") == 1
         assert q.events("a") == []
-        assert [e["event"] for e in q.events("b")] == ["submit"]
+        assert [e["event"] for e in q.events("b")] == ["submit", "lease", "complete"]
 
     def test_release_refunds_the_attempt(self, tmp_path):
         q = JobQueue(tmp_path / "q.sqlite")
@@ -170,9 +177,16 @@ class TestDeadLetterQueue:
         q.submit_sharded(
             "p", spec={"k": "p"}, noise=None, label="p", chunks=[(0, 2), (2, 4)]
         )
-        for worker in ("w1", "w2"):
-            q.lease(worker, limit=1)
-            q.report_worker_death(worker)
+        (job,) = q.lease("w1")
+        assert job.key == "p:0-2"
+        q.report_worker_death("w1")
+        # One death demotes the chunk below its sibling, which finishes first.
+        (job,) = q.lease("w3")
+        assert job.key == "p:2-4"
+        assert q.complete_chunk("p:2-4", "w3") == (False, "p")
+        (job,) = q.lease("w2")
+        assert job.key == "p:0-2"
+        q.report_worker_death("w2")
         chunk = q.job("p:0-2")
         assert chunk.status == "quarantined"
         assert q.job("p").status == "failed"

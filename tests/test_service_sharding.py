@@ -32,11 +32,11 @@ from repro.harness.cache import ResultCache
 from repro.harness.chunkrunner import run_chunk, shard_ranges
 from repro.harness.experiment import ExperimentSpec
 from repro.harness.sweep import sweep
+from repro.service import scheduler
 from repro.service import (
     Job,
     JobQueue,
     NotifyChannel,
-    Scheduler,
     ServiceClient,
     SharedResultStore,
     Worker,
@@ -194,24 +194,23 @@ class TestSchedulerShardAffinity:
         return Job(key=key, **kw)
 
     def test_in_flight_chunks_beat_fresh_cells(self):
-        s = Scheduler()
         fresh = self.job("fresh")
         chunk = self.job("cell:0-3", parent="cell", siblings_active=1)
         idle_chunk = self.job("cold:0-3", parent="cold", siblings_active=0)
-        ranked = s.rank([fresh, idle_chunk, chunk], now=100.0)
+        ranked = scheduler.rank([fresh, idle_chunk, chunk], now=100.0)
         assert ranked[0].key == "cell:0-3"
 
     def test_lease_fills_siblings_active(self, tmp_path):
         q = JobQueue(tmp_path / "q.sqlite")
         submit_sharded(q, "cell", [(0, 2), (2, 4), (4, 6)])
         q.submit("other", spec={"k": "other"}, noise=None, label="other", priority=1)
-        (first,) = q.lease("w1", scheduler=Scheduler())
+        (first,) = q.lease("w1")
         # Nothing in flight yet: priority wins the first lease.
         assert first.key == "other"
-        (second,) = q.lease("w1", scheduler=Scheduler())
+        (second,) = q.lease("w1")
         assert second.parent == "cell"
         # One sibling leased now -> the next lease sticks with the cell.
-        (third,) = q.lease("w2", scheduler=Scheduler())
+        (third,) = q.lease("w2")
         assert third.parent == "cell"
         assert third.siblings_active >= 1
 

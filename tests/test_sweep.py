@@ -5,7 +5,7 @@ import pytest
 from repro import telemetry
 from repro.harness.adaptive import AdaptivePolicy
 from repro.harness.cache import ResultCache
-from repro.harness.executor import ParallelExecutor, SerialExecutor, chunk_range, get_executor
+from repro.harness.executor import ParallelExecutor, SerialExecutor, get_executor
 from repro.harness.experiment import ExperimentSpec
 from repro.harness.faults import RepExecutionError
 from repro.harness.sweep import sweep
@@ -129,7 +129,7 @@ class TestLookahead:
         # every started batch was adopted: one submit per chunk, nothing redone
         assert pool2._local.started == []
         stats = pool2.stats()
-        assert stats["pickle_chunks"] == 4 * len(chunk_range(range(6), 2))
+        assert stats["pickle_chunks"] == 4 * len(pool2._chunks(range(6)))
         assert stats["chunk_redispatches"] == stats["pool_rebuilds"] == 0
 
     def test_hits_are_never_started_and_a_warm_pass_looks_nothing_up_twice(
@@ -284,7 +284,7 @@ class TestLookaheadTelemetry:
         # the first point dispatches its own chunks; the three started
         # ahead report under the sweep, none under an earlier point
         assert parents == {first["id"], top["id"]}
-        n = len(chunk_range(range(6), 2))
+        n = len(ex._chunks(range(6)))
         assert sum(e["parent"] == top["id"] for e in events if e["name"] == "chunk") == 3 * n
 
     def test_span_and_counter_totals_match_one_point_at_a_time(self, pool_base, tmp_path):

@@ -254,7 +254,7 @@ class TestWorkerFlush:
         import os
 
         telemetry.configure(enabled=True)
-        ex = ParallelExecutor(jobs=2, chunk_size=2)
+        ex = ParallelExecutor(jobs=2)
         try:
             rs = run_experiment(spec(reps=6), executor=ex)
         finally:

@@ -44,7 +44,9 @@ runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import signal
 import sys
 from typing import Optional, Sequence
 
@@ -924,6 +926,18 @@ def _cmd_service_dlq(args, queue) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _restoring_signal_handlers():
+    """Put back the SIGTERM and SIGINT handlers a service loop replaced,
+    so an in-process ``main()`` leaves its caller's handlers as found."""
+    saved = {sig: signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGINT)}
+    try:
+        yield
+    finally:
+        for sig, handler in saved.items():
+            signal.signal(sig, handler)
+
+
 def _cmd_service(args) -> int:
     queue, store, client = _service_parts(args)
 
@@ -938,17 +952,18 @@ def _cmd_service(args) -> int:
             drain=getattr(args, "drain", False),
             lease_s=getattr(args, "lease", None),
         )
-        supervisor.install_signal_handlers()
         print(
             f"supervisor {supervisor.id_prefix}: {len(supervisor.slots)} worker(s) "
             f"over {queue.path} -> {store.root}"
         )
-        deaths = supervisor.run()
+        with _restoring_signal_handlers():
+            supervisor.install_signal_handlers()
+            deaths = supervisor.run()
         print(f"supervisor {supervisor.id_prefix}: {supervisor.stats()}")
         return 0 if deaths == 0 else 1
 
     if args.action in ("start", "drain"):
-        from repro.harness.chaos import mark_service_worker
+        from repro.harness.chaos import in_service_worker, mark_service_worker
         from repro.service import Worker
 
         worker = Worker(
@@ -959,20 +974,25 @@ def _cmd_service(args) -> int:
             policy=_policy_from(args),
             lease_s=getattr(args, "lease", None) or 60.0,
         )
-        # This process is a real service worker: the kill-worker chaos
-        # profile may take it down, and SIGTERM means drain gracefully.
+        # This process is a real service worker while the loop runs: the
+        # kill-worker chaos profile may take it down, and SIGTERM means
+        # drain gracefully.  Both are undone when the loop returns.
+        was_worker = in_service_worker()
         mark_service_worker()
-        worker.install_signal_handlers()
         drain = args.action == "drain" or getattr(args, "drain", False)
         print(
             f"{worker.worker_id}: leasing from {queue.path} "
             f"-> {store.root}" + (" (drain)" if drain else "")
         )
         try:
-            done = worker.run(drain=drain, max_jobs=getattr(args, "max_jobs", None))
+            with _restoring_signal_handlers():
+                worker.install_signal_handlers()
+                done = worker.run(drain=drain, max_jobs=getattr(args, "max_jobs", None))
         except KeyboardInterrupt:
             done = -1
             print(f"{worker.worker_id}: interrupted")
+        finally:
+            mark_service_worker(was_worker)
         print(f"{worker.worker_id}: {worker.stats()}")
         if (
             args.action == "drain"

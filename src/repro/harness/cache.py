@@ -11,29 +11,31 @@ Cache keys are versioned (``_KEY_VERSION``) and source-agnostic: the
 noise part of the key is the canonical serialized
 :class:`~repro.noise.base.NoiseStack`, so any registered source — or
 composition of sources — keys identically whether it arrived via
-``spec.noise`` or the ``noise=`` parameter.  Entries written before the
-current key version miss cleanly (the version is hashed into the key
-**and** stored in the entry): stale files found under a current key are
-evicted and counted in :meth:`ResultCache.stats`.
+``spec.noise`` or the ``noise=`` parameter.
 
 The cache lives in ``$REPRO_CACHE_DIR`` (default ``.repro_cache/`` in
 the working directory); delete the directory to invalidate, or set
-``REPRO_NO_CACHE=1`` to bypass entirely.  Corrupt entries (truncated
-writes, stale schemas) are evicted, logged, counted in
-:meth:`ResultCache.stats`, and transparently re-run.
+``REPRO_NO_CACHE=1`` to bypass entirely.
 
-Durability: entries are written atomically (same-directory temp file +
-``os.replace``), so a crash mid-write can never leave a torn entry
-under a valid key — the torn-entry salvage path exists for files
-damaged *after* the write (disk faults, the deterministic chaos
-harness's ``corrupt`` profile).  Partial results (a ``skip``
-fault policy left NaN reps) are never stored under the primary key;
-they land in a ``<key>.partial.json`` quarantine envelope — failure
-records included — and the cell re-runs next time.
+Every file in the directory — cell entries, partial quarantines, the
+service's chunk entries and cached noise configs — is one sealed
+envelope, written atomically (same-directory temp file + ``os.replace``)
+by :meth:`ResultCache._write` and read under one fault rule by
+:meth:`ResultCache._read`: a torn or malformed entry is deleted and
+counted ``corrupt``, a seal mismatch moves aside to ``.corrupt`` and is
+counted ``integrity_quarantined``, a stale ``key_version`` is deleted
+and counted ``stale``.  The caller sees a miss and re-runs.  A crash
+mid-write never leaves a torn entry; the rule is for files damaged
+*after* the write (disk faults, the chaos harness's ``corrupt``
+profiles) and for entries of older key versions.  Partial results (a
+``skip`` fault policy left NaN reps) are never stored under the primary
+key; they land in a ``<key>.partial.json`` quarantine envelope —
+failure records included — and the cell re-runs next time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -96,47 +98,73 @@ class ResultCache:
         self._counters = _telemetry.new_group("cache")
 
     # ------------------------------------------------------------------
-    # envelope integrity: sha256 sealed at publish, verified on read
+    # envelopes: every file in the cache directory (cell, partial, chunk
+    # and noise-config entries) is written and read through these three
     # ------------------------------------------------------------------
-    @staticmethod
-    def _seal(payload: dict) -> str:
-        """Serialise ``payload`` with a sha256 of its own JSON appended
-        as the last field.  Bit-flips anywhere in the body — including
-        ones that keep the JSON parseable — fail verification; the seal
-        piggybacks on JSON's exact float round-trip, so sealing changes
-        no value bytes."""
-        body = json.dumps(payload)
-        sealed = dict(payload)
-        sealed["sha256"] = hashlib.sha256(body.encode()).hexdigest()
-        return json.dumps(sealed)
+    def _write(self, path: Path, payload: dict) -> None:
+        """Publish ``payload`` at ``path`` as a sealed envelope.
+
+        ``key_version`` leads the envelope and a sha256 of the JSON body
+        trails it as ``sha256``; the seal piggybacks on JSON's exact
+        float round-trip, so sealing changes no value bytes.  The write
+        is atomic (same-directory temp file + ``os.replace``) and a
+        no-op when the cache is disabled."""
+        if not self.enabled:
+            return
+        envelope = {"key_version": _KEY_VERSION, **payload}
+        body = json.dumps(envelope)
+        envelope["sha256"] = hashlib.sha256(body.encode()).hexdigest()
+        atomic_write_text(path, json.dumps(envelope))
 
     @staticmethod
-    def _verify_sealed(data: dict) -> bool:
-        """Check a parsed envelope against its recorded seal.  Entries
-        written before sealing carry no ``sha256`` field and pass (their
-        torn-file protection is the JSON parse itself)."""
-        recorded = data.get("sha256")
-        if recorded is None:
-            return True
-        body = {k: v for k, v in data.items() if k != "sha256"}
-        return hashlib.sha256(json.dumps(body).encode()).hexdigest() == recorded
+    def _parse(path: Path, decode: Callable[[dict], object] = dict) -> tuple:
+        """Read one envelope with no side effects.
 
-    def _quarantine_corrupt(self, path: Path, label: str) -> None:
-        """Move an integrity-failed entry aside to ``<name>.corrupt``
-        (preserved for post-mortems, out of the primary keyspace) and
-        count it.  The caller reports a miss, so the cell transparently
-        re-simulates."""
-        self._count("integrity_quarantined")
-        _log.warning(
-            "cache entry %s failed its integrity check for %s; "
-            "quarantining to .corrupt and re-running",
-            path.name,
-            label,
-        )
+        Returns ``(decode(data), None)`` for a sound entry, else
+        ``(None, fault)`` where ``fault`` names the counter the fault
+        rule bumps: ``"missing"``; ``"corrupt"`` (torn, not an object,
+        or ``decode`` found a field missing or mistyped);
+        ``"integrity_quarantined"`` (the recorded seal does not match
+        the body; entries written before sealing carry none and pass);
+        ``"stale"`` (another ``key_version``)."""
         try:
-            os.replace(path, path.with_suffix(path.suffix + ".corrupt"))
-        except OSError:
-            path.unlink(missing_ok=True)
+            data = json.loads(path.read_text())
+        except FileNotFoundError:
+            return None, "missing"
+        except ValueError:
+            return None, "corrupt"
+        if not isinstance(data, dict):
+            return None, "corrupt"
+        recorded = data.pop("sha256", None)
+        if recorded is not None and (
+            hashlib.sha256(json.dumps(data).encode()).hexdigest() != recorded
+        ):
+            return None, "integrity_quarantined"
+        if data.get("key_version") != _KEY_VERSION:
+            return None, "stale"
+        try:
+            return decode(data), None
+        except (KeyError, TypeError, ValueError):
+            return None, "corrupt"
+
+    def _read(self, path: Path, label: str, decode: Callable[[dict], object] = dict):
+        """:meth:`_parse` plus the one fault rule every entry kind shares.
+
+        A faulted entry is counted under its fault kind and leaves the
+        keyspace: a seal mismatch moves aside to ``<name>.corrupt`` for
+        post-mortems, a torn or stale entry is deleted.  The caller sees
+        ``None`` (a miss) and re-simulates."""
+        if not self.enabled:
+            return None
+        value, fault = self._parse(path, decode)
+        if fault is None or fault == "missing":
+            return value
+        self._count(fault)
+        _log.warning("evicting cache entry %s for %s (%s)", path.name, label, fault)
+        if fault == "integrity_quarantined":
+            with contextlib.suppress(OSError):
+                os.replace(path, path.with_suffix(path.suffix + ".corrupt"))
+        path.unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -170,19 +198,16 @@ class ResultCache:
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:32]
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
     def entry_path(self, key: str) -> Path:
         """Where ``key``'s primary envelope lives (exists only after a
         store).  Public so byte-level comparisons — the service's
         sharded-merge tests, CI's bit-identity diffs — can address the
         exact artefact instead of reconstructing the layout."""
-        return self._path(key)
+        return self.root / f"{key}.json"
 
     def has_entry(self, key: str) -> bool:
         """Whether a (possibly stale/torn) entry exists for ``key``."""
-        return self.enabled and self._path(key).exists()
+        return self.enabled and self.entry_path(key).exists()
 
     def resolve_cell(
         self, spec: ExperimentSpec, noise: "NoiseLike" = None
@@ -208,55 +233,23 @@ class ResultCache:
     def load_entry(self, key: str, spec: ExperimentSpec) -> Optional[ResultSet]:
         """Load ``key``'s entry, or ``None`` on miss.
 
-        Handles the two invalid-entry shapes in place: stale entries
-        (older ``key_version``) and torn/corrupt files are evicted,
-        counted, and reported as a miss.  ``spec`` must already be
-        rep-resolved (see :meth:`resolve_cell`); it is attached to the
-        returned :class:`ResultSet` verbatim.
+        A faulted entry is evicted, counted and reported as a miss (see
+        :meth:`_read`).  ``spec`` must already be rep-resolved (see
+        :meth:`resolve_cell`); it is attached to the returned
+        :class:`ResultSet` verbatim.
         """
-        path = self._path(key)
-        if not (self.enabled and path.exists()):
-            return None
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            data = None
-        if data is not None and not self._verify_sealed(data):
-            self._quarantine_corrupt(path, spec.label())
-            return None
-        if data is not None and data.get("key_version") != _KEY_VERSION:
-            self._count("stale")
-            _log.warning(
-                "evicting stale cache entry %s (key_version %s != %s) for %s",
-                path.name,
-                data.get("key_version"),
-                _KEY_VERSION,
-                spec.label(),
-            )
-            path.unlink(missing_ok=True)
-            return None
-        if data is not None:
-            try:
-                return ResultSet(
-                    spec=spec,
-                    times=np.asarray(data["times"]),
-                    anomalies=data["anomalies"],
-                    injected=data["injected"],
-                    failures=[
-                        FailureRecord.from_dict(f) for f in data.get("failures", [])
-                    ],
-                    adaptive=data.get("adaptive"),
-                )
-            except KeyError:
-                pass
-        self._count("corrupt")
-        _log.warning(
-            "salvaging torn/corrupt cache entry %s for %s (evict + re-run)",
-            path.name,
+        return self._read(
+            self.entry_path(key),
             spec.label(),
+            lambda data: ResultSet(
+                spec=spec,
+                times=np.asarray(data["times"]),
+                anomalies=data["anomalies"],
+                injected=data["injected"],
+                failures=[FailureRecord.from_dict(f) for f in data.get("failures", [])],
+                adaptive=data.get("adaptive"),
+            ),
         )
-        path.unlink(missing_ok=True)
-        return None
 
     def store_entry(
         self, key: str, spec: ExperimentSpec, stack: Optional[NoiseStack], rs: ResultSet
@@ -269,9 +262,13 @@ class ResultCache:
         JSON float round-trip is exact (``repr`` shortest-round-trip),
         so a later hit is bit-identical to this result.
         """
-        envelope = self._seal(
+        path = self.entry_path(key)
+        if rs.failures:
+            self._count("partial")
+            path = self.root / f"{key}.partial.json"
+        self._write(
+            path,
             {
-                "key_version": _KEY_VERSION,
                 "times": rs.times.tolist(),
                 "anomalies": rs.anomalies,
                 "injected": rs.injected,
@@ -279,25 +276,14 @@ class ResultCache:
                 "noise": stack.kinds() if stack is not None else None,
                 "failures": [f.to_dict() for f in rs.failures],
                 "adaptive": rs.adaptive,
-            }
+            },
         )
-        if rs.failures:
-            self._count("partial")
-            if self.enabled:
-                atomic_write_text(self.root / f"{key}.partial.json", envelope)
-            return
-        if self.enabled:
-            atomic_write_text(self._path(key), envelope)
 
     def stats(self) -> dict:
-        """Counters: ``hits``, ``misses``, ``corrupt``, ``stale``,
-        ``partial``, ``integrity_quarantined``.  ``corrupt`` counts torn
-        entries salvaged (evicted on discovery and transparently
-        re-run); ``stale`` counts key-version evictions; ``partial``
-        counts results quarantined instead of cached because a skip
-        policy left failed reps; ``integrity_quarantined`` counts
-        entries whose recorded sha256 seal failed verification (moved
-        aside to ``.corrupt`` and re-run).
+        """Counters: ``hits``, ``misses``, ``partial`` (results
+        quarantined instead of cached because a skip policy left failed
+        reps) and the three fault kinds of :meth:`_read`: ``corrupt``,
+        ``stale``, ``integrity_quarantined``.
 
         The counts live in the telemetry counter registry; this view
         preserves the pre-telemetry return shape exactly."""

@@ -20,6 +20,7 @@ defaults used in CI versus the paper's 1000/200.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import zlib
 from dataclasses import dataclass, field
@@ -34,9 +35,9 @@ from repro.core.config import NoiseConfig, generate_config
 from repro.core.merge import MergeStrategy
 from repro.core.pipeline import INJECT_SEED_OFFSET
 from repro.harness.adaptive import AdaptivePolicy
-from repro.harness.cache import ResultCache
+from repro.harness.cache import _CACHE_SCHEMA, ResultCache
 from repro.harness.experiment import ExperimentSpec
-from repro.harness.faults import FaultPolicy, atomic_write_text
+from repro.harness.faults import FaultPolicy
 from repro.harness import paper_reference as paper
 from repro.harness.report import InjectionRow, TableBuilder, render_injection_table, render_series_figure
 from repro.harness.stats import summarize
@@ -260,26 +261,6 @@ def build_noise_config(
     """
     strategy, model, use_smt = source
     label = f"{strategy}-{model.upper()}{'' if use_smt else '-noSMT'}"
-    key_parts = ("cfg", platform, workload, label, idx, merge.value, anomaly_prob)
-    cache = settings.cache
-    cache_path = cache.root / f"cfg_{_stable_hash(*key_parts):07x}_{platform}_{workload}_{idx}.json"
-    if cache.enabled and cache_path.exists():
-        try:
-            data = json.loads(cache_path.read_text())
-            if not ResultCache._verify_sealed(data):
-                raise ValueError("sha256 seal mismatch")
-            return ConfigInfo(
-                config=NoiseConfig.from_json(data["config"]),
-                worst_exec_time=data["worst_exec_time"],
-                mean_exec_time=data["mean_exec_time"],
-                anomaly=data["anomaly"],
-                n_runs=data["n_runs"],
-                source_label=data["source_label"],
-            )
-        except (ValueError, KeyError, TypeError):
-            # Torn or bit-flipped config entry (crash mid-session, disk
-            # fault, chaos corruption): move it aside and re-collect.
-            cache._quarantine_corrupt(cache_path, label)
     spec = ExperimentSpec(
         platform=platform,
         workload=workload,
@@ -289,9 +270,34 @@ def build_noise_config(
         seed=settings.spec_seed("collect", platform, workload, label, idx),
         anomaly_prob=anomaly_prob,
     )
+    reps = settings.resolved_collect_reps()
+    # Everything that shapes the collection keys the entry: the spec
+    # (its seed carries the campaign seed), the collection size, the
+    # merge strategy and the simulator schema.
+    key = json.dumps(
+        [_CACHE_SCHEMA, spec.to_dict(), reps, settings.collect_batches, merge.value, idx],
+        sort_keys=True,
+    )
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+    cache = settings.cache
+    cache_path = cache.root / f"cfg_{digest}_{platform}_{workload}_{idx}.json"
+    info = cache._read(
+        cache_path,
+        label,
+        lambda data: ConfigInfo(
+            config=NoiseConfig.from_json(data["config"]),
+            worst_exec_time=data["worst_exec_time"],
+            mean_exec_time=data["mean_exec_time"],
+            anomaly=data["anomaly"],
+            n_runs=data["n_runs"],
+            source_label=data["source_label"],
+        ),
+    )
+    if info is not None:
+        return info
     coll = collect_traces(
         spec,
-        reps=settings.resolved_collect_reps(),
+        reps=reps,
         min_degradation=0.15,
         max_batches=settings.collect_batches,
         profile_excludes_anomalies=anomaly_prob is not None,
@@ -312,20 +318,17 @@ def build_noise_config(
         n_runs=len(coll.exec_times),
         source_label=label,
     )
-    if cache.enabled:
-        atomic_write_text(
-            cache_path,
-            ResultCache._seal(
-                {
-                    "config": config.to_json(),
-                    "worst_exec_time": info.worst_exec_time,
-                    "mean_exec_time": info.mean_exec_time,
-                    "anomaly": info.anomaly,
-                    "n_runs": info.n_runs,
-                    "source_label": label,
-                }
-            ),
-        )
+    cache._write(
+        cache_path,
+        {
+            "config": config.to_json(),
+            "worst_exec_time": info.worst_exec_time,
+            "mean_exec_time": info.mean_exec_time,
+            "anomaly": info.anomaly,
+            "n_runs": info.n_runs,
+            "source_label": label,
+        },
+    )
     return info
 
 

@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.experiment import NoiseLike
     from repro.harness.faults import FaultPolicy
 
-__all__ = ["SweepResult", "sweep"]
+__all__ = ["SweepResult", "grid", "sweep"]
 
 _SWEEPABLE = {
     "platform",
@@ -41,6 +41,21 @@ _SWEEPABLE = {
     "anomaly_prob",
     "n_threads",
 }
+
+
+def grid(
+    base: ExperimentSpec, axes: dict
+) -> tuple[tuple[str, ...], list[tuple], list[ExperimentSpec]]:
+    """The cartesian grid of ``axes`` over ``base``: axis names, points
+    and specs, in the one enumeration order every sweep path shares."""
+    if not axes:
+        raise ValueError("sweep needs at least one axis")
+    unknown = set(axes) - _SWEEPABLE
+    if unknown:
+        raise ValueError(f"cannot sweep over: {sorted(unknown)} (allowed: {sorted(_SWEEPABLE)})")
+    names = tuple(axes)
+    points = list(itertools.product(*(axes[n] for n in names)))
+    return names, points, [base.with_(**dict(zip(names, p))) for p in points]
 
 
 class _Lookahead:
@@ -180,17 +195,10 @@ def sweep(
 
         sweep(base, strategy=("Rm", "TP"), model=("omp", "sycl"))
     """
-    if not axes:
-        raise ValueError("sweep needs at least one axis")
-    unknown = set(axes) - _SWEEPABLE
-    if unknown:
-        raise ValueError(f"cannot sweep over: {sorted(unknown)} (allowed: {sorted(_SWEEPABLE)})")
+    names, points, specs = grid(base, axes)
     if service is not None:
         return service.run_sweep(base, noise=noise, shard=shard, **axes)
     cache = cache if cache is not None else ResultCache()
-    names = tuple(axes)
-    points = list(itertools.product(*(axes[n] for n in names)))
-    specs = [base.with_(**dict(zip(names, combo))) for combo in points]
     results: list[ResultSet] = []
     with _telemetry.span("sweep", axes=",".join(names), points=len(points)):
         ahead = _Lookahead(executor, cache, noise, policy, _telemetry.current_span_id())

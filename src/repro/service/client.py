@@ -29,7 +29,6 @@ sleeping the full poll interval between drain checks.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import logging
 import os
@@ -263,17 +262,10 @@ class ServiceClient:
         is a content hash of the definition: re-submitting the same
         sweep from another client converges on the same record.
         """
-        from repro.harness.sweep import _SWEEPABLE
+        from repro.harness.sweep import grid
 
-        if not axes:
-            raise ValueError("sweep needs at least one axis")
-        unknown = set(axes) - _SWEEPABLE
-        if unknown:
-            raise ValueError(
-                f"cannot sweep over: {sorted(unknown)} (allowed: {sorted(_SWEEPABLE)})"
-            )
+        names, _points, specs = grid(base, axes)
         _base, stack, _ = self.store.resolve_cell(base, noise)
-        names = tuple(axes)
         definition = {
             "base": base.to_dict(),
             "noise": stack.to_dict() if stack is not None else None,
@@ -284,13 +276,11 @@ class ServiceClient:
         sweep_id = hashlib.sha256(
             json.dumps(definition, sort_keys=True).encode()
         ).hexdigest()[:16]
-        keys = []
         with _telemetry.span("service_sweep", axes=",".join(names), id=sweep_id):
-            for combo in itertools.product(*(axes[name] for name in names)):
-                spec = base.with_(**dict(zip(names, combo)))
-                keys.append(
-                    self.submit(spec, noise=stack, priority=priority, shard=shard)
-                )
+            keys = [
+                self.submit(spec, noise=stack, priority=priority, shard=shard)
+                for spec in specs
+            ]
         self.queue.record_sweep(
             sweep_id, definition, keys, title=title, client=self.client_id
         )
@@ -304,7 +294,7 @@ class ServiceClient:
         ``collect_sweep(submit_sweep(...)).render()`` is byte-identical
         to ``sweep(...).render()`` over the same cells.
         """
-        from repro.harness.sweep import SweepResult
+        from repro.harness.sweep import SweepResult, grid
 
         record = self.queue.sweep(sweep_id)
         if record is None:
@@ -312,14 +302,13 @@ class ServiceClient:
         definition = record["definition"]
         base = ExperimentSpec.from_dict(definition["base"])
         noise = definition["noise"]
-        names = tuple(definition["order"])
         axes = definition["axes"]
-        points: list[tuple] = []
+        names, points, specs = grid(
+            base, {name: axes[name] for name in definition["order"]}
+        )
         results: list[ResultSet] = []
-        for combo in itertools.product(*(axes[name] for name in names)):
-            spec = base.with_(**dict(zip(names, combo)))
+        for spec in specs:
             spec, stack, key = self.store.resolve_cell(spec, _revive_noise(noise))
-            points.append(combo)
             results.append(self._collect_one(key, spec, stack))
         return SweepResult(axes=names, points=points, results=results)
 

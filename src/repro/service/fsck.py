@@ -7,8 +7,10 @@ component observes:
 
 * a job is ``done`` but its envelope is missing (worker completed the
   lease, then the entry was deleted or lost);
-* an envelope or chunk entry fails sha256 verification (bit rot, a
-  torn disk, the ``corrupt-store`` chaos profile);
+* an envelope is torn, fails sha256 verification or carries a stale
+  ``key_version`` (bit rot, a torn disk, the ``corrupt-store`` chaos
+  profile, an entry from an older key version) — the faults the
+  cache's one read rule would evict on the next lookup;
 * a ``sharded`` parent's children are all ``done`` but a chunk entry
   is missing, so no merger can ever finish the cell;
 * chunk entries linger for cells that are no longer sharded (their
@@ -17,8 +19,8 @@ component observes:
   dead, stopped, or lost.
 
 :func:`fsck` detects all of these; with ``repair=True`` it re-queues
-lost work (bounded by the jobs' attempt budgets), quarantines corrupt
-entries to ``.corrupt``, releases dead workers' leases through the
+lost work (bounded by the jobs' attempt budgets), evicts faulted
+entries under that same rule, releases dead workers' leases through the
 death-recording path (so poison detection still sees them), and
 deletes orphaned chunk files.  Repair never touches healthy state and
 never fabricates results — re-queued cells re-simulate from their
@@ -28,7 +30,6 @@ undisturbed one.
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from dataclasses import dataclass, field
@@ -48,7 +49,7 @@ class FsckReport:
 
     #: jobs marked ``done`` whose primary envelope is missing
     done_without_entry: list = field(default_factory=list)
-    #: envelopes/chunk entries that failed sha256 verification
+    #: done jobs whose envelope is torn, seal-failed or stale
     corrupt_entries: list = field(default_factory=list)
     #: sharded parents whose done children lack chunk entries
     unmergeable_parents: list = field(default_factory=list)
@@ -76,7 +77,7 @@ class FsckReport:
         lines = []
         for title, items in (
             ("done without store entry", self.done_without_entry),
-            ("corrupt (sha256 mismatch)", self.corrupt_entries),
+            ("corrupt or stale store entries", self.corrupt_entries),
             ("unmergeable sharded parents", self.unmergeable_parents),
             ("orphan chunk entries", self.orphan_chunks),
             ("leases held by dead workers", self.dead_worker_leases),
@@ -88,15 +89,6 @@ class FsckReport:
         if not self.repaired and not self.clean:
             lines.append("fsck: run with --repair to re-queue lost work")
         return "\n".join(lines)
-
-
-def _entry_ok(store: SharedResultStore, path) -> bool:
-    """Parse + verify one sealed envelope file without side effects."""
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return False
-    return store._verify_sealed(data)
 
 
 def fsck(
@@ -143,18 +135,22 @@ def fsck(
         if job.status != "done" or job.parent is not None:
             continue
         path = store.entry_path(job.key)
-        if path.exists():
-            if _entry_ok(store, path):
-                continue
+        fault = store._parse(path)[1]
+        if fault is None:
+            continue
+        if fault != "missing":
             report.corrupt_entries.append(job.key)
-            if repair:
-                store._quarantine_corrupt(path, job.label)
+        elif path.with_name(f"{job.key}.partial.json").exists():
+            continue  # a skip-policy partial is quarantined by design, not lost
         else:
-            # A skip-policy partial is quarantined by design, not lost.
-            if path.with_name(f"{job.key}.partial.json").exists():
-                continue
             report.done_without_entry.append(job.key)
-        if repair and _requeue_done(queue, job.key):
+        # The read applies the fault rule, and a result a worker
+        # re-published since the check is served rather than re-queued.
+        if (
+            repair
+            and store._read(path, job.label) is None
+            and _requeue_done(queue, job.key)
+        ):
             report.repairs.append(f"re-queued {job.key} (lost/corrupt result)")
 
     # -- sharded parents whose merge can never complete ---------------

@@ -35,18 +35,15 @@ it, and partial results (skip-policy failures inside a chunk)
 quarantine exactly as they would in-process.  Chunk files are deleted
 after a successful merge (``chunk_merges`` counts them).
 
-Every envelope — primary and chunk — is sealed with a sha256 of its
-own payload at publish time and verified on read (see
-:meth:`~repro.harness.cache.ResultCache._seal`): a bit-flipped entry is
-moved aside to ``<name>.corrupt``, counted as
-``integrity_quarantined``, and transparently re-simulated.  A corrupt
-*chunk* is treated as missing, so the merge aborts cleanly and the
-slice re-runs instead of poisoning the merged cell.
+Chunk entries are the cache's own sealed envelopes, read under its one
+fault rule (see :meth:`~repro.harness.cache.ResultCache._read`): a
+torn, bit-flipped or stale slice is counted, moved out of the keyspace
+and reads as missing, so the merge aborts cleanly and the slice
+re-runs instead of poisoning the merged cell.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from contextlib import contextmanager
@@ -56,7 +53,7 @@ import numpy as np
 
 from repro.harness.cache import ResultCache
 from repro.harness.experiment import ResultSet
-from repro.harness.faults import FailureRecord, atomic_write_text
+from repro.harness.faults import FailureRecord
 
 try:  # POSIX only; the store degrades to lock-free elsewhere
     import fcntl
@@ -156,11 +153,9 @@ class SharedResultStore(ResultCache):
             raise ValueError(
                 f"chunk [{start}, {stop}) of {key} got rep indices {indices}"
             )
-        from repro.harness.cache import _KEY_VERSION
-
-        envelope = self._seal(
+        self._write(
+            self.chunk_path(key, start, stop),
             {
-                "key_version": _KEY_VERSION,
                 "parent": key,
                 "start": start,
                 "stop": stop,
@@ -169,34 +164,22 @@ class SharedResultStore(ResultCache):
                 "failures": [
                     r.error.to_dict() for r in results if r.error is not None
                 ],
-            }
+            },
         )
-        if self.enabled:
-            atomic_write_text(self.chunk_path(key, start, stop), envelope)
 
     def load_chunk(self, key: str, start: int, stop: int) -> Optional[dict]:
-        """One slice envelope, or ``None`` when absent/torn/stale."""
-        from repro.harness.cache import _KEY_VERSION
+        """One slice envelope, or ``None`` when absent or faulted (a
+        faulted slice — including one of the wrong length — is evicted
+        and counted like any other entry)."""
 
-        path = self.chunk_path(key, start, stop)
-        if not (self.enabled and path.exists()):
-            return None
-        try:
-            data = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            return None
-        if not self._verify_sealed(data):
-            # A bit-flipped slice must never enter a merge: quarantine
-            # it like a primary entry; the caller treats it as missing
-            # and the chunk re-simulates.
-            self._quarantine_corrupt(path, f"{key}[{start}:{stop}]")
-            return None
-        if (
-            data.get("key_version") != _KEY_VERSION
-            or len(data.get("times", [])) != stop - start
-        ):
-            return None
-        return data
+        def decode(data: dict) -> dict:
+            if len(data["times"]) != stop - start:
+                raise ValueError(f"chunk [{start}, {stop}) holds {len(data['times'])} reps")
+            return data
+
+        return self._read(
+            self.chunk_path(key, start, stop), f"{key}[{start}:{stop}]", decode
+        )
 
     def merge_chunks(
         self,

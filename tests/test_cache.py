@@ -193,3 +193,111 @@ class TestCache:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "alt"))
         cache = ResultCache()
         assert cache.root == tmp_path / "alt"
+
+
+# ----------------------------------------------------------------------
+# one fault rule for every entry kind: cell, chunk and noise config
+# ----------------------------------------------------------------------
+def tear(path):
+    path.write_text(path.read_text()[: len(path.read_text()) // 2])
+
+
+def flip_seal(path):
+    """Change the body's last digit (never to a leading zero): the JSON
+    still parses, only the seal can tell."""
+    raw = bytearray(path.read_bytes())
+    at = next(i for i in range(raw.rindex(b'"sha256"'), 0, -1) if chr(raw[i]).isdigit())
+    raw[at] = ord(str(int(chr(raw[at])) % 9 + 1))
+    path.write_bytes(bytes(raw))
+
+
+def make_stale(path):
+    """Re-seal the entry under an older key version: sound, but stale."""
+    import hashlib
+
+    data = json.loads(path.read_text())
+    data.pop("sha256")
+    data["key_version"] = 1
+    data["sha256"] = hashlib.sha256(json.dumps(data).encode()).hexdigest()
+    path.write_text(json.dumps(data))
+
+
+FAULTS = {
+    "torn": (tear, "corrupt"),
+    "seal-flipped": (flip_seal, "integrity_quarantined"),
+    "stale": (make_stale, "stale"),
+}
+
+
+class TestOneFaultRule:
+    """A torn entry is deleted (``corrupt``), a seal mismatch moves to
+    ``.corrupt`` (``integrity_quarantined``), a stale ``key_version`` is
+    deleted (``stale``) — for cell, chunk and config entries alike, and
+    the re-simulated value is the same float-hex as the first."""
+
+    @staticmethod
+    def check_counts(cache, counter):
+        kinds = ("corrupt", "integrity_quarantined", "stale")
+        counts = cache.stats()
+        assert {k: counts[k] for k in kinds} == {k: int(k == counter) for k in kinds}
+
+    def check_evicted(self, cache, path, counter):
+        self.check_counts(cache, counter)
+        assert not path.exists()
+        aside = path.with_name(path.name + ".corrupt")
+        assert aside.exists() == (counter == "integrity_quarantined")
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_cell_entry(self, tmp_path, fault):
+        damage, counter = FAULTS[fault]
+        cache = ResultCache(tmp_path)
+        first = cache.get_or_run(spec(reps=3))
+        (path,) = tmp_path.glob("*.json")
+        damage(path)
+        assert cache.load_entry(path.stem, first.spec) is None
+        self.check_evicted(cache, path, counter)
+        again = cache.get_or_run(spec(reps=3))
+        assert [t.hex() for t in again.times] == [t.hex() for t in first.times]
+        assert cache.stats()["misses"] == 2 and path.exists()
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_chunk_entry(self, tmp_path, fault):
+        from repro.harness.chunkrunner import run_chunk
+        from repro.service import SharedResultStore
+
+        damage, counter = FAULTS[fault]
+        store = SharedResultStore(tmp_path)
+        store.store_chunk("cafef00d", 0, 2, run_chunk(spec(reps=4), None, range(0, 2)))
+        first = store.load_chunk("cafef00d", 0, 2)
+        path = store.chunk_path("cafef00d", 0, 2)
+        damage(path)
+        assert store.load_chunk("cafef00d", 0, 2) is None
+        self.check_evicted(store, path, counter)
+        store.store_chunk("cafef00d", 0, 2, run_chunk(spec(reps=4), None, range(0, 2)))
+        again = store.load_chunk("cafef00d", 0, 2)
+        assert [t.hex() for t in again["times"]] == [t.hex() for t in first["times"]]
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_config_entry(self, tmp_path, fault):
+        from repro.harness import campaigns
+        from repro.harness.cache import _KEY_VERSION
+
+        damage, counter = FAULTS[fault]
+        cache = ResultCache(tmp_path)
+        settings = campaigns.CampaignSettings(
+            seed=2025, collect_reps=4, collect_batches=1, cache=cache
+        )
+        args = ("intel-9700kf", "nbody", ("Rm", "omp", True), 1)
+        first = campaigns.build_noise_config(settings, *args)
+        (path,) = tmp_path.glob("cfg_*.json")
+        assert json.loads(path.read_text())["key_version"] == _KEY_VERSION
+        damage(path)
+        again = campaigns.build_noise_config(settings, *args)
+        self.check_counts(cache, counter)
+        aside = path.with_name(path.name + ".corrupt")
+        assert aside.exists() == (counter == "integrity_quarantined")
+        assert again.worst_exec_time.hex() == first.worst_exec_time.hex()
+        assert again.config.to_json() == first.config.to_json()
+        # re-collected and re-written: the next build is a plain read
+        assert campaigns.build_noise_config(settings, *args).n_runs == first.n_runs
+        self.check_counts(cache, counter)

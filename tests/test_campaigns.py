@@ -137,6 +137,28 @@ class TestConfigStore:
         )
 
 
+class TestConfigKey:
+    """A cached config is keyed by everything that shapes it, so two
+    campaigns sharing one cache each get what a fresh cache gives them."""
+
+    @pytest.mark.parametrize(
+        "other", [dict(seed=2026), dict(collect_reps=4), dict(collect_batches=1)]
+    )
+    def test_shared_cache_serves_each_setting_its_own_config(self, tmp_path, other):
+        args = ("intel-9700kf", "nbody", ("Rm", "omp", True), 1)
+        base = dict(seed=2025, collect_reps=6, collect_batches=2)
+
+        def build(cache, **kw):
+            settings = campaigns.CampaignSettings(cache=cache, **{**base, **kw})
+            info = campaigns.build_noise_config(settings, *args)
+            return info.config.to_json(), info.worst_exec_time.hex(), info.n_runs
+
+        shared = ResultCache(tmp_path / "shared")
+        assert build(shared) == build(ResultCache(tmp_path / "fresh-a"))
+        assert build(shared, **other) == build(ResultCache(tmp_path / "fresh-b"), **other)
+        assert len(list(shared.root.glob("cfg_*.json"))) == 2
+
+
 class TestSettingsIsolation:
     """A cell's run settings come from the campaign that runs it, never
     from another campaign sharing its cache or service."""

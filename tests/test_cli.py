@@ -295,6 +295,19 @@ class TestServicePrune:
         assert JobQueue(path).job("a").status == "done"
 
 
+    def test_in_process_drain_restores_signals_and_worker_mark(self, tmp_path, monkeypatch):
+        import signal
+
+        from repro.harness.chaos import in_service_worker
+
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
+        before = [signal.getsignal(s) for s in (signal.SIGTERM, signal.SIGINT)]
+        assert main(["service", "drain", "--queue", str(tmp_path / "q.sqlite"),
+                     "--store", str(tmp_path / "store")]) == 0
+        assert [signal.getsignal(s) for s in (signal.SIGTERM, signal.SIGINT)] == before
+        assert in_service_worker() is False
+
+
 class TestServiceDlq:
     """``service dlq list|show`` output for a quarantined chunk job."""
 

@@ -1,13 +1,10 @@
 """Self-healing tier: DLQ, store integrity, merge recovery, fsck, chaos."""
 
 import json
-import sqlite3
 import time
 
-import pytest
-
 from repro.harness.cache import ResultCache
-from repro.harness.chaos import ChaosSpec, get_chaos
+from repro.harness.chaos import ChaosSpec
 from repro.harness.experiment import ExperimentSpec
 from repro.service import (
     JobQueue,
@@ -310,6 +307,35 @@ class TestFsck:
         assert queue.job(key).status == "queued"
         Worker(queue, store, poll_s=0.01).run(drain=True)
         assert fsck(queue, store).clean
+
+    def test_stale_entry_detected_evicted_requeued(self, tmp_path):
+        """A done job whose entry carries an older ``key_version`` is the
+        miss the next lookup would evict: fsck reports it and, under
+        repair, evicts it by the same rule and re-queues the cell."""
+        import hashlib
+
+        queue, store, client = self.parts(tmp_path)
+        key = client.submit(spec())
+        Worker(queue, store, poll_s=0.01).run(drain=True)
+        first = store.load_for(spec())
+        path = store.entry_path(key)
+        data = json.loads(path.read_text())
+        data.pop("sha256")
+        data["key_version"] = 1
+        data["sha256"] = hashlib.sha256(json.dumps(data).encode()).hexdigest()
+        path.write_text(json.dumps(data))
+        report = fsck(queue, store)
+        assert report.corrupt_entries == [key] and not report.repaired
+        assert path.exists() and queue.job(key).status == "done"
+        assert "1 corrupt or stale store entries" in report.summary()
+        report = fsck(queue, store, repair=True)
+        assert report.corrupt_entries == [key] and report.repairs
+        assert not path.exists() and store.stats()["stale"] == 1
+        assert queue.job(key).status == "queued"
+        Worker(queue, store, poll_s=0.01).run(drain=True)
+        assert fsck(queue, store).clean
+        rs = store.load_for(spec())
+        assert [t.hex() for t in rs.times] == [t.hex() for t in first.times]
 
     def test_dead_worker_lease_released_through_death_path(self, tmp_path):
         queue, store, client = self.parts(tmp_path)

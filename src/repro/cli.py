@@ -517,14 +517,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = svc.add_parser(
         "fsck",
         help="cross-check queue<->store invariants (lost results, corrupt "
-        "entries, unmergeable sharded cells, dead workers' leases)",
+        "entries, unsettled sharded cells, dead workers' leases)",
     )
     _add_service_args(sp)
     sp.add_argument(
         "--repair",
         action="store_true",
-        help="re-queue lost work, quarantine corrupt entries, release "
-        "dead workers' leases, delete orphan chunk files",
+        help="re-queue lost work, quarantine corrupt entries, settle "
+        "sharded cells whose chunks are all done (merge, else re-queue "
+        "lost chunks, else fail the cell, as workers and clients do), "
+        "release dead workers' leases, delete orphan chunk files",
     )
 
     p = sub.add_parser("analyze", help="analyse a saved trace JSON")

@@ -17,6 +17,7 @@ counts (1000 / 200) can be restored without code changes.
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
@@ -407,68 +408,39 @@ def run_experiment(
     if stack is None:
         stack = spec.noise
     injecting = stack is not None and bool(stack)
-    if spec.adaptive is not None:
-        return _run_adaptive(spec, stack, injecting, on_run, executor, policy)
-    reps = spec.resolved_reps(injecting)
-    times = np.empty(reps)
-    anomalies: list[Optional[str]] = [None] * reps
-    failures: list["FailureRecord"] = []
-    # One span per experiment — far off the per-rep hot path, so no
-    # enabled() guard is needed around the attribute dict.
-    with _telemetry.span(
-        "experiment", spec=spec.label(), reps=reps, injected=injecting
-    ):
-        for rep in executor.run_rep_range(
-            spec, stack, range(reps), need_runs=on_run is not None, policy=policy
-        ):
-            times[rep.index] = rep.exec_time
-            anomalies[rep.index] = rep.anomaly
-            if rep.error is not None:
-                failures.append(rep.error)
-            elif on_run is not None:
-                on_run(rep.index, rep.run)
-    return ResultSet(
-        spec=spec,
-        times=times,
-        anomalies=anomalies,
-        injected=injecting,
-        failures=failures,
-    )
-
-
-def _run_adaptive(
-    spec: ExperimentSpec,
-    stack: Optional[NoiseStack],
-    injecting: bool,
-    on_run: Optional[Callable[[int, RunResult], None]],
-    executor: "Executor",
-    policy: Optional["FaultPolicy"],
-) -> ResultSet:
-    """CI-driven rep loop: deterministic batches, early stop on precision.
-
-    Reps are dispatched in the policy's fixed batch schedule through
-    :meth:`~repro.harness.executor.Executor.run_rep_range`, so rep ``i``
-    is bit-identical to rep ``i`` of a fixed-rep run; after each batch
-    the stop rule evaluates a bootstrap CI drawn from an RNG keyed by
-    ``(seed, n)``.  Same spec + seed + policy → same rep count and
-    results at any worker count.
-    """
-    from repro import telemetry as _telemetry
-
+    # One rep loop for both modes: a fixed run is one batch of
+    # ``reps`` with no stop rule; an adaptive run dispatches the
+    # policy's fixed batch schedule up to its cap and evaluates the
+    # stop rule — a bootstrap CI drawn from an RNG keyed by
+    # ``(seed, n)`` — after each batch.  Rep ``i`` is bit-identical
+    # either way, and the adaptive rep count is the same at any worker
+    # count.
     adaptive = spec.adaptive
-    cap = adaptive.resolve_cap(spec.resolved_reps(injecting))
+    reps = spec.resolved_reps(injecting)
+    if adaptive is None:
+        cap, edges, mode = reps, [reps], {}
+    else:
+        cap = adaptive.resolve_cap(reps)
+        edges, mode = adaptive.batch_edges(cap), {"adaptive": True}
     times = np.empty(cap)
     anomalies: list[Optional[str]] = [None] * cap
     failures: list["FailureRecord"] = []
     n = 0
     stopped_early = False
     rel_hw = float("nan")
+    # One span per experiment (and per adaptive batch) — far off the
+    # per-rep hot path, so no enabled() guard is needed around the
+    # attribute dict.
     with _telemetry.span(
-        "experiment", spec=spec.label(), reps=cap, injected=injecting, adaptive=True
+        "experiment", spec=spec.label(), reps=cap, injected=injecting, **mode
     ):
-        for edge in adaptive.batch_edges(cap):
+        for edge in edges:
             batch = range(n, edge)
-            with _telemetry.span("batch", spec=spec.label(), start=n, size=len(batch)):
+            with (
+                nullcontext()
+                if adaptive is None
+                else _telemetry.span("batch", spec=spec.label(), start=n, size=len(batch))
+            ):
                 for rep in executor.run_rep_range(
                     spec, stack, batch, need_runs=on_run is not None, policy=policy
                 ):
@@ -479,28 +451,33 @@ def _run_adaptive(
                     elif on_run is not None:
                         on_run(rep.index, rep.run)
             n = edge
+            if adaptive is None:
+                break
             done = times[:n]
             stop, rel_hw = adaptive.should_stop(done[~np.isnan(done)], spec.seed, n)
             if stop:
                 stopped_early = n < cap
                 break
-    group = _telemetry.get_group("adaptive")
-    group.inc("cells")
-    group.inc("reps_run", n)
-    group.inc("reps_saved", cap - n)
-    if stopped_early:
-        group.inc("early_stops")
-    return ResultSet(
-        spec=spec,
-        times=times[:n].copy(),
-        anomalies=anomalies[:n],
-        injected=injecting,
-        failures=failures,
-        adaptive={
+    summary = None
+    if adaptive is not None:
+        group = _telemetry.get_group("adaptive")
+        group.inc("cells")
+        group.inc("reps_run", n)
+        group.inc("reps_saved", cap - n)
+        if stopped_early:
+            group.inc("early_stops")
+        summary = {
             "reps_run": n,
             "cap": cap,
             "stopped_early": stopped_early,
             "rel_halfwidth": rel_hw,
             "policy": adaptive.to_dict(),
-        },
+        }
+    return ResultSet(
+        spec=spec,
+        times=times[:n],
+        anomalies=anomalies[:n],
+        injected=injecting,
+        failures=failures,
+        adaptive=summary,
     )

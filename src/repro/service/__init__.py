@@ -46,9 +46,9 @@ The self-healing tier on top:
   a sha256 at publish and verified on read; corrupt entries are
   quarantined to ``.corrupt`` and transparently re-simulated.
 * :func:`~repro.service.fsck.fsck` — cross-checks queue↔store
-  invariants (lost results, unmergeable sharded parents, orphan chunk
+  invariants (lost results, unsettled sharded parents, orphan chunk
   entries, leases held by dead workers) and, with ``repair=True``,
-  re-queues lost work.
+  re-queues lost work and settles stranded sharded cells.
 * Read-only views over recorded data: campaign progress/ETA
   (:func:`~repro.service.monitor.campaign_progress`, also under
   ``progress`` in ``repro-noise service status --json``), a single

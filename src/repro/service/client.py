@@ -38,8 +38,8 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 from repro import telemetry as _telemetry
 from repro.harness.chunkrunner import resolved_context, shard_ranges
 from repro.harness.experiment import ExperimentSpec, ResultSet, env_int
-from repro.service.queue import DEFAULT_MAX_ATTEMPTS, JobQueue
-from repro.service.store import SharedResultStore
+from repro.service.queue import DEFAULT_MAX_ATTEMPTS, JobQueue, revive_noise
+from repro.service.store import SharedResultStore, settle_sharded
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.experiment import NoiseLike
@@ -187,9 +187,10 @@ class ServiceClient:
 
         A cell the store can already serve never touches the queue
         (zero re-simulation for duplicate submissions); anything else
-        is queued — sharded when over the threshold — and awaited.
-        Requires at least one worker draining the queue, or ``timeout``
-        to bound the wait.
+        is queued — sharded when over the threshold — and awaited; a
+        sharded cell whose lost slices settling re-queued at collection
+        is awaited again.  Requires at least one worker draining the
+        queue, or ``timeout`` to bound each wait.
         """
         spec, stack, key = self.store.resolve_cell(spec, noise)
         rs = self.store.load_entry(key, spec)
@@ -197,40 +198,29 @@ class ServiceClient:
             self._counters.inc("store_served")
             return rs
         self.submit(spec, noise=stack, priority=priority, shard=shard)
-        self.wait([key], timeout=timeout)
-        return self._collect_one(key, spec, stack)
+        rs = None
+        while rs is None:
+            self.wait([key], timeout=timeout)
+            rs = self._collect_one(key, spec)
+        return rs
 
-    def _ensure_merged(self, key: str, spec: ExperimentSpec, stack) -> None:
-        """Client-side merge fallback for sharded cells.
-
-        The last-finishing worker normally merges; but if every chunk is
-        done and the envelope still is not there (merging worker died
-        between ``complete_chunk`` and the merge, say), *whoever
-        collects* can assemble it — the chunk entries are all the merge
-        needs, and the per-key flock arbitrates a race with a
-        simultaneously recovering worker.
-        """
-        if self.store.has_entry(key):
-            return
-        job = self.queue.job(key)
-        if job is None or job.status != "sharded":
-            return
-        children = self.queue.children(key)
-        if not children or any(c.status != "done" for c in children):
-            return
-        self.store.merge_chunks(
-            spec, stack, key, [(c.chunk_start, c.chunk_stop) for c in children]
-        )
-        self.queue.finalize_parent(key)
-        self._counters.inc("client_merges")
-
-    def _collect_one(
-        self, key: str, spec: ExperimentSpec, stack=None
-    ) -> ResultSet:
-        self._ensure_merged(key, spec, stack)
+    def _collect_one(self, key: str, spec: ExperimentSpec) -> Optional[ResultSet]:
+        """The cell's entry from the store, settling a sharded cell
+        first (:func:`~repro.service.store.settle_sharded`) when every
+        chunk is done but no merge ran — the merging worker died, say.
+        ``None`` when settling re-queued lost slices: the cell is
+        pending again."""
         rs = self.store.load_entry(key, spec)
         if rs is not None:
             return rs
+        outcome = settle_sharded(self.queue, self.store, key)
+        if outcome == "requeued":
+            return None
+        if outcome == "merged":
+            self._counters.inc("client_merges")
+            rs = self.store.load_entry(key, spec)
+            if rs is not None:
+                return rs
         job = self.queue.job(key)
         if job is not None and job.status == "quarantined":
             raise RuntimeError(
@@ -308,8 +298,14 @@ class ServiceClient:
         )
         results: list[ResultSet] = []
         for spec in specs:
-            spec, stack, key = self.store.resolve_cell(spec, _revive_noise(noise))
-            results.append(self._collect_one(key, spec, stack))
+            spec, _stack, key = self.store.resolve_cell(spec, revive_noise(noise))
+            rs = self._collect_one(key, spec)
+            if rs is None:
+                raise RuntimeError(
+                    f"cell {spec.label()} (key {key}) lost chunk entries, which "
+                    "were re-queued; collect again once the queue drains"
+                )
+            results.append(rs)
         return SweepResult(axes=names, points=points, results=results)
 
     def run_sweep(
@@ -435,11 +431,3 @@ class ServiceClient:
             "progress": campaign_progress(self.queue),
         }
 
-
-def _revive_noise(payload):
-    """Revive a queue-recorded noise payload (``None`` stays ``None``)."""
-    if payload is None:
-        return None
-    from repro.noise.base import NoiseStack
-
-    return NoiseStack.from_dict(payload)

@@ -11,8 +11,9 @@ component observes:
   ``key_version`` (bit rot, a torn disk, the ``corrupt-store`` chaos
   profile, an entry from an older key version) — the faults the
   cache's one read rule would evict on the next lookup;
-* a ``sharded`` parent's children are all ``done`` but a chunk entry
-  is missing, so no merger can ever finish the cell;
+* a ``sharded`` parent's children are all ``done`` but the parent is
+  not settled — its merging worker died, or a chunk entry was lost —
+  so nothing else will ever finish the cell;
 * chunk entries linger for cells that are no longer sharded (their
   merge completed elsewhere, or the cell was revived whole);
 * a lease is held by a worker whose registry heartbeat says it is
@@ -20,8 +21,11 @@ component observes:
 
 :func:`fsck` detects all of these; with ``repair=True`` it re-queues
 lost work (bounded by the jobs' attempt budgets), evicts faulted
-entries under that same rule, releases dead workers' leases through the
-death-recording path (so poison detection still sees them), and
+entries under that same rule, settles unsettled sharded parents through
+the one rule the worker and client use
+(:func:`~repro.service.store.settle_sharded`: merge, else re-queue lost
+slices, else fail the parent), releases dead workers' leases through
+the death-recording path (so poison detection still sees them), and
 deletes orphaned chunk files.  Repair never touches healthy state and
 never fabricates results — re-queued cells re-simulate from their
 content-derived seeds, so a repaired campaign is bit-identical to an
@@ -35,8 +39,8 @@ import time
 from dataclasses import dataclass, field
 
 from repro import telemetry as _telemetry
-from repro.service.queue import _REVIVE_SET, DEFAULT_LOST_AFTER_S, JobQueue
-from repro.service.store import SharedResultStore
+from repro.service.queue import DEFAULT_LOST_AFTER_S, JobQueue
+from repro.service.store import SharedResultStore, settle_sharded
 
 __all__ = ["FsckReport", "fsck"]
 
@@ -51,8 +55,9 @@ class FsckReport:
     done_without_entry: list = field(default_factory=list)
     #: done jobs whose envelope is torn, seal-failed or stale
     corrupt_entries: list = field(default_factory=list)
-    #: sharded parents whose done children lack chunk entries
-    unmergeable_parents: list = field(default_factory=list)
+    #: sharded parents whose every chunk is done but which are not
+    #: settled: mergeable ones, and ones stuck on a lost chunk entry
+    unsettled_parents: list = field(default_factory=list)
     #: chunk files on disk with no live sharded parent behind them
     orphan_chunks: list = field(default_factory=list)
     #: leases held by workers the registry says are dead/stopped/lost
@@ -66,7 +71,7 @@ class FsckReport:
         return not (
             self.done_without_entry
             or self.corrupt_entries
-            or self.unmergeable_parents
+            or self.unsettled_parents
             or self.orphan_chunks
             or self.dead_worker_leases
         )
@@ -78,7 +83,7 @@ class FsckReport:
         for title, items in (
             ("done without store entry", self.done_without_entry),
             ("corrupt or stale store entries", self.corrupt_entries),
-            ("unmergeable sharded parents", self.unmergeable_parents),
+            ("unsettled sharded parents", self.unsettled_parents),
             ("orphan chunk entries", self.orphan_chunks),
             ("leases held by dead workers", self.dead_worker_leases),
         ):
@@ -149,33 +154,27 @@ def fsck(
         if (
             repair
             and store._read(path, job.label) is None
-            and _requeue_done(queue, job.key)
+            and queue.requeue_done(job.key)
         ):
             report.repairs.append(f"re-queued {job.key} (lost/corrupt result)")
 
-    # -- sharded parents whose merge can never complete ---------------
+    # -- sharded parents nothing else will settle ---------------------
     for job in jobs:
         if job.status != "sharded":
             continue
-        if store.has_entry(job.key):
-            continue
         children = queue.children(job.key)
-        if not children or any(c.status not in ("done", "queued", "leased") for c in children):
+        if not children or any(c.status != "done" for c in children):
             continue
-        lost = [
-            c.key
-            for c in children
-            if c.status == "done"
-            and store.load_chunk(job.key, c.chunk_start, c.chunk_stop) is None
-        ]
-        if lost:
-            report.unmergeable_parents.append(job.key)
-            if repair:
-                n = queue.requeue_children(job.key, lost)
-                if n:
-                    report.repairs.append(
-                        f"re-queued {n} lost chunk(s) of sharded parent {job.key}"
-                    )
+        report.unsettled_parents.append(job.key)
+        outcome = settle_sharded(queue, store, job.key) if repair else None
+        if outcome == "merged":
+            report.repairs.append(f"merged sharded parent {job.key}")
+        elif outcome == "requeued":
+            report.repairs.append(f"re-queued lost chunk(s) of sharded parent {job.key}")
+        elif outcome == "failed":
+            report.repairs.append(
+                f"failed sharded parent {job.key} (merge failed, nothing to re-queue)"
+            )
 
     # -- orphan chunk files -------------------------------------------
     if store.enabled and store.root.is_dir():
@@ -192,7 +191,7 @@ def fsck(
     for name, items in (
         ("done_without_entry", report.done_without_entry),
         ("corrupt_entries", report.corrupt_entries),
-        ("unmergeable_parents", report.unmergeable_parents),
+        ("unsettled_parents", report.unsettled_parents),
         ("orphan_chunks", report.orphan_chunks),
         ("dead_worker_leases", report.dead_worker_leases),
     ):
@@ -202,20 +201,3 @@ def fsck(
         counters.inc("repairs", len(report.repairs))
     return report
 
-
-def _requeue_done(queue: JobQueue, key: str) -> bool:
-    """Revive one ``done``-but-resultless job back to ``queued``."""
-    def body(conn):
-        cur = conn.execute(
-            f"UPDATE jobs SET status = 'queued', {_REVIVE_SET}"
-            " WHERE key = ? AND status = 'done'",
-            (key,),
-        )
-        if cur.rowcount:
-            queue._event(conn, key, "retry", detail="fsck: lost or corrupt result")
-        return cur.rowcount > 0
-
-    requeued = queue._write_txn(body)
-    if requeued:
-        queue.notify_submit.notify()
-    return requeued

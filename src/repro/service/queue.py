@@ -20,11 +20,12 @@ row in status ``sharded`` plus one child row per deterministic
 ``chunk_range`` slice, each an ordinary leasable job any worker can
 claim.  Children complete via :meth:`JobQueue.complete_chunk`, which
 reports — inside the same transaction — whether that completion was
-the *last* one, so exactly one worker merges the per-rep chunk arrays
-back into the parent's envelope and :meth:`finalize_parent`\ s the
-parent to ``done``.  A terminal chunk failure fails the parent and its
-still-queued siblings; a SIGKILLed worker's chunk leases expire and
-re-lease like any other job.
+the *last* one, so exactly one worker settles the cell
+(:func:`~repro.service.store.settle_sharded`): it merges the per-rep
+chunk arrays back into the parent's envelope and
+:meth:`finalize_parent`\ s the parent to ``done``.  A terminal chunk
+failure fails the parent and its still-queued siblings; a SIGKILLed
+worker's chunk leases expire and re-lease like any other job.
 
 A worker renews its lease while running; a worker that dies silently
 (SIGKILL, OOM) simply stops renewing, and the next ``lease()`` call
@@ -97,6 +98,7 @@ from typing import Callable, Optional, Sequence
 
 from repro import telemetry as _telemetry
 from repro.harness.faults import FailureRecord
+from repro.noise.base import NoiseStack
 from repro.service.notify import NotifyChannel
 from repro.service.scheduler import rank
 
@@ -110,6 +112,7 @@ __all__ = [
     "DEFAULT_LOST_AFTER_S",
     "POISON_DEATHS",
     "retention_window",
+    "revive_noise",
 ]
 
 #: lease dispatches (not rep retries) a job gets before it is failed
@@ -229,6 +232,12 @@ _SINCE_REVIVAL = (
 
 def _chunk_key(key: str, start: int, stop: int) -> str:
     return f"{key}:{start}-{stop}"
+
+
+def revive_noise(payload: Optional[dict]) -> Optional[NoiseStack]:
+    """A job row's (or sweep record's) ``noise`` payload as a
+    :class:`~repro.noise.base.NoiseStack`; ``None`` stays ``None``."""
+    return NoiseStack.from_dict(payload) if payload is not None else None
 
 
 @dataclass
@@ -903,7 +912,7 @@ class JobQueue:
         ``last`` is ``True`` iff this completion left the parent in
         status ``sharded`` with zero unfinished children — decided
         inside the write transaction, so under any interleaving exactly
-        one completer observes it and performs the merge.  A lost lease
+        one completer observes it and settles the cell.  A lost lease
         returns ``(False, None)``; the re-leased twin will store the
         identical chunk bytes anyway.
         """
@@ -1070,12 +1079,15 @@ class JobQueue:
     def requeue_children(self, parent: str, keys: Sequence[str]) -> int:
         """Self-healing merge: re-queue specific chunk children of a
         still-``sharded`` parent whose store entries went missing or
-        corrupt (the merger re-simulates them instead of failing the
-        cell).  Attempt budgets still apply — children already at their
-        cap are left alone, so a truly broken cell cannot loop forever.
-        Returns how many became leasable again."""
+        corrupt (the cell re-simulates them instead of failing).
+        Attempt budgets still apply — children already at their cap are
+        left alone, so a truly broken cell cannot loop forever.  Returns
+        how many of ``keys`` are leasable after the call, re-queued now
+        or by a concurrent settler of the same parent, so two settlers
+        that lost the same slice both see it coming back."""
         if not keys:
             return 0
+        marks = ",".join("?" for _ in keys)
 
         def body(conn: sqlite3.Connection) -> int:
             prow = conn.execute(
@@ -1083,7 +1095,6 @@ class JobQueue:
             ).fetchone()
             if prow is None or prow["status"] != "sharded":
                 return 0
-            marks = ",".join("?" for _ in keys)
             cur = conn.execute(
                 f"UPDATE jobs SET status = 'queued', lease_owner = NULL,"
                 f" lease_expires = NULL, finished_at = NULL, error = NULL"
@@ -1096,12 +1107,16 @@ class JobQueue:
                     conn, parent, "retry",
                     detail=f"merge re-queued {cur.rowcount} lost chunk(s)",
                 )
-            return cur.rowcount
+            return conn.execute(
+                f"SELECT COUNT(*) AS n FROM jobs WHERE parent = ? AND key IN ({marks})"
+                " AND status IN ('queued', 'leased')",
+                (parent, *keys),
+            ).fetchone()["n"]
 
-        requeued = self._write_txn(body)
-        if requeued:
+        leasable = self._write_txn(body)
+        if leasable:
             self.notify_submit.notify()
-        return requeued
+        return leasable
 
     # ------------------------------------------------------------------
     # worker registry
@@ -1207,20 +1222,31 @@ class JobQueue:
         bit-identical to a clean one — seeding is content-derived, so
         quarantine history cannot leak into results.  ``False`` if the
         key is unknown or not in a dead-letter state."""
+        return self._revive(key, ("quarantined", "failed"), "dlq retry: fresh budget")
+
+    def requeue_done(self, key: str) -> bool:
+        """Revive a ``done`` job whose result was lost or evicted from
+        the store, exactly as :meth:`dlq_retry` revives a dead letter.
+        ``False`` if the key is unknown or not ``done``."""
+        return self._revive(key, ("done",), "lost or corrupt result")
+
+    def _revive(self, key: str, statuses: tuple[str, ...], detail: str) -> bool:
+        """Move ``key`` from one of ``statuses`` back to ``queued`` with
+        a fresh budget; a cell revived from a sharded attempt runs whole,
+        so its chunk rows go (:meth:`_drop_children`)."""
         now = time.time()
+        marks = ",".join("?" for _ in statuses)
 
         def body(conn: sqlite3.Connection) -> bool:
             cur = conn.execute(
                 f"UPDATE jobs SET status = 'queued', {_REVIVE_SET}, submitted_at = ?"
-                " WHERE key = ? AND status IN ('quarantined', 'failed')",
-                (now, key),
+                f" WHERE key = ? AND status IN ({marks})",
+                (now, key, *statuses),
             )
             if cur.rowcount == 0:
                 return False
-            # A revived cell runs whole even if its doomed attempt was
-            # sharded.
             self._drop_children(conn, key)
-            self._event(conn, key, "retry", at=now, detail="dlq retry: fresh budget")
+            self._event(conn, key, "retry", at=now, detail=detail)
             return True
 
         revived = self._write_txn(body)

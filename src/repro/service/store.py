@@ -24,10 +24,9 @@ was served another process's result).
 The store is also the *assembly point for sharded cells*: workers
 publish each finished rep slice as an immutable **chunk entry**
 (``<key>.chunk-<start>-<stop>.json``, atomic rename like everything
-else), and the last finisher — or the collecting client, whoever gets
-there — merges the slices in rep-index order into the ordinary
-envelope under the parent key (:meth:`SharedResultStore.merge_chunks`,
-serialised by the same per-key flock).  The merge goes through the
+else), and :meth:`SharedResultStore.merge_chunks` assembles the slices
+in rep-index order into the ordinary envelope under the parent key,
+serialised by the same per-key flock.  The merge goes through the
 cache's own ``store_entry``, so a sharded cell's envelope is
 byte-identical to an in-process run's: JSON float round-trip is exact,
 rep *i* was seeded from its spawn key regardless of which worker ran
@@ -35,11 +34,19 @@ it, and partial results (skip-policy failures inside a chunk)
 quarantine exactly as they would in-process.  Chunk files are deleted
 after a successful merge (``chunk_merges`` counts them).
 
+:func:`settle_sharded` is the one rule that finishes a sharded cell
+once every chunk is ``done``: merge and finalize the parent; if the
+merge fails, re-queue the slices whose entries are lost; if none can
+be re-queued, fail the parent.  Its three callers — the worker that
+completed the last slice, a client collecting the cell, and ``fsck
+--repair`` — may race freely: the flock lets one merge and serves the
+others, and a slice one settler re-queued counts as re-queued for all.
+
 Chunk entries are the cache's own sealed envelopes, read under its one
 fault rule (see :meth:`~repro.harness.cache.ResultCache._read`): a
 torn, bit-flipped or stale slice is counted, moved out of the keyspace
-and reads as missing, so the merge aborts cleanly and the slice
-re-runs instead of poisoning the merged cell.
+and reads as missing, so the merge aborts cleanly and settling
+re-queues the slice instead of poisoning the merged cell.
 """
 
 from __future__ import annotations
@@ -52,15 +59,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.harness.cache import ResultCache
-from repro.harness.experiment import ResultSet
+from repro.harness.experiment import ExperimentSpec, ResultSet
 from repro.harness.faults import FailureRecord
+from repro.service.queue import JobQueue, _chunk_key, revive_noise
 
 try:  # POSIX only; the store degrades to lock-free elsewhere
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None
 
-__all__ = ["SharedResultStore"]
+__all__ = ["SharedResultStore", "settle_sharded"]
 
 _log = logging.getLogger(__name__)
 
@@ -222,7 +230,7 @@ class SharedResultStore(ResultCache):
                 if data is None:
                     raise RuntimeError(
                         f"missing or torn chunk entry [{start}, {stop}) for {key}; "
-                        "cannot merge (the chunk job will re-run on re-lease)"
+                        "cannot merge"
                     )
                 times[start:stop] = data["times"]
                 anomalies[start:stop] = data["anomalies"]
@@ -242,3 +250,42 @@ class SharedResultStore(ResultCache):
             for start, stop in spans:
                 self.chunk_path(key, start, stop).unlink(missing_ok=True)
             return rs
+
+
+def settle_sharded(queue: JobQueue, store: SharedResultStore, key: str) -> Optional[str]:
+    """Finish the sharded cell ``key`` once every chunk of it is done.
+
+    Reads the cell's spec and noise from its job row and does nothing
+    (returns ``None``) unless the row is ``sharded`` and every child is
+    ``done``.  Then it merges the chunk entries and finalizes the parent
+    (``"merged"``); if the merge raises, it re-queues the children whose
+    chunk entries are lost (``"requeued"``); if none can be re-queued,
+    it fails the parent (``"failed"``).  The merge comes first, so the
+    common path reads each chunk once and adds no write transaction.
+    """
+    job = queue.job(key)
+    if job is None or job.status != "sharded":
+        return None
+    children = queue.children(key)
+    if not children or any(c.status != "done" for c in children):
+        return None
+    spans = [(c.chunk_start, c.chunk_stop) for c in children]
+    try:
+        store.merge_chunks(
+            ExperimentSpec.from_dict(job.spec), revive_noise(job.noise), key, spans
+        )
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        _log.warning("merge of sharded cell %s failed: %s", key, error)
+        lost = [
+            _chunk_key(key, start, stop)
+            for start, stop in spans
+            if store.load_chunk(key, start, stop) is None
+        ]
+        if lost and queue.requeue_children(key, lost):
+            _log.warning("re-queued %d lost chunk(s) of %s", len(lost), key)
+            return "requeued"
+        queue.fail_parent(key, f"merge failed: {error}")
+        return "failed"
+    queue.finalize_parent(key)
+    return "merged"

@@ -19,15 +19,19 @@ job's ``attempts`` field feeds the re-lease budget; rep-level retries
 inside an attempt stay governed by the fault policy, exactly as
 in-process.
 
-Two kinds of job arrive from one lease call:
+Two kinds of job arrive from one lease call and run through one
+scaffold (heartbeat, span, fail-on-exception, completion):
 
-* **whole cells** run through ``get_or_run`` as before;
+* **whole cells** run through ``get_or_run`` and complete with
+  ``complete``;
 * **chunk sub-jobs** of a sharded cell run their rep slice directly on
   :func:`~repro.harness.chunkrunner.run_chunk` (the same code a pool
-  worker runs), publish the slice as a chunk entry, and — when the
-  queue says theirs was the last slice — merge the cell and finalize
-  the parent.  Seeding is per-rep, so which worker runs which slice
-  can never show up in the bytes.
+  worker runs), publish the slice as a chunk entry and complete with
+  ``complete_chunk``; when the queue says theirs was the last slice,
+  the worker settles the cell through
+  :func:`~repro.service.store.settle_sharded` — the one rule that
+  merges it, re-queues lost slices or fails it.  Seeding is per-rep,
+  so which worker runs which slice can never show up in the bytes.
 
 When the queue is empty the worker does not spin on a poll interval:
 it blocks on the queue's submit :class:`~repro.service.notify.NotifyChannel`
@@ -43,15 +47,15 @@ import os
 import signal
 import threading
 import time
+from contextlib import contextmanager
 from typing import Optional
 
 from repro import telemetry as _telemetry
 from repro.harness.chaos import get_chaos
 from repro.harness.chunkrunner import run_chunk
 from repro.harness.experiment import ExperimentSpec
-from repro.noise.base import NoiseStack
-from repro.service.queue import DEFAULT_LEASE_S, Job, JobQueue, _chunk_key
-from repro.service.store import SharedResultStore
+from repro.service.queue import DEFAULT_LEASE_S, Job, JobQueue, revive_noise
+from repro.service.store import SharedResultStore, settle_sharded
 
 __all__ = ["Worker"]
 
@@ -189,99 +193,65 @@ class Worker:
         }
 
     # ------------------------------------------------------------------
-    def _heartbeat(self, job: Job, lost: threading.Event) -> threading.Thread:
-        """Renew ``job``'s lease until stopped; flag ``lost`` if it slips."""
+    @contextmanager
+    def _heartbeat(self, job: Job):
+        """Renew ``job``'s lease while the body runs; a renewal that
+        finds the lease gone counts a ``lease_loss`` and stops."""
+        stop = threading.Event()
+
         def beat():
             interval = max(0.1, self.lease_s / 3.0)
-            while not lost.wait(interval):
+            while not stop.wait(interval):
                 if self.queue.renew(job.key, self.worker_id, self.lease_s):
                     self._counters.inc("renewals")
                     self._registry_beat("busy")
                 else:
                     self._counters.inc("lease_losses")
-                    lost.set()
                     return
 
         thread = threading.Thread(target=beat, daemon=True, name=f"hb-{job.key[:8]}")
         thread.start()
-        return thread
+        try:
+            yield
+        finally:
+            stop.set()
+            thread.join()
 
     def run_job(self, job: Job) -> bool:
-        """Execute one leased job; returns success.
+        """Execute one leased job, a whole cell or a chunk; returns success.
 
         The spec arrives rep-resolved from submit (``resolve_cell``
         pinned the environment-defaulted counts), so the key this
-        worker's ``get_or_run`` computes equals the job key and the
-        result lands exactly where every client looks for it.
+        worker computes equals the job key and the result lands exactly
+        where every client looks for it.  A whole cell runs through
+        ``get_or_run``.  A chunk runs its rep slice
+        ``[chunk_start, chunk_stop)`` through
+        :func:`~repro.harness.chunkrunner.run_chunk` — bit-identical to
+        the same indices inside any in-process dispatch, because each
+        rep reseeds from its own spawn key — and publishes it as a chunk
+        entry; the worker whose completion was the cell's last settles
+        it (:func:`~repro.service.store.settle_sharded`).
         """
         spec = ExperimentSpec.from_dict(job.spec)
-        stack = NoiseStack.from_dict(job.noise) if job.noise is not None else None
-        lost = threading.Event()
-        heartbeat = self._heartbeat(job, lost)
-        try:
-            with _telemetry.span("service_job", key=job.key, label=job.label):
-                self.store.get_or_run(
-                    spec, noise=stack, executor=self.executor, policy=self.policy
-                )
-        except Exception as exc:
-            lost.set()
-            heartbeat.join()
-            self._counters.inc("jobs_failed")
-            _log.warning(
-                "job %s (%s) failed in %s: %s: %s",
-                job.key,
-                job.label,
-                self.worker_id,
-                type(exc).__name__,
-                exc,
-            )
-            self.queue.fail(job.key, self.worker_id, f"{type(exc).__name__}: {exc}")
-            return False
-        lost.set()
-        heartbeat.join()
-        if self.queue.complete(job.key, self.worker_id):
-            self._counters.inc("jobs_done")
+        stack = revive_noise(job.noise)
+        chunk = job.parent is not None
+        if chunk:
+            kind, span = "chunk", "service_chunk"
+            extra = {"start": job.chunk_start, "stop": job.chunk_stop}
         else:
-            # The lease expired mid-run (e.g. a long stop-the-world
-            # pause) and the job was re-leased.  The result is in the
-            # store regardless — the other lease holder will be served
-            # from it — so nothing is lost but the accounting.
-            self._counters.inc("lease_losses")
-            _log.warning(
-                "job %s finished but its lease was lost; result stored anyway",
-                job.key,
-            )
-        return True
-
-    def run_chunk_job(self, job: Job) -> bool:
-        """Execute one leased chunk sub-job; returns success.
-
-        The rep slice ``[chunk_start, chunk_stop)`` runs through
-        :func:`~repro.harness.chunkrunner.run_chunk` — bit-identical
-        to the same indices inside any in-process dispatch, because
-        each rep reseeds from its own spawn key.  The finished slice is
-        published as an immutable chunk entry; if the queue reports
-        this was the last outstanding slice, this worker merges the
-        cell into its envelope and finalizes the parent.  (A client
-        racing to collect may merge first — the per-key flock makes
-        that a no-op here.)
-        """
-        spec = ExperimentSpec.from_dict(job.spec)
-        stack = NoiseStack.from_dict(job.noise) if job.noise is not None else None
-        lost = threading.Event()
-        heartbeat = self._heartbeat(job, lost)
+            kind, span, extra = "job", "service_job", {}
         try:
-            with _telemetry.span(
-                "service_chunk",
-                key=job.key,
-                label=job.label,
-                start=job.chunk_start,
-                stop=job.chunk_stop,
+            with self._heartbeat(job), _telemetry.span(
+                span, key=job.key, label=job.label, **extra
             ):
+                if not chunk:
+                    self.store.get_or_run(
+                        spec, noise=stack, executor=self.executor, policy=self.policy
+                    )
                 # A parent entry can already exist (a concurrent
                 # in-process run of the same cell); computing the slice
                 # again would be wasted, not wrong.
-                if not self.store.has_entry(job.parent):
+                elif not self.store.has_entry(job.parent):
                     results = run_chunk(
                         spec,
                         stack,
@@ -294,11 +264,10 @@ class Worker:
                         job.parent, job.chunk_start, job.chunk_stop, results
                     )
         except Exception as exc:
-            lost.set()
-            heartbeat.join()
             self._counters.inc("jobs_failed")
             _log.warning(
-                "chunk %s (%s) failed in %s: %s: %s",
+                "%s %s (%s) failed in %s: %s: %s",
+                kind,
                 job.key,
                 job.label,
                 self.worker_id,
@@ -307,53 +276,31 @@ class Worker:
             )
             self.queue.fail(job.key, self.worker_id, f"{type(exc).__name__}: {exc}")
             return False
-        lost.set()
-        heartbeat.join()
-        last, parent = self.queue.complete_chunk(job.key, self.worker_id)
-        if parent is None:
+        if chunk:
+            last, parent = self.queue.complete_chunk(job.key, self.worker_id)
+            completed = parent is not None
+        else:
+            last, completed = False, self.queue.complete(job.key, self.worker_id)
+        if not completed:
+            # The lease expired mid-run (e.g. a long stop-the-world
+            # pause) and the job was re-leased.  The result is in the
+            # store regardless — the other lease holder will be served
+            # from it — so nothing is lost but the accounting.
             self._counters.inc("lease_losses")
             _log.warning(
-                "chunk %s finished but its lease was lost; slice stored anyway",
+                "%s %s finished but its lease was lost; result stored anyway",
+                kind,
                 job.key,
             )
             return True
-        self._counters.inc("chunks_done")
+        self._counters.inc("chunks_done" if chunk else "jobs_done")
         if last:
-            try:
-                chunks = [
-                    (c.chunk_start, c.chunk_stop) for c in self.queue.children(parent)
-                ]
-                self.store.merge_chunks(spec, stack, parent, chunks)
-                self.queue.finalize_parent(parent)
+            outcome = settle_sharded(self.queue, self.store, job.parent)
+            if outcome == "merged":
                 self._counters.inc("merges")
-            except Exception as exc:
-                _log.warning(
-                    "merge of sharded cell %s failed in %s: %s: %s",
-                    parent,
-                    self.worker_id,
-                    type(exc).__name__,
-                    exc,
-                )
-                # Self-healing first: a merge usually fails because a
-                # slice's store entry went missing or flunked integrity
-                # verification — re-queue exactly those chunks (bounded
-                # by their attempt caps) so the cell re-simulates the
-                # lost slices instead of failing outright.
-                missing = [
-                    _chunk_key(parent, start, stop)
-                    for start, stop in chunks
-                    if self.store.load_chunk(parent, start, stop) is None
-                ]
-                if missing and self.queue.requeue_children(parent, missing):
-                    self._counters.inc("merge_retries")
-                    _log.warning(
-                        "re-queued %d lost chunk(s) of %s for re-simulation",
-                        len(missing),
-                        parent,
-                    )
-                    return True
-                self.queue.fail_parent(parent, f"merge failed: {type(exc).__name__}: {exc}")
-                return False
+            elif outcome == "requeued":
+                self._counters.inc("merge_retries")
+            return outcome != "failed"
         return True
 
     def run(
@@ -399,10 +346,7 @@ class Worker:
                     self._active = job
                     self._registry_beat("busy", force=True)
                     try:
-                        if job.parent is not None:
-                            self.run_chunk_job(job)
-                        else:
-                            self.run_job(job)
+                        self.run_job(job)
                     finally:
                         self._active = None
                     done += 1

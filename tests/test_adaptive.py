@@ -126,8 +126,22 @@ class TestLoop:
         assert info["policy"] == policy().to_dict()
 
     def test_fixed_mode_unreported(self):
-        rs = run_experiment(spec(), executor=SerialExecutor())
-        assert rs.adaptive is None
+        """A fixed run is one batch with no stop rule: no ``batch``
+        span, no ``adaptive`` counter and no ``adaptive`` summary."""
+        from repro import telemetry
+
+        telemetry.configure(enabled=True)
+        telemetry.reset()
+        try:
+            rs = run_experiment(spec(), executor=SerialExecutor())
+            spans = [e["name"] for e in telemetry.drain_events() if e["type"] == "span"]
+            adaptive = telemetry.counters_snapshot().get("adaptive", {})
+        finally:
+            telemetry.configure(enabled=False)
+            telemetry.reset()
+        assert rs.adaptive is None and len(rs.times) == spec().reps
+        assert spans.count("experiment") == 1 and "batch" not in spans
+        assert not any(adaptive.values())
 
     def test_prefix_matches_fixed_run(self):
         """The first n adaptive reps are the first n fixed reps."""

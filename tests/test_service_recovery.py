@@ -356,6 +356,85 @@ class TestFsck:
         (death,) = queue.deaths(key)  # released via the death-recording path
         assert death["worker"] == "w1" and death["pid"] == 4242
 
+    def stranded(self, tmp_path, s, **submit_kw):
+        """A sharded cell whose chunks were all published and completed
+        but never settled (the last completer died before merging)."""
+        from repro.harness.chunkrunner import run_chunk
+
+        queue, store, client = self.parts(tmp_path)
+        key = client.submit(s, shard=3, **submit_kw)
+        rspec, stack, _ = store.resolve_cell(s, None)
+        for chunk in queue.lease("w1", limit=len(queue.children(key))):
+            results = run_chunk(rspec, stack, range(chunk.chunk_start, chunk.chunk_stop))
+            store.store_chunk(key, chunk.chunk_start, chunk.chunk_stop, results)
+            queue.complete_chunk(chunk.key, "w1")
+        assert queue.drained() and queue.job(key).status == "sharded"
+        return queue, store, client, key
+
+    def golden_bytes(self, tmp_path, s):
+        cache = ResultCache(tmp_path / "golden")
+        cache.get_or_run(s)
+        return cache.entry_path(cache.resolve_cell(s, None)[2]).read_bytes()
+
+    def test_stranded_parent_reported_and_merged_on_repair(self, tmp_path):
+        s = spec(reps=6, seed=23)
+        queue, store, client, key = self.stranded(tmp_path, s)
+        report = fsck(queue, store)
+        assert report.unsettled_parents == [key] and not report.clean
+        assert "1 unsettled sharded parents" in report.summary()
+        assert queue.job(key).status == "sharded"  # detect-only did not touch
+        report = fsck(queue, store, repair=True)
+        assert report.repairs == [f"merged sharded parent {key}"]
+        assert queue.job(key).status == "done"
+        assert store.entry_path(key).read_bytes() == self.golden_bytes(tmp_path, s)
+        assert fsck(queue, store).clean  # merged: no chunk file is left behind
+
+    def test_lost_chunk_of_unsettled_parent_requeued_on_repair(self, tmp_path):
+        s = spec(reps=6, seed=23)
+        queue, store, client, key = self.stranded(tmp_path, s)
+        store.chunk_path(key, 3, 6).unlink()
+        report = fsck(queue, store, repair=True)
+        assert report.unsettled_parents == [key]
+        assert report.repairs == [f"re-queued lost chunk(s) of sharded parent {key}"]
+        assert queue.job(f"{key}:3-6").status == "queued"
+        worker = Worker(queue, store, poll_s=0.01)
+        worker.run(drain=True)
+        assert worker.stats()["merges"] == 1
+        assert queue.job(key).status == "done"
+        assert store.entry_path(key).read_bytes() == self.golden_bytes(tmp_path, s)
+        assert fsck(queue, store).clean
+
+    def test_unsettled_parent_failed_when_no_chunk_can_requeue(self, tmp_path):
+        queue, store, client, key = self.stranded(
+            tmp_path, spec(reps=6, seed=23), max_attempts=1
+        )
+        store.chunk_path(key, 0, 3).unlink()
+        report = fsck(queue, store, repair=True)
+        assert report.unsettled_parents == [key]
+        assert report.repairs[0].startswith(f"failed sharded parent {key}")
+        assert queue.job(key).status == "failed"
+        assert fsck(queue, store).orphan_chunks == [f"{key}.chunk-3-6.json"]
+
+    def test_revived_sharded_cell_drops_its_chunk_rows(self, tmp_path):
+        """A done cell that once ran sharded and lost its result is
+        revived whole, like a ``dlq retry``: its old chunk rows go."""
+        s = spec(reps=6, seed=29)
+        queue, store, client = self.parts(tmp_path)
+        key = client.submit(s, shard=3)
+        Worker(queue, store, poll_s=0.01).run(drain=True)
+        first = store.load_for(s)
+        store.entry_path(key).unlink()
+        report = fsck(queue, store, repair=True)
+        assert report.done_without_entry == [key]
+        assert queue.job(key).status == "queued"
+        assert queue.children(key) == []
+        assert not [e for e in queue.events() if e["key"].startswith(f"{key}:")]
+        Worker(queue, store, poll_s=0.01).run(drain=True)
+        assert queue.counts()["done"] == 1
+        assert fsck(queue, store).clean
+        rs = store.load_for(s)
+        assert [t.hex() for t in rs.times] == [t.hex() for t in first.times]
+
     def test_orphan_chunk_files_deleted_on_repair(self, tmp_path):
         queue, store, client = self.parts(tmp_path)
         from repro.harness.chunkrunner import run_chunk

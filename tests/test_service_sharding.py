@@ -41,6 +41,7 @@ from repro.service import (
     SharedResultStore,
     Worker,
 )
+from repro.service.store import settle_sharded
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -273,6 +274,44 @@ class TestChunkMerge:
 
 
 # ----------------------------------------------------------------------
+def strand(queue, store, key):
+    """Publish and complete every chunk of the sharded cell ``key`` but
+    never settle it, as when the last completer dies before merging."""
+    job = queue.job(key)
+    rspec = ExperimentSpec.from_dict(job.spec)
+    for chunk in queue.lease("w1", limit=len(queue.children(key))):
+        results = run_chunk(rspec, None, range(chunk.chunk_start, chunk.chunk_stop))
+        store.store_chunk(key, chunk.chunk_start, chunk.chunk_stop, results)
+        queue.complete_chunk(chunk.key, "w1")
+    assert queue.job(key).status == "sharded"
+
+
+def flip_byte(path):
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 0x20
+    path.write_bytes(bytes(raw))
+
+
+class TestSettle:
+    def test_racing_settlers_both_see_the_requeue(self, tmp_path, monkeypatch):
+        """Two settlers (say the last worker and a collecting client)
+        read the same all-done children and meet the same lost slice:
+        the one that finds it already re-queued must not fail the cell."""
+        queue = JobQueue(tmp_path / "queue.sqlite")
+        store = SharedResultStore(tmp_path / "store")
+        key = ServiceClient(queue, store).submit(spec(reps=6, seed=31), shard=3)
+        strand(queue, store, key)
+        store.chunk_path(key, 0, 3).unlink()
+        snapshot = queue.children(key)
+        assert settle_sharded(queue, store, key) == "requeued"
+        assert settle_sharded(queue, store, key) is None  # a chunk is open
+        monkeypatch.setattr(queue, "children", lambda _key: snapshot)
+        assert settle_sharded(queue, store, key) == "requeued"
+        assert queue.job(key).status == "sharded"
+        assert queue.job(f"{key}:0-3").status == "queued"
+
+
+# ----------------------------------------------------------------------
 class TestShardedEndToEnd:
     def parts(self, tmp_path, **client_kw):
         queue = JobQueue(tmp_path / "queue.sqlite")
@@ -323,21 +362,37 @@ class TestShardedEndToEnd:
         queue, store, client = self.parts(tmp_path)
         s = spec(reps=6, seed=17)
         key = client.submit(s, shard=3)
-        rspec, stack, _ = store.resolve_cell(s, None)
-        # Simulate workers that published every chunk and completed the
-        # queue rows, then died before anyone ran the merge.
-        for job in queue.lease("w1", limit=2):
-            results = run_chunk(
-                rspec, stack, range(job.chunk_start, job.chunk_stop)
-            )
-            store.store_chunk(key, job.chunk_start, job.chunk_stop, results)
-            queue.complete_chunk(job.key, "w1")
-        assert queue.job(key).status == "sharded"  # merge never happened
+        strand(queue, store, key)
         rs = client.run_cell(s)
         assert client.stats()["client_merges"] == 1
         assert queue.job(key).status == "done"
         golden = ResultCache(tmp_path / "golden").get_or_run(s)
         assert [t.hex() for t in rs.times] == [t.hex() for t in golden.times]
+
+    def test_client_requeues_torn_slice_of_stranded_cell(self, tmp_path):
+        """Every chunk is done, no merge ran, and one slice is torn: the
+        collecting client settles the cell by re-queuing that slice,
+        waits for it, and gets the in-process bytes."""
+        queue, store, client = self.parts(tmp_path)
+        s = spec(reps=6, seed=17)
+        key = client.submit(s, shard=3)
+        strand(queue, store, key)
+        flip_byte(store.chunk_path(key, 3, 6))
+        with pytest.raises(TimeoutError):
+            client.run_cell(s, timeout=0.2)
+        assert queue.job(f"{key}:3-6").status == "queued"
+        assert queue.job(f"{key}:0-3").status == "done"
+        Worker(queue, store, poll_s=0.01).run(drain=True)
+        assert queue.job(key).status == "done"
+        rs = client.run_cell(s)
+        golden_cache = ResultCache(tmp_path / "golden")
+        golden = golden_cache.get_or_run(s)
+        assert [t.hex() for t in rs.times] == [t.hex() for t in golden.times]
+        _, _, gkey = golden_cache.resolve_cell(s, None)
+        assert (
+            store.entry_path(key).read_bytes()
+            == golden_cache.entry_path(gkey).read_bytes()
+        )
 
     def test_adaptive_cells_are_never_sharded(self, tmp_path):
         from repro.harness.adaptive import AdaptivePolicy

@@ -8,7 +8,7 @@ rep loop embarrassingly parallel — the paper's protocol needs ~1000
 baseline and 200 injected runs per table cell, and nothing couples one
 rep to another.
 
-Two backends implement the same iterator contract:
+Two backends implement the same range contract:
 
 * :class:`SerialExecutor` — the classic in-process loop (default);
 * :class:`ParallelExecutor` — a ``concurrent.futures``
@@ -81,20 +81,20 @@ deadline counts in ``chunk_timeouts`` only, so a hung chunk never
 re-runs in-process; once it has used its re-dispatches it goes
 terminal under the policy.
 
-Starting a range ahead
-----------------------
-:meth:`ParallelExecutor.start` submits a rep range's chunks before
-anyone asks for its results, so the pool keeps working while the
-caller finishes something else (a sweep starts its next cache miss
-behind the current one).  The started batch belongs to the thread
-that started it: only a ``run_rep_range`` call on that thread with an
-equal ``(spec, noise, indices, need_runs, policy)``, while the pool
-the batch went to is still the live one, adopts it, as the first
-round of the one dispatch loop, so recovery, deadlines and counters
-stay there.  A batch whose pool was retired is dropped and its range
-dispatches afresh at dispatch count 0; a batch nobody adopts must be
-cancelled (``cancel()`` on the handle ``start`` returns), which waits
-out its running chunks so none outlives the caller.
+Rep ranges
+----------
+``run_rep_range`` returns a range: an iterable of the reps with a
+``close()`` method.  On a pool its first round of chunks is submitted
+when the range is made, so the pool keeps working while the caller
+finishes something else before iterating it (a sweep makes its next
+cache miss's range behind the current one).  Iterating runs the one
+dispatch loop, with its recovery, deadlines and counters.  A range
+whose pool was retired before it was iterated drops that round and
+dispatches afresh at dispatch count 0, with nothing counted.
+``close()`` ends a range early: it cancels the queued chunks and
+waits out the running ones, so none outlives the caller.  A range run
+in the caller's process is a generator, whose own ``close()`` gives
+it the same interface and which submits nothing.
 
 Backend selection is spec-independent: ``--jobs N`` on the CLI or the
 ``REPRO_JOBS`` environment variable (default ``1``; ``0`` means one
@@ -116,7 +116,7 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures import wait as _wait_futures
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from repro import telemetry as _telemetry
 from repro.harness.chaos import mark_worker
@@ -224,35 +224,135 @@ def _run_rep_chunk(payload: tuple) -> tuple:
             _telemetry.worker_capture_end(token)
 
 
-class _StartedRange:
-    """A rep range whose chunks went to a pool ahead of its
-    ``run_rep_range`` call (see :meth:`ParallelExecutor.start`)."""
+class _PoolRange:
+    """A rep range on a :class:`ParallelExecutor`'s pool whose first
+    round is submitted when it is made (see "Rep ranges" above).
+    Iterating it runs the dispatch loop; :meth:`close` ends it early."""
 
-    __slots__ = ("executor", "key", "pool", "chunks", "futures", "registry")
-
-    def __init__(self, executor, key, pool, chunks, futures, registry):
+    def __init__(self, executor, spec, noise, indices, need_runs, policy, parent):
         self.executor = executor
-        #: ``(spec, noise, indices, need_runs, policy)`` an adopting call must equal
-        self.key = key
-        self.pool = pool
-        self.chunks = chunks
-        self.futures = futures
-        #: the starting thread's unadopted batches, this one among them
-        self.registry = registry
+        self.args = (spec, noise, indices, need_runs, policy)
+        #: the unfinished chunks, in rep order
+        self.chunks = executor._chunks(indices)
+        #: the pool of the current round and its futures, one per
+        #: unfinished chunk (``None``: the round is not submitted)
+        self.pool = None
+        self.futures = None
+        if parent is None:
+            parent = _telemetry.current_span_id()
+        if not executor._degraded and not self._submit(0, parent):
+            # The first iteration meets the same failure and recovers.
+            for future in self.futures:
+                future.cancel()
+            self.futures = None
+        self._reps = self._dispatch()
 
-    def cancel(self) -> None:
-        """Drop the batch unless a call adopted it: cancel its queued
-        chunks and wait out the running ones (a chunk past its policy's
-        deadline retires the pool, as in the dispatch loop)."""
-        if self not in self.registry:
-            return  # adopted, or dropped with its retired pool
-        self.registry.remove(self)
-        for future in self.futures:
+    def __iter__(self) -> Iterator[RepResult]:
+        return self._reps
+
+    def close(self) -> None:
+        """Stop the range: cancel its queued chunks and wait out the
+        running ones (a chunk past its policy's deadline retires the
+        pool, as in the dispatch loop)."""
+        self._reps.close()
+        futures, self.futures = self.futures, None
+        if not futures:
+            return
+        for future in futures:
             future.cancel()
-        policy = self.key[-1]
+        policy = self.args[-1]
         deadline = policy.chunk_deadline(max(len(c) for c in self.chunks))
-        if _wait_futures(self.futures, timeout=deadline).not_done:
+        if _wait_futures(futures, timeout=deadline).not_done:
             self.executor._retire_pool(self.pool, broken=False)
+
+    def _submit(self, dispatches: int, parent) -> bool:
+        """Submit a round of the unfinished chunks to the live pool;
+        False when the pool refuses it (broken or shut down)."""
+        spec, noise, _indices, need_runs, policy = self.args
+        self.pool, self.futures = self.executor._ensure_pool(), []
+        try:
+            self.executor._submit(
+                self.pool, self.futures, spec, noise, self.chunks, need_runs, policy,
+                dispatches, parent,
+            )
+        except (BrokenProcessPool, RuntimeError):
+            return False
+        return True
+
+    def _dispatch(self) -> Iterator[RepResult]:
+        ex, chunks = self.executor, self.chunks
+        spec, noise, indices, need_runs, policy = self.args
+        if self.pool is not ex._pool:
+            # Made before its pool was retired: the retirement ended
+            # the round's futures, so it dispatches afresh.
+            self.futures = None
+        # Chunks finish in order and a failed round re-dispatches every
+        # unfinished one, so the unfinished chunks share one dispatch count.
+        dispatches = 0
+        while chunks:
+            if ex._degraded:
+                # The pool infrastructure is unhealthy: finish in-process.
+                rest = range(chunks[0].start, indices.stop)
+                yield from ex._run_serial(spec, noise, rest, need_runs, policy, dispatches)
+                return
+            failed = False
+            if self.futures is None and not self._submit(
+                dispatches, _telemetry.current_span_id()
+            ):
+                ex._retire_pool(self.pool, broken=True)
+                failed = True
+            pool, futures = self.pool, self.futures
+            # In-order consumption streams completed chunks to the
+            # caller while later chunks are still running (rep order is
+            # chunk order).
+            while chunks and not failed:
+                deadline = policy.chunk_deadline(len(chunks[0]))
+                try:
+                    reps_list, blob = futures[0].result(timeout=deadline)
+                except BrokenProcessPool:
+                    _log.warning(
+                        "process pool broke while running chunk reps %s of %s; "
+                        "rebuilding and re-dispatching unfinished chunks",
+                        list(chunks[0]),
+                        spec.label(),
+                    )
+                    ex._retire_pool(pool, broken=True)
+                    failed = True
+                    break
+                except FuturesTimeout:
+                    ex._counters.inc("chunk_timeouts")
+                    _log.warning(
+                        "chunk reps %s of %s exceeded its %.1fs deadline; "
+                        "killing workers and re-dispatching",
+                        list(chunks[0]),
+                        spec.label(),
+                        deadline,
+                    )
+                    ex._retire_pool(pool, broken=False)
+                    failed = True
+                    if dispatches < policy.retries:
+                        break
+                    reps_list = ex._terminal_chunk(spec, chunks[0], policy)
+                except RepExecutionError:
+                    for future in futures[1:]:
+                        future.cancel()  # fail fast: the rest would be wasted
+                    raise
+                else:
+                    _telemetry.absorb_worker(blob)
+                    ex._counters.inc("pickle_chunks")
+                for rep in reps_list:
+                    ex._account(rep)
+                    yield rep
+                del chunks[0], futures[0]
+            self.futures = None
+            if not failed:
+                with ex._lock:
+                    ex._consecutive_breaks = 0
+            elif chunks:
+                for future in futures:
+                    future.cancel()
+                dispatches += 1
+                ex._counters.inc("chunk_redispatches", len(chunks))
 
 
 # ----------------------------------------------------------------------
@@ -280,8 +380,9 @@ class Executor(ABC):
         indices: range,
         need_runs: bool = False,
         policy: Optional[FaultPolicy] = None,
-    ) -> Iterator[RepResult]:
-        """Yield :class:`RepResult` for each rep index in ``indices``.
+        parent: Optional[str] = None,
+    ) -> Iterable[RepResult]:
+        """The range of :class:`RepResult` for each rep index in ``indices``.
 
         ``indices`` must be a step-1 range; results arrive in index
         order and are bit-identical at any backend/worker count.  The
@@ -290,18 +391,12 @@ class Executor(ABC):
         ``need_runs`` asks for the full :class:`RunResult` payload
         (traces included) on every item — required by ``on_run``
         consumers such as trace collection.  ``policy`` governs
-        containment of failing reps (default: fail fast).
+        containment of failing reps (default: fail fast).  ``parent``
+        is the telemetry span that chunks submitted when the range is
+        made report under (default: the current span).  The range is
+        an iterable with a ``close()`` method (see "Rep ranges" in the
+        module docstring).
         """
-
-    def start(self, spec, noise, indices, need_runs=False, policy=None, parent=None):
-        """Start ``indices`` ahead of its :meth:`run_rep_range` call.
-
-        Returns a handle with a ``cancel()`` method, or ``None`` when
-        there is nothing to start: this backend runs a range in the
-        caller's process once asked.  ``parent`` is the telemetry span
-        the started chunks report under (default: the current span).
-        """
-        return None
 
     def _account(self, rep: RepResult) -> None:
         """Count a rep's retries and terminal failure."""
@@ -352,7 +447,7 @@ class SerialExecutor(Executor):
     def __init__(self) -> None:
         self._counters = _telemetry.new_group("executor")
 
-    def run_rep_range(self, spec, noise, indices, need_runs=False, policy=None):
+    def run_rep_range(self, spec, noise, indices, need_runs=False, policy=None, parent=None):
         policy = policy if policy is not None else DEFAULT_POLICY
         return self._run_serial(spec, noise, indices, need_runs, policy)
 
@@ -379,10 +474,10 @@ class ParallelExecutor(Executor):
     not count — the loop finishes in-process (the pool infrastructure
     itself is deemed unhealthy).  All of it is counted in :meth:`stats`.
 
-    :meth:`start` puts a range's chunks into the pool ahead of its
-    ``run_rep_range`` call, which adopts them as its first round; only
-    the starting thread's equal call on the same live pool can (see
-    the module docstring).
+    ``run_rep_range`` submits a range's first round when it is called
+    and returns the range; iterating it runs the dispatch loop, and
+    ``close()`` on it cancels its queued chunks and waits out the
+    running ones (see the module docstring).
     """
 
     #: consecutive pool breakages tolerated before degrading to serial
@@ -397,8 +492,6 @@ class ParallelExecutor(Executor):
         self._shared = False
         self._degraded = False
         self._consecutive_breaks = 0
-        #: per thread: the batches :meth:`start` submitted, not yet adopted
-        self._local = threading.local()
         #: recovery counters, kept in the telemetry registry (this is
         #: the registry entry ``stats()`` is a thin view over)
         self._counters = _telemetry.new_group("executor")
@@ -526,129 +619,12 @@ class ParallelExecutor(Executor):
             payload = (spec, noise, chunk, need_runs, policy, dispatches, telem)
             futures.append(pool.submit(_run_rep_chunk, payload))
 
-    def start(self, spec, noise, indices, need_runs=False, policy=None, parent=None):
-        policy = policy if policy is not None else DEFAULT_POLICY
-        if len(indices) <= 1 or self.jobs <= 1 or self._degraded:
-            return None  # run_rep_range will not use the pool either
-        if parent is None:
-            parent = _telemetry.current_span_id()
-        chunks = self._chunks(indices)
-        pool = self._ensure_pool()
-        futures = []
-        try:
-            self._submit(pool, futures, spec, noise, chunks, need_runs, policy, 0, parent)
-        except (BrokenProcessPool, RuntimeError):
-            # The range's own call meets the same failure and recovers.
-            for future in futures:
-                future.cancel()
-            return None
-        registry = self._local.__dict__.setdefault("started", [])
-        key = (spec, noise, indices, need_runs, policy)
-        batch = _StartedRange(self, key, pool, chunks, futures, registry)
-        registry.append(batch)
-        return batch
-
-    def _adopt(self, key) -> Optional[_StartedRange]:
-        """This thread's started batch for ``key`` on the live pool, if
-        any, taken out of the registry; batches whose pool was retired
-        are dropped on the way (the retirement ended their futures)."""
-        registry = self._local.__dict__.get("started")
-        if not registry:
-            return None
-        live = self._pool
-        for batch in list(registry):
-            if batch.pool is not live:
-                registry.remove(batch)
-            elif batch.key == key:
-                registry.remove(batch)
-                return batch
-        return None
-
-    def run_rep_range(self, spec, noise, indices, need_runs=False, policy=None):
+    def run_rep_range(self, spec, noise, indices, need_runs=False, policy=None, parent=None):
         policy = policy if policy is not None else DEFAULT_POLICY
         if len(indices) <= 1 or self.jobs <= 1:
             # Not worth a pool round-trip; the serial path is bit-identical.
-            yield from self._run_serial(spec, noise, indices, need_runs, policy)
-            return
-        started = self._adopt((spec, noise, indices, need_runs, policy))
-        if started is not None:
-            chunks = list(started.chunks)
-        else:
-            chunks = self._chunks(indices)
-        # Chunks finish in order and a failed round re-dispatches every
-        # unfinished one, so the unfinished chunks share one dispatch count.
-        dispatches = 0
-        while chunks:
-            if self._degraded:
-                # The pool infrastructure is unhealthy: finish in-process.
-                rest = range(chunks[0].start, indices.stop)
-                yield from self._run_serial(spec, noise, rest, need_runs, policy, dispatches)
-                return
-            failed = False
-            if started is not None:
-                # First round of a started range: its chunks are in flight.
-                pool, futures, started = started.pool, started.futures, None
-            else:
-                pool = self._ensure_pool()
-                futures = []
-                try:
-                    self._submit(
-                        pool, futures, spec, noise, chunks, need_runs, policy,
-                        dispatches, _telemetry.current_span_id(),
-                    )
-                except (BrokenProcessPool, RuntimeError):
-                    self._retire_pool(pool, broken=True)
-                    failed = True
-            # In-order consumption streams completed chunks to the
-            # caller while later chunks are still running (rep order is
-            # chunk order).
-            while chunks and not failed:
-                deadline = policy.chunk_deadline(len(chunks[0]))
-                try:
-                    reps_list, blob = futures[0].result(timeout=deadline)
-                except BrokenProcessPool:
-                    _log.warning(
-                        "process pool broke while running chunk reps %s of %s; "
-                        "rebuilding and re-dispatching unfinished chunks",
-                        list(chunks[0]),
-                        spec.label(),
-                    )
-                    self._retire_pool(pool, broken=True)
-                    failed = True
-                    break
-                except FuturesTimeout:
-                    self._counters.inc("chunk_timeouts")
-                    _log.warning(
-                        "chunk reps %s of %s exceeded its %.1fs deadline; "
-                        "killing workers and re-dispatching",
-                        list(chunks[0]),
-                        spec.label(),
-                        deadline,
-                    )
-                    self._retire_pool(pool, broken=False)
-                    failed = True
-                    if dispatches < policy.retries:
-                        break
-                    reps_list = self._terminal_chunk(spec, chunks[0], policy)
-                except RepExecutionError:
-                    for future in futures[1:]:
-                        future.cancel()  # fail fast: the rest would be wasted
-                    raise
-                else:
-                    _telemetry.absorb_worker(blob)
-                    self._counters.inc("pickle_chunks")
-                for rep in reps_list:
-                    self._account(rep)
-                    yield rep
-                del chunks[0], futures[0]
-            if not failed:
-                with self._lock:
-                    self._consecutive_breaks = 0
-            elif chunks:
-                for future in futures:
-                    future.cancel()
-                dispatches += 1
-                self._counters.inc("chunk_redispatches", len(chunks))
+            return self._run_serial(spec, noise, indices, need_runs, policy)
+        return _PoolRange(self, spec, noise, indices, need_runs, policy, parent)
 
     def close(self, force: bool = False) -> None:
         """Shut the pool down.

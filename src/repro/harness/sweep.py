@@ -6,9 +6,9 @@ combination (cached), and collect a tidy result table.
 
 On a process pool the grid points still run one at a time, but a cell
 boundary is no barrier: once a miss's chunks are in the pool, the
-next grid point's chunks go in behind them if that point is a
-fixed-rep miss too, and its own run adopts them (see
-:meth:`~repro.harness.executor.ParallelExecutor.start`).
+next grid point's range is made behind it if that point is a
+fixed-rep miss too, and that point's run iterates the range already
+in the pool (see "Rep ranges" in :mod:`repro.harness.executor`).
 """
 
 from __future__ import annotations
@@ -54,16 +54,25 @@ def grid(
     if unknown:
         raise ValueError(f"cannot sweep over: {sorted(unknown)} (allowed: {sorted(_SWEEPABLE)})")
     names = tuple(axes)
-    points = list(itertools.product(*(axes[n] for n in names)))
+    values = []
+    for name in names:
+        axis = axes[name]
+        if isinstance(axis, (str, bytes)) or not hasattr(axis, "__iter__"):
+            raise ValueError(f"axis {name!r} needs a sequence of values, got {axis!r}")
+        values.append(tuple(axis))
+        if not values[-1]:
+            raise ValueError(f"axis {name!r} has no values")
+    points = list(itertools.product(*values))
     return names, points, [base.with_(**dict(zip(names, p))) for p in points]
 
 
 class _Lookahead:
-    """The executor a sweep's misses run on: it passes each range to
-    the sweep's executor and, once the range's first rep is back (its
-    chunks are all in the pool by then), starts the next grid point
-    if that point is a miss.  Hits never reach it, so an all-hit pass
-    looks nothing up twice."""
+    """The executor a sweep's misses run on.  Each range it makes, it
+    follows with the next grid point's range if that point is a
+    fixed-rep miss (the first range's chunks are all in the pool by
+    then, since a range submits when it is made), and it hands that
+    range back when the point's run asks for exactly its reps.  Hits
+    never reach it, so an all-hit pass looks nothing up twice."""
 
     def __init__(self, executor, cache: ResultCache, noise, policy, parent):
         self.executor = executor
@@ -72,20 +81,25 @@ class _Lookahead:
         self.policy = policy
         #: the ``sweep`` span, which a started point's chunks report under
         self.parent = parent
-        #: the grid point after the current one, and what was started for it
+        #: the grid point after the current one, until its range is made
         self.upcoming: Optional[ExperimentSpec] = None
-        self.started = None
+        #: ``((spec, noise, indices), range)`` made ahead for the next
+        #: point, and for the current one
+        self.ahead = None
+        self.current = None
 
     def run_rep_range(self, spec, noise, indices, need_runs=False, policy=None):
         if self.executor is None:
             from repro.harness.executor import get_executor
 
             self.executor = get_executor()
-        reps = self.executor.run_rep_range(spec, noise, indices, need_runs, policy)
-        for n, rep in enumerate(reps):
-            if n == 0 and self.upcoming is not None:
-                self._start_upcoming()
-            yield rep
+        if self.current is not None and self.current[0] == (spec, noise, indices):
+            (_, reps), self.current = self.current, None
+        else:
+            reps = self.executor.run_rep_range(spec, noise, indices, need_runs, policy)
+        if self.upcoming is not None:
+            self._start_upcoming()
+        return reps
 
     def _start_upcoming(self) -> None:
         upcoming, self.upcoming = self.upcoming, None
@@ -93,27 +107,29 @@ class _Lookahead:
             return  # an adaptive point's rep count is unknown until it stops
         spec, stack, key = self.cache.resolve_cell(upcoming, self.noise)
         if not self.cache.has_entry(key):
-            self.started = self.executor.start(
-                spec, stack, range(spec.reps), policy=self.policy, parent=self.parent
+            indices = range(spec.reps)
+            self.ahead = (spec, stack, indices), self.executor.run_rep_range(
+                spec, stack, indices, policy=self.policy, parent=self.parent
             )
 
     def get_or_run(self, spec: ExperimentSpec, upcoming: Optional[ExperimentSpec]) -> ResultSet:
-        """Run one grid point; then cancel what was started for it, if
-        its run did not adopt it (the point was a hit after all)."""
-        started, self.started, self.upcoming = self.started, None, upcoming
+        """Run one grid point; then close the range made for it, if its
+        run did not take it (the point was a hit after all)."""
+        self.current, self.ahead, self.upcoming = self.ahead, None, upcoming
         try:
             return self.cache.get_or_run(
                 spec, noise=self.noise, executor=self, policy=self.policy
             )
         finally:
-            if started is not None:
-                started.cancel()
+            if self.current is not None:
+                self.current[1].close()
+                self.current = None
 
     def close(self) -> None:
-        """Cancel the started point no grid point reached (the sweep raised)."""
-        if self.started is not None:
-            self.started.cancel()
-            self.started = None
+        """Close the range made for a point no run reached (the sweep raised)."""
+        if self.ahead is not None:
+            self.ahead[1].close()
+            self.ahead = None
 
 
 @dataclass
@@ -153,8 +169,6 @@ def sweep(
     cache: Optional[ResultCache] = None,
     executor: Optional["Executor"] = None,
     policy: Optional["FaultPolicy"] = None,
-    service=None,
-    shard: Optional[int] = None,
     **axes: Sequence,
 ) -> SweepResult:
     """Run the cartesian grid of ``axes`` values over ``base``.
@@ -166,20 +180,14 @@ def sweep(
     ``executor`` selects the execution backend for cache misses
     (default: ``REPRO_JOBS``).  Grid points are looked up, run and
     stored one at a time in grid order, so the result table is stable;
-    on a process pool a miss's chunks are followed into the pool by
-    those of the next grid point when that point is a fixed-rep miss,
-    so workers do not idle at the cell boundary.  Results and cache
+    on a process pool a miss's range is followed into the pool by the
+    next grid point's range when that point is a fixed-rep miss, so
+    workers do not idle at the cell boundary.  Results and cache
     entries are the same bytes either way.
 
-    ``service`` (a :class:`~repro.service.ServiceClient`) routes the
-    whole grid through the campaign service instead: every point is
-    queued up front so workers pipeline across cells, then the table
-    is collected from the shared store.  The result is bit-identical
-    to the in-process path — same enumeration order, same content
-    keys, same envelope round-trip.  ``shard`` (service path only)
-    additionally splits cells above the threshold into chunk sub-jobs
-    so several workers chew one cell concurrently — still
-    bit-identical, because rep seeding is positional.
+    To run the grid through the campaign service instead, call
+    :meth:`~repro.service.ServiceClient.run_sweep`: it enumerates the
+    same grid and returns a bit-identical result.
 
     ``policy`` contains per-point rep failures
     (:class:`~repro.harness.faults.FaultPolicy`); under ``skip`` a grid
@@ -196,8 +204,6 @@ def sweep(
         sweep(base, strategy=("Rm", "TP"), model=("omp", "sycl"))
     """
     names, points, specs = grid(base, axes)
-    if service is not None:
-        return service.run_sweep(base, noise=noise, shard=shard, **axes)
     cache = cache if cache is not None else ResultCache()
     results: list[ResultSet] = []
     with _telemetry.span("sweep", axes=",".join(names), points=len(points)):

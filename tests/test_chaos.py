@@ -6,8 +6,6 @@ The parallel-backend cases use fresh (non-shared) ``ParallelExecutor``
 instances so a chaos-broken pool never leaks into other tests.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -266,12 +264,13 @@ class TestPoolRecovery:
         serial = sweep(base, cache=ResultCache(tmp_path / "serial"),
                        executor=SerialExecutor(), **grid)
         monkeypatch.setenv("REPRO_CHAOS", "crash:46:0.1")  # spec seed 9: rep 11 only
-        rounds = []
+        rounds, submitted = [], []
         submit = ParallelExecutor._submit
 
         def spy(pool, futures, spec, noise, chunks, need_runs, policy, dispatches, parent):
             rounds.append((spec.strategy, dispatches))
             submit(pool, futures, spec, noise, chunks, need_runs, policy, dispatches, parent)
+            submitted.extend(futures)
 
         monkeypatch.setattr(ParallelExecutor, "_submit", staticmethod(spy))
         ex = ParallelExecutor(2)
@@ -288,7 +287,7 @@ class TestPoolRecovery:
         for strategy in ("TP", "RmHK2"):
             # started (0), dropped with the pool, dispatched afresh (0), re-dispatched (1)
             assert [d for s, d in rounds if s == strategy] == [0, 0, 1]
-        assert ex._local.started == []
+        assert all(f.done() for f in submitted)  # no future of the sweep is left running
 
 
 # ----------------------------------------------------------------------

@@ -523,12 +523,12 @@ class TestTraceOnlyForConsumers:
 
 
 # ----------------------------------------------------------------------
-# starting a range ahead of its call
+# a pooled range submits its first round when it is made
 # ----------------------------------------------------------------------
 class TestStartedRange:
-    """``start`` submits a range early; only an equal call on the same
-    thread and live pool adopts it, as the first round of the dispatch
-    loop."""
+    """``run_rep_range`` on a pool submits the range's first round when
+    it is called; iterating the range runs the dispatch loop, and
+    ``close()`` ends it."""
 
     @pytest.fixture
     def ex(self):
@@ -549,48 +549,25 @@ class TestStartedRange:
         monkeypatch.setattr(ParallelExecutor, "_submit", staticmethod(spy))
         return rounds
 
-    def test_an_equal_call_adopts_and_submits_nothing(self, ex, monkeypatch):
-        reference = run_experiment(spec(), executor=SerialExecutor())
-        batch = ex.start(spec(), None, range(6))
-        submits = self._count_submits(monkeypatch, ex)
-        rs = run_experiment(spec(), executor=ex)
-        assert submits == []
-        assert rs.times.tobytes() == reference.times.tobytes()
-        assert ex.stats()["pickle_chunks"] == len(batch.chunks)
-        assert ex._local.started == []
-        batch.cancel()  # no-op once adopted
-        assert ex.stats()["pool_rebuilds"] == 0
+    @staticmethod
+    def _serial_times(s, indices):
+        return [r.exec_time.hex() for r in SerialExecutor().run_rep_range(s, None, indices)]
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            dict(spec=spec(seed=43)),
-            dict(indices=range(5)),
-            dict(need_runs=True),
-            dict(policy=FaultPolicy(on_failure="skip", backoff_base=0.0)),
-        ],
-        ids=["spec", "indices", "need_runs", "policy"],
-    )
-    def test_only_an_equal_call_adopts(self, ex, monkeypatch, call):
-        batch = ex.start(spec(), None, range(6))
+    def test_iterating_a_made_range_submits_nothing_more(self, ex, monkeypatch):
+        reps = ex.run_rep_range(spec(), None, range(6))
         submits = self._count_submits(monkeypatch, ex)
-        args = dict(spec=spec(), indices=range(6), need_runs=False, policy=None)
-        args.update(call)
-        got = list(ex.run_rep_range(args["spec"], None, args["indices"],
-                                    args["need_runs"], args["policy"]))
-        want = list(SerialExecutor().run_rep_range(args["spec"], None, args["indices"]))
-        assert [r.exec_time for r in got] == [r.exec_time for r in want]
-        assert submits == [0] * len(ex._chunks(args["indices"]))
-        assert ex._local.started == [batch]
-        batch.cancel()
-        assert ex._local.started == [] and all(f.done() for f in batch.futures)
+        assert [r.exec_time.hex() for r in reps] == self._serial_times(spec(), range(6))
+        assert submits == []
+        assert ex.stats()["pickle_chunks"] == len(ex._chunks(range(6)))
+        reps.close()  # nothing left to end
+        assert ex.stats()["pool_rebuilds"] == 0
 
     def test_another_thread_never_adopts(self, ex, monkeypatch):
         """get_executor() shares one pool between campaign threads: a
         thread asking for an equal range runs its own chunks."""
         import threading
 
-        batch = ex.start(spec(), None, range(6))
+        reps = ex.run_rep_range(spec(), None, range(6))
         submits = self._count_submits(monkeypatch, ex)
         seen = []
         worker = threading.Thread(
@@ -599,35 +576,48 @@ class TestStartedRange:
         worker.start()
         worker.join(timeout=60)
         assert not worker.is_alive()
-        assert len(submits) == len(batch.chunks) and ex._local.started == [batch]
-        mine = list(ex.run_rep_range(spec(), None, range(6)))
-        assert len(submits) == len(batch.chunks)  # adopted: nothing more submitted
+        assert len(submits) == len(ex._chunks(range(6)))
+        mine = list(reps)
+        assert len(submits) == len(ex._chunks(range(6)))  # made before: nothing more submitted
         assert [r.exec_time for r in mine] == [r.exec_time for r in seen]
 
     def test_cancel_ends_every_future_and_the_pool_serves_on(self, ex):
-        batch = ex.start(spec(reps=12), None, range(12))
-        batch.cancel()
-        assert all(f.done() for f in batch.futures)
-        assert ex._local.started == []
+        """Closing a range before iterating it leaves no future running."""
+        reps = ex.run_rep_range(spec(reps=12), None, range(12))
+        futures = list(reps.futures)
+        assert len(futures) == len(ex._chunks(range(12)))
+        reps.close()
+        assert all(f.done() for f in futures)
+        assert list(reps) == []
         rs = run_experiment(spec(), executor=ex)
         assert rs.times.tobytes() == run_experiment(spec(), executor=SerialExecutor()).times.tobytes()
+        assert ex.stats()["pool_rebuilds"] == 0
 
     def test_a_batch_on_a_retired_pool_is_dropped(self, ex, monkeypatch):
-        """The batch goes with the pool; its range dispatches afresh at
-        dispatch count 0, and no re-dispatch is counted."""
-        batch = ex.start(spec(), None, range(6))
-        ex._retire_pool(batch.pool, broken=True)
+        """The first round goes with the pool; the range dispatches
+        afresh at dispatch count 0, and no re-dispatch is counted."""
+        reps = ex.run_rep_range(spec(), None, range(6))
+        ex._retire_pool(reps.pool, broken=True)
         submits = self._count_submits(monkeypatch, ex)
-        rs = run_experiment(spec(), executor=ex)
-        assert submits == [0] * len(batch.chunks)
-        assert rs.times.tobytes() == run_experiment(spec(), executor=SerialExecutor()).times.tobytes()
-        assert ex._local.started == []
+        assert [r.exec_time.hex() for r in reps] == self._serial_times(spec(), range(6))
+        assert submits == [0] * len(ex._chunks(range(6)))
         stats = ex.stats()
         assert stats["pool_rebuilds"] == 1 and stats["chunk_redispatches"] == 0
-        batch.cancel()  # already gone: nothing to do
+        reps.close()  # consumed: nothing to do
 
-    def test_nothing_to_start_without_a_pool_round_trip(self, ex):
-        assert SerialExecutor().start(spec(), None, range(6)) is None
-        assert ParallelExecutor(1).start(spec(), None, range(6)) is None
-        assert ex.start(spec(), None, range(1)) is None
+    def test_nothing_to_start_without_a_pool_round_trip(self, ex, monkeypatch):
+        """A serial backend and a range of at most one rep submit nothing,
+        before iteration or after."""
+        submits = self._count_submits(monkeypatch, ex)
+        for backend, indices in (
+            (SerialExecutor(), range(6)),
+            (ParallelExecutor(1), range(6)),
+            (ex, range(1)),
+            (ex, range(0)),
+        ):
+            reps = backend.run_rep_range(spec(), None, indices)
+            assert submits == []
+            assert [r.exec_time.hex() for r in reps] == self._serial_times(spec(), indices)
+            reps.close()
+        assert submits == []
         assert ex._pool is None  # nothing forked for it

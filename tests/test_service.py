@@ -469,7 +469,7 @@ class TestServiceEndToEnd:
         t = threading.Thread(target=worker.run, kwargs={"drain": False})
         t.start()
         try:
-            result = sweep(spec(reps=2), service=client, model=("omp", "sycl"))
+            result = client.run_sweep(spec(reps=2), model=("omp", "sycl"))
         finally:
             worker.stop()
             t.join(timeout=30)

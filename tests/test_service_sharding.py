@@ -426,7 +426,7 @@ class TestShardedEndToEnd:
         t = threading.Thread(target=worker.run, kwargs={"drain": False})
         t.start()
         try:
-            result = sweep(base, service=client, shard=2, model=("omp", "sycl"))
+            result = client.run_sweep(base, shard=2, model=("omp", "sycl"))
         finally:
             worker.stop()
             t.join(timeout=60)

@@ -8,7 +8,7 @@ from repro.harness.cache import ResultCache
 from repro.harness.executor import ParallelExecutor, SerialExecutor, get_executor
 from repro.harness.experiment import ExperimentSpec
 from repro.harness.faults import RepExecutionError
-from repro.harness.sweep import sweep
+from repro.harness.sweep import _Lookahead, sweep
 
 
 @pytest.fixture
@@ -57,6 +57,19 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(base, cache=cache)
 
+    @pytest.mark.parametrize(
+        "axes",
+        [dict(model="omp"), dict(model=()), dict(strategy=("Rm",), seed=5)],
+        ids=["string", "empty", "scalar"],
+    )
+    def test_rejects_bad_axis_values(self, base, cache, axes):
+        """A string is not iterated character by character, and an empty
+        axis is not an empty grid: each names its axis before anything runs."""
+        bad = list(axes)[-1]
+        with pytest.raises(ValueError, match=f"axis '{bad}'"):
+            sweep(base, cache=cache, **axes)
+        assert cache.stats()["misses"] == 0
+
     def test_uses_cache(self, base, cache):
         sweep(base, cache=cache, model=("omp",))
         sweep(base, cache=cache, model=("omp",))
@@ -87,22 +100,34 @@ def pool2():
 
 
 class _StartSpy:
-    """Records every batch ``ParallelExecutor.start`` hands out."""
+    """Records every range a sweep makes ahead of its grid point, and
+    every future any pool range submits."""
 
     def __init__(self, monkeypatch):
         self.batches = []
-        start = ParallelExecutor.start
+        self.futures = []
+        start = _Lookahead._start_upcoming
+        submit = ParallelExecutor._submit
 
-        def spy(ex, *args, **kwargs):
-            batch = start(ex, *args, **kwargs)
-            if batch is not None:
-                self.batches.append(batch)
-            return batch
+        def spy_start(ahead):
+            start(ahead)
+            if ahead.ahead is not None:
+                self.batches.append(ahead.ahead[1])
 
-        monkeypatch.setattr(ParallelExecutor, "start", spy)
+        def spy_submit(pool, futures, *args):
+            n = len(futures)
+            submit(pool, futures, *args)
+            self.futures.extend(futures[n:])
+
+        monkeypatch.setattr(_Lookahead, "_start_upcoming", spy_start)
+        monkeypatch.setattr(ParallelExecutor, "_submit", staticmethod(spy_submit))
 
     def points(self):
-        return [(b.key[0].strategy, b.key[0].model) for b in self.batches]
+        return [(b.args[0].strategy, b.args[0].model) for b in self.batches]
+
+    def none_running(self):
+        """No future of the sweep is left running."""
+        return all(f.done() for f in self.futures)
 
 
 def _entries(root):
@@ -126,8 +151,8 @@ class TestLookahead:
         spy = _StartSpy(monkeypatch)
         sweep(pool_base, cache=ResultCache(tmp_path), executor=pool2, **GRID)
         assert spy.points() == [("Rm", "sycl"), ("TP", "omp"), ("TP", "sycl")]
-        # every started batch was adopted: one submit per chunk, nothing redone
-        assert pool2._local.started == []
+        # every started range was consumed: one submit per chunk, nothing redone
+        assert all(not b.chunks for b in spy.batches) and spy.none_running()
         stats = pool2.stats()
         assert stats["pickle_chunks"] == 4 * len(pool2._chunks(range(6)))
         assert stats["chunk_redispatches"] == stats["pool_rebuilds"] == 0
@@ -187,8 +212,7 @@ class TestLookahead:
         with pytest.raises(RepExecutionError, match="injected"):
             sweep(pool_base, cache=ResultCache(tmp_path / "a"), executor=pool2, **GRID)
         assert spy.points() == [("Rm", "sycl")]
-        assert all(f.done() for f in spy.batches[0].futures)
-        assert pool2._local.started == []
+        assert spy.none_running()
 
         good = pool_base.with_(seed=10)  # the same workers, which fail seed 9 only
         pooled = sweep(good, cache=ResultCache(tmp_path / "b"), executor=pool2, **GRID)
@@ -217,12 +241,11 @@ class TestLookahead:
         monkeypatch.setattr(ResultCache, "get_or_run", racing)
         sweep(pool_base, cache=cache, executor=pool2, model=("omp", "sycl"))
         assert cache.stats()["hits"] == 1
-        assert len(spy.batches) == 1 and all(f.done() for f in spy.batches[0].futures)
-        assert pool2._local.started == []
+        assert len(spy.batches) == 1 and spy.none_running()
 
     def test_concurrent_sweeps_on_a_shared_pool_keep_their_own_points(self, tmp_path):
         """get_executor() hands one pool to concurrent campaign threads;
-        each thread's sweep adopts only what it started itself."""
+        each thread's sweep consumes only the ranges it made itself."""
         import threading
 
         ex = get_executor(2)

@@ -355,8 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="lease duration (heartbeat renews at a third of it; a killed "
-        "worker's jobs are re-leased after this long)",
+        help="lease duration (the worker's heartbeat renews its leases at "
+        "most every 2s, sooner for a lease under 6s; a killed worker's jobs "
+        "are re-leased this long after its last beat)",
     )
     sp.add_argument(
         "--worker-id", default=None, help="worker name (default: worker-<pid>)"

@@ -106,9 +106,9 @@ partition changes a result, so there is nothing to tune per caller.
 
 from __future__ import annotations
 
-import atexit
 import logging
 import multiprocessing
+import multiprocessing.util
 import os
 import threading
 from abc import ABC, abstractmethod
@@ -675,10 +675,7 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 _shared: dict[int, ParallelExecutor] = {}
 
 
-@atexit.register
 def _close_shared() -> None:
-    # Shut pools down before interpreter teardown dismantles the
-    # modules their weakref callbacks rely on.
     for ex in _shared.values():
         ex.close(force=True)
     _shared.clear()
@@ -696,6 +693,10 @@ def get_executor(jobs: Optional[int] = None) -> Executor:
         return SerialExecutor()
     ex = _shared.get(n)
     if ex is None:
+        if not _shared:
+            # Runs at exit before multiprocessing joins the pool's idle
+            # workers, also in a multiprocessing child (no atexit yet).
+            multiprocessing.util.Finalize(None, _close_shared, exitpriority=100)
         ex = _shared[n] = ParallelExecutor(n)
         ex._shared = True
     return ex

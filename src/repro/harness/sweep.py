@@ -45,25 +45,24 @@ _SWEEPABLE = {
 
 def grid(
     base: ExperimentSpec, axes: dict
-) -> tuple[tuple[str, ...], list[tuple], list[ExperimentSpec]]:
-    """The cartesian grid of ``axes`` over ``base``: axis names, points
+) -> tuple[dict[str, tuple], list[tuple], list[ExperimentSpec]]:
+    """The cartesian grid of ``axes`` over ``base``: each axis's values
+    as enumerated (a generator axis is read once, here), then points
     and specs, in the one enumeration order every sweep path shares."""
     if not axes:
         raise ValueError("sweep needs at least one axis")
     unknown = set(axes) - _SWEEPABLE
     if unknown:
         raise ValueError(f"cannot sweep over: {sorted(unknown)} (allowed: {sorted(_SWEEPABLE)})")
-    names = tuple(axes)
-    values = []
-    for name in names:
-        axis = axes[name]
+    values = {}
+    for name, axis in axes.items():
         if isinstance(axis, (str, bytes)) or not hasattr(axis, "__iter__"):
             raise ValueError(f"axis {name!r} needs a sequence of values, got {axis!r}")
-        values.append(tuple(axis))
-        if not values[-1]:
+        values[name] = tuple(axis)
+        if not values[name]:
             raise ValueError(f"axis {name!r} has no values")
-    points = list(itertools.product(*values))
-    return names, points, [base.with_(**dict(zip(names, p))) for p in points]
+    points = list(itertools.product(*values.values()))
+    return values, points, [base.with_(**dict(zip(values, p))) for p in points]
 
 
 class _Lookahead:
@@ -203,14 +202,14 @@ def sweep(
 
         sweep(base, strategy=("Rm", "TP"), model=("omp", "sycl"))
     """
-    names, points, specs = grid(base, axes)
+    values, points, specs = grid(base, axes)
     cache = cache if cache is not None else ResultCache()
     results: list[ResultSet] = []
-    with _telemetry.span("sweep", axes=",".join(names), points=len(points)):
+    with _telemetry.span("sweep", axes=",".join(values), points=len(points)):
         ahead = _Lookahead(executor, cache, noise, policy, _telemetry.current_span_id())
         try:
             for spec, upcoming in zip(specs, specs[1:] + [None]):
                 results.append(ahead.get_or_run(spec, upcoming))
         finally:
             ahead.close()
-    return SweepResult(axes=names, points=points, results=results)
+    return SweepResult(axes=tuple(values), points=points, results=results)

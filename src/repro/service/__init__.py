@@ -4,8 +4,8 @@ Promotes campaigns from one-shot CLI invocations to a long-running
 service many clients can share:
 
 * :class:`~repro.service.queue.JobQueue` — a durable SQLite submission
-  queue (submit / lease / renew / complete / fail) with lease expiry
-  and attempt caps; jobs are keyed by the cell's content-hash result
+  queue (submit / lease / heartbeat / complete / fail) with lease
+  expiry and attempt caps; jobs are keyed by the cell's content-hash result
   key, so identical submissions from different clients coalesce into
   one job.
 * :mod:`~repro.service.scheduler` — the one lease order: queued cells
@@ -19,9 +19,10 @@ service many clients can share:
   re-simulation.
 * :class:`~repro.service.worker.Worker` — a process that leases jobs,
   runs them through the existing executor / fault-policy / telemetry
-  stack unchanged, and heartbeats its leases; a SIGKILLed worker's
-  jobs are re-leased after expiry and re-run bit-identically (per-rep
-  seeding is content-derived, never worker-derived).
+  stack unchanged, and runs one heartbeat that renews its leases and
+  its registry row together; a SIGKILLed worker's jobs are re-leased
+  after expiry and re-run bit-identically (per-rep seeding is
+  content-derived, never worker-derived).
 * :class:`~repro.service.client.ServiceClient` — the submit/poll front
   end behind ``repro-noise service`` and the campaign
   ``submit_or_run`` seam; a shard threshold splits big cells into

@@ -254,19 +254,19 @@ class ServiceClient:
         """
         from repro.harness.sweep import grid
 
-        names, _points, specs = grid(base, axes)
+        values, _points, specs = grid(base, axes)
         _base, stack, _ = self.store.resolve_cell(base, noise)
         definition = {
             "base": base.to_dict(),
             "noise": stack.to_dict() if stack is not None else None,
-            "axes": {name: list(axes[name]) for name in names},
-            "order": list(names),
+            "axes": {name: list(axis) for name, axis in values.items()},
+            "order": list(values),
             "title": title,
         }
         sweep_id = hashlib.sha256(
             json.dumps(definition, sort_keys=True).encode()
         ).hexdigest()[:16]
-        with _telemetry.span("service_sweep", axes=",".join(names), id=sweep_id):
+        with _telemetry.span("service_sweep", axes=",".join(values), id=sweep_id):
             keys = [
                 self.submit(spec, noise=stack, priority=priority, shard=shard)
                 for spec in specs
@@ -293,7 +293,7 @@ class ServiceClient:
         base = ExperimentSpec.from_dict(definition["base"])
         noise = definition["noise"]
         axes = definition["axes"]
-        names, points, specs = grid(
+        values, points, specs = grid(
             base, {name: axes[name] for name in definition["order"]}
         )
         results: list[ResultSet] = []
@@ -306,7 +306,7 @@ class ServiceClient:
                     "were re-queued; collect again once the queue drains"
                 )
             results.append(rs)
-        return SweepResult(axes=names, points=points, results=results)
+        return SweepResult(axes=tuple(values), points=points, results=results)
 
     def run_sweep(
         self,

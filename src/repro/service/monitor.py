@@ -177,8 +177,6 @@ def stitch_trace(
             if since is not None:
                 emit(since[1], since[0], mono, key)
             leases[key] = (mono, worker)
-        elif event == "renew":
-            continue
         elif event == "complete":
             lease = leases.pop(key, None)
             if lease is not None:

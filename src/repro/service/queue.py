@@ -27,8 +27,8 @@ chunk arrays back into the parent's envelope and
 failure fails the parent and its still-queued siblings; a SIGKILLed
 worker's chunk leases expire and re-lease like any other job.
 
-A worker renews its lease while running; a worker that dies silently
-(SIGKILL, OOM) simply stops renewing, and the next ``lease()`` call
+A worker's heartbeat extends every lease it holds; a worker that dies
+silently (SIGKILL, OOM) stops beating, and the next ``lease()`` call
 sweeps its expired jobs back to ``queued`` — or to ``failed`` once the
 attempt cap is exhausted.  Expiry, like every other transition, runs
 inside a ``BEGIN IMMEDIATE`` transaction, so exactly one worker can
@@ -49,17 +49,17 @@ a fresh budget, its ``retry`` event starts a clean history, and the
 revived run is bit-identical to a clean one (seeding is
 content-derived).
 
-Workers register themselves in a ``workers`` table and heartbeat it
-while alive, so ``service status`` can derive a ``lost`` state from
-heartbeat age instead of showing a crashed worker as active until its
-lease expires.  A supervisor that *observes* a child die calls
+Workers register in a ``workers`` table, and the heartbeat that extends
+a worker's leases stamps its row in the same transaction, so ``service
+status`` can derive a ``lost`` state from heartbeat age instead of
+showing a crashed worker as active.  A supervisor that *observes* a child die calls
 :meth:`JobQueue.report_worker_death` to release the corpse's leases
 immediately instead of waiting out the expiry.
 
-**Lifecycle events.**  Every transition (submit / lease / renew /
-expire / complete / fail / quarantine / merge / release / retry) is
-appended to an ``events`` table *inside the same write transaction*
-that performs it — no extra transactions, and the timeline can never
+**Lifecycle events.**  Every transition (submit / lease / expire /
+complete / fail / quarantine / merge / release / retry) is appended to
+an ``events`` table *inside the same write transaction* that performs
+it — no extra transactions, and the timeline can never
 disagree with the jobs table.  Each event carries the worker id, a
 wall-clock stamp and a ``time.perf_counter()`` monotonic stamp (the
 clock telemetry spans use, system-wide on Linux), which is what lets
@@ -117,7 +117,7 @@ __all__ = [
 
 #: lease dispatches (not rep retries) a job gets before it is failed
 DEFAULT_MAX_ATTEMPTS = 3
-#: seconds a lease lives without renewal
+#: seconds a lease lives past its holder's last heartbeat
 DEFAULT_LEASE_S = 60.0
 #: default retention of finished (done/failed) job rows for prune()
 DEFAULT_RETENTION_S = 7 * 86400.0
@@ -693,7 +693,7 @@ class JobQueue:
         Caller holds the transaction.  Returns how many became leasable
         again.
 
-        An expired lease means its holder stopped renewing — dead, or
+        An expired lease means its holder stopped beating — dead, or
         stalled long enough to be indistinguishable from dead — so every
         expiry is recorded as a *death* on the job and fed through
         poison detection."""
@@ -870,22 +870,6 @@ class JobQueue:
         if requeued:
             self.notify_submit.notify()
         return claimed
-
-    def renew(self, key: str, owner: str, lease_s: float = DEFAULT_LEASE_S) -> bool:
-        """Extend ``owner``'s lease; ``False`` if the lease was lost."""
-        now = time.time()
-
-        def body(conn: sqlite3.Connection) -> bool:
-            cur = conn.execute(
-                "UPDATE jobs SET lease_expires = ? WHERE key = ? AND"
-                " status = 'leased' AND lease_owner = ?",
-                (now + lease_s, key, owner),
-            )
-            if cur.rowcount > 0:
-                self._event(conn, key, "renew", worker=owner, at=now)
-            return cur.rowcount > 0
-
-        return self._write_txn(body)
 
     def complete(self, key: str, owner: str) -> bool:
         """Mark ``owner``'s leased job done; ``False`` if lease was lost."""
@@ -1138,48 +1122,56 @@ class JobQueue:
 
         self._write_txn(body)
 
-    def worker_heartbeat(
+    def heartbeat(
         self,
         worker_id: str,
-        state: str = "idle",
+        current_key: Optional[str],
+        jobs_done: int,
+        reps_done: int,
+        lease_s: float = DEFAULT_LEASE_S,
+    ) -> int:
+        """A worker's proof of life, in one transaction: stamp its
+        registry row (``busy`` executing ``current_key``, else ``idle``,
+        and its progress) unless the row is already ``stopped`` or
+        ``dead``, and extend every lease it still owns to ``now +
+        lease_s``.  Returns how many leases were extended."""
+        now = time.time()
+
+        def body(conn: sqlite3.Connection) -> int:
+            conn.execute(
+                "UPDATE workers SET heartbeat_at = ?, current_key = ?,"
+                " state = CASE WHEN ? IS NULL THEN 'idle' ELSE 'busy' END,"
+                " jobs_done = ?, reps_done = ?"
+                " WHERE id = ? AND state IN ('idle', 'busy')",
+                (now, current_key, current_key, jobs_done, reps_done, worker_id),
+            )
+            return conn.execute(
+                "UPDATE jobs SET lease_expires = ?"
+                " WHERE status = 'leased' AND lease_owner = ?",
+                (now + lease_s, worker_id),
+            ).rowcount
+
+        return self._write_txn(body)
+
+    def deregister_worker(
+        self,
+        worker_id: str,
+        state: str = "stopped",
         jobs_done: Optional[int] = None,
-        current_key: Optional[str] = None,
         reps_done: Optional[int] = None,
     ) -> None:
-        """Refresh a worker's liveness stamp and declared state.
-
-        ``current_key`` is the lease the worker is executing right now
-        (``None`` clears it — an idle worker holds nothing) and
-        ``reps_done`` its cumulative rep count; together they power the
-        dashboard's current-lease and reps/sec columns."""
-        now = time.time()
-
-        def body(conn: sqlite3.Connection) -> None:
-            sets = ["heartbeat_at = ?", "state = ?", "current_key = ?"]
-            params: list = [now, state, current_key]
-            if jobs_done is not None:
-                sets.append("jobs_done = ?")
-                params.append(jobs_done)
-            if reps_done is not None:
-                sets.append("reps_done = ?")
-                params.append(reps_done)
-            conn.execute(
-                f"UPDATE workers SET {', '.join(sets)} WHERE id = ?",
-                (*params, worker_id),
-            )
-
-        self._write_txn(body)
-
-    def deregister_worker(self, worker_id: str, state: str = "stopped") -> None:
         """Mark a worker's registry row terminal (``stopped`` on clean
-        exit, ``dead`` when reported by a supervisor).  The row is kept
-        — it is the pid provenance for death forensics."""
+        exit, ``dead`` when reported by a supervisor), with its final
+        progress when given.  The row is kept — it is the pid
+        provenance for death forensics."""
         now = time.time()
 
         def body(conn: sqlite3.Connection) -> None:
             conn.execute(
-                "UPDATE workers SET heartbeat_at = ?, state = ? WHERE id = ?",
-                (now, state, worker_id),
+                "UPDATE workers SET heartbeat_at = ?, state = ?, current_key = NULL,"
+                " jobs_done = COALESCE(?, jobs_done),"
+                " reps_done = COALESCE(?, reps_done) WHERE id = ?",
+                (now, state, jobs_done, reps_done, worker_id),
             )
 
         self._write_txn(body)

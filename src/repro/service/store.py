@@ -72,6 +72,20 @@ __all__ = ["SharedResultStore", "settle_sharded"]
 
 _log = logging.getLogger(__name__)
 
+#: lock files this process has open.  A child forked under a lock (a
+#: pool worker, which outlives a SIGKILLed holder) closes its copies.
+_lock_fds: set[int] = set()
+
+
+def _close_inherited_locks() -> None:
+    for fd in _lock_fds:
+        os.close(fd)
+    _lock_fds.clear()
+
+
+if fcntl is not None:
+    os.register_at_fork(after_in_child=_close_inherited_locks)
+
 
 class SharedResultStore(ResultCache):
     """A :class:`ResultCache` whose miss path is multi-process safe.
@@ -107,6 +121,7 @@ class SharedResultStore(ResultCache):
             return
         self._locks_dir.mkdir(parents=True, exist_ok=True)
         fd = os.open(self._locks_dir / f"{key}.lock", os.O_CREAT | os.O_RDWR, 0o644)
+        _lock_fds.add(fd)
         try:
             contended = False
             try:
@@ -120,6 +135,7 @@ class SharedResultStore(ResultCache):
             finally:
                 fcntl.flock(fd, fcntl.LOCK_UN)
         finally:
+            _lock_fds.discard(fd)
             os.close(fd)
 
     def _run_and_store(self, spec, stack, key, executor, on_run, policy):

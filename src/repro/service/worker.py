@@ -10,17 +10,17 @@ under a lease, which is precisely why service results are bit-identical
 to in-process ones: determinism lives in content (per-rep spawn-key
 seeding), never in the transport.
 
-While a job runs, a daemon heartbeat thread renews its lease at a
-third of the lease interval.  A SIGKILLed worker stops heartbeating
-and its leases expire; the queue re-leases the jobs to the next worker,
-which re-runs them from their original seeds — or serves them straight
-from the store if the dead worker got far enough to publish.  The
-job's ``attempts`` field feeds the re-lease budget; rep-level retries
-inside an attempt stay governed by the fault policy, exactly as
-in-process.
+One daemon thread beats for the worker's whole life: each beat is one
+queue transaction that stamps its registry row and extends every lease
+it holds.  A SIGKILLed worker stops beating and its leases expire; the
+queue re-leases the jobs to the next worker, which re-runs them from
+their original seeds — or serves them straight from the store if the
+dead worker got far enough to publish.  The job's ``attempts`` field
+feeds the re-lease budget; rep-level retries inside an attempt stay
+governed by the fault policy, exactly as in-process.
 
 Two kinds of job arrive from one lease call and run through one
-scaffold (heartbeat, span, fail-on-exception, completion):
+scaffold (span, fail-on-exception, completion):
 
 * **whole cells** run through ``get_or_run`` and complete with
   ``complete``;
@@ -46,7 +46,6 @@ import logging
 import os
 import signal
 import threading
-import time
 from contextlib import contextmanager
 from typing import Optional
 
@@ -61,7 +60,8 @@ __all__ = ["Worker"]
 
 _log = logging.getLogger(__name__)
 
-#: minimum interval between worker-registry heartbeat writes
+#: longest interval between two heartbeats, well inside
+#: ``DEFAULT_LOST_AFTER_S``; a lease under three of them beats faster
 _REGISTRY_BEAT_S = 2.0
 
 _telemetry.set_counter_help(
@@ -97,7 +97,6 @@ class Worker:
         self._active: Optional[Job] = None
         self._jobs_done = 0
         self._reps_done = 0
-        self._last_registry_beat = 0.0
 
     def stop(self) -> None:
         """Ask the run loop to exit after the current job."""
@@ -147,7 +146,7 @@ class Worker:
                 active = self._active
                 if active is not None:
                     queue.release(active.key, self.worker_id)
-                queue.deregister_worker(self.worker_id, "stopped")
+                self._deregister(queue)
             finally:
                 queue.close()
         except Exception:  # pragma: no cover - nothing left to save
@@ -155,25 +154,10 @@ class Worker:
         finally:
             os._exit(0)
 
-    def _registry_beat(self, state: str, force: bool = False) -> None:
-        """Throttled liveness stamp in the queue's workers table,
-        carrying the current lease and rep progress for ``service
-        top``'s current-lease / reps-per-second columns."""
-        now = time.monotonic()
-        if not force and now - self._last_registry_beat < _REGISTRY_BEAT_S:
-            return
-        self._last_registry_beat = now
-        active = self._active
-        try:
-            self.queue.worker_heartbeat(
-                self.worker_id,
-                state,
-                self._jobs_done,
-                current_key=active.key if active is not None else None,
-                reps_done=self._reps_done,
-            )
-        except Exception:  # pragma: no cover - queue file vanished
-            _log.debug("registry heartbeat failed for %s", self.worker_id)
+    def _deregister(self, queue: JobQueue) -> None:
+        queue.deregister_worker(
+            self.worker_id, "stopped", self._jobs_done, self._reps_done
+        )
 
     def stats(self) -> dict:
         counts = self._counters.as_dict()
@@ -186,7 +170,6 @@ class Worker:
                 "merges",
                 "merge_retries",
                 "lease_losses",
-                "renewals",
                 "notify_wakes",
                 "idle_waits",
             )
@@ -194,22 +177,27 @@ class Worker:
 
     # ------------------------------------------------------------------
     @contextmanager
-    def _heartbeat(self, job: Job):
-        """Renew ``job``'s lease while the body runs; a renewal that
-        finds the lease gone counts a ``lease_loss`` and stops."""
+    def _beating(self):
+        """Beat while the body runs, before both the lease expiry and
+        the registry's ``lost`` threshold."""
         stop = threading.Event()
 
         def beat():
-            interval = max(0.1, self.lease_s / 3.0)
+            interval = max(0.1, min(_REGISTRY_BEAT_S, self.lease_s / 3.0))
             while not stop.wait(interval):
-                if self.queue.renew(job.key, self.worker_id, self.lease_s):
-                    self._counters.inc("renewals")
-                    self._registry_beat("busy")
-                else:
-                    self._counters.inc("lease_losses")
-                    return
+                active = self._active
+                try:
+                    self.queue.heartbeat(
+                        self.worker_id,
+                        active.key if active is not None else None,
+                        self._jobs_done,
+                        self._reps_done,
+                        self.lease_s,
+                    )
+                except Exception:  # pragma: no cover - queue file vanished
+                    _log.debug("heartbeat failed for %s", self.worker_id, exc_info=True)
 
-        thread = threading.Thread(target=beat, daemon=True, name=f"hb-{job.key[:8]}")
+        thread = threading.Thread(target=beat, daemon=True, name="heartbeat")
         thread.start()
         try:
             yield
@@ -241,9 +229,7 @@ class Worker:
         else:
             kind, span, extra = "job", "service_job", {}
         try:
-            with self._heartbeat(job), _telemetry.span(
-                span, key=job.key, label=job.label, **extra
-            ):
+            with _telemetry.span(span, key=job.key, label=job.label, **extra):
                 if not chunk:
                     self.store.get_or_run(
                         spec, noise=stack, executor=self.executor, policy=self.policy
@@ -274,7 +260,10 @@ class Worker:
                 type(exc).__name__,
                 exc,
             )
-            self.queue.fail(job.key, self.worker_id, f"{type(exc).__name__}: {exc}")
+            if not self.queue.fail(
+                job.key, self.worker_id, f"{type(exc).__name__}: {exc}"
+            ):
+                self._counters.inc("lease_losses")
             return False
         if chunk:
             last, parent = self.queue.complete_chunk(job.key, self.worker_id)
@@ -324,42 +313,42 @@ class Worker:
             probe=self.queue.data_version
         )
         try:
-            while not self._stop.is_set():
-                if max_jobs is not None and done >= max_jobs:
-                    break
-                leased = self.queue.lease(self.worker_id, limit=1, lease_s=self.lease_s)
-                if not leased:
-                    if drain and self.queue.drained():
+            with self._beating():
+                while not self._stop.is_set():
+                    if max_jobs is not None and done >= max_jobs:
                         break
-                    self._registry_beat("idle")
-                    if subscription.wait(self.poll_s):
-                        self._counters.inc("notify_wakes")
-                    else:
-                        self._counters.inc("idle_waits")
-                    continue
-                for job in leased:
-                    if chaos is not None:
-                        # kill-worker chaos strikes in the most hostile
-                        # window: the lease is held and nothing is in
-                        # the store yet.
-                        chaos.maybe_kill_worker(job.key, job.attempts)
-                    self._active = job
-                    self._registry_beat("busy", force=True)
-                    try:
-                        self.run_job(job)
-                    finally:
-                        self._active = None
-                    done += 1
-                    self._jobs_done = done
-                    if job.chunk_start is not None:
-                        self._reps_done += job.chunk_stop - job.chunk_start
-                    else:
-                        self._reps_done += int(job.spec.get("reps") or 0)
-                    self._registry_beat("idle", force=True)
+                    leased = self.queue.lease(
+                        self.worker_id, limit=1, lease_s=self.lease_s
+                    )
+                    if not leased:
+                        if drain and self.queue.drained():
+                            break
+                        if subscription.wait(self.poll_s):
+                            self._counters.inc("notify_wakes")
+                        else:
+                            self._counters.inc("idle_waits")
+                        continue
+                    for job in leased:
+                        if chaos is not None:
+                            # kill-worker chaos strikes in the most
+                            # hostile window: the lease is held and
+                            # nothing is in the store yet.
+                            chaos.maybe_kill_worker(job.key, job.attempts)
+                        self._active = job
+                        try:
+                            self.run_job(job)
+                        finally:
+                            self._active = None
+                        done += 1
+                        self._jobs_done = done
+                        if job.chunk_start is not None:
+                            self._reps_done += job.chunk_stop - job.chunk_start
+                        else:
+                            self._reps_done += int(job.spec.get("reps") or 0)
         finally:
             subscription.close()
             try:
-                self.queue.deregister_worker(self.worker_id, "stopped")
+                self._deregister(self.queue)
             except Exception:  # pragma: no cover - queue file vanished
                 pass
         return done

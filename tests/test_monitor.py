@@ -3,7 +3,7 @@
 The guarantees under test:
 
 * every queue transition leaves exactly one append-only event, in
-  commit order (``submit < lease <= renew* < complete`` per job), and
+  commit order (``submit < lease < complete`` per job), and
   a revived cell's stale chunk children take their events with them;
 * ``service status --json`` reports the fleet-wide lifecycle totals
   (a reported worker death is an ``expire``) and cell-level campaign
@@ -55,11 +55,10 @@ class TestLifecycleEvents:
         q = JobQueue(tmp_path / "q.sqlite")
         submit(q, "a")
         (job,) = q.lease("w1")
-        assert q.renew("a", "w1") is True
-        assert q.renew("a", "w1") is True
+        assert q.heartbeat("w1", "a", 0, 0) == 1
         assert q.complete("a", "w1") is True
         names = [e["event"] for e in q.events("a")]
-        assert names == ["submit", "lease", "renew", "renew", "complete"]
+        assert names == ["submit", "lease", "complete"]  # a beat is no event
         monos = [e["mono"] for e in q.events("a")]
         assert monos == sorted(monos)
         seqs = [e["seq"] for e in q.events("a")]
@@ -289,9 +288,7 @@ class TestRenderTop:
         submit(q, "aaaabbbbcccc")
         q.register_worker("w1", pid=101)
         q.lease("w1")
-        q.worker_heartbeat(
-            "w1", state="busy", current_key="aaaabbbbcccc", reps_done=10
-        )
+        q.heartbeat("w1", "aaaabbbbcccc", 0, 10)
         text = render_top(q)
         assert "service top" in text
         assert "w1" in text and "busy" in text

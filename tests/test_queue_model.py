@@ -1,11 +1,18 @@
 """Queue reference model: ``JobQueue`` against a pure-Python model.
 
 A Hypothesis state machine drives one queue through submit (and
-re-submit), lease, observed worker deaths, retryable and terminal
-failures, clean releases and ``dlq retry`` over a few keys and
-workers.  After every step each job's status, attempt count and death
-history since its last revival must match the model, and the job's
-last status-changing lifecycle event must agree with its status.
+re-submit), lease, heartbeats, lease expiry, observed worker deaths,
+completion, retryable and terminal failures, clean releases and ``dlq
+retry`` over a few keys and workers.  After every step each job's
+status, attempt count and death history since its last revival must
+match the model, and the job's last lifecycle event must agree with
+its status.
+
+A heartbeat must extend exactly its own worker's leases.  An expired
+lease is one its holder stopped beating for: the test ages the
+holder's ``lease_expires`` into the past, and the next ``lease()`` call
+sweeps it, recording a death that goes through the same poison and
+attempt rules as an observed one.
 
 Every lease must take the job the service's one ranking puts first.
 With equal priorities, runtimes and store state that is the fewest
@@ -16,6 +23,7 @@ these submissions), then the oldest submission, then the key.
 
 import shutil
 import tempfile
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -29,6 +37,8 @@ from repro.service.queue import POISON_DEATHS, JobQueue
 KEYS = ("a", "b")
 WORKERS = ("w1", "w2", "w3")
 MAX_ATTEMPTS = 3
+#: a beat's lease; ageing a lease by an hour always puts it past due
+BEAT_LEASE_S = 120.0
 
 #: the status each status-changing event leaves its job in
 _STATUS_AFTER = {
@@ -72,6 +82,25 @@ class QueueModel(RuleBasedStateMachine):
     def _with(self, *statuses):
         return sorted(k for k, j in self.jobs.items() if j.status in statuses)
 
+    def _held(self, worker):
+        return [k for k in self._with("leased") if self.jobs[k].owner == worker]
+
+    def _owners(self):
+        return sorted({self.jobs[k].owner for k in self._with("leased")})
+
+    def _die(self, key):
+        """A death on a leased job: poison, then the attempt cap, else
+        back to the queue."""
+        job = self.jobs[key]
+        job.deaths.append((job.owner, job.attempts))
+        job.owner = None
+        if self._dead_workers(key) >= POISON_DEATHS:
+            job.status = "quarantined"
+        elif job.attempts >= MAX_ATTEMPTS:
+            job.status = "failed"
+        else:
+            job.status = "queued"
+
     @rule(key=st.sampled_from(KEYS))
     def submit(self, key):
         created = self.q.submit(key, {"k": key}, None, key, max_attempts=MAX_ATTEMPTS)
@@ -80,35 +109,70 @@ class QueueModel(RuleBasedStateMachine):
         if created:  # new, or revived with a clean history
             self.jobs[key] = ModelJob(self._stamp(key))
 
+    def _lease(self, worker, swept=()):
+        """``worker`` leases after the past-due leases ``swept`` die."""
+        for key in swept:
+            self._die(key)
+        queued = self._with("queued")
+        expect = [
+            min(queued, key=lambda k: (self._dead_workers(k), self.jobs[k].submitted_at, k))
+        ] if queued else []
+        assert [j.key for j in self.q.lease(worker)] == expect
+        for key in expect:
+            job = self.jobs[key]
+            job.status, job.owner = "leased", worker
+            job.attempts += 1
+
     @precondition(lambda self: self._with("queued"))
     @rule(worker=st.sampled_from(WORKERS))
     def lease(self, worker):
-        expect = min(
-            self._with("queued"),
-            key=lambda k: (self._dead_workers(k), self.jobs[k].submitted_at, k),
-        )
-        assert [j.key for j in self.q.lease(worker)] == [expect]
-        job = self.jobs[expect]
-        job.status, job.owner = "leased", worker
-        job.attempts += 1
+        self._lease(worker)
+
+    @rule(worker=st.sampled_from(WORKERS))
+    def heartbeat(self, worker):
+        before = {key: self.q.job(key).lease_expires for key in self.jobs}
+        held = self._held(worker)
+        start = time.time()
+        assert self.q.heartbeat(worker, None, 0, 0, BEAT_LEASE_S) == len(held)
+        end = time.time()
+        for key in self.jobs:
+            after = self.q.job(key).lease_expires
+            if key in held:
+                assert start + BEAT_LEASE_S <= after <= end + BEAT_LEASE_S
+            else:
+                assert after == before[key]
+
+    @precondition(lambda self: self._with("leased"))
+    @rule(data=st.data(), worker=st.sampled_from(WORKERS))
+    def expire(self, data, worker):
+        """One owner stops beating: its leases go past due, and the
+        next ``lease()`` call, by any worker, sweeps them."""
+        owner = data.draw(st.sampled_from(self._owners()))
+        with self.q._lock:
+            self.q._conn.execute(
+                "UPDATE jobs SET lease_expires = lease_expires - 3600"
+                " WHERE status = 'leased' AND lease_owner = ?",
+                (owner,),
+            )
+        self._lease(worker, swept=self._held(owner))
 
     @precondition(lambda self: self._with("leased"))
     @rule(data=st.data())
     def report_worker_death(self, data):
-        owners = sorted({self.jobs[k].owner for k in self._with("leased")})
-        worker = data.draw(st.sampled_from(owners))
-        held = sorted(k for k, j in self.jobs.items() if j.owner == worker)
+        worker = data.draw(st.sampled_from(self._owners()))
+        held = self._held(worker)
         assert sorted(self.q.report_worker_death(worker)) == held
         for key in held:
-            job = self.jobs[key]
-            job.deaths.append((worker, job.attempts))
-            job.owner = None
-            if self._dead_workers(key) >= POISON_DEATHS:
-                job.status = "quarantined"
-            elif job.attempts >= MAX_ATTEMPTS:
-                job.status = "failed"
-            else:
-                job.status = "queued"
+            self._die(key)
+
+    @precondition(lambda self: self._with("leased"))
+    @rule(data=st.data(), worker=st.sampled_from(WORKERS))
+    def complete(self, data, worker):
+        key = data.draw(st.sampled_from(self._with("leased")))
+        job = self.jobs[key]
+        assert self.q.complete(key, worker) == (worker == job.owner)
+        if worker == job.owner:  # the row keeps its last owner
+            job.status = "done"
 
     @precondition(lambda self: self._with("leased"))
     @rule(data=st.data(), retryable=st.booleans())
@@ -149,7 +213,7 @@ class QueueModel(RuleBasedStateMachine):
     @invariant()
     def last_status_event_matches_status(self):
         for key, job in self.jobs.items():
-            last = [e for e in self.q.events(key) if e["event"] != "renew"][-1]
+            last = self.q.events(key)[-1]
             if last["event"] == "fail":
                 retryable = last["detail"].startswith("retryable")
                 assert job.status == ("queued" if retryable else "failed")

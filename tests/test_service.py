@@ -20,6 +20,7 @@ import sqlite3
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from repro.harness.experiment import ExperimentSpec
 from repro.harness.sweep import sweep
 from repro.noise.base import NoiseStack
 from repro.service import scheduler
+from repro.service import worker as worker_module
 from repro.service import (
     Job,
     JobQueue,
@@ -37,6 +39,7 @@ from repro.service import (
     SharedResultStore,
     Worker,
 )
+from repro.service.fsck import fsck
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -144,13 +147,42 @@ class TestJobQueue:
         assert q.lease("w2") == []
         assert q.counts()["failed"] == 1
 
-    def test_renew_requires_current_owner(self, tmp_path):
+    def test_heartbeat_extends_only_its_own_leases(self, tmp_path):
         q = JobQueue(tmp_path / "q.sqlite")
         submit(q, "a")
-        q.lease("w1")
-        assert q.renew("a", "w2") is False
-        assert q.renew("a", "w1") is True
+        submit(q, "b")
+        q.lease("w1", lease_s=5.0)
+        q.lease("w2", lease_s=5.0)
+        before = {job.key: job.lease_expires for job in q.jobs()}
+        assert q.heartbeat("w1", "a", 0, 0, lease_s=600.0) == 1
+        after = {job.key: job.lease_expires for job in q.jobs()}
+        assert after["a"] > before["a"] + 500
+        assert after["b"] == before["b"]
         assert q.complete("a", "w2") is False  # wrong owner cannot complete
+
+    def test_heartbeat_never_takes_back_a_relet_lease(self, tmp_path):
+        q = JobQueue(tmp_path / "q.sqlite")
+        submit(q, "a")
+        q.lease("w1", lease_s=0.05)
+        time.sleep(0.1)
+        (job,) = q.lease("w2")
+        assert q.heartbeat("w1", "a", 0, 0) == 0
+        assert q.job("a").lease_owner == "w2"
+        assert q.job("a").lease_expires == job.lease_expires
+
+    @pytest.mark.parametrize("end", ["stopped", "dead"])
+    def test_a_late_beat_leaves_a_terminal_row_alone(self, tmp_path, end):
+        q = JobQueue(tmp_path / "q.sqlite")
+        q.register_worker("w", pid=1)
+        if end == "stopped":
+            q.deregister_worker("w", "stopped", jobs_done=3, reps_done=12)
+        else:
+            q.report_worker_death("w", pid=1)
+        q.heartbeat("w", "x", 9, 99)
+        (info,) = q.workers()
+        assert info.state == end and info.current_key is None
+        if end == "stopped":
+            assert (info.jobs_done, info.reps_done) == (3, 12)
 
     def test_sweep_record_roundtrip(self, tmp_path):
         q = JobQueue(tmp_path / "q.sqlite")
@@ -386,6 +418,39 @@ class TestSharedResultStore:
         shared = SharedResultStore(tmp_path / "shared").get_or_run(spec())
         assert [t.hex() for t in plain.times] == [t.hex() for t in shared.times]
 
+    def test_a_key_lock_dies_with_its_holder_not_its_forks(self, tmp_path):
+        """A pool worker forked under a key lock outlives a SIGKILLed
+        holder; its copy of the lock file must not keep the key locked."""
+        import fcntl
+
+        script = textwrap.dedent(
+            f"""
+            import os, sys, time
+            sys.path.insert(0, {SRC!r})
+            from repro.service import SharedResultStore
+            with SharedResultStore({str(tmp_path)!r})._key_lock("k"):
+                child = os.fork()
+                if child == 0:
+                    time.sleep(60)
+                    os._exit(0)
+                print(child, flush=True)
+                time.sleep(60)
+            """
+        )
+        proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE)
+        child = int(proc.stdout.readline())
+        try:
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=30)
+            fd = os.open(tmp_path / ".locks" / "k.lock", os.O_RDWR)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            finally:
+                os.close(fd)
+        finally:
+            os.kill(child, signal.SIGKILL)
+            proc.stdout.close()
+
     def test_two_processes_never_resimulate(self, tmp_path):
         specs = [spec(seed=s) for s in range(6)]
         specs_json = json.dumps([s.to_dict() for s in specs])
@@ -461,11 +526,18 @@ class TestServiceEndToEnd:
         ).render()
         assert service_render == in_process
 
+    def test_sweep_records_a_generator_axis(self, tmp_path):
+        queue, store, client = self.parts(tmp_path)
+        base = spec(reps=2)
+        sweep_id = client.submit_sweep(base, model=(m for m in ("omp", "sycl")))
+        assert queue.sweep(sweep_id)["definition"]["axes"] == {"model": ["omp", "sycl"]}
+        self.drain(queue, store)
+        golden = sweep(base, cache=ResultCache(tmp_path / "golden"), model=("omp", "sycl"))
+        assert client.collect_sweep(sweep_id).render() == golden.render()
+
     def test_sweep_helper_routes_through_service(self, tmp_path):
         queue, store, client = self.parts(tmp_path)
         worker = Worker(queue, store, poll_s=0.01)
-        import threading
-
         t = threading.Thread(target=worker.run, kwargs={"drain": False})
         t.start()
         try:
@@ -505,8 +577,6 @@ class TestServiceEndToEnd:
 
         queue, store, client = self.parts(tmp_path)
         worker = Worker(queue, store, poll_s=0.01)
-        import threading
-
         t = threading.Thread(target=worker.run, kwargs={"drain": False})
         t.start()
         try:
@@ -529,8 +599,6 @@ class TestServiceEndToEnd:
         """An adaptive campaign routed through a client leaves the
         client's own submits on the fixed-rep key; the campaign's cells
         still run adaptively."""
-        import threading
-
         from repro.harness import campaigns
         from repro.harness.adaptive import AdaptivePolicy
 
@@ -654,6 +722,75 @@ class TestWorkerLiveness:
         (info,) = queue.workers()
         assert info.id == "w" and info.state == "stopped"
         assert info.derived_state(time.time()) == "stopped"  # never lost
+
+    @staticmethod
+    def parts(tmp_path):
+        queue = JobQueue(tmp_path / "q.sqlite")
+        store = SharedResultStore(tmp_path / "store")
+        return queue, store, ServiceClient(queue, store, poll_s=0.01)
+
+    def test_a_long_job_reads_busy_and_keeps_its_lease(self, tmp_path, monkeypatch):
+        """With the default 60 s lease, the registry row must still be
+        stamped well inside the ``lost`` threshold while a job runs, or
+        status calls a healthy worker lost and fsck takes its lease."""
+        monkeypatch.setattr(worker_module, "_REGISTRY_BEAT_S", 0.05)
+        queue, store, client = self.parts(tmp_path)
+        client.submit(spec())
+        started, finish = threading.Event(), threading.Event()
+
+        def long_job(*args, **kwargs):
+            started.set()
+            assert finish.wait(30)
+
+        monkeypatch.setattr(store, "get_or_run", long_job)
+        worker = Worker(queue, store, worker_id="w", poll_s=0.01)
+        thread = threading.Thread(target=worker.run, kwargs={"drain": True})
+        thread.start()
+        try:
+            assert started.wait(30)
+            time.sleep(0.6)  # twice the lost threshold below
+            (row,) = client.status(lost_after_s=0.3)["workers"]
+            assert row["state"] == "busy"
+            assert fsck(queue, store, lost_after_s=0.3).dead_worker_leases == []
+        finally:
+            finish.set()
+            thread.join(30)
+        assert not thread.is_alive()
+        assert queue.counts()["done"] == 1
+
+    def test_one_heartbeat_thread_serves_every_job(self, tmp_path, monkeypatch):
+        queue, store, client = self.parts(tmp_path)
+        for seed in range(3):
+            client.submit(spec(seed=seed))
+        seen = []
+
+        def job(*args, **kwargs):
+            seen.append([t.ident for t in threading.enumerate() if t.name == "heartbeat"])
+
+        monkeypatch.setattr(store, "get_or_run", job)
+        Worker(queue, store, worker_id="w", poll_s=0.01).run(drain=True)
+        assert len(seen) == 3 and len(seen[0]) == 1
+        assert seen[1] == seen[2] == seen[0]
+        # the final counts arrive with the deregistration
+        (info,) = queue.workers()
+        assert (info.state, info.jobs_done, info.reps_done) == ("stopped", 3, 9)
+
+    def test_a_lost_lease_counts_once(self, tmp_path, monkeypatch):
+        queue, store, client = self.parts(tmp_path)
+        client.submit(spec())
+        rows = []
+
+        def job_whose_lease_is_taken(*args, **kwargs):
+            with queue._lock:
+                queue._conn.execute("UPDATE jobs SET lease_owner = 'thief'")
+            time.sleep(0.5)  # several beats at a 0.3 s lease
+            rows.extend(queue.workers())
+
+        monkeypatch.setattr(store, "get_or_run", job_whose_lease_is_taken)
+        worker = Worker(queue, store, worker_id="w", poll_s=0.01, lease_s=0.3)
+        assert worker.run(max_jobs=1) == 1
+        assert rows[0].heartbeat_at - rows[0].started_at > 0.3  # it beat meanwhile
+        assert worker.stats()["lease_losses"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -46,6 +46,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import signal
 import sys
 from typing import Optional, Sequence
@@ -941,7 +942,20 @@ def _restoring_signal_handlers():
             signal.signal(sig, handler)
 
 
+def _check_start_args(args) -> None:
+    """Reject a lease that is born expired (<= 0), never expires (nan,
+    inf), or a fleet of no workers, before anything is opened."""
+    if args.lease is not None and not (math.isfinite(args.lease) and args.lease > 0):
+        raise SystemExit(
+            f"repro-noise: --lease {args.lease!r}: must be a finite number of seconds > 0"
+        )
+    if args.workers < 1:
+        raise SystemExit(f"repro-noise: --workers {args.workers}: must be >= 1")
+
+
 def _cmd_service(args) -> int:
+    if args.action == "start":
+        _check_start_args(args)
     queue, store, client = _service_parts(args)
 
     if args.action == "start" and getattr(args, "supervise", False):
@@ -950,7 +964,7 @@ def _cmd_service(args) -> int:
         supervisor = Supervisor(
             queue,
             store_root=store.root,
-            workers=max(1, getattr(args, "workers", 1)),
+            workers=args.workers,
             seed=getattr(args, "supervisor_seed", 0),
             drain=getattr(args, "drain", False),
             lease_s=getattr(args, "lease", None),

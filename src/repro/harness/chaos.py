@@ -31,8 +31,8 @@ profile          injected fault
                  a job (lease release / poison detection / supervisor
                  restart); only fires in processes that declared
                  themselves via :func:`mark_service_worker`
-``corrupt-store``flip one byte mid-file after a completed store write
-                 (sha256 verification, ``.corrupt`` quarantine,
+``corrupt-store``flip one digit near mid-file after a completed store
+                 write (sha256 verification, ``.corrupt`` quarantine,
                  re-simulation)
 ``torn-fifo``    drop/tear notify-fifo wakeup writes (latency, never
                  correctness — waiters re-check on their poll timeout)
@@ -61,6 +61,7 @@ path pays one cached environment lookup.
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import os
 import time
@@ -70,7 +71,7 @@ from typing import Optional
 
 from repro import telemetry as _telemetry
 
-__all__ = ["ChaosError", "ChaosSpec", "get_chaos", "parse_chaos", "CHAOS_PROFILES"]
+__all__ = ["ChaosError", "ChaosSpec", "get_chaos", "parse_chaos", "flip_digit", "CHAOS_PROFILES"]
 
 _log = logging.getLogger(__name__)
 
@@ -95,6 +96,25 @@ _IN_WORKER = False
 #: process whose lease the queue can recover — never a test runner or
 #: an in-process client that merely opened a JobQueue
 _IN_SERVICE_WORKER = False
+
+
+def flip_digit(raw: bytes) -> Optional[bytes]:
+    """``raw`` (a JSON document) with the digit nearest its middle turned
+    into another digit (``^ 0x01`` keeps ``0``–``9`` in range), choosing
+    the nearest flip that still parses but to other data; ``None`` when
+    no digit qualifies.  A seal over the data is all that can tell."""
+    before = json.dumps(json.loads(raw))
+    mid = len(raw) // 2
+    for at in sorted(range(len(raw)), key=lambda i: abs(i - mid)):
+        if not 0x30 <= raw[at] <= 0x39:
+            continue
+        flipped = raw[:at] + bytes([raw[at] ^ 0x01]) + raw[at + 1:]
+        try:
+            if json.dumps(json.loads(flipped)) != before:
+                return flipped
+        except ValueError:
+            continue
+    return None
 
 
 class ChaosError(RuntimeError):
@@ -202,9 +222,9 @@ class ChaosSpec:
         Only the first write of a path is eligible, so the re-written
         entry stands and chaos runs converge.
 
-        The ``corrupt-store`` service profile flips one mid-file byte
-        instead of truncating — the entry stays parseable JSON-shaped
-        noise, so only sha256 verification can catch it.
+        The ``corrupt-store`` service profile flips one digit instead of
+        truncating (:func:`flip_digit`) — the entry stays valid JSON
+        with other data, so only sha256 verification can catch it.
         """
         if self.profile not in ("corrupt", "all", "corrupt-store"):
             return False
@@ -218,11 +238,10 @@ class ChaosSpec:
         try:
             raw = path.read_bytes()
             if self.profile == "corrupt-store":
-                if len(raw) < 4:
+                flipped = flip_digit(raw)
+                if flipped is None:
                     return False
-                mid = len(raw) // 2
-                flipped = bytes([raw[mid] ^ 0x20])  # case-flip: stays printable
-                path.write_bytes(raw[:mid] + flipped + raw[mid + 1:])
+                path.write_bytes(flipped)
             else:
                 path.write_bytes(raw[: max(1, len(raw) // 2)])
         except OSError:

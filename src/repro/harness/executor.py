@@ -111,6 +111,7 @@ import multiprocessing
 import multiprocessing.util
 import os
 import threading
+import time
 from abc import ABC, abstractmethod
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures import wait as _wait_futures
@@ -148,6 +149,9 @@ __all__ = [
 
 _log = logging.getLogger(__name__)
 
+#: how often a pool worker checks that the process that made it lives
+_PARENT_POLL_S = 0.5
+
 
 # ----------------------------------------------------------------------
 # chunking primitives
@@ -165,6 +169,21 @@ def chunk_range(indices: range, size: int) -> list[range]:
     if indices.step != 1:
         raise ValueError(f"rep indices must be a step-1 range, got step {indices.step}")
     return [indices[lo : lo + size] for lo in range(0, len(indices), size)]
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Pool-worker initializer: exit once the process that made the pool
+    is gone.  A SIGKILLed parent never closes the call queue (every
+    sibling holds its write end), so a worker would block on it for
+    good.  An orphan is adopted by init or by a subreaper, so the check
+    compares with the recorded pid, not with 1."""
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
 
 
 def _run_rep_chunk(payload: tuple) -> tuple:
@@ -530,7 +549,12 @@ class ParallelExecutor(Executor):
                 # workers receive all state explicitly).
                 methods = multiprocessing.get_all_start_methods()
                 ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-                self._pool = ProcessPoolExecutor(max_workers=self.jobs, mp_context=ctx)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.jobs,
+                    mp_context=ctx,
+                    initializer=_exit_with_parent,
+                    initargs=(os.getpid(),),
+                )
             return self._pool
 
     def _retire_pool(self, pool, broken: bool) -> None:

@@ -22,11 +22,11 @@ from repro.runtimes.sycl import SYCLRuntime
 __all__ = ["Placement", "Region", "TeamRuntime", "OpenMPRuntime", "SYCLRuntime", "get_runtime"]
 
 
-def get_runtime(model: str, **kwargs):
+def get_runtime(model: str):
     """Instantiate a runtime by its short name (``omp`` or ``sycl``)."""
     model = model.lower()
     if model in ("omp", "openmp"):
-        return OpenMPRuntime(**kwargs)
+        return OpenMPRuntime()
     if model in ("sycl", "dpcpp"):
-        return SYCLRuntime(**kwargs)
+        return SYCLRuntime()
     raise KeyError(f"unknown programming model {model!r} (expected 'omp' or 'sycl')")

@@ -23,25 +23,16 @@ from repro.runtimes.base import Region, TeamRuntime, split_static
 
 __all__ = ["OpenMPRuntime"]
 
+#: default dynamic-chunk size as a fraction of a thread's even share
+#: (libgomp's ``dynamic`` default chunk is 1 iteration; workload models
+#: override it via ``Region.chunk_work``)
+DEFAULT_CHUNK_FRACTION = 1.0 / 16.0
+
 
 class OpenMPRuntime(TeamRuntime):
-    """GCC libgomp-flavoured fork–join execution model.
-
-    Parameters
-    ----------
-    default_chunk_fraction:
-        Default dynamic-chunk size as a fraction of a thread's even
-        share (libgomp's ``dynamic`` default chunk is 1 iteration;
-        workload models override via ``Region.chunk_work``).
-    """
+    """GCC libgomp-flavoured fork–join execution model."""
 
     name = "omp"
-
-    def __init__(self, default_chunk_fraction: float = 1.0 / 16.0):
-        super().__init__()
-        if default_chunk_fraction <= 0:
-            raise ValueError("default_chunk_fraction must be positive")
-        self.default_chunk_fraction = default_chunk_fraction
 
     # ------------------------------------------------------------------
     def _exec_parallel(self, region: Region) -> None:
@@ -61,7 +52,7 @@ class OpenMPRuntime(TeamRuntime):
         else:
             chunk = region.chunk_work
             if chunk <= 0.0:
-                chunk = (work / n) * self.default_chunk_fraction
+                chunk = (work / n) * DEFAULT_CHUNK_FRACTION
             if region.schedule == "dynamic":
                 n_chunks = self.chunks_for(work, chunk)
                 tail = chunk

@@ -21,19 +21,16 @@ from repro.runtimes.base import Region, TeamRuntime
 
 __all__ = ["SYCLRuntime"]
 
+#: host-side latency per kernel submission (seconds)
+SUBMIT_COST = 35e-6
+#: work-stealing chunks per thread per kernel; higher values mean finer
+#: stealing granularity (smaller straggler tail) at more per-chunk
+#: overhead
+OVERSUBSCRIPTION = 24
+
 
 class SYCLRuntime(TeamRuntime):
-    """DPC++-flavoured queue/kernel execution model.
-
-    Parameters
-    ----------
-    submit_cost:
-        Host-side latency per kernel submission (seconds).
-    oversubscription:
-        Work-stealing chunks per thread per kernel; higher values mean
-        finer stealing granularity (smaller straggler tail) at more
-        per-chunk overhead.
-    """
+    """DPC++-flavoured queue/kernel execution model."""
 
     name = "sycl"
 
@@ -43,15 +40,6 @@ class SYCLRuntime(TeamRuntime):
     # even though its kernels absorb scheduler noise better.
     runtime_jitter_sd = 0.009
 
-    def __init__(self, submit_cost: float = 35e-6, oversubscription: int = 24):
-        super().__init__()
-        if submit_cost < 0:
-            raise ValueError("submit_cost must be non-negative")
-        if oversubscription < 1:
-            raise ValueError("oversubscription must be >= 1")
-        self.submit_cost = submit_cost
-        self.oversubscription = oversubscription
-
     # ------------------------------------------------------------------
     def _exec_parallel(self, region: Region) -> None:
         # In-order queue: the host (master thread) pays the submission
@@ -59,7 +47,7 @@ class SYCLRuntime(TeamRuntime):
         master = self.team[0]
         self._submit_region = region
         master.on_complete = self._submitted
-        self.machine.scheduler.assign_work(master, self.submit_cost)
+        self.machine.scheduler.assign_work(master, SUBMIT_COST)
         self.machine.scheduler.refresh(master)
 
     def _submitted(self, task) -> None:
@@ -67,8 +55,8 @@ class SYCLRuntime(TeamRuntime):
         region = self._submit_region
         n = len(self.team)
         work = self.scale_work(region.total_work, region)
-        chunk = work / (n * self.oversubscription) if work > 0 else 0.0
-        n_chunks = n * self.oversubscription
+        chunk = work / (n * OVERSUBSCRIPTION) if work > 0 else 0.0
+        n_chunks = n * OVERSUBSCRIPTION
         self._exec_pool(region, work, n_chunks, tail=chunk)
 
     # ------------------------------------------------------------------

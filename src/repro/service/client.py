@@ -49,6 +49,9 @@ __all__ = ["ServiceClient"]
 
 _log = logging.getLogger(__name__)
 
+#: longest park on the complete channel between two drain checks
+POLL_S = 0.2
+
 
 class ServiceClient:
     """Submit/poll/collect front end over a queue + shared store.
@@ -62,13 +65,10 @@ class ServiceClient:
         self,
         queue: JobQueue,
         store: Optional[SharedResultStore] = None,
-        client_id: Optional[str] = None,
-        poll_s: float = 0.2,
     ):
         self.queue = queue
         self.store = store if store is not None else SharedResultStore()
-        self.client_id = client_id or f"client-{os.getpid()}"
-        self.poll_s = poll_s
+        self.client_id = f"client-{os.getpid()}"
         self._counters = _telemetry.new_group("service_client")
 
     def stats(self) -> dict:
@@ -339,7 +339,7 @@ class ServiceClient:
 
         Event-driven: subscribes to the queue's complete notify channel
         *before* the first drain check (no lost-wakeup window) and
-        parks there between checks, with ``poll_s`` as the fallback
+        parks there between checks, with :data:`POLL_S` as the fallback
         timeout — so completion latency is set by the channel, not the
         poll interval, yet a lost notification only costs one period.
 
@@ -364,7 +364,7 @@ class ServiceClient:
                 if progress is not None and time.monotonic() >= next_progress:
                     progress(self.queue.counts())
                     next_progress = time.monotonic() + progress_interval
-                remaining = self.poll_s
+                remaining = POLL_S
                 if deadline is not None:
                     remaining = min(remaining, max(0.0, deadline - time.monotonic()))
                 if progress is not None:
@@ -376,17 +376,15 @@ class ServiceClient:
         finally:
             subscription.close()
 
-    def status(self, lost_after_s: Optional[float] = None) -> dict:
+    def status(self) -> dict:
         """Queue counts, per-sweep progress, worker fleet liveness (with
         the heartbeat-derived ``lost`` state), DLQ summary, store
         statistics, fleet-wide lifecycle-event totals (``events``;
         ``events["expire"]`` counts leases lost to dead workers) and
         campaign progress (``progress``).  Reads only."""
         from repro.service.monitor import campaign_progress
-        from repro.service.queue import DEFAULT_LOST_AFTER_S, _STATUSES
+        from repro.service.queue import _STATUSES
 
-        if lost_after_s is None:
-            lost_after_s = DEFAULT_LOST_AFTER_S
         counts = self.queue.counts()
         sweeps = []
         for sweep_id in self.queue.sweep_ids():
@@ -409,7 +407,7 @@ class ServiceClient:
             {
                 "id": info.id,
                 "pid": info.pid,
-                "state": info.derived_state(now, lost_after_s),
+                "state": info.derived_state(now),
                 "heartbeat_age_s": round(info.heartbeat_age(now), 1),
                 "jobs_done": info.jobs_done,
                 "current_key": info.current_key,

@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro import telemetry as _telemetry
-from repro.service.queue import DEFAULT_LOST_AFTER_S, JobQueue
+from repro.service.queue import JobQueue
 from repro.service.store import SharedResultStore, settle_sharded
 
 __all__ = ["FsckReport", "fsck"]
@@ -96,12 +96,7 @@ class FsckReport:
         return "\n".join(lines)
 
 
-def fsck(
-    queue: JobQueue,
-    store: SharedResultStore,
-    repair: bool = False,
-    lost_after_s: float = DEFAULT_LOST_AFTER_S,
-) -> FsckReport:
+def fsck(queue: JobQueue, store: SharedResultStore, repair: bool = False) -> FsckReport:
     """Cross-check queue↔store invariants; see the module docstring.
 
     Safe to run against a live service: every repair goes through the
@@ -115,9 +110,7 @@ def fsck(
     now = time.time()
 
     # -- leases held by dead/lost workers -----------------------------
-    worker_state = {
-        info.id: info.derived_state(now, lost_after_s) for info in queue.workers()
-    }
+    worker_state = {info.id: info.derived_state(now) for info in queue.workers()}
     for job in jobs:
         if job.status != "leased":
             continue

@@ -29,11 +29,7 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.service.queue import (
-    DEFAULT_LOST_AFTER_S,
-    _STATUSES,
-    JobQueue,
-)
+from repro.service.queue import _STATUSES, JobQueue
 from repro.service.store import SharedResultStore
 
 __all__ = [
@@ -43,20 +39,18 @@ __all__ = [
 ]
 
 #: trailing window the completion-rate / ETA estimate is fitted over
-DEFAULT_RATE_WINDOW_S = 600.0
+RATE_WINDOW_S = 600.0
 
 
 # ----------------------------------------------------------------------
 # campaign progress / ETA
 # ----------------------------------------------------------------------
-def campaign_progress(
-    queue: JobQueue, window_s: float = DEFAULT_RATE_WINDOW_S
-) -> dict:
+def campaign_progress(queue: JobQueue) -> dict:
     """Completed-cell progress and an ETA from the trailing rate.
 
     Counts *cells* (chunk sub-jobs fold into their parent): ``done``
     over ``total``, with the completion rate fitted over the last
-    ``window_s`` of ``complete``/``merge`` events.  ``eta_s`` is
+    :data:`RATE_WINDOW_S` of ``complete``/``merge`` events.  ``eta_s`` is
     ``None`` while there is no rate to extrapolate from (nothing
     finished recently, or nothing pending).
     """
@@ -70,7 +64,7 @@ def campaign_progress(
         for e in queue.events()
         if e["event"] in ("complete", "merge")
         and ":" not in e["key"]  # chunk completions are not cell finishes
-        and now - e["at"] <= window_s
+        and now - e["at"] <= RATE_WINDOW_S
     ]
     rate = 0.0
     if finishes:
@@ -239,11 +233,7 @@ def _fmt_eta(eta_s: Optional[float]) -> str:
     return f"{eta_s // 60}m{eta_s % 60:02d}s"
 
 
-def render_top(
-    queue: JobQueue,
-    store: Optional[SharedResultStore] = None,
-    lost_after_s: float = DEFAULT_LOST_AFTER_S,
-) -> str:
+def render_top(queue: JobQueue, store: Optional[SharedResultStore] = None) -> str:
     """One frame of the ``service top`` dashboard as plain text."""
     from repro.harness.report import TableBuilder
 
@@ -272,7 +262,7 @@ def render_top(
             tb.add_row(
                 info.id,
                 str(info.pid or "-"),
-                info.derived_state(now, lost_after_s),
+                info.derived_state(now),
                 f"{info.heartbeat_age(now):.1f}s",
                 (info.current_key or "-")[:20],
                 str(info.jobs_done),

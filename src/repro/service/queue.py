@@ -10,9 +10,9 @@ overlapping sweeps share cells.
 Lease lifecycle::
 
     queued --lease--> leased --complete--> done
-      ^                 |  \--fail(retryable)--> queued
-      |                 \--fail(terminal)------> failed
-      \--(lease expiry, attempts left)----------/
+      ^                 |  \--fail, attempts left--> queued
+      |                 \--fail, attempts spent---> failed
+      \--(lease expiry, attempts left)-------------/
 
 Cells whose rep count exceeds the client's shard threshold are split
 into **chunk sub-jobs** (:meth:`JobQueue.submit_sharded`): a *parent*
@@ -109,7 +109,7 @@ __all__ = [
     "DEFAULT_MAX_ATTEMPTS",
     "DEFAULT_LEASE_S",
     "DEFAULT_RETENTION_S",
-    "DEFAULT_LOST_AFTER_S",
+    "LOST_AFTER_S",
     "POISON_DEATHS",
     "retention_window",
     "revive_noise",
@@ -122,13 +122,16 @@ DEFAULT_LEASE_S = 60.0
 #: default retention of finished (done/failed) job rows for prune()
 DEFAULT_RETENTION_S = 7 * 86400.0
 #: heartbeat age past which a registered worker is derived as ``lost``
-DEFAULT_LOST_AFTER_S = 10.0
+LOST_AFTER_S = 10.0
 #: distinct workers a job may kill mid-lease before it is presumed
 #: poisonous and quarantined to the dead-letter queue
 POISON_DEATHS = 2
+#: seconds SQLite itself waits on a locked database (a connection's
+#: timeout, fixed when the queue opens)
+BUSY_TIMEOUT_S = 30.0
 #: bounded retries of a write transaction on SQLITE_BUSY, on top of the
-#: connection's own 30s busy timeout
-_BUSY_RETRIES = 5
+#: connection's own busy timeout
+BUSY_RETRIES = 5
 
 _telemetry.set_counter_help(
     "service_queue",
@@ -328,8 +331,8 @@ class WorkerInfo:
     def heartbeat_age(self, now: float) -> float:
         return max(0.0, now - self.heartbeat_at)
 
-    def derived_state(self, now: float, lost_after_s: float = DEFAULT_LOST_AFTER_S) -> str:
-        if self.state in ("idle", "busy") and self.heartbeat_age(now) > lost_after_s:
+    def derived_state(self, now: float) -> str:
+        if self.state in ("idle", "busy") and self.heartbeat_age(now) > LOST_AFTER_S:
             return "lost"
         return self.state
 
@@ -345,15 +348,9 @@ class JobQueue:
     where the timeout itself expires under a worker stampede.
     """
 
-    def __init__(
-        self,
-        path: os.PathLike | str,
-        busy_timeout_s: float = 30.0,
-        busy_retries: int = _BUSY_RETRIES,
-    ):
+    def __init__(self, path: os.PathLike | str):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.busy_retries = busy_retries
         self._lock = threading.Lock()
         self._counters = _telemetry.get_group("service_queue")
         # Deterministic per-instance backoff jitter: seeded from the
@@ -362,14 +359,14 @@ class JobQueue:
         self._busy_rng = random.Random(f"{self.path}:{os.getpid()}")
         self._conn = sqlite3.connect(
             self.path,
-            timeout=busy_timeout_s,
+            timeout=BUSY_TIMEOUT_S,
             check_same_thread=False,
             isolation_level=None,
         )
         self._conn.row_factory = sqlite3.Row
         with self._lock:
             self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute(f"PRAGMA busy_timeout={int(busy_timeout_s * 1000)}")
+            self._conn.execute(f"PRAGMA busy_timeout={int(BUSY_TIMEOUT_S * 1000)}")
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._check_schema()
             self._conn.executescript(_SCHEMA)
@@ -439,7 +436,7 @@ class JobQueue:
             try:
                 if (
                     chaos is not None
-                    and attempt < self.busy_retries
+                    and attempt < BUSY_RETRIES
                     and chaos.busy_storm_fault()
                 ):
                     raise sqlite3.OperationalError("database is locked (chaos busy storm)")
@@ -456,7 +453,7 @@ class JobQueue:
                             pass  # BEGIN itself failed: no txn to roll back
                         raise
             except sqlite3.OperationalError as exc:
-                if not self._is_busy(exc) or attempt >= self.busy_retries:
+                if not self._is_busy(exc) or attempt >= BUSY_RETRIES:
                     raise
                 attempt += 1
                 self._counters.inc("busy_retries")
@@ -965,9 +962,9 @@ class JobQueue:
             self.notify_complete.notify()
         return failed
 
-    def fail(self, key: str, owner: str, error: str, retryable: bool = True) -> bool:
-        """Record a failed execution: requeue if attempts remain (and the
-        failure is retryable), else fail terminally with a structured
+    def fail(self, key: str, owner: str, error: str) -> bool:
+        """Record a failed execution: requeue if attempts remain, else
+        fail terminally with a structured
         :class:`FailureRecord` in the ``failure`` column.  A terminal
         chunk failure propagates to its parent cell and queued siblings."""
         now = time.time()
@@ -980,7 +977,7 @@ class JobQueue:
             ).fetchone()
             if row is None:
                 return None
-            if retryable and row["attempts"] < row["max_attempts"]:
+            if row["attempts"] < row["max_attempts"]:
                 conn.execute(
                     "UPDATE jobs SET status = 'queued', lease_owner = NULL,"
                     " lease_expires = NULL, error = ? WHERE key = ?",
@@ -991,10 +988,7 @@ class JobQueue:
                     detail=f"retryable: {error[:200]}",
                 )
                 return True  # requeued
-            self._finish(
-                conn, row, now, "failed",
-                "execution" if retryable else "terminal", "JobFailed", error,
-            )
+            self._finish(conn, row, now, "failed", "execution", "JobFailed", error)
             return False  # terminal
 
         requeued = self._write_txn(body)

@@ -22,8 +22,8 @@ modes into *self-healing* ones:
   how many different workers one job has killed.
 
 * **Crash-loop detection.**  A slot that crashes
-  ``crash_loop_threshold`` times within ``crash_loop_window_s`` is
-  parked instead of restarted (a fleet-wide fault — bad binary, full
+  :data:`CRASH_LOOP_THRESHOLD` times within :data:`CRASH_LOOP_WINDOW_S`
+  is parked instead of restarted (a fleet-wide fault — bad binary, full
   disk — must not turn into a fork bomb).  The supervisor exits once
   every slot is parked or finished.
 
@@ -31,7 +31,7 @@ modes into *self-healing* ones:
   signal: children stop leasing, finish their current job, release
   cleanly, and exit.  A second signal forwards again, tripping each
   worker's own fail-fast path (release the held lease now, exit); any
-  child still alive after ``kill_grace_s`` is SIGKILLed — at which
+  child still alive after :data:`KILL_GRACE_S` is SIGKILLed — at which
   point its lease is released by ``report_worker_death`` like any
   other corpse.
 
@@ -58,16 +58,21 @@ from typing import Callable, Optional, Sequence
 from repro import telemetry as _telemetry
 from repro.service.queue import JobQueue
 
-__all__ = ["Supervisor", "WorkerSlot", "DEFAULT_CRASH_LOOP_THRESHOLD"]
+__all__ = ["Supervisor", "WorkerSlot"]
 
 _log = logging.getLogger(__name__)
 
 #: crashes within the window that park a slot instead of restarting it
-DEFAULT_CRASH_LOOP_THRESHOLD = 3
+CRASH_LOOP_THRESHOLD = 3
 #: the sliding window for crash-loop detection
-DEFAULT_CRASH_LOOP_WINDOW_S = 60.0
+CRASH_LOOP_WINDOW_S = 60.0
 #: seconds after the second drain signal before stragglers are SIGKILLed
-DEFAULT_KILL_GRACE_S = 10.0
+KILL_GRACE_S = 10.0
+#: first restart backoff; it doubles per restart up to the cap
+BACKOFF_BASE_S = 0.5
+BACKOFF_CAP_S = 30.0
+#: seconds between two looks at the children
+POLL_S = 0.2
 
 
 @dataclass
@@ -99,7 +104,8 @@ class Supervisor:
     exercise restart/backoff/crash-loop logic without the full stack.
     ``env`` (when given) replaces the inherited child environment —
     chaos directives travel to children through it, never through the
-    supervisor's own process environment.
+    supervisor's own process environment.  Timings are the module
+    constants, read when used.
     """
 
     def __init__(
@@ -107,37 +113,22 @@ class Supervisor:
         queue: JobQueue,
         store_root: Optional[os.PathLike | str] = None,
         workers: int = 2,
-        id_prefix: Optional[str] = None,
         seed: int = 0,
         drain: bool = False,
         lease_s: Optional[float] = None,
-        backoff_base_s: float = 0.5,
-        backoff_cap_s: float = 30.0,
-        crash_loop_threshold: int = DEFAULT_CRASH_LOOP_THRESHOLD,
-        crash_loop_window_s: float = DEFAULT_CRASH_LOOP_WINDOW_S,
-        kill_grace_s: float = DEFAULT_KILL_GRACE_S,
-        poll_s: float = 0.2,
         command_factory: Optional[Callable[[str], Sequence[str]]] = None,
         env: Optional[dict] = None,
-        extra_args: Sequence[str] = (),
     ):
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
         self.queue = queue
         self.store_root = store_root
-        self.id_prefix = id_prefix or f"sup{os.getpid()}"
+        self.id_prefix = f"sup{os.getpid()}"
         self.seed = seed
         self.drain = drain
         self.lease_s = lease_s
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
-        self.crash_loop_threshold = crash_loop_threshold
-        self.crash_loop_window_s = crash_loop_window_s
-        self.kill_grace_s = kill_grace_s
-        self.poll_s = poll_s
         self.command_factory = command_factory
         self.env = env
-        self.extra_args = list(extra_args)
         self.slots = [WorkerSlot(index=i) for i in range(workers)]
         #: per-slot deterministic backoff jitter
         self._rngs = [random.Random(f"{seed}:{i}") for i in range(workers)]
@@ -178,13 +169,13 @@ class Supervisor:
             argv += ["--lease", str(self.lease_s)]
         if self.drain:
             argv += ["--drain"]
-        return argv + self.extra_args
+        return argv
 
     def _backoff(self, slot: WorkerSlot) -> float:
         """Seeded exponential backoff for this slot's next restart."""
-        base = self.backoff_base_s * (2 ** max(0, slot.restarts - 1))
+        base = BACKOFF_BASE_S * (2 ** max(0, slot.restarts - 1))
         jitter = 0.5 + 0.5 * self._rngs[slot.index].random()
-        return min(self.backoff_cap_s, base * jitter)
+        return min(BACKOFF_CAP_S, base * jitter)
 
     # ------------------------------------------------------------------
     def _spawn(self, slot: WorkerSlot) -> None:
@@ -238,17 +229,17 @@ class Supervisor:
             slot.parked = True
             return
         slot.crash_times = [
-            t for t in slot.crash_times if now - t <= self.crash_loop_window_s
+            t for t in slot.crash_times if now - t <= CRASH_LOOP_WINDOW_S
         ]
         slot.crash_times.append(now)
-        if len(slot.crash_times) >= self.crash_loop_threshold:
+        if len(slot.crash_times) >= CRASH_LOOP_THRESHOLD:
             slot.parked = True
             self._counters.inc("crash_loops")
             _log.error(
                 "supervisor: slot %d crash-looped (%d crashes in %.0fs); parking it",
                 slot.index,
                 len(slot.crash_times),
-                self.crash_loop_window_s,
+                CRASH_LOOP_WINDOW_S,
             )
             return
         slot.restarts += 1
@@ -330,7 +321,7 @@ class Supervisor:
                     break
                 if stopping:
                     if self._drain_signals >= 2 and kill_deadline is None:
-                        kill_deadline = now + self.kill_grace_s
+                        kill_deadline = now + KILL_GRACE_S
                     if kill_deadline is not None and now >= kill_deadline:
                         for slot in self.slots:
                             if slot.alive:
@@ -339,7 +330,7 @@ class Supervisor:
                                     slot.worker_id,
                                 )
                                 slot.proc.kill()
-                time.sleep(self.poll_s)
+                time.sleep(POLL_S)
         finally:
             # Never leave children behind, whatever took us down.
             for slot in self.slots:

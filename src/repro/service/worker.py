@@ -61,8 +61,10 @@ __all__ = ["Worker"]
 _log = logging.getLogger(__name__)
 
 #: longest interval between two heartbeats, well inside
-#: ``DEFAULT_LOST_AFTER_S``; a lease under three of them beats faster
+#: ``LOST_AFTER_S``; a lease under three of them beats faster
 _REGISTRY_BEAT_S = 2.0
+#: longest park on the submit channel between two lease attempts
+POLL_S = 0.5
 
 _telemetry.set_counter_help(
     "service_worker",
@@ -82,7 +84,6 @@ class Worker:
         executor=None,
         policy=None,
         lease_s: float = DEFAULT_LEASE_S,
-        poll_s: float = 0.5,
     ):
         self.queue = queue
         self.store = store
@@ -90,7 +91,6 @@ class Worker:
         self.executor = executor
         self.policy = policy
         self.lease_s = lease_s
-        self.poll_s = poll_s
         self._stop = threading.Event()
         self._counters = _telemetry.new_group("service_worker")
         #: the job currently held, for fail-fast lease release
@@ -302,7 +302,7 @@ class Worker:
         ``drain=True`` exits once the queue has no queued or leased
         work; otherwise the loop runs until :meth:`stop` (or
         ``max_jobs``).  An empty queue parks the worker on the submit
-        notify channel with ``poll_s`` as the fallback timeout —
+        notify channel with :data:`POLL_S` as the fallback timeout —
         ``notify_wakes`` counts event-driven wakeups, ``idle_waits``
         the timeouts that fell back to a plain re-check.
         """
@@ -323,7 +323,7 @@ class Worker:
                     if not leased:
                         if drain and self.queue.drained():
                             break
-                        if subscription.wait(self.poll_s):
+                        if subscription.wait(POLL_S):
                             self._counters.inc("notify_wakes")
                         else:
                             self._counters.inc("idle_waits")

@@ -64,6 +64,9 @@ from typing import Any, Callable, Optional
 __all__ = ["Engine", "EventHandle", "SimulationError"]
 
 _INF = math.inf
+#: how far in the past an event may be scheduled and still be clamped
+#: to now (float round-off from rate integration), not rejected
+TIME_EPSILON = 1e-12
 
 
 class SimulationError(RuntimeError):
@@ -134,15 +137,12 @@ class EventHandle:
 class Engine:
     """Virtual-time event loop.
 
-    Parameters
-    ----------
-    time_epsilon:
-        Events scheduled within ``time_epsilon`` seconds in the past are
-        clamped to *now* rather than rejected; this absorbs floating
-        point round-off from rate integration.
+    Events scheduled within :data:`TIME_EPSILON` seconds in the past are
+    clamped to *now* rather than rejected; this absorbs floating point
+    round-off from rate integration.
     """
 
-    def __init__(self, time_epsilon: float = 1e-12):
+    def __init__(self):
         self.now: float = 0.0
         #: entries pushed by `schedule` and `reschedule`
         self._singles: list[tuple[float, int, EventHandle]] = []
@@ -151,7 +151,6 @@ class Engine:
         self._seq = 0
         self._running = False
         self._stopped = False
-        self._time_epsilon = float(time_epsilon)
         #: dead (cancelled or re-timed, not yet popped) entries in the
         #: heaps and the staged batch
         self._n_cancelled = 0
@@ -298,7 +297,7 @@ class Engine:
         if not math.isfinite(time):
             raise SimulationError(f"non-finite event time: {time!r}")
         now = self.now
-        if now - time > self._time_epsilon + 1e-9 * abs(now):
+        if now - time > TIME_EPSILON + 1e-9 * abs(now):
             raise SimulationError(f"cannot schedule event at t={time!r} before now={now!r}")
         return now
 

@@ -19,9 +19,9 @@ from repro import telemetry as _telemetry
 from repro.core.trace import Trace
 from repro.sim.engine import Engine
 from repro.sim.memory import MemorySystem
-from repro.sim.noise import NoiseEnvironment, NoiseModel
+from repro.sim.noise import NoiseModel
 from repro.sim.platform import PlatformSpec
-from repro.sim.scheduler import SchedParams, Scheduler
+from repro.sim.scheduler import Scheduler
 from repro.sim.tracer import OSNoiseTracer
 
 __all__ = ["Machine", "RunResult"]
@@ -47,7 +47,11 @@ class Machine:
     Parameters
     ----------
     platform:
-        Static machine description (topology, speeds, noise preset).
+        Static machine description (topology, speeds, noise
+        environment).  To run under other noise (runlevel 3, or a
+        silent environment for noise-free unit tests), pass
+        ``platform.with_noise(env)``; ``enable_noise=False`` runs with
+        no noise model at all.
     rng:
         Per-run random generator; all stochastic behaviour derives from
         it, so equal seeds give bitwise-identical runs.
@@ -55,11 +59,6 @@ class Machine:
         Enable the OSnoise-style tracer (costs <1% like Table 1).
     rt_throttle:
         Linux RT-throttling fail-safe; the injector disables it.
-    noise_env:
-        Override the platform's noise environment (e.g. runlevel 3), or
-        ``None`` to use the preset.  Pass a silent environment via
-        :func:`repro.sim.noise.NoiseEnvironment` for noise-free unit
-        tests.
     """
 
     def __init__(
@@ -69,9 +68,7 @@ class Machine:
         *,
         tracing: bool = True,
         rt_throttle: bool = True,
-        noise_env: Optional[NoiseEnvironment] = None,
         enable_noise: bool = True,
-        sched_params: Optional[SchedParams] = None,
     ):
         self.platform = platform
         self.topology = platform.topology
@@ -79,19 +76,16 @@ class Machine:
         self.engine = Engine()
         self.memory = MemorySystem(platform.bandwidth_gbs)
         self.tracer = OSNoiseTracer(enabled=tracing)
-        params = sched_params if sched_params is not None else SchedParams(smt_factor=platform.smt_factor)
         self.scheduler = Scheduler(
             self.engine,
             self.topology,
             memory=self.memory,
-            params=params,
             rt_throttle=rt_throttle,
             on_noise_interval=self.tracer.on_noise_interval if tracing else None,
         )
         self.noise_model: Optional[NoiseModel] = None
         if enable_noise:
-            env = noise_env if noise_env is not None else platform.noise
-            self.noise_model = NoiseModel(self, env, rng)
+            self.noise_model = NoiseModel(self, platform.noise, rng)
         #: logical CPUs that hosted workload threads (runtime reports these)
         self.workload_cpus: set[int] = set()
         self._done = False

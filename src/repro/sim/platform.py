@@ -31,8 +31,6 @@ class PlatformSpec:
         Sustained DRAM bandwidth for the whole socket.
     tick_hz:
         Kernel timer frequency (Ubuntu ships CONFIG_HZ=250).
-    smt_factor:
-        Per-sibling speed when both hardware threads of a core are busy.
     """
 
     name: str
@@ -43,7 +41,6 @@ class PlatformSpec:
     #: memory demand of streaming kernels
     core_stream_gbs: float = 12.0
     tick_hz: int = 250
-    smt_factor: float = 0.65
     noise: NoiseEnvironment = field(default_factory=desktop_noise)
 
     def user_cpus(self) -> tuple[int, ...]:

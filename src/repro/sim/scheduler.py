@@ -8,7 +8,7 @@ Semantics modelled (each is load-bearing for the paper's findings):
 * ``SCHED_OTHER`` tasks on one CPU share it proportionally to their
   weights (a piecewise-constant-rate approximation of CFS).
 * RT throttling: with the fail-safe enabled (Linux default), the FIFO
-  class is capped at ``rt_throttle_share`` (95%) of a CPU and OTHER
+  class is capped at ``RT_THROTTLE_SHARE`` (95%) of a CPU and OTHER
   tasks retain the rest; the injector disables this to occupy 100%.
 * Wake placement prefers an *idle* allowed CPU.  Injected noise has no
   affinity, so with housekeeping cores left free the noise lands there
@@ -18,7 +18,7 @@ Semantics modelled (each is load-bearing for the paper's findings):
   starvation delay plus a migration cost; pinned tasks must wait.  This
   is the Rm-vs-TP distinction under injection.
 * SMT siblings share a physical core: when both are busy each runs at
-  ``smt_factor`` speed.
+  ``SMT_FACTOR`` speed.
 * A per-CPU *steal fraction* models aggregated micro-noise (timer
   ticks, softirqs) without per-tick events.
 """
@@ -33,7 +33,7 @@ from repro.sim.engine import Engine
 from repro.sim.memory import MemorySystem
 from repro.sim.task import SchedPolicy, Task, WorkPool
 
-__all__ = ["Scheduler", "SchedParams"]
+__all__ = ["Scheduler"]
 
 _DONE_EPS = 1e-12
 #: how far the running-total drift estimate must sit from every
@@ -43,65 +43,34 @@ _DRIFT_MARGIN = 1e-6
 _by_tid = attrgetter("tid")
 
 
-class SchedParams:
-    """Tunable scheduler constants (all in seconds unless noted)."""
-
-    __slots__ = (
-        "smt_factor",
-        "migration_cost",
-        "starvation_delay",
-        "min_migration_interval",
-        "rt_throttle_share",
-        "context_switch_cost",
-        "mem_rescale_tolerance",
-        "mem_rescale_delay",
-        "shared_migration_delay",
-        "numa_migration_cost",
-        "post_migration_speed",
-        "numa_remote_speed",
-    )
-
-    def __init__(
-        self,
-        smt_factor: float = 0.65,
-        migration_cost: float = 25e-6,
-        numa_migration_cost: float = 300e-6,
-        post_migration_speed: float = 0.97,
-        numa_remote_speed: float = 0.62,
-        starvation_delay: float = 200e-6,
-        shared_migration_delay: float = 8e-3,
-        min_migration_interval: float = 1e-3,
-        rt_throttle_share: float = 0.95,
-        context_switch_cost: float = 2e-6,
-        mem_rescale_tolerance: float = 0.01,
-        mem_rescale_delay: float = 20e-6,
-    ):
-        if not 0.5 <= smt_factor <= 1.0:
-            raise ValueError("smt_factor must be in [0.5, 1.0]")
-        if not 0.0 < rt_throttle_share <= 1.0:
-            raise ValueError("rt_throttle_share must be in (0, 1]")
-        self.smt_factor = smt_factor
-        self.migration_cost = migration_cost
-        # Crossing a NUMA boundary costs an order of magnitude more
-        # (cache refill from remote memory, page locality loss) — the
-        # effect the paper credits for thread pinning's advantage on
-        # large multi-socket systems (§5.1, §6).
-        self.numa_migration_cost = numa_migration_cost
-        # Post-migration speed factors (until the task's current work
-        # completes): a same-node hop costs a cache refill; a cross-node
-        # hop leaves the working set in remote memory.
-        self.post_migration_speed = post_migration_speed
-        self.numa_remote_speed = numa_remote_speed
-        self.starvation_delay = starvation_delay
-        # An idle CPU is found within starvation_delay (wake/newidle
-        # balancing); migrating onto a *busy* CPU only happens on the
-        # slow periodic balance path.
-        self.shared_migration_delay = shared_migration_delay
-        self.min_migration_interval = min_migration_interval
-        self.rt_throttle_share = rt_throttle_share
-        self.context_switch_cost = context_switch_cost
-        self.mem_rescale_tolerance = mem_rescale_tolerance
-        self.mem_rescale_delay = mem_rescale_delay
+# Scheduler constants (seconds unless noted); read where they are used.
+#: per-sibling speed while both hardware threads of a core are busy
+SMT_FACTOR = 0.65
+#: off-CPU latency of a same-node migration (cache refill, runqueue hop)
+MIGRATION_COST = 25e-6
+# Crossing a NUMA boundary costs an order of magnitude more (cache
+# refill from remote memory, page locality loss) — the effect the paper
+# credits for thread pinning's advantage on large multi-socket systems
+# (§5.1, §6).
+NUMA_MIGRATION_COST = 300e-6
+# Post-migration speed factors (until the task's current work
+# completes): a same-node hop costs a cache refill; a cross-node hop
+# leaves the working set in remote memory.
+POST_MIGRATION_SPEED = 0.97
+NUMA_REMOTE_SPEED = 0.62
+#: how long a starved OTHER task waits before it looks for an idle CPU
+STARVATION_DELAY = 200e-6
+# An idle CPU is found within STARVATION_DELAY (wake/newidle balancing);
+# migrating onto a *busy* CPU only happens on the slow periodic balance
+# path.
+SHARED_MIGRATION_DELAY = 8e-3
+#: a task migrates at most once per this interval
+MIN_MIGRATION_INTERVAL = 1e-3
+#: the FIFO class's cap on a CPU while RT throttling is on
+RT_THROTTLE_SHARE = 0.95
+#: memory-scale drift that arms a deferred rescale, and its delay
+MEM_RESCALE_TOLERANCE = 0.01
+MEM_RESCALE_DELAY = 20e-6
 
 
 class _CpuState:
@@ -129,14 +98,12 @@ class Scheduler:
         engine: Engine,
         topology: Topology,
         memory: Optional[MemorySystem] = None,
-        params: Optional[SchedParams] = None,
         rt_throttle: bool = True,
         on_noise_interval: Optional[Callable[[Task, int, float, float], None]] = None,
     ):
         self.engine = engine
         self.topology = topology
         self.memory = memory if memory is not None else MemorySystem(bandwidth=float("inf"))
-        self.params = params if params is not None else SchedParams()
         self.rt_throttle = rt_throttle
         #: callback(task, cpu, start, cpu_time) fired when a noise task leaves
         self.on_noise_interval = on_noise_interval
@@ -436,9 +403,9 @@ class Scheduler:
             if sib is not None and (fifo or other):
                 sstate = cpu_states[sib]
                 if sstate.fifo or sstate.other:
-                    speed *= self.params.smt_factor
+                    speed *= SMT_FACTOR
             if fifo:
-                fifo_share = self.params.rt_throttle_share if self.rt_throttle else 1.0
+                fifo_share = RT_THROTTLE_SHARE if self.rt_throttle else 1.0
                 fifo[0].cpu_share = speed * fifo_share
                 for t in fifo[1:]:
                     t.cpu_share = 0.0
@@ -502,7 +469,7 @@ class Scheduler:
                 drift = abs(new_scale - self._mem_scale) / self._mem_scale
                 scale_changed = drift > 0.25 or (drift > 1e-12 and len(mem_running) <= 4)
                 if (
-                    drift > self.params.mem_rescale_tolerance
+                    drift > MEM_RESCALE_TOLERANCE
                     and not scale_changed
                     and not self._mem_rescale_pending
                 ):
@@ -591,7 +558,7 @@ class Scheduler:
         Callers check that more than 4 streamers remain."""
         scale = self._mem_scale
         drift = abs(self.memory.scale_for(total) - scale) / scale
-        tol = self.params.mem_rescale_tolerance
+        tol = MEM_RESCALE_TOLERANCE
         if not (drift <= 0.25 - _DRIFT_MARGIN and abs(drift - tol) >= _DRIFT_MARGIN):
             return False
         self._mem_total = total
@@ -603,7 +570,7 @@ class Scheduler:
         # callers check `_mem_rescale_pending` first (it is set ~95% of
         # the time on streaming workloads)
         self._mem_rescale_pending = True
-        self.engine.schedule_after(self.params.mem_rescale_delay, self._apply_mem_rescale)
+        self.engine.schedule_after(MEM_RESCALE_DELAY, self._apply_mem_rescale)
 
     def _apply_mem_rescale(self) -> None:
         self._mem_rescale_pending = False
@@ -810,10 +777,10 @@ class Scheduler:
         if task.tid in self._starvation_pending:
             return
         last = self._last_migration.get(task.tid, -1e18)
-        if self.engine.now - last < self.params.min_migration_interval:
+        if self.engine.now - last < MIN_MIGRATION_INTERVAL:
             return
         self._starvation_pending.add(task.tid)
-        self.engine.schedule_after(self.params.starvation_delay, self._starvation_check, task)
+        self.engine.schedule_after(STARVATION_DELAY, self._starvation_check, task)
 
     def _starvation_check(self, task: Task) -> None:
         self._starvation_pending.discard(task.tid)
@@ -821,7 +788,7 @@ class Scheduler:
             self._starved_since.pop(task.tid, None)
             return
         now = self.engine.now
-        started = self._starved_since.setdefault(task.tid, now - self.params.starvation_delay)
+        started = self._starved_since.setdefault(task.tid, now - STARVATION_DELAY)
         target = self._starvation_target(task, now - started)
         if target is None:
             # Still starved and nowhere to go yet: keep checking.
@@ -844,7 +811,7 @@ class Scheduler:
             if idle_targets:
                 # Fast path: wake/newidle balancing finds idle CPUs quickly.
                 return min(idle_targets, key=lambda c: (self._placed_stamp[c], c))
-        if starved_for >= self.params.shared_migration_delay:
+        if starved_for >= SHARED_MIGRATION_DELAY:
             # Slow path: periodic balance shoves the starved task onto a
             # busy CPU to timeshare.
             return self._best_migration_target(task)
@@ -879,7 +846,7 @@ class Scheduler:
         speed = 1.0 - state.steal
         sib = self._sibling[cpu]
         if sib is not None and self._cpus[sib].busy():
-            speed *= self.params.smt_factor
+            speed *= SMT_FACTOR
         return speed
 
     def _migrate(self, task: Task, target: int) -> None:
@@ -899,11 +866,7 @@ class Scheduler:
         self._update((src,))
         # The migration cost is paid as off-CPU latency (cache refill,
         # runqueue hop); crossing NUMA nodes costs far more.
-        cost = (
-            self.params.numa_migration_cost
-            if self._numa[src] != self._numa[target]
-            else self.params.migration_cost
-        )
+        cost = NUMA_MIGRATION_COST if self._numa[src] != self._numa[target] else MIGRATION_COST
         self._migration_origin[task.tid] = src
         self.engine.schedule_after(cost, self._finish_migration, task, target)
 
@@ -944,9 +907,9 @@ class Scheduler:
         origin = self._migration_origin.pop(task.tid, None)
         if origin is not None and task.cpu is None:
             if self._numa[origin] != self._numa[target]:
-                task.speed_penalty = min(task.speed_penalty, self.params.numa_remote_speed)
+                task.speed_penalty = min(task.speed_penalty, NUMA_REMOTE_SPEED)
             else:
-                task.speed_penalty = min(task.speed_penalty, self.params.post_migration_speed)
+                task.speed_penalty = min(task.speed_penalty, POST_MIGRATION_SPEED)
         self.submit(task, cpu=target)
 
     def _try_pull(self, cpu: int) -> None:
@@ -955,7 +918,7 @@ class Scheduler:
         best_key: Optional[tuple] = None
         now = self.engine.now
         last_migration = self._last_migration
-        min_interval = self.params.min_migration_interval
+        min_interval = MIN_MIGRATION_INTERVAL
         for c, state in enumerate(self._cpus):
             if c == cpu:
                 continue

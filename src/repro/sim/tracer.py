@@ -12,7 +12,7 @@ and §4.1).  Two feeds:
   bulk by the noise model at run end, consistent with the steal
   fraction that was actually applied during simulation.
 
-Tracing overhead: each recorded event costs ``per_event_overhead``
+Tracing overhead: each recorded event costs :data:`PER_EVENT_OVERHEAD`
 seconds of CPU.  Because micro events dominate event counts, the
 overhead is applied as an additional per-CPU steal fraction — this is
 what Table 1 measures (and finds to be <1%).
@@ -41,6 +41,11 @@ _SOFTIRQ_SOURCES = ("RCU:9", "SCHED:7", "TIMER:1", "NET_RX:3")
 _SOFTIRQ_PROBS = (0.35, 0.35, 0.2, 0.1)
 _TIMER_SOURCE = "local_timer:236"
 
+#: CPU seconds consumed per recorded event — ring-buffer write plus the
+#: osnoise context-switch accounting hooks; it lands in the paper's
+#: sub-1% Table-1 range for compute-bound work
+PER_EVENT_OVERHEAD = 12e-6
+
 
 class OSNoiseTracer:
     """Per-run noise recorder with an overhead model.
@@ -51,17 +56,10 @@ class OSNoiseTracer:
         When false the tracer steals no overhead and assembles no
         trace, and :class:`~repro.sim.machine.Machine` leaves its hook
         unwired (Table 1's "Tracing Off" arm).
-    per_event_overhead:
-        CPU seconds consumed per recorded event — ring-buffer write plus
-        the osnoise context-switch accounting hooks; the default lands
-        in the paper's sub-1% Table-1 range for compute-bound work.
     """
 
-    def __init__(self, enabled: bool = True, per_event_overhead: float = 12e-6):
-        if per_event_overhead < 0:
-            raise ValueError("per_event_overhead must be non-negative")
+    def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.per_event_overhead = per_event_overhead
         # Macro records, one column each: cpu, EventType code, source
         # name, start, duration.
         self._cpus: list[int] = []
@@ -101,7 +99,7 @@ class OSNoiseTracer:
         if not self.enabled:
             return 0.0
         events_per_sec = tick_hz * (1.0 + micro.softirq_prob)
-        return events_per_sec * self.per_event_overhead
+        return events_per_sec * PER_EVENT_OVERHEAD
 
     @property
     def macro_record_count(self) -> int:

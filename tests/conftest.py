@@ -74,3 +74,15 @@ def make_machine(platform=None, seed=0, **kwargs) -> Machine:
 @pytest.fixture
 def quiet_machine(quiet_platform) -> Machine:
     return make_machine(quiet_platform)
+
+
+@pytest.fixture
+def fast_service(monkeypatch):
+    """Service loops that look again every 10 ms: workers, clients and
+    supervisors park on their notify channel or sleep for their poll
+    interval between checks, and a supervisor restarts after a backoff."""
+    from repro.service import client, supervisor, worker
+
+    for module in (client, supervisor, worker):
+        monkeypatch.setattr(module, "POLL_S", 0.01)
+    monkeypatch.setattr(supervisor, "BACKOFF_BASE_S", 0.01)

@@ -12,9 +12,9 @@ the production class has no branch for it and pays nothing.
 The invariants, each after every checked call:
 
 * per-CPU capacity: the shares on a CPU sum to at most ``1 - steal``,
-  times the SMT factor while the sibling is busy;
+  times ``SMT_FACTOR`` while the sibling is busy;
 * FIFO preempts OTHER: a FIFO head leaves the OTHER tasks at most
-  ``1 - rt_throttle_share`` of that capacity (nothing without
+  ``1 - RT_THROTTLE_SHARE`` of that capacity (nothing without
   throttling), and queued FIFO tasks behind it get no share;
 * every task sits on the CPU it names, inside its affinity;
 * the idle count ``_n_idle`` is the number of CPUs with empty queues,
@@ -39,6 +39,7 @@ The invariants, each after every checked call:
 from __future__ import annotations
 
 from repro.sim import machine as machine_mod
+from repro.sim import scheduler as scheduler_mod
 from repro.sim.scheduler import Scheduler
 
 __all__ = ["CheckedScheduler", "install"]
@@ -78,7 +79,6 @@ class CheckedScheduler(Scheduler):
         assert engine._n_cancelled == dead, (
             f"t={now!r}: engine counts {engine._n_cancelled} dead entries, holds {dead}"
         )
-        params = self.params
         mem_scale = self._mem_scale
         idle = crowded = 0
         for c, state in enumerate(self._cpus):
@@ -96,7 +96,7 @@ class CheckedScheduler(Scheduler):
                 assert self._last_busy[c] == busy, f"{where}: busy-ness record out of date"
             speed = 1.0 - state.steal
             if sib is not None and busy and self._cpus[sib].busy():
-                speed *= params.smt_factor
+                speed *= scheduler_mod.SMT_FACTOR
             total = 0.0
             for t in state.fifo + state.other:
                 assert t.cpu == c, f"{where}: queues {t!r}"
@@ -108,7 +108,7 @@ class CheckedScheduler(Scheduler):
                 assert t.rate == rate, f"{where}: {t!r} rate {t.rate!r}, expected {rate!r}"
             assert total <= speed + _SHARE_EPS, f"{where}: shares {total!r} > capacity {speed!r}"
             if state.fifo:
-                fifo_share = params.rt_throttle_share if self.rt_throttle else 1.0
+                fifo_share = scheduler_mod.RT_THROTTLE_SHARE if self.rt_throttle else 1.0
                 for t in state.fifo[1:]:
                     assert t.cpu_share == 0.0, f"{where}: queued FIFO task runs: {t!r}"
                 other = sum(t.cpu_share for t in state.other)

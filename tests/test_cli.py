@@ -225,6 +225,30 @@ class TestCommands:
         assert "anomalies observed: 3/3" in out
 
 
+class TestServiceStartArgs:
+    """A lease that is born expired or never expires, or a fleet of no
+    workers, is a ``repro-noise:`` line naming the flag, and no queue
+    is opened."""
+
+    @pytest.mark.parametrize("lease", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("supervise", [[], ["--supervise"]])
+    def test_bad_lease_rejected(self, tmp_path, lease, supervise):
+        queue = tmp_path / "q.sqlite"
+        argv = ["service", "start", "--queue", str(queue), "--drain", f"--lease={lease}"]
+        with pytest.raises(SystemExit, match=r"^repro-noise: --lease "):
+            main(argv + supervise)
+        assert not queue.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    @pytest.mark.parametrize("supervise", [[], ["--supervise"]])
+    def test_empty_fleet_rejected(self, tmp_path, workers, supervise):
+        queue = tmp_path / "q.sqlite"
+        argv = ["service", "start", "--queue", str(queue), "--drain", f"--workers={workers}"]
+        with pytest.raises(SystemExit, match=r"^repro-noise: --workers "):
+            main(argv + supervise)
+        assert not queue.exists()
+
+
 class TestServicePrune:
     """A bad retention window is a ``repro-noise:`` line naming the
     flag or the variable, and no row is pruned."""

@@ -8,7 +8,14 @@ result, traces included, through the pool's pickle channel, so the
 pool results are checked against serial bit for bit, fault paths too.
 """
 
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -621,3 +628,53 @@ class TestStartedRange:
             reps.close()
         assert submits == []
         assert ex._pool is None  # nothing forked for it
+
+
+# ----------------------------------------------------------------------
+# a pool's workers die with the process that made the pool
+# ----------------------------------------------------------------------
+_WARM_POOL = textwrap.dedent(
+    """
+    import sys
+    sys.path.insert(0, {src!r})
+    from repro.harness.executor import ParallelExecutor
+    from repro.harness.experiment import ExperimentSpec, run_experiment
+    ex = ParallelExecutor(2)
+    run_experiment(ExperimentSpec(platform="intel-9700kf", workload="nbody", reps=2), executor=ex)
+    print(*ex._pool._processes, flush=True)
+    sys.stdin.read()
+    """
+)
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie counts as gone)."""
+    try:
+        os.kill(pid, 0)
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (ProcessLookupError, FileNotFoundError):
+        return False
+
+
+class TestOrphanedPool:
+    def test_pool_workers_exit_when_their_parent_is_sigkilled(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        with subprocess.Popen(
+            [sys.executable, "-c", _WARM_POOL.format(src=src)],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+        ) as proc:
+            try:
+                pids = [int(pid) for pid in proc.stdout.readline().split()]
+            finally:
+                proc.kill()
+        assert len(pids) == 2
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if _running(pid)]
+        for pid in survivors:  # leave no orphan behind a failure
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors, f"pool workers {survivors} outlived their parent"

@@ -238,7 +238,7 @@ def _edge_run(monkeypatch, case, pending, exact_only):
     return state, sorted(done.items()), update_calls
 
 
-_TOL = scheduler_mod.SchedParams().mem_rescale_tolerance
+_TOL = scheduler_mod.MEM_RESCALE_TOLERANCE
 _EDGES = {
     "0.25-ulp": math.nextafter(0.25, 0.0),
     "0.25": 0.25,

@@ -26,6 +26,8 @@ from repro.service import (
     stitch_trace,
 )
 
+pytestmark = pytest.mark.usefixtures("fast_service")
+
 
 def spec(**kw):
     kw.setdefault("platform", "intel-9700kf")
@@ -87,10 +89,10 @@ class TestLifecycleEvents:
         q = JobQueue(tmp_path / "q.sqlite")
         submit(q, "a", max_attempts=1)
         q.lease("w1")
-        q.fail("a", "w1", "boom", retryable=False)
+        q.fail("a", "w1", "boom")
         events = q.events("a")
         assert [e["event"] for e in events] == ["submit", "lease", "fail"]
-        assert events[-1]["detail"].startswith("terminal: boom")
+        assert events[-1]["detail"].startswith("execution: boom")
         submit(q, "a")  # revival is a fresh submit event
         assert [e["event"] for e in q.events("a")][-1] == "submit"
 
@@ -142,9 +144,9 @@ class TestLifecycleEvents:
     def test_revival_drops_stale_chunk_events(self, tmp_path, revive):
         q = JobQueue(tmp_path / "q.sqlite")
         chunks = [(0, 2), (2, 4)]
-        submit_sharded(q, "c", chunks)
+        submit_sharded(q, "c", chunks, max_attempts=1)
         (job,) = q.lease("w1")
-        q.fail(job.key, "w1", "boom", retryable=False)
+        q.fail(job.key, "w1", "boom")
         assert q.job("c").status == "failed"
         if revive == "submit":
             assert submit(q, "c") is True
@@ -196,7 +198,7 @@ class TestStitchTrace:
         s = spec(reps=6)
         chunks = [(r.start, r.stop) for r in shard_ranges(6, 3)]
         submit_sharded(q, "cell", chunks, spec=s.to_dict(), label=s.label())
-        assert Worker(q, store, worker_id="wrk", poll_s=0.01).run(drain=True) >= 1
+        assert Worker(q, store, worker_id="wrk").run(drain=True) >= 1
         assert q.job("cell").status == "done"
         return q
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro.sim.cpu import Topology
 from repro.sim.engine import Engine
-from repro.sim.scheduler import SchedParams, Scheduler
+from repro.sim import scheduler as scheduler_mod
+from repro.sim.scheduler import Scheduler
 from repro.sim.task import SchedPolicy, Task, TaskKind
 
 
@@ -39,11 +40,10 @@ class TestNumaMigration:
 
     def test_cross_node_migration_costs_more(self, numa_topo):
         """Same scenario, but the only free CPUs are on the far node."""
-        params = SchedParams()
         results = {}
         for label, busy_cpus in (("local", [1, 2, 3]), ("remote", [1, 2, 3])):
             engine = Engine()
-            sched = Scheduler(engine, numa_topo, params=params, rt_throttle=False)
+            sched = Scheduler(engine, numa_topo, rt_throttle=False)
             done = {}
             if label == "remote":
                 # occupy the rest of node 0 with pinned spinners so the
@@ -63,10 +63,10 @@ class TestNumaMigration:
         # its work against remote memory
         remaining = 0.9
         expected_gap = (
-            params.numa_migration_cost
-            - params.migration_cost
-            + remaining / params.numa_remote_speed
-            - remaining / params.post_migration_speed
+            scheduler_mod.NUMA_MIGRATION_COST
+            - scheduler_mod.MIGRATION_COST
+            + remaining / scheduler_mod.NUMA_REMOTE_SPEED
+            - remaining / scheduler_mod.POST_MIGRATION_SPEED
         )
         assert results["remote"] - results["local"] == pytest.approx(expected_gap, rel=0.05)
 

@@ -175,13 +175,13 @@ class QueueModel(RuleBasedStateMachine):
             job.status = "done"
 
     @precondition(lambda self: self._with("leased"))
-    @rule(data=st.data(), retryable=st.booleans())
-    def fail(self, data, retryable):
+    @rule(data=st.data())
+    def fail(self, data):
         key = data.draw(st.sampled_from(self._with("leased")))
         job = self.jobs[key]
-        assert self.q.fail(key, job.owner, "boom", retryable=retryable) is True
+        assert self.q.fail(key, job.owner, "boom") is True
         job.owner = None
-        job.status = "queued" if retryable and job.attempts < MAX_ATTEMPTS else "failed"
+        job.status = "queued" if job.attempts < MAX_ATTEMPTS else "failed"
 
     @precondition(lambda self: self._with("leased"))
     @rule(data=st.data())

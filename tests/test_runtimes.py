@@ -5,6 +5,7 @@ import pytest
 from repro.runtimes import get_runtime
 from repro.runtimes.base import Placement, Region, split_static
 from repro.runtimes.openmp import OpenMPRuntime
+from repro.runtimes import sycl as sycl_mod
 from repro.runtimes.sycl import SYCLRuntime
 from repro.sim.task import SchedPolicy, Task, TaskKind
 
@@ -156,10 +157,6 @@ class TestOpenMP:
         with pytest.raises(RuntimeError):
             rt.launch(m, iter([]), placement)
 
-    def test_default_chunk_fraction_validated(self):
-        with pytest.raises(ValueError):
-            OpenMPRuntime(default_chunk_fraction=0.0)
-
 
 class TestSYCL:
     def test_kernel_elapsed_includes_efficiency(self):
@@ -177,7 +174,7 @@ class TestSYCL:
             n_threads=4,
         )
         # same total work, 100x the submissions
-        assert many > few + 90 * SYCLRuntime().submit_cost
+        assert many > few + 90 * sycl_mod.SUBMIT_COST
 
     def test_stealing_absorbs_noise_better_than_static(self):
         quiet_omp = run_regions([Region("r", total_work=8.0)], model="omp", n_threads=4)
@@ -199,12 +196,6 @@ class TestSYCL:
             n_threads=4,
         )
         assert t == pytest.approx(0.5, rel=0.01)
-
-    def test_parameters_validated(self):
-        with pytest.raises(ValueError):
-            SYCLRuntime(submit_cost=-1.0)
-        with pytest.raises(ValueError):
-            SYCLRuntime(oversubscription=0)
 
 
 class TestRuntimeJitter:

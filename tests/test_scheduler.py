@@ -11,7 +11,7 @@ from repro.sim import scheduler as scheduler_mod
 from repro.sim.cpu import Topology
 from repro.sim.engine import Engine
 from repro.sim.memory import MemorySystem
-from repro.sim.scheduler import SchedParams, Scheduler
+from repro.sim.scheduler import Scheduler
 from repro.sim.task import SchedPolicy, Task, TaskKind, WorkPool
 from tests.golden_cases import _noise, build_cases
 from tests.sim_check import CheckedScheduler
@@ -122,7 +122,7 @@ class TestFifoPreemption:
 
 class TestSMT:
     def test_busy_siblings_slow_each_other(self, engine, topo_smt):
-        sched = Scheduler(engine, topo_smt, params=SchedParams(smt_factor=0.65))
+        sched = Scheduler(engine, topo_smt)
         a = Task("a", work=1.0, affinity=frozenset({0}), pinned=True)
         b = Task("b", work=1.0, affinity=frozenset({4}), pinned=True)
         done = run_tasks(sched, a, b)
@@ -134,8 +134,9 @@ class TestSMT:
         done = run_tasks(sched, a)
         assert done["a"] == pytest.approx(1.0)
 
-    def test_sibling_finish_restores_speed(self, engine, topo_smt):
-        sched = Scheduler(engine, topo_smt, params=SchedParams(smt_factor=0.5))
+    def test_sibling_finish_restores_speed(self, engine, topo_smt, monkeypatch):
+        monkeypatch.setattr(scheduler_mod, "SMT_FACTOR", 0.5)
+        sched = Scheduler(engine, topo_smt)
         a = Task("a", work=1.0, affinity=frozenset({0}), pinned=True)
         b = Task("b", work=0.25, affinity=frozenset({4}), pinned=True)
         done = run_tasks(sched, a, b)
@@ -182,8 +183,11 @@ class TestSMT:
     @pytest.mark.parametrize(
         "action", ["_submit", "_remove", "_task_done_exit", "_set_steal", "_migrate"]
     )
-    def test_single_cpu_entry_points_rerate_the_sibling(self, engine, topo_smt, action):
-        sched = Scheduler(engine, topo_smt, params=SchedParams(smt_factor=0.5))
+    def test_single_cpu_entry_points_rerate_the_sibling(
+        self, engine, topo_smt, action, monkeypatch
+    ):
+        monkeypatch.setattr(scheduler_mod, "SMT_FACTOR", 0.5)
+        sched = Scheduler(engine, topo_smt)
         a = Task("a", work=10.0, affinity=frozenset({0}), pinned=True)
         b = Task("b", work=0.1, affinity=frozenset({1, 4}))
         sched.submit(a, cpu=0)
@@ -314,8 +318,7 @@ class TestPlacement:
 
 class TestMigration:
     def test_starved_roamer_escapes_to_idle_cpu(self, engine, topo4):
-        params = SchedParams()
-        sched = Scheduler(engine, topo4, params=params, rt_throttle=False)
+        sched = Scheduler(engine, topo4, rt_throttle=False)
         done = {}
         w = Task("w", work=1.0, affinity=frozenset({0, 1}))
         w.on_complete = lambda t: done.setdefault("w", engine.now)
@@ -326,9 +329,9 @@ class TestMigration:
         # work with cold caches on the new CPU.
         expected = (
             0.2
-            + params.starvation_delay
-            + params.migration_cost
-            + 0.8 / params.post_migration_speed
+            + scheduler_mod.STARVATION_DELAY
+            + scheduler_mod.MIGRATION_COST
+            + 0.8 / scheduler_mod.POST_MIGRATION_SPEED
         )
         assert done["w"] == pytest.approx(expected, rel=1e-3)
         assert sched.migrations == 1
@@ -347,8 +350,7 @@ class TestMigration:
     def test_shared_migration_is_slower(self, engine):
         # Only busy CPUs available: escape waits for the periodic path.
         topo = Topology(n_physical=2)
-        params = SchedParams()
-        sched = Scheduler(engine, topo, params=params, rt_throttle=False)
+        sched = Scheduler(engine, topo, rt_throttle=False)
         spin = Task("s", affinity=frozenset({1}), pinned=True)
         sched.submit(spin, cpu=1)
         done = {}
@@ -357,8 +359,8 @@ class TestMigration:
         sched.submit(w, cpu=0)
         engine.schedule(0.0, lambda: sched.submit(fifo_noise(1.0, cpu=0), cpu=0))
         engine.run()
-        # blocked for shared_migration_delay, then timeshares cpu 1
-        assert done["w"] > 1.0 + params.shared_migration_delay
+        # blocked for SHARED_MIGRATION_DELAY, then timeshares cpu 1
+        assert done["w"] > 1.0 + scheduler_mod.SHARED_MIGRATION_DELAY
         assert sched.migrations >= 1
 
     def test_spinners_never_migrate(self, engine, topo4):
@@ -537,7 +539,7 @@ class TestBarrierFastPath:
     def test_not_with_drift_within_margin(self, edge):
         # w0's demand x over the others' sum S sets the drift at x / S
         rest = [20.0 + i for i in range(1, 8)]
-        tol = SchedParams().mem_rescale_tolerance
+        tol = scheduler_mod.MEM_RESCALE_TOLERANCE
         target = 0.25 if edge == "0.25" else tol
         demands = [sum(rest) * (target - scheduler_mod._DRIFT_MARGIN / 2)] + rest
         inline, sched = self._both(demands)
@@ -685,7 +687,7 @@ class TestFusedRetiming:
         sched.seqs_at_change = [t._completion_event.seq for t in tasks[:6]]
         after_change = snapshot()
         pending = sched._mem_rescale_pending
-        engine.run(until=0.1 + 2 * sched.params.mem_rescale_delay)
+        engine.run(until=0.1 + 2 * scheduler_mod.MEM_RESCALE_DELAY)
         after_rescale = snapshot()
         engine.run()
         return (after_change, pending, after_rescale, done), sched
@@ -863,10 +865,10 @@ class TestKeptShares:
         speed = 1.0 - state.steal
         sib = sched._sibling[cpu]
         if sib is not None and state.busy() and sched._cpus[sib].busy():
-            speed *= sched.params.smt_factor
+            speed *= scheduler_mod.SMT_FACTOR
         shares = []
         if state.fifo:
-            fifo_share = sched.params.rt_throttle_share if sched.rt_throttle else 1.0
+            fifo_share = scheduler_mod.RT_THROTTLE_SHARE if sched.rt_throttle else 1.0
             shares.append((state.fifo[0], speed * fifo_share))
             shares += [(t, 0.0) for t in state.fifo[1:]]
             speed *= 1.0 - fifo_share
@@ -973,7 +975,7 @@ def _scan_starvation_target(sched, task, starved_for):
     idle = [c for c in sched._allowed(task) if c != task.cpu and not sched._cpus[c].busy()]
     if idle:
         return min(idle, key=lambda c: (sched._placed_stamp[c], c))
-    if starved_for >= sched.params.shared_migration_delay:
+    if starved_for >= scheduler_mod.SHARED_MIGRATION_DELAY:
         return _scan_best_migration_target(sched, task)
     return None
 
@@ -1026,7 +1028,7 @@ class TestPlacementEquivalence:
             assert sched._pick_cpu_multi(probe, hint, allowed) == _scan_pick_cpu_multi(
                 sched, probe, hint, allowed
             )
-        delay = sched.params.shared_migration_delay
+        delay = scheduler_mod.SHARED_MIGRATION_DELAY
         for state in sched._cpus:
             for t in state.fifo + state.other:
                 assert sched._best_migration_target(t) == _scan_best_migration_target(sched, t)

@@ -30,6 +30,7 @@ from repro.harness.cache import ResultCache
 from repro.harness.experiment import ExperimentSpec
 from repro.harness.sweep import sweep
 from repro.noise.base import NoiseStack
+from repro.service import queue as queue_module
 from repro.service import scheduler
 from repro.service import worker as worker_module
 from repro.service import (
@@ -40,6 +41,8 @@ from repro.service import (
     Worker,
 )
 from repro.service.fsck import fsck
+
+pytestmark = pytest.mark.usefixtures("fast_service")
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -83,7 +86,7 @@ class TestJobQueue:
         q = JobQueue(tmp_path / "q.sqlite")
         submit(q, "a", max_attempts=1)
         (job,) = q.lease("w1")
-        q.fail(job.key, "w1", "boom", retryable=False)
+        q.fail(job.key, "w1", "boom")
         assert q.counts()["failed"] == 1
         assert submit(q, "a") is True  # revived
         assert q.counts() == {"queued": 1, "leased": 0, "sharded": 0, "done": 0, "failed": 0, "quarantined": 0}
@@ -484,10 +487,9 @@ class TestServiceEndToEnd:
     def parts(self, tmp_path):
         queue = JobQueue(tmp_path / "queue.sqlite")
         store = SharedResultStore(tmp_path / "store")
-        return queue, store, ServiceClient(queue, store, poll_s=0.01)
+        return queue, store, ServiceClient(queue, store)
 
     def drain(self, queue, store, **kw):
-        kw.setdefault("poll_s", 0.01)
         return Worker(queue, store, **kw).run(drain=True)
 
     def test_submit_drain_collect(self, tmp_path):
@@ -537,7 +539,7 @@ class TestServiceEndToEnd:
 
     def test_sweep_helper_routes_through_service(self, tmp_path):
         queue, store, client = self.parts(tmp_path)
-        worker = Worker(queue, store, poll_s=0.01)
+        worker = Worker(queue, store)
         t = threading.Thread(target=worker.run, kwargs={"drain": False})
         t.start()
         try:
@@ -576,7 +578,7 @@ class TestServiceEndToEnd:
         from repro.harness import campaigns
 
         queue, store, client = self.parts(tmp_path)
-        worker = Worker(queue, store, poll_s=0.01)
+        worker = Worker(queue, store)
         t = threading.Thread(target=worker.run, kwargs={"drain": False})
         t.start()
         try:
@@ -609,7 +611,7 @@ class TestServiceEndToEnd:
         assert client.submit(spec()) == fixed
         assert queue.job(fixed).spec.get("adaptive") is None
 
-        worker = Worker(queue, store, poll_s=0.01)
+        worker = Worker(queue, store)
         t = threading.Thread(target=worker.run, kwargs={"drain": False})
         t.start()
         try:
@@ -627,12 +629,13 @@ _KILLABLE_WORKER = textwrap.dedent(
     from pathlib import Path
     sys.path.insert(0, {src!r})
     from repro.service import JobQueue, SharedResultStore, Worker
+    from repro.service import worker as worker_module
+    worker_module.POLL_S = 0.02
     worker = Worker(
         JobQueue(Path({queue!r})),
         SharedResultStore(Path({store!r})),
         worker_id="victim",
         lease_s=1.0,
-        poll_s=0.02,
     )
     worker.run(drain=True)
     """
@@ -646,7 +649,7 @@ class TestKilledWorker:
         to be byte-identical to a never-interrupted in-process run."""
         queue = JobQueue(tmp_path / "queue.sqlite")
         store = SharedResultStore(tmp_path / "store")
-        client = ServiceClient(queue, store, poll_s=0.01)
+        client = ServiceClient(queue, store)
         base = spec(
             workload="minife", workload_params={"cg_iters": 40}, reps=16, seed=3
         )
@@ -677,7 +680,7 @@ class TestKilledWorker:
 
         # The second worker has to wait out the orphaned lease, then
         # re-runs the job from its original seeds.
-        Worker(queue, store, worker_id="rescuer", poll_s=0.05).run(drain=True)
+        Worker(queue, store, worker_id="rescuer").run(drain=True)
         assert queue.counts()["failed"] == 0
         assert queue.job(interrupted_key).status == "done"
         assert queue.job(interrupted_key).attempts == 2
@@ -693,7 +696,7 @@ class TestKilledWorker:
 
 # ----------------------------------------------------------------------
 class TestWorkerLiveness:
-    def test_status_derives_lost_from_heartbeat_age(self, tmp_path):
+    def test_status_derives_lost_from_heartbeat_age(self, tmp_path, monkeypatch):
         queue = JobQueue(tmp_path / "q.sqlite")
         store = SharedResultStore(tmp_path / "store")
         client = ServiceClient(queue, store)
@@ -708,17 +711,15 @@ class TestWorkerLiveness:
             )
         states = {w["id"]: w["state"] for w in client.status()["workers"]}
         assert states == {"fresh": "idle", "crashed": "lost", "retired": "stopped"}
-        # The threshold is a parameter, not a constant baked into status.
-        states = {
-            w["id"]: w["state"]
-            for w in client.status(lost_after_s=3600.0)["workers"]
-        }
+        # status reads the threshold when it runs
+        monkeypatch.setattr(queue_module, "LOST_AFTER_S", 3600.0)
+        states = {w["id"]: w["state"] for w in client.status()["workers"]}
         assert states["crashed"] == "idle"
 
     def test_worker_registers_beats_and_deregisters(self, tmp_path):
         queue = JobQueue(tmp_path / "q.sqlite")
         store = SharedResultStore(tmp_path / "store")
-        Worker(queue, store, worker_id="w", poll_s=0.01).run(drain=True)
+        Worker(queue, store, worker_id="w").run(drain=True)
         (info,) = queue.workers()
         assert info.id == "w" and info.state == "stopped"
         assert info.derived_state(time.time()) == "stopped"  # never lost
@@ -727,13 +728,14 @@ class TestWorkerLiveness:
     def parts(tmp_path):
         queue = JobQueue(tmp_path / "q.sqlite")
         store = SharedResultStore(tmp_path / "store")
-        return queue, store, ServiceClient(queue, store, poll_s=0.01)
+        return queue, store, ServiceClient(queue, store)
 
     def test_a_long_job_reads_busy_and_keeps_its_lease(self, tmp_path, monkeypatch):
         """With the default 60 s lease, the registry row must still be
         stamped well inside the ``lost`` threshold while a job runs, or
         status calls a healthy worker lost and fsck takes its lease."""
         monkeypatch.setattr(worker_module, "_REGISTRY_BEAT_S", 0.05)
+        monkeypatch.setattr(queue_module, "LOST_AFTER_S", 0.3)
         queue, store, client = self.parts(tmp_path)
         client.submit(spec())
         started, finish = threading.Event(), threading.Event()
@@ -743,15 +745,15 @@ class TestWorkerLiveness:
             assert finish.wait(30)
 
         monkeypatch.setattr(store, "get_or_run", long_job)
-        worker = Worker(queue, store, worker_id="w", poll_s=0.01)
+        worker = Worker(queue, store, worker_id="w")
         thread = threading.Thread(target=worker.run, kwargs={"drain": True})
         thread.start()
         try:
             assert started.wait(30)
             time.sleep(0.6)  # twice the lost threshold below
-            (row,) = client.status(lost_after_s=0.3)["workers"]
+            (row,) = client.status()["workers"]
             assert row["state"] == "busy"
-            assert fsck(queue, store, lost_after_s=0.3).dead_worker_leases == []
+            assert fsck(queue, store).dead_worker_leases == []
         finally:
             finish.set()
             thread.join(30)
@@ -768,7 +770,7 @@ class TestWorkerLiveness:
             seen.append([t.ident for t in threading.enumerate() if t.name == "heartbeat"])
 
         monkeypatch.setattr(store, "get_or_run", job)
-        Worker(queue, store, worker_id="w", poll_s=0.01).run(drain=True)
+        Worker(queue, store, worker_id="w").run(drain=True)
         assert len(seen) == 3 and len(seen[0]) == 1
         assert seen[1] == seen[2] == seen[0]
         # the final counts arrive with the deregistration
@@ -787,7 +789,7 @@ class TestWorkerLiveness:
             rows.extend(queue.workers())
 
         monkeypatch.setattr(store, "get_or_run", job_whose_lease_is_taken)
-        worker = Worker(queue, store, worker_id="w", poll_s=0.01, lease_s=0.3)
+        worker = Worker(queue, store, worker_id="w", lease_s=0.3)
         assert worker.run(max_jobs=1) == 1
         assert rows[0].heartbeat_at - rows[0].started_at > 0.3  # it beat meanwhile
         assert worker.stats()["lease_losses"] == 1
@@ -807,14 +809,14 @@ class TestNotifyLeakHygiene:
     def test_client_wait_leaves_no_fifo(self, tmp_path):
         queue = JobQueue(tmp_path / "q.sqlite")
         store = SharedResultStore(tmp_path / "store")
-        client = ServiceClient(queue, store, poll_s=0.01)
+        client = ServiceClient(queue, store)
         client.wait()  # drained queue: immediate return
         assert self.fifos(queue) == []
 
     def test_client_wait_timeout_leaves_no_fifo(self, tmp_path):
         queue = JobQueue(tmp_path / "q.sqlite")
         store = SharedResultStore(tmp_path / "store")
-        client = ServiceClient(queue, store, poll_s=0.01)
+        client = ServiceClient(queue, store)
         queue.submit("a", spec={"k": "a"}, noise=None, label="a")
         with pytest.raises(TimeoutError):
             client.wait(timeout=0.05)
@@ -823,7 +825,7 @@ class TestNotifyLeakHygiene:
     def test_worker_run_leaves_no_fifo(self, tmp_path):
         queue = JobQueue(tmp_path / "q.sqlite")
         store = SharedResultStore(tmp_path / "store")
-        Worker(queue, store, poll_s=0.01).run(drain=True)
+        Worker(queue, store).run(drain=True)
         assert self.fifos(queue) == []
 
     def test_worker_crash_mid_run_leaves_no_fifo(self, tmp_path):
@@ -831,7 +833,7 @@ class TestNotifyLeakHygiene:
         subscription teardown in the finally block must fire."""
         queue = JobQueue(tmp_path / "q.sqlite")
         store = SharedResultStore(tmp_path / "store")
-        worker = Worker(queue, store, poll_s=0.01)
+        worker = Worker(queue, store)
         worker.queue.lease = lambda *a, **kw: (_ for _ in ()).throw(RuntimeError("boom"))
         with pytest.raises(RuntimeError, match="boom"):
             worker.run(drain=True)

@@ -3,6 +3,8 @@
 import json
 import time
 
+import pytest
+
 from repro.harness.cache import ResultCache
 from repro.harness.chaos import ChaosSpec
 from repro.harness.experiment import ExperimentSpec
@@ -14,6 +16,8 @@ from repro.service import (
     Worker,
     fsck,
 )
+
+pytestmark = pytest.mark.usefixtures("fast_service")
 
 
 def spec(**kw):
@@ -237,12 +241,12 @@ class TestMergeSelfHealing:
     def test_lost_chunk_requeued_and_merge_retried(self, tmp_path):
         queue = JobQueue(tmp_path / "q.sqlite")
         store = SharedResultStore(tmp_path / "store")
-        client = ServiceClient(queue, store, poll_s=0.01)
+        client = ServiceClient(queue, store)
         base = spec(reps=6, seed=11)
         key = client.submit(base, shard=2)
         assert queue.job(key).status == "sharded"
 
-        worker = Worker(queue, store, worker_id="healer", poll_s=0.01)
+        worker = Worker(queue, store, worker_id="healer")
         assert worker.run(drain=False, max_jobs=2) == 2
         # One finished slice is corrupted before the last chunk merges.
         done = [c for c in queue.children(key) if c.status == "done"]
@@ -269,12 +273,12 @@ class TestFsck:
     def parts(self, tmp_path):
         queue = JobQueue(tmp_path / "q.sqlite")
         store = SharedResultStore(tmp_path / "store")
-        return queue, store, ServiceClient(queue, store, poll_s=0.01)
+        return queue, store, ServiceClient(queue, store)
 
     def test_clean_state_reports_clean(self, tmp_path):
         queue, store, client = self.parts(tmp_path)
         client.submit(spec())
-        Worker(queue, store, poll_s=0.01).run(drain=True)
+        Worker(queue, store).run(drain=True)
         report = fsck(queue, store)
         assert report.clean
         assert report.summary() == "fsck: queue and store are consistent"
@@ -282,7 +286,7 @@ class TestFsck:
     def test_done_without_entry_detected_and_requeued(self, tmp_path):
         queue, store, client = self.parts(tmp_path)
         key = client.submit(spec())
-        Worker(queue, store, poll_s=0.01).run(drain=True)
+        Worker(queue, store).run(drain=True)
         store.entry_path(key).unlink()
         report = fsck(queue, store)
         assert report.done_without_entry == [key] and not report.repaired
@@ -290,14 +294,14 @@ class TestFsck:
         report = fsck(queue, store, repair=True)
         assert report.repaired and report.repairs
         assert queue.job(key).status == "queued"
-        Worker(queue, store, poll_s=0.01).run(drain=True)
+        Worker(queue, store).run(drain=True)
         assert fsck(queue, store).clean
         assert store.load_for(spec()) is not None
 
     def test_corrupt_entry_detected_quarantined_requeued(self, tmp_path):
         queue, store, client = self.parts(tmp_path)
         key = client.submit(spec())
-        Worker(queue, store, poll_s=0.01).run(drain=True)
+        Worker(queue, store).run(drain=True)
         flip_byte(store.entry_path(key))
         report = fsck(queue, store)
         assert report.corrupt_entries == [key]
@@ -305,7 +309,7 @@ class TestFsck:
         assert report.corrupt_entries == [key] and report.repairs
         assert not store.entry_path(key).exists()  # moved to .corrupt
         assert queue.job(key).status == "queued"
-        Worker(queue, store, poll_s=0.01).run(drain=True)
+        Worker(queue, store).run(drain=True)
         assert fsck(queue, store).clean
 
     def test_stale_entry_detected_evicted_requeued(self, tmp_path):
@@ -316,7 +320,7 @@ class TestFsck:
 
         queue, store, client = self.parts(tmp_path)
         key = client.submit(spec())
-        Worker(queue, store, poll_s=0.01).run(drain=True)
+        Worker(queue, store).run(drain=True)
         first = store.load_for(spec())
         path = store.entry_path(key)
         data = json.loads(path.read_text())
@@ -332,7 +336,7 @@ class TestFsck:
         assert report.corrupt_entries == [key] and report.repairs
         assert not path.exists() and store.stats()["stale"] == 1
         assert queue.job(key).status == "queued"
-        Worker(queue, store, poll_s=0.01).run(drain=True)
+        Worker(queue, store).run(drain=True)
         assert fsck(queue, store).clean
         rs = store.load_for(spec())
         assert [t.hex() for t in rs.times] == [t.hex() for t in first.times]
@@ -397,7 +401,7 @@ class TestFsck:
         assert report.unsettled_parents == [key]
         assert report.repairs == [f"re-queued lost chunk(s) of sharded parent {key}"]
         assert queue.job(f"{key}:3-6").status == "queued"
-        worker = Worker(queue, store, poll_s=0.01)
+        worker = Worker(queue, store)
         worker.run(drain=True)
         assert worker.stats()["merges"] == 1
         assert queue.job(key).status == "done"
@@ -421,7 +425,7 @@ class TestFsck:
         s = spec(reps=6, seed=29)
         queue, store, client = self.parts(tmp_path)
         key = client.submit(s, shard=3)
-        Worker(queue, store, poll_s=0.01).run(drain=True)
+        Worker(queue, store).run(drain=True)
         first = store.load_for(s)
         store.entry_path(key).unlink()
         report = fsck(queue, store, repair=True)
@@ -429,7 +433,7 @@ class TestFsck:
         assert queue.job(key).status == "queued"
         assert queue.children(key) == []
         assert not [e for e in queue.events() if e["key"].startswith(f"{key}:")]
-        Worker(queue, store, poll_s=0.01).run(drain=True)
+        Worker(queue, store).run(drain=True)
         assert queue.counts()["done"] == 1
         assert fsck(queue, store).clean
         rs = store.load_for(s)
@@ -478,11 +482,26 @@ class TestServiceChaosProfiles:
             assert sub.wait(0.01) is False
         # The machinery still works end to end: waiters poll through.
         queue, store = JobQueue(tmp_path / "q.sqlite"), SharedResultStore(tmp_path / "s")
-        client = ServiceClient(queue, store, poll_s=0.01)
+        client = ServiceClient(queue, store)
         client.submit(spec(reps=2))
-        Worker(queue, store, poll_s=0.01).run(drain=True)
+        Worker(queue, store).run(drain=True)
         client.wait(timeout=30.0)
         assert queue.counts()["done"] == 1
+
+    @pytest.mark.parametrize("reps", [1, 4])
+    def test_corrupt_store_flip_is_caught_by_the_seal_alone(self, tmp_path, monkeypatch, reps):
+        """The flipped entry still parses, so it is quarantined as a seal
+        mismatch (kept as ``.corrupt``), never deleted as torn."""
+        monkeypatch.setenv("REPRO_CHAOS", "corrupt-store:7:1.0")
+        cache = ResultCache(tmp_path / "c")
+        cache.get_or_run(spec(reps=reps))
+        _, _, key = cache.resolve_cell(spec(reps=reps), None)
+        path = cache.entry_path(key)
+        json.loads(path.read_bytes())
+        cache.get_or_run(spec(reps=reps))
+        stats = cache.stats()
+        assert (stats["integrity_quarantined"], stats["corrupt"]) == (1, 0)
+        assert path.with_suffix(path.suffix + ".corrupt").exists()
 
     def test_corrupt_store_chaos_heals_bit_identically(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "corrupt-store:7:1.0")

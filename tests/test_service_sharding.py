@@ -32,7 +32,10 @@ from repro.harness.cache import ResultCache
 from repro.harness.chunkrunner import run_chunk, shard_ranges
 from repro.harness.experiment import ExperimentSpec
 from repro.harness.sweep import sweep
+from repro.service import client as client_module
+from repro.service import queue as queue_module
 from repro.service import scheduler
+from repro.service import worker as worker_module
 from repro.service import (
     Job,
     JobQueue,
@@ -42,6 +45,8 @@ from repro.service import (
     Worker,
 )
 from repro.service.store import settle_sharded
+
+pytestmark = pytest.mark.usefixtures("fast_service")
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -120,7 +125,7 @@ class TestShardedQueue:
         q = JobQueue(tmp_path / "q.sqlite")
         submit_sharded(q, "a", [(0, 2), (2, 4), (4, 6)], max_attempts=1)
         (job,) = q.lease("w1")
-        q.fail(job.key, "w1", "boom", retryable=False)
+        q.fail(job.key, "w1", "boom")
         assert q.counts()["sharded"] == 0
         assert q.counts()["queued"] == 0
         assert q.job("a").status == "failed"
@@ -136,7 +141,7 @@ class TestShardedQueue:
         submit_sharded(q, "p", [(0, 2), (2, 4), (4, 6)], max_attempts=1)
         (job,) = q.lease("w1")
         assert job.key == "p:0-2"
-        q.fail(job.key, "w1", "boom", retryable=False)
+        q.fail(job.key, "w1", "boom")
         # The timeline agrees with the jobs table for every failed row.
         assert self._last_events(q, ["p", "p:0-2", "p:2-4", "p:4-6"]) == {
             k: ("failed", "fail") for k in ("p", "p:0-2", "p:2-4", "p:4-6")
@@ -162,7 +167,7 @@ class TestShardedQueue:
         q = JobQueue(tmp_path / "q.sqlite")
         submit_sharded(q, "a", [(0, 3), (3, 6)], max_attempts=1)
         (job,) = q.lease("w1")
-        q.fail(job.key, "w1", "boom", retryable=False)
+        q.fail(job.key, "w1", "boom")
         assert q.submit("a", spec={"k": "a"}, noise=None, label="a") is True
         assert q.job("a").status == "queued"
         assert q.children("a") == []
@@ -171,7 +176,7 @@ class TestShardedQueue:
         q = JobQueue(tmp_path / "q.sqlite")
         submit_sharded(q, "a", [(0, 3), (3, 6)], max_attempts=1)
         (job,) = q.lease("w1")
-        q.fail(job.key, "w1", "boom", retryable=False)
+        q.fail(job.key, "w1", "boom")
         assert submit_sharded(q, "a", [(0, 2), (2, 6)]) is True
         assert q.job("a").status == "sharded"
         kids = q.children("a")
@@ -313,11 +318,10 @@ class TestSettle:
 
 # ----------------------------------------------------------------------
 class TestShardedEndToEnd:
-    def parts(self, tmp_path, **client_kw):
+    def parts(self, tmp_path):
         queue = JobQueue(tmp_path / "queue.sqlite")
         store = SharedResultStore(tmp_path / "store")
-        client_kw.setdefault("poll_s", 0.01)
-        return queue, store, ServiceClient(queue, store, **client_kw)
+        return queue, store, ServiceClient(queue, store)
 
     def test_sharded_cell_bit_identical_to_in_process(self, tmp_path):
         queue, store, client = self.parts(tmp_path)
@@ -325,7 +329,7 @@ class TestShardedEndToEnd:
         key = client.submit(s, shard=3)
         assert queue.job(key).status == "sharded"
         assert len(queue.children(key)) == 3
-        Worker(queue, store, poll_s=0.01).run(drain=True)
+        Worker(queue, store).run(drain=True)
         assert queue.job(key).status == "done"
         rs = client.run_cell(s)
         golden_cache = ResultCache(tmp_path / "golden")
@@ -342,7 +346,7 @@ class TestShardedEndToEnd:
         s = spec(reps=8, seed=13)
         key = client.submit(s, shard=2)  # 4 chunks
         workers = [
-            Worker(queue, store, worker_id=f"w{i}", poll_s=0.01) for i in (1, 2)
+            Worker(queue, store, worker_id=f"w{i}") for i in (1, 2)
         ]
         threads = [
             threading.Thread(target=w.run, kwargs={"drain": True}) for w in workers
@@ -382,7 +386,7 @@ class TestShardedEndToEnd:
             client.run_cell(s, timeout=0.2)
         assert queue.job(f"{key}:3-6").status == "queued"
         assert queue.job(f"{key}:0-3").status == "done"
-        Worker(queue, store, poll_s=0.01).run(drain=True)
+        Worker(queue, store).run(drain=True)
         assert queue.job(key).status == "done"
         rs = client.run_cell(s)
         golden_cache = ResultCache(tmp_path / "golden")
@@ -422,7 +426,7 @@ class TestShardedEndToEnd:
     def test_sharded_sweep_renders_identically(self, tmp_path):
         queue, store, client = self.parts(tmp_path)
         base = spec(reps=5, seed=29)
-        worker = Worker(queue, store, poll_s=0.01)
+        worker = Worker(queue, store)
         t = threading.Thread(target=worker.run, kwargs={"drain": False})
         t.start()
         try:
@@ -486,15 +490,17 @@ class TestNotifyChannel:
         channel.notify()
         assert young.exists()
 
-    def test_worker_and_client_wake_without_polling(self, tmp_path):
+    def test_worker_and_client_wake_without_polling(self, tmp_path, monkeypatch):
         """With poll intervals far beyond the runtime, only event wakes
         can finish the round trip quickly."""
         queue = JobQueue(tmp_path / "queue.sqlite")
         if not queue.notify_submit.enabled:
             pytest.skip("no fifo support on this platform")
         store = SharedResultStore(tmp_path / "store")
-        client = ServiceClient(queue, store, poll_s=30.0)
-        worker = Worker(queue, store, poll_s=30.0)
+        monkeypatch.setattr(client_module, "POLL_S", 30.0)
+        monkeypatch.setattr(worker_module, "POLL_S", 30.0)
+        client = ServiceClient(queue, store)
+        worker = Worker(queue, store)
         t = threading.Thread(target=worker.run, kwargs={"drain": False})
         t.start()
         try:
@@ -515,9 +521,11 @@ class TestNotifyChannel:
 
 # ----------------------------------------------------------------------
 class TestBusyRetry:
-    def test_write_txn_rides_out_a_lock_holder(self, tmp_path):
+    def test_write_txn_rides_out_a_lock_holder(self, tmp_path, monkeypatch):
         path = tmp_path / "q.sqlite"
-        q = JobQueue(path, busy_timeout_s=0.02, busy_retries=50)
+        monkeypatch.setattr(queue_module, "BUSY_TIMEOUT_S", 0.02)
+        monkeypatch.setattr(queue_module, "BUSY_RETRIES", 50)
+        q = JobQueue(path)
         before = q.stats()["busy_retries"]
 
         def hold_then_release():
@@ -541,9 +549,11 @@ class TestBusyRetry:
         assert q.stats()["busy_retries"] > before
         assert q.counts()["queued"] == 1
 
-    def test_retries_are_bounded(self, tmp_path):
+    def test_retries_are_bounded(self, tmp_path, monkeypatch):
         path = tmp_path / "q.sqlite"
-        q = JobQueue(path, busy_timeout_s=0.01, busy_retries=2)
+        monkeypatch.setattr(queue_module, "BUSY_TIMEOUT_S", 0.01)
+        monkeypatch.setattr(queue_module, "BUSY_RETRIES", 2)
+        q = JobQueue(path)
         blocker = sqlite3.connect(path, isolation_level=None)
         blocker.execute("BEGIN IMMEDIATE")
         try:
@@ -586,7 +596,7 @@ class TestPrune:
         q = JobQueue(tmp_path / "q.sqlite")
         submit_sharded(q, "cell", [(0, 3), (3, 6)], max_attempts=1)
         (job,) = q.lease("w1")
-        q.fail(job.key, "w1", "boom", retryable=False)
+        q.fail(job.key, "w1", "boom")
         # Parent is failed, but one sibling is still leasable?  No —
         # terminal chunk failure failed the queued sibling too, so the
         # whole family is prunable.
@@ -608,12 +618,13 @@ _KILLABLE_WORKER = textwrap.dedent(
     from pathlib import Path
     sys.path.insert(0, {src!r})
     from repro.service import JobQueue, SharedResultStore, Worker
+    from repro.service import worker as worker_module
+    worker_module.POLL_S = 0.02
     worker = Worker(
         JobQueue(Path({queue!r})),
         SharedResultStore(Path({store!r})),
         worker_id="victim",
         lease_s=1.0,
-        poll_s=0.02,
     )
     worker.run(drain=True)
     """
@@ -628,7 +639,7 @@ class TestKilledWorkerMidShard:
         uninterrupted in-process run."""
         queue = JobQueue(tmp_path / "queue.sqlite")
         store = SharedResultStore(tmp_path / "store")
-        client = ServiceClient(queue, store, poll_s=0.01)
+        client = ServiceClient(queue, store)
         s = spec(
             workload="minife", workload_params={"cg_iters": 40}, reps=12, seed=3
         )
@@ -658,7 +669,7 @@ class TestKilledWorkerMidShard:
         orphaned = [j for j in queue.jobs("leased") if j.parent == key]
         assert orphaned, "chunk should still look leased right after the kill"
 
-        Worker(queue, store, worker_id="rescuer", poll_s=0.05).run(drain=True)
+        Worker(queue, store, worker_id="rescuer").run(drain=True)
         assert queue.counts()["failed"] == 0
         assert queue.job(key).status == "done"
         assert all(c.status == "done" for c in queue.children(key))

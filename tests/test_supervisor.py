@@ -12,6 +12,9 @@ import pytest
 from repro.harness.cache import ResultCache
 from repro.harness.experiment import ExperimentSpec
 from repro.service import JobQueue, ServiceClient, SharedResultStore, Supervisor, Worker
+from repro.service import supervisor as supervisor_module
+
+pytestmark = pytest.mark.usefixtures("fast_service")
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -28,8 +31,6 @@ def make_supervisor(tmp_path, command, **kw):
     """A supervisor over throwaway child commands (no service stack)."""
     queue = JobQueue(tmp_path / "q.sqlite")
     kw.setdefault("workers", 1)
-    kw.setdefault("backoff_base_s", 0.01)
-    kw.setdefault("poll_s", 0.01)
     sup = Supervisor(queue, command_factory=lambda worker_id: command, **kw)
     return queue, sup
 
@@ -44,9 +45,7 @@ class TestSupervisorMechanics:
 
     def test_crash_restarts_until_crash_loop_parks(self, tmp_path):
         queue, sup = make_supervisor(
-            tmp_path,
-            [sys.executable, "-c", "raise SystemExit(3)"],
-            crash_loop_threshold=3,
+            tmp_path, [sys.executable, "-c", "raise SystemExit(3)"]
         )
         deaths = sup.run()
         assert deaths == 3  # threshold crashes, then the slot is parked
@@ -60,9 +59,7 @@ class TestSupervisorMechanics:
 
     def test_each_restart_gets_a_distinct_worker_id(self, tmp_path):
         queue, sup = make_supervisor(
-            tmp_path,
-            [sys.executable, "-c", "raise SystemExit(1)"],
-            crash_loop_threshold=3,
+            tmp_path, [sys.executable, "-c", "raise SystemExit(1)"]
         )
         seen = []
         orig = sup._spawn
@@ -76,16 +73,16 @@ class TestSupervisorMechanics:
         assert len(seen) == len(set(seen)) == 3
         assert seen[0].endswith("-w0-r0") and seen[-1].endswith("-w0-r2")
 
-    def test_observed_death_releases_lease_immediately(self, tmp_path):
+    def test_observed_death_releases_lease_immediately(self, tmp_path, monkeypatch):
         """A crashed child's lease is released by report_worker_death,
         not by waiting out the lease expiry."""
         queue = JobQueue(tmp_path / "q.sqlite")
         queue.submit("a", spec={"k": "a"}, noise=None, label="a")
+        # one crash parks: no retry churn
+        monkeypatch.setattr(supervisor_module, "CRASH_LOOP_THRESHOLD", 1)
         sup = Supervisor(
             queue,
             workers=1,
-            crash_loop_threshold=1,  # one crash parks: no retry churn
-            poll_s=0.01,
             command_factory=lambda wid: [sys.executable, "-c", "raise SystemExit(9)"],
         )
         # Lease with the id the child *would* have used, with a lease
@@ -156,15 +153,14 @@ class TestSupervisorMechanics:
         assert done["deaths"] == 0  # SIGTERM exits are clean, not crashes
         assert all(slot.parked for slot in sup.slots)
 
-    def test_fail_fast_sigkills_stragglers_and_releases_leases(self, tmp_path):
+    def test_fail_fast_sigkills_stragglers_and_releases_leases(self, tmp_path, monkeypatch):
         script = (
             "import signal, time\n"
             "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"  # never drains
             "time.sleep(60)\n"
         )
-        queue, sup = make_supervisor(
-            tmp_path, [sys.executable, "-c", script], kill_grace_s=0.1
-        )
+        monkeypatch.setattr(supervisor_module, "KILL_GRACE_S", 0.1)
+        queue, sup = make_supervisor(tmp_path, [sys.executable, "-c", script])
         queue.submit("a", spec={"k": "a"}, noise=None, label="a")
         t = threading.Thread(target=sup.run)
         t.start()
@@ -191,14 +187,14 @@ class TestSupervisorMechanics:
 
 
 class TestPoisonJobEndToEnd:
-    def test_poison_quarantined_then_revived_bit_identically(self, tmp_path):
+    def test_poison_quarantined_then_revived_bit_identically(self, tmp_path, monkeypatch):
         """The acceptance scenario: a kill-worker! chaos job takes down
         two distinct supervised workers, lands in the DLQ with pid/spec
         forensics, and a dlq retry without chaos yields results
         byte-identical to an in-process run."""
         queue = JobQueue(tmp_path / "q.sqlite")
         store = SharedResultStore(tmp_path / "store")
-        client = ServiceClient(queue, store, poll_s=0.01)
+        client = ServiceClient(queue, store)
         poison = spec(reps=2, seed=5)
         key = client.submit(poison)
 
@@ -208,14 +204,13 @@ class TestPoisonJobEndToEnd:
             # Persistently kill every service worker that leases any job.
             REPRO_CHAOS="kill-worker!:1:1.0",
         )
+        # quarantine must trigger first
+        monkeypatch.setattr(supervisor_module, "CRASH_LOOP_THRESHOLD", 10)
         sup = Supervisor(
             queue,
             store_root=tmp_path / "store",
             workers=1,
             drain=True,
-            backoff_base_s=0.01,
-            poll_s=0.02,
-            crash_loop_threshold=10,  # quarantine must trigger first
             env=env,
         )
         deaths = sup.run()
@@ -242,7 +237,7 @@ class TestPoisonJobEndToEnd:
         assert queue.dlq_retry(key) is True
         revived = queue.job(key)
         assert revived.status == "queued" and revived.attempts == 0
-        Worker(queue, store, worker_id="medic", poll_s=0.01).run(drain=True)
+        Worker(queue, store, worker_id="medic").run(drain=True)
         assert queue.job(key).status == "done"
         # ... and the result is bit-identical to a never-poisoned run.
         rs = client.run_cell(poison)

@@ -6,6 +6,7 @@ import pytest
 from repro.core.events import EventType
 from repro.sim.noise import MicroNoiseSpec
 from repro.sim.platform import get_platform
+from repro.sim import tracer as tracer_mod
 from repro.sim.task import SchedPolicy, Task, TaskKind
 from repro.sim.tracer import OSNoiseTracer
 
@@ -66,15 +67,12 @@ class TestOverhead:
         tracer = OSNoiseTracer(enabled=False)
         assert tracer.overhead_steal(250, MicroNoiseSpec()) == 0.0
 
-    def test_overhead_proportional_to_event_rate(self):
-        tracer = OSNoiseTracer(per_event_overhead=10e-6)
+    def test_overhead_proportional_to_event_rate(self, monkeypatch):
+        monkeypatch.setattr(tracer_mod, "PER_EVENT_OVERHEAD", 10e-6)
+        tracer = OSNoiseTracer()
         micro = MicroNoiseSpec(softirq_prob=0.0)
         assert tracer.overhead_steal(100, micro) == pytest.approx(1e-3)
         assert tracer.overhead_steal(200, micro) == pytest.approx(2e-3)
-
-    def test_negative_overhead_rejected(self):
-        with pytest.raises(ValueError):
-            OSNoiseTracer(per_event_overhead=-1e-6)
 
     def test_tracing_slows_compute_run(self):
         # Same seed with and without tracing: traced run is slower but
